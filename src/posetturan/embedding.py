@@ -30,62 +30,93 @@ class EmbeddingWitness:
 
 
 @lru_cache(maxsize=256)
-def _element_order(poset: Poset):
-    """Assignment order: decreasing (in + out) degree in the closure, ties by index."""
+def _plan(poset: Poset, forced=None):
+    """Compiled assignment order for the backtracking search.
+
+    Returns (order, constraints): ``order`` lists the poset elements in the
+    order they are assigned, and ``constraints[i] = (lower, upper)`` holds the
+    earlier positions whose elements lie below, resp. above, ``order[i]``.
+    Without a forced element the order is decreasing (in + out) degree, ties
+    by index. With one, it starts at the forced element and then takes the
+    element with the most comparabilities to those already placed (ties by
+    degree, then index), so each new image is pinned by earlier ones.
+    """
     deg = [0] * poset.size
     for a, b in poset.relations:
         deg[a] += 1
         deg[b] += 1
-    return tuple(sorted(range(poset.size), key=lambda e: (-deg[e], e)))
+    if forced is None:
+        order = sorted(range(poset.size), key=lambda e: (-deg[e], e))
+    else:
+        order = [forced]
+        rest = set(range(poset.size)) - {forced}
+        while rest:
+            links = {e: sum(poset.comparable(e, f) for f in order) for e in rest}
+            e = min(rest, key=lambda e: (-links[e], -deg[e], e))
+            order.append(e)
+            rest.remove(e)
+    constraints = tuple(
+        (
+            tuple(j for j in range(i) if poset.less(order[j], order[i])),
+            tuple(j for j in range(i) if poset.less(order[i], order[j])),
+        )
+        for i in range(len(order))
+    )
+    return tuple(order), constraints
 
 
-def _search(family: SetFamily, poset: Poset, forced=None):
-    m = len(family)
-    if poset.size > m:
+@lru_cache(maxsize=256)
+def _forced_plans(poset: Poset):
+    """One forced plan per automorphism orbit of the poset."""
+    return tuple(_plan(poset, e) for e in poset.orbit_representatives())
+
+
+def _search(family: SetFamily, poset: Poset, plan, forced=None, within=None):
+    """Backtracking over ``plan``.
+
+    ``forced`` is the member index assigned to the plan's first element.
+    ``within``, if given, is the set of member indices the images may use;
+    without it, candidates are tried in ascending index order, which makes
+    the witness deterministic.
+    """
+    order, constraints = plan
+    k = len(order)
+    allowed = range(len(family.members)) if within is None else within
+    if k > len(allowed) or forced is not None and forced not in allowed:
         return None
-    order = _element_order(poset)
     above, below = family.above, family.below
-    all_indices = frozenset(range(m))
-    image = {}
-    used = set()
+    image = [forced] * k  # image[i]: member index of order[i]; image[0] may be forced
+    used = {forced}
 
-    def candidates(e):
-        cand = None
-        for f, idx in image.items():
-            if poset.less(f, e):
-                cand = above[idx] if cand is None else cand & above[idx]
-            elif poset.less(e, f):
-                cand = below[idx] if cand is None else cand & below[idx]
-            if cand is not None and not cand:
-                return cand
-        return all_indices if cand is None else cand
-
-    def extend(pos):
-        if pos == len(order):
+    def extend(i):
+        if i == k:
             return True
-        e = order[pos]
-        if forced is not None and e in forced:
-            pool = [forced[e]] if forced[e] in candidates(e) else []
+        lower, upper = constraints[i]
+        cand = None
+        for j in lower:
+            cand = above[image[j]] if cand is None else cand & above[image[j]]
+        for j in upper:
+            cand = below[image[j]] if cand is None else cand & below[image[j]]
+        if cand is None:
+            pool = allowed
         else:
-            pool = sorted(candidates(e))
+            pool = sorted(cand) if within is None else cand & within
         for idx in pool:
             if idx in used:
                 continue
-            image[e] = idx
+            image[i] = idx
             used.add(idx)
-            if extend(pos + 1):
+            if extend(i + 1):
                 return True
             used.remove(idx)
-            del image[e]
         return False
 
-    if forced:
-        if len(set(forced.values())) != len(forced):
-            return None
-    if extend(0):
-        masks = tuple(family.members[image[e]] for e in range(poset.size))
-        return EmbeddingWitness(poset, family, masks)
-    return None
+    if not extend(0 if forced is None else 1):
+        return None
+    masks = [0] * k
+    for i, e in enumerate(order):
+        masks[e] = family.members[image[i]]
+    return EmbeddingWitness(poset, family, tuple(masks))
 
 
 def find_embedding(family: SetFamily, poset: Poset):
@@ -96,13 +127,19 @@ def find_embedding(family: SetFamily, poset: Poset):
     returned witness is the first found under ascending candidate order, so
     output is deterministic.
     """
-    return _search(family, poset)
+    return _search(family, poset, _plan(poset))
 
 
-def embedding_using_member(family: SetFamily, poset: Poset, member_index: int):
-    """A witness whose image includes the given family member, or None."""
-    for e in range(poset.size):
-        w = _search(family, poset, forced={e: member_index})
+def embedding_using_member(family: SetFamily, poset: Poset, member_index: int, within=None):
+    """A witness whose image includes the given family member, or None.
+
+    ``within``, if given, is a set of member indices (containing
+    ``member_index``) to which the witness's image is restricted. One search
+    per automorphism orbit suffices: composing a witness with an automorphism
+    moves the forced member onto any element of the orbit.
+    """
+    for plan in _forced_plans(poset):
+        w = _search(family, poset, plan, forced=member_index, within=within)
         if w is not None:
             return w
     return None

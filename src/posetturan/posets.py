@@ -72,6 +72,10 @@ class Poset:
         rels = ";".join(f"{a}<{b}" for a, b in self.canonical_relations())
         return f"poset[{self.size}]{{{rels}}}"
 
+    def orbit_representatives(self) -> tuple:
+        """The least element of each automorphism orbit, ascending."""
+        return _orbit_representatives(self)
+
 
 @lru_cache(maxsize=4096)
 def _canonical_relations(size, relations):
@@ -83,6 +87,30 @@ def _canonical_relations(size, relations):
         if best is None or img < best:
             best = img
     return best if best is not None else ()
+
+
+@lru_cache(maxsize=256)
+def _orbit_representatives(p: Poset):
+    # Union-find over automorphisms: each pinned search either merges a's
+    # orbit with b's (and every other pair the automorphism found moves) or
+    # proves that no automorphism maps a to b.
+    parent = list(range(p.size))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a in range(p.size):
+        for b in range(a + 1, p.size):
+            if find(a) == find(b):
+                continue
+            sigma = _isomorphism(p, p, pin=(a, b))
+            if sigma is not None:
+                for x, y in enumerate(sigma):
+                    rx, ry = find(x), find(y)
+                    parent[max(rx, ry)] = min(rx, ry)
+    return tuple(x for x in range(p.size) if find(x) == x)
 
 
 def poset_from_relations(m: int, relations, labels=None) -> Poset:
@@ -117,13 +145,23 @@ def dual_poset(p: Poset) -> Poset:
 
 def poset_isomorphic(p: Poset, q: Poset) -> bool:
     """Order-isomorphism test by backtracking with degree/height invariants."""
+    return _isomorphism(p, q) is not None
+
+
+def _isomorphism(p: Poset, q: Poset, pin=None):
+    """An order isomorphism as a list (element a of p maps to entry a), or None.
+
+    ``pin=(a, b)`` restricts the search to isomorphisms mapping a to b.
+    """
     if p.size != q.size or len(p.relations) != len(q.relations):
-        return False
+        return None
     if p.sorted_signature() != q.sorted_signature():
-        return False
+        return None
     sig_q = {}
     for b in range(q.size):
         sig_q.setdefault(q.element_signature(b), []).append(b)
+    if pin is not None and pin[1] not in sig_q.get(p.element_signature(pin[0]), ()):
+        return None
 
     assignment = [-1] * p.size
     used = [False] * q.size
@@ -131,7 +169,11 @@ def poset_isomorphic(p: Poset, q: Poset) -> bool:
     def extend(a):
         if a == p.size:
             return True
-        for b in sig_q.get(p.element_signature(a), ()):
+        if pin is not None and a == pin[0]:
+            pool = (pin[1],)
+        else:
+            pool = sig_q.get(p.element_signature(a), ())
+        for b in pool:
             if used[b]:
                 continue
             ok = True
@@ -149,7 +191,7 @@ def poset_isomorphic(p: Poset, q: Poset) -> bool:
                 assignment[a] = -1
         return False
 
-    return extend(0)
+    return assignment if extend(0) else None
 
 
 def chain(k: int) -> Poset:

@@ -39,31 +39,26 @@ class SearchReport:
         }
 
 
-def _chain_count_masks(masks, k: int) -> int:
-    """k-chain count over an ascending mask list (ascending order nests upward)."""
-    m = len(masks)
+def _chain_count(avail: int, k: int, down) -> int:
+    """k-chain count among the masks whose bits are set in ``avail``.
+
+    ``down[m]`` is the bitset of the proper subsets of mask m.
+    """
+    members = [m for m in range(len(down)) if avail >> m & 1]
     if k == 1:
-        return m
-    if k > m:
-        return 0
-    below = [[] for _ in range(m)]
-    for j in range(m):
-        b = masks[j]
-        for i in range(j):
-            if masks[i] & b == masks[i]:
-                below[j].append(i)
-    dp = [1] * m
-    for _ in range(k - 1):
-        dp = [sum(dp[i] for i in below[j]) for j in range(m)]
-    return sum(dp)
+        return len(members)
+    # dp[m]: chains of the current length (from 2 up) whose top set is m
+    dp = {m: (avail & down[m]).bit_count() for m in members}
+    for _ in range(k - 2):
+        dp = {m: sum(c for a, c in dp.items() if down[m] >> a & 1) for m in members}
+    return sum(dp.values())
 
 
-def _copies_in_masks(n, masks, q: Poset) -> int:
-    if q.is_chain():
-        return _chain_count_masks(sorted(masks), q.size)
-    if not masks:
-        return 0
-    return count_copies(SetFamily(n, masks), q)
+def _check_request(n: int, budget):
+    if n > 5 or (n == 5 and budget is None):
+        raise ValueError("exact search supports n <= 4, or n = 5 with a budget")
+    if budget is not None and budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
 
 
 def la_exact(
@@ -80,50 +75,56 @@ def la_exact(
     Branches are cut when the current family already embeds a forbidden poset,
     or when the admissible bound (copies in current plus remaining) cannot beat
     the best value found. n <= 4 always completes; n = 5 requires a node
-    budget and reports complete=False if it runs out.
+    budget of at least 1, stops after exactly that many nodes, and reports
+    complete=False if it ran out.
     """
     forbidden = list(forbidden)
-    if n > 5 or (n == 5 and budget is None):
-        raise ValueError("exact search supports n <= 4, or n = 5 with a budget")
+    _check_request(n, budget)
     order = sorted(range(1 << n), key=lambda m: (abs(m.bit_count() - n / 2), m))
+    # One family for the whole search: member index = mask.
+    universe = SetFamily(n, range(1 << n))
+    if q.is_chain():
+        down = [sum(1 << a for a in below) for below in universe.below]
+
+        def copies(avail):
+            return _chain_count(avail, q.size, down)
+    else:
+        def copies(avail):
+            return count_copies(SetFamily(n, (m for m in universe if avail >> m & 1)), q)
+
     state = {"nodes": 0, "complete": True, "best": -1, "witnesses": []}
 
-    def record(masks):
-        copies = _copies_in_masks(n, masks, q)
-        if copies > state["best"]:
-            state["best"] = copies
-            state["witnesses"] = [tuple(sorted(masks))]
-        elif copies == state["best"]:
-            state["witnesses"].append(tuple(sorted(masks)))
-
-    def rec(pos, chosen):
-        state["nodes"] += 1
-        if budget is not None and state["nodes"] > budget:
+    def rec(pos, chosen, avail, bound):
+        # chosen: the included masks; avail: bitset of chosen plus order[pos:];
+        # bound: copies(avail), or None until some node needs it.
+        if budget is not None and state["nodes"] >= budget:
             state["complete"] = False
             return
+        state["nodes"] += 1
         if pos == len(order):
-            record(chosen)
+            # no masks remain, so avail is exactly chosen
+            value = copies(avail) if bound is None else bound
+            if value > state["best"]:
+                state["best"] = value
+                state["witnesses"] = [tuple(sorted(chosen))]
+            elif value == state["best"]:
+                state["witnesses"].append(tuple(sorted(chosen)))
             return
         if not no_bound and state["best"] >= 0:
-            bound = _copies_in_masks(n, chosen + order[pos:], q)
+            if bound is None:
+                bound = copies(avail)
             if bound < state["best"]:
                 return
             if bound == state["best"] and len(state["witnesses"]) >= witness_cap:
                 return
         x = order[pos]
-        candidate = sorted(chosen + [x])
-        fam = SetFamily(n, candidate)
-        ok = True
-        idx = candidate.index(x)
-        for p in forbidden:
-            if embedding_using_member(fam, p, idx) is not None:
-                ok = False
-                break
-        if ok:
-            rec(pos + 1, chosen + [x])
-        rec(pos + 1, chosen)
+        within = chosen | {x}
+        if not any(embedding_using_member(universe, p, x, within) is not None for p in forbidden):
+            # including x leaves chosen plus remaining, hence the bound, unchanged
+            rec(pos + 1, within, avail, bound)
+        rec(pos + 1, chosen, avail & ~(1 << x), None)
 
-    rec(0, [])
+    rec(0, frozenset(), (1 << (1 << n)) - 1, None)
     witnesses = sorted(set(state["witnesses"]))[:witness_cap]
     return SearchReport(
         optimum=state["best"],
@@ -222,15 +223,17 @@ def _cache_lookup(path, n, forbidden_key, q_key):
     entry = None
     with open(path, encoding="utf-8") as fh:
         for line in fh:
-            line = line.strip()
-            if not line:
+            # Keys are written as plain hex, so a line without the key's text
+            # cannot match; skipping it saves the JSON parse.
+            if forbidden_key not in line:
                 continue
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError:
                 continue
             if (
-                rec.get("n") == n
+                isinstance(rec, dict)
+                and rec.get("n") == n
                 and rec.get("forbidden_key") == forbidden_key
                 and rec.get("q_key") == q_key
             ):
@@ -245,6 +248,7 @@ def cached_la_exact(n, forbidden, q, budget=None, use_cache=True, path=None) -> 
     at least the requested budget; otherwise the search is rerun.
     """
     forbidden = list(forbidden)
+    _check_request(n, budget)
     path = path or cache_path()
     forbidden_key, q_key = _cache_key(n, forbidden, q)
     if use_cache:

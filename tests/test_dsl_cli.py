@@ -175,6 +175,23 @@ class TestCli:
         assert code == 0 and json.loads(out)["optimum"] == 3
         assert not (tmp_path / "c.jsonl").exists()
 
+    @pytest.mark.parametrize("budget", ("0", "-5"))
+    def test_search_budget_below_one_is_a_usage_error(self, capsys, tmp_path, monkeypatch,
+                                                       budget):
+        monkeypatch.setenv("TURAN_CACHE", str(tmp_path / "c.jsonl"))
+        for extra in ((), ("--no-cache",)):
+            code = run_command(["search", "--n", "5", "--forbid", "@N", "--q", "@chain(2)",
+                                "--budget", budget, *extra])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert "budget must be at least 1" in captured.err
+
+    def test_search_budget_is_exact(self, capsys):
+        code, out = self.run(capsys, "search", "--n", "5", "--forbid", "@N", "--q", "@chain(2)",
+                             "--budget", "10", "--no-cache")
+        data = json.loads(out)
+        assert code == 0 and data["nodes_explored"] == 10 and data["complete"] is False
+
     def test_formula(self, capsys):
         code, out = self.run(capsys, "formula", "butterfly_p2", "--n", "6")
         assert code == 0 and out.strip() == "60"

@@ -16,7 +16,16 @@ from posetturan.lattice import (
     full_lattice,
     level_family,
 )
-from posetturan.posets import chain, dual_poset, kst, n_poset, named_poset, w_poset
+from posetturan.posets import (
+    chain,
+    crown,
+    dual_poset,
+    kst,
+    n_poset,
+    named_poset,
+    s_poset,
+    w_poset,
+)
 
 BFLY = named_poset("butterfly")
 
@@ -57,6 +66,74 @@ class TestFindEmbedding:
         # force the witness to use mask index 0 (the empty set)
         w = embedding_using_member(fam, chain(2), 0)
         assert w is not None and 0 in w.assignment
+
+
+def catalog_posets(max_size):
+    """Every catalog poset with at most max_size elements."""
+    found = [named_poset(name) for name in ("butterfly", "N", "W", "M", "S")]
+    for k in range(1, max_size + 1):
+        found.append(named_poset("chain", k))
+        found += [named_poset("Kst", s, k - s) for s in range(1, k)]
+        if k >= 2:
+            found.append(named_poset("fork", k - 1))
+        if k >= 3:
+            found.append(named_poset("diamond", k - 2))
+        if k >= 4 and k % 2 == 0:
+            found.append(named_poset("crown", k // 2))
+    return [p for p in found if p.size <= max_size]
+
+
+def brute_images(fam, poset):
+    """Every image tuple (indexed by poset element) of an embedding, by brute force."""
+    images = []
+    for image in itertools.permutations(fam.members, poset.size):
+        if all(image[a] & image[b] == image[a] for a, b in poset.relations):
+            images.append(image)
+    return images
+
+
+class TestCompiledPlans:
+    # witnesses found before the plans were compiled; find_embedding must keep them
+    PINNED = [
+        (full_lattice(4), BFLY, (0, 1, 3, 5)),
+        (full_lattice(4), n_poset(), (1, 0, 3, 2)),
+        (full_lattice(4), w_poset(), (2, 0, 3, 1, 5)),
+        (full_lattice(4), s_poset(), (4, 0, 1, 3, 2)),
+        (full_lattice(4), crown(3), (0, 1, 2, 3, 5, 7)),
+        (level_family(5, [1, 2, 3]), w_poset(), (5, 1, 3, 2, 6)),
+        (level_family(5, [1, 2, 3]), crown(3), (1, 2, 3, 7, 11, 19)),
+        (level_family(5, [1, 2, 3]), chain(4), None),
+        (SetFamily(4, [0, 1, 3, 5, 6, 7, 11, 15]), s_poset(), (3, 0, 1, 7, 5)),
+    ]
+
+    @pytest.mark.parametrize("fam, poset, assignment", PINNED)
+    def test_find_embedding_witness_unchanged(self, fam, poset, assignment):
+        w = find_embedding(fam, poset)
+        assert (w and w.assignment) == assignment
+
+    def test_using_member_matches_brute_force(self):
+        rng = random.Random(17)
+        posets = catalog_posets(5)
+        for _ in range(12):
+            n = rng.randint(2, 4)
+            fam = SetFamily(n, rng.sample(range(1 << n), rng.randint(1, min(7, 1 << n))))
+            for p in posets:
+                images = brute_images(fam, p)
+                for idx, mask in enumerate(fam.members):
+                    within = {i for i in range(len(fam)) if i == idx or rng.random() < 0.6}
+                    allowed = {fam.members[i] for i in within}
+                    for restrict, ok_masks in ((None, set(fam.members)), (within, allowed)):
+                        expect = any(mask in img and ok_masks.issuperset(img) for img in images)
+                        w = embedding_using_member(fam, p, idx, within=restrict)
+                        assert (w is not None) == expect, (fam.members, p, idx, restrict)
+                        if w is not None:
+                            assert w.check() and mask in w.assignment
+                            assert ok_masks.issuperset(w.assignment)
+
+    def test_within_must_hold_the_forced_member(self):
+        fam = SetFamily(3, [0, 1, 3, 7])
+        assert embedding_using_member(fam, chain(2), 0, within={1, 2}) is None
+        assert embedding_using_member(fam, chain(2), 0, within={0, 2}) is not None
 
 
 class TestIsFree:

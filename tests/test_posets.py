@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
 
 from posetturan.posets import (
     PosetError,
     chain,
     crown,
+    diamond,
     dual_poset,
     fork,
     kst,
@@ -188,3 +191,33 @@ class TestHeight:
         assert n_poset().height() == 2
         assert kst(3, 3).height() == 2
         assert s_poset().height() == 3
+
+
+def brute_orbits(p):
+    """Automorphism orbits as frozensets, by enumerating every relabeling."""
+    orbits = {a: {a} for a in range(p.size)}
+    for perm in itertools.permutations(range(p.size)):
+        if all((perm[a], perm[b]) in p.relations for a, b in p.relations):
+            for a in range(p.size):
+                orbits[a].add(perm[a])
+    return {frozenset(o) for o in orbits.values()}
+
+
+class TestOrbits:
+    def test_counts(self):
+        assert named_poset("butterfly").orbit_representatives() == (0, 2)
+        assert n_poset().orbit_representatives() == (0, 1, 2, 3)
+        assert len(kst(4, 4).orbit_representatives()) == 2
+        for k in range(1, 9):
+            assert chain(k).orbit_representatives() == tuple(range(k))
+
+    @pytest.mark.parametrize("p", [
+        kst(2, 2), kst(4, 4), kst(2, 5), n_poset(), w_poset(), m_poset(), s_poset(),
+        crown(3), crown(4), fork(4), diamond(3), poset_from_relations(5, [(0, 1), (2, 3)]),
+        poset_from_relations(6, []), *path_hasse_family(6),
+    ])
+    def test_every_element_is_an_image_of_a_representative(self, p):
+        reps = p.orbit_representatives()
+        orbits = brute_orbits(p)
+        assert sorted(min(o) for o in orbits) == list(reps)
+        assert all(any(r in o for r in reps) for o in orbits)

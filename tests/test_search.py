@@ -1,13 +1,17 @@
 import itertools
 import json
+import random
 
 import pytest
 
+from posetturan.dsl import parse_poset_dsl
 from posetturan.embedding import count_copies, is_free
-from posetturan.lattice import SetFamily, level_family
+from posetturan.lattice import SetFamily, count_k_chains, level_family
 from posetturan.posets import chain, n_poset, named_poset
 from posetturan.search import (
     SearchReport,
+    _cache_key,
+    _chain_count,
     cached_la_exact,
     la_exact,
     la_levels,
@@ -96,6 +100,75 @@ class TestLaExact:
         assert data["optimum"] == 3 and data["complete"] is True
 
 
+class TestBudget:
+    def test_stops_after_exactly_budget_nodes(self):
+        for budget in (1, 10, 200):
+            rep = la_exact(5, [BFLY], P2, budget=budget)
+            assert rep.nodes_explored == budget and not rep.complete
+
+    def test_budget_that_covers_the_tree_completes(self):
+        full = la_exact(3, [BFLY], P2)
+        exact = la_exact(3, [BFLY], P2, budget=full.nodes_explored)
+        assert exact.complete and exact.to_json()["witnesses"] == full.to_json()["witnesses"]
+        short = la_exact(3, [BFLY], P2, budget=full.nodes_explored - 1)
+        assert not short.complete and short.nodes_explored == full.nodes_explored - 1
+
+    @pytest.mark.parametrize("budget", (0, -5))
+    def test_budget_below_one_rejected(self, budget, tmp_path):
+        with pytest.raises(ValueError, match="budget"):
+            la_exact(5, [BFLY], P2, budget=budget)
+        with pytest.raises(ValueError, match="budget"):
+            cached_la_exact(3, [BFLY], P2, budget=budget, path=str(tmp_path / "c.jsonl"))
+
+
+def brute_down(n):
+    return [sum(1 << a for a in range(1 << n) if a & m == a and a != m) for m in range(1 << n)]
+
+
+class TestChainCount:
+    def test_matches_count_k_chains(self):
+        rng = random.Random(23)
+        for n in range(1, 6):
+            down = brute_down(n)
+            for _ in range(15):
+                masks = rng.sample(range(1 << n), rng.randint(0, 1 << n))
+                avail = sum(1 << m for m in masks)
+                for k in range(1, 5):
+                    assert _chain_count(avail, k, down) == count_k_chains(SetFamily(n, masks), k)
+
+
+# Optimum, witnesses and node count of the four n = 4 benchmark searches, as
+# found before the search kept one universe family and an inherited bound.
+PINNED_N4 = {
+    "@butterfly": (14, 24761, [
+        [1, 2, 3, 5, 6, 9, 10, 12, 13, 14], [1, 3, 4, 5, 6, 9, 10, 11, 12, 14],
+        [1, 3, 5, 6, 7, 8, 9, 10, 12, 14], [2, 3, 4, 5, 6, 9, 10, 11, 12, 13],
+        [2, 3, 5, 6, 7, 8, 9, 10, 12, 13], [3, 4, 5, 6, 7, 8, 9, 10, 11, 12]]),
+    "@N": (6, 10604, [
+        [0, 3, 5, 6, 9, 10, 12], [1, 2, 5, 6, 13, 14], [1, 2, 5, 10, 13, 14],
+        [1, 2, 6, 9, 13, 14], [1, 2, 9, 10, 13, 14], [1, 3, 4, 6, 11, 14],
+        [1, 3, 4, 11, 12, 14], [1, 3, 5, 6, 9, 10, 12, 14], [1, 3, 7, 8, 10, 14],
+        [1, 3, 7, 8, 12, 14], [1, 4, 6, 9, 11, 14], [1, 4, 9, 11, 12, 14],
+        [1, 5, 7, 8, 10, 14], [1, 5, 7, 8, 12, 14], [2, 3, 4, 5, 11, 13],
+        [2, 3, 4, 11, 12, 13]]),
+    "@chain(3)": (12, 13308, [
+        [1, 2, 3, 4, 5, 6, 8, 9, 10, 12], [1, 2, 4, 7, 8, 11, 13, 14],
+        [3, 5, 6, 7, 9, 10, 11, 12, 13, 14]]),
+    "@pathfamily(5)": (10, 14494, [
+        [1, 2, 5, 6, 9, 10, 13, 14], [1, 3, 4, 6, 9, 11, 12, 14],
+        [1, 3, 5, 7, 8, 10, 12, 14], [2, 3, 4, 5, 10, 11, 12, 13],
+        [2, 3, 6, 7, 8, 9, 12, 13], [4, 5, 6, 7, 8, 9, 10, 11]]),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_N4))
+def test_n4_search_tree_pinned(spec):
+    optimum, nodes, witnesses = PINNED_N4[spec]
+    rep = la_exact(4, parse_poset_dsl(spec), P2).to_json()
+    assert (rep["optimum"], rep["nodes_explored"], rep["witnesses"]) == (optimum, nodes, witnesses)
+    assert rep["complete"]
+
+
 class TestLaLevels:
     def test_chain3_forbidden(self):
         rep = la_levels(6, [chain(3)], P2)
@@ -178,6 +251,35 @@ class TestCache:
         path.write_text("this is not json\n")
         rep = cached_la_exact(3, [BFLY], P2, path=str(path))
         assert rep.optimum == 7
+
+
+    def test_non_object_lines_ignored(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        forbidden_key, _ = _cache_key(3, [BFLY], P2)
+        path.write_text(f'[1, 2]\n"{forbidden_key}"\n{{"broken": "{forbidden_key}\n')
+        rep = cached_la_exact(3, [BFLY], P2, path=str(path))
+        assert rep.optimum == 7
+
+    def test_hit_among_filler_records(self, tmp_path):
+        rng = random.Random(29)
+        path = tmp_path / "cache.jsonl"
+        real = tmp_path / "real.jsonl"
+        cached_la_exact(3, [BFLY], P2, path=str(real))
+        (record,) = real.read_text().splitlines()
+        stale = json.loads(record)
+        stale["nodes_explored"] = -1
+        filler = [
+            json.dumps({"n": 3, "forbidden_key": f"{rng.getrandbits(256):064x}",
+                        "q_key": f"{rng.getrandbits(256):064x}", "optimum": 0,
+                        "complete": True, "witnesses": [], "nodes_explored": 1})
+            for _ in range(1000)
+        ]
+        # last match wins: the stale copy comes first, the real record later
+        lines = filler[:300] + [json.dumps(stale)] + filler[300:700] + [record] + filler[700:]
+        path.write_text("\n".join(lines) + "\n")
+        rep = cached_la_exact(3, [BFLY], P2, path=str(path))
+        assert rep.to_json()["nodes_explored"] == json.loads(record)["nodes_explored"] > 0
+        assert len(path.read_text().splitlines()) == 1002  # a hit appends nothing
 
 
 class TestVerifyWitness:
