@@ -12,9 +12,9 @@ import sys
 from fractions import Fraction
 
 from .constructions import CONSTRUCTIONS, middle_two_levels
-from .dsl import DslError, parse_poset_dsl, parse_single_poset
+from .dsl import parse_poset_dsl, parse_single_poset
 from .embedding import count_copies, find_any_embedding
-from .familyio import FamilyFormatError, format_family, read_family
+from .familyio import format_family, read_family
 from .formulas import FORMULAS, closed_formula
 from .proofcheck import VERIFIERS, run_verifiers
 from .search import cached_la_exact, la_exact
@@ -193,9 +193,9 @@ def run_command(argv=None) -> int:
         return exc.code if exc.code is not None else 0
     try:
         return _COMMANDS[args.command](args)
-    except (DslError, FamilyFormatError, FileNotFoundError) as exc:
-        return _fail(str(exc))
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
+        # DslError and FamilyFormatError are ValueErrors; OSError covers
+        # unreadable family files (missing, a directory, no permission)
         return _fail(str(exc))
 
 

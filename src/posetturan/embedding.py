@@ -5,7 +5,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .lattice import SetFamily, count_k_chains
+from .lattice import SetFamily, count_k_chains, iter_bits
 from .posets import Poset
 
 
@@ -33,13 +33,20 @@ class EmbeddingWitness:
 def _plan(poset: Poset, forced=None):
     """Compiled assignment order for the backtracking search.
 
-    Returns (order, constraints): ``order`` lists the poset elements in the
-    order they are assigned, and ``constraints[i] = (lower, upper)`` holds the
-    earlier positions whose elements lie below, resp. above, ``order[i]``.
-    Without a forced element the order is decreasing (in + out) degree, ties
-    by index. With one, it starts at the forced element and then takes the
-    element with the most comparabilities to those already placed (ties by
-    degree, then index), so each new image is pinned by earlier ones.
+    Returns (order, constraints, supports): ``order`` lists the poset
+    elements in the order they are assigned, and ``constraints[i] = (lower,
+    upper)`` holds the earlier positions whose elements lie below, resp.
+    above, ``order[i]``. Without a forced element the order is decreasing
+    (in + out) degree, ties by index. With one, it starts at the forced
+    element and then takes the element with the most comparabilities to those
+    already placed (ties by degree, then index), so each new image is pinned
+    by earlier ones.
+
+    ``supports[i]`` is empty unless position i has no earlier neighbour. Then
+    it lists, for each later neighbour p that has neighbours before i,
+    ``(up, lower, upper)``: whether order[i] lies below order[p], and p's
+    constraints cut to the positions before i. The image of position i must
+    then be comparable, in that direction, to some member still open to p.
     """
     deg = [0] * poset.size
     for a, b in poset.relations:
@@ -55,14 +62,25 @@ def _plan(poset: Poset, forced=None):
             e = min(rest, key=lambda e: (-links[e], -deg[e], e))
             order.append(e)
             rest.remove(e)
+    k = len(order)
     constraints = tuple(
         (
             tuple(j for j in range(i) if poset.less(order[j], order[i])),
             tuple(j for j in range(i) if poset.less(order[i], order[j])),
         )
-        for i in range(len(order))
+        for i in range(k)
     )
-    return tuple(order), constraints
+    supports = []
+    for i in range(k):
+        sup = []
+        if constraints[i] == ((), ()):
+            for p in range(i + 1, k):
+                if poset.comparable(order[i], order[p]):
+                    lower, upper = (tuple(j for j in js if j < i) for js in constraints[p])
+                    if lower or upper:
+                        sup.append((poset.less(order[i], order[p]), lower, upper))
+        supports.append(tuple(sup))
+    return tuple(order), constraints, tuple(supports)
 
 
 @lru_cache(maxsize=256)
@@ -72,46 +90,53 @@ def _forced_plans(poset: Poset):
 
 
 def _search(family: SetFamily, poset: Poset, plan, forced=None, within=None):
-    """Backtracking over ``plan``.
+    """Backtracking over ``plan`` with bitset domains.
 
     ``forced`` is the member index assigned to the plan's first element.
-    ``within``, if given, is the set of member indices the images may use;
-    without it, candidates are tried in ascending index order, which makes
-    the witness deterministic.
+    ``within``, if given, is the bitset of member indices the images may use.
+    Candidates are tried in ascending index order, which makes the witness
+    deterministic; the look-ahead through ``supports`` only drops candidates
+    that cannot be completed, so it does not change which witness is found.
     """
-    order, constraints = plan
+    order, constraints, supports = plan
     k = len(order)
-    allowed = range(len(family.members)) if within is None else within
-    if k > len(allowed) or forced is not None and forced not in allowed:
+    allowed = (1 << len(family.members)) - 1 if within is None else within
+    if k > allowed.bit_count() or forced is not None and not allowed >> forced & 1:
         return None
     above, below = family.above, family.below
     image = [forced] * k  # image[i]: member index of order[i]; image[0] may be forced
-    used = {forced}
 
-    def extend(i):
+    def extend(i, free):
+        # free: bitset of the allowed members not yet used
         if i == k:
             return True
         lower, upper = constraints[i]
-        cand = None
+        pool = free
         for j in lower:
-            cand = above[image[j]] if cand is None else cand & above[image[j]]
+            pool &= above[image[j]]
         for j in upper:
-            cand = below[image[j]] if cand is None else cand & below[image[j]]
-        if cand is None:
-            pool = allowed
-        else:
-            pool = sorted(cand) if within is None else cand & within
-        for idx in pool:
-            if idx in used:
-                continue
-            image[i] = idx
-            used.add(idx)
-            if extend(i + 1):
+            pool &= below[image[j]]
+        for up, p_lower, p_upper in supports[i]:
+            dom = free
+            for j in p_lower:
+                dom &= above[image[j]]
+            for j in p_upper:
+                dom &= below[image[j]]
+            reach = 0
+            toward = below if up else above
+            for y in iter_bits(dom):
+                reach |= toward[y]
+            pool &= reach
+        while pool:
+            low = pool & -pool
+            pool ^= low
+            image[i] = low.bit_length() - 1
+            if extend(i + 1, free ^ low):
                 return True
-            used.remove(idx)
         return False
 
-    if not extend(0 if forced is None else 1):
+    start, free = (0, allowed) if forced is None else (1, allowed ^ 1 << forced)
+    if not extend(start, free):
         return None
     masks = [0] * k
     for i, e in enumerate(order):
@@ -133,7 +158,7 @@ def find_embedding(family: SetFamily, poset: Poset):
 def embedding_using_member(family: SetFamily, poset: Poset, member_index: int, within=None):
     """A witness whose image includes the given family member, or None.
 
-    ``within``, if given, is a set of member indices (containing
+    ``within``, if given, is a bitset of member indices (containing
     ``member_index``) to which the witness's image is restricted. One search
     per automorphism orbit suffices: composing a witness with an automorphism
     moves the forced member onto any element of the orbit.

@@ -24,6 +24,8 @@ def parse_family(text: str) -> SetFamily:
         return _parse_json(text)
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not lines:
+        raise FamilyFormatError("family input has only comments")
     head = lines[0].replace(" ", "")
     if not head.startswith("n="):
         raise FamilyFormatError('first line must be "n=<int>"')
@@ -67,7 +69,10 @@ def _parse_json(text: str) -> SetFamily:
         raise FamilyFormatError(f"bad JSON family: {exc}") from None
     if not isinstance(data, dict) or "n" not in data or "masks" not in data:
         raise FamilyFormatError('JSON family needs keys "n" and "masks"')
-    return SetFamily(int(data["n"]), [int(m) for m in data["masks"]])
+    n, masks = data["n"], data["masks"]
+    if not (isinstance(n, int) and isinstance(masks, list) and all(isinstance(m, int) for m in masks)):
+        raise FamilyFormatError('JSON family needs an integer "n" and a list of integer "masks"')
+    return SetFamily(n, masks)
 
 
 def format_family(family: SetFamily) -> str:

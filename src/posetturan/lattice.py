@@ -21,6 +21,14 @@ class DimensionError(ValueError):
     pass
 
 
+def iter_bits(bits: int):
+    """Indices of the set bits of ``bits``, ascending."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
 def _check_n(n: int, cap: int):
     if not 1 <= n <= cap:
         raise DimensionError(f"dimension n={n} outside supported range 1..{cap}")
@@ -48,32 +56,52 @@ class SetFamily:
         return iter(self.members)
 
     def __contains__(self, mask):
-        return mask in self._member_set
+        return mask in self._index
 
     @cached_property
-    def _member_set(self):
-        return frozenset(self.members)
+    def _index(self):
+        """mask -> member index."""
+        return {mask: i for i, mask in enumerate(self.members)}
 
     @cached_property
     def above(self):
-        """above[i]: frozenset of indices j with members[i] a proper subset of members[j]."""
+        """above[i]: bitset of the indices j with members[i] a proper subset of members[j].
+
+        Member i has 2^(n - |A|) supersets in the lattice and m - i - 1 later
+        members; whichever is cheaper is scanned, so dense families walk the
+        supersets through the mask -> index table and sparse ones test pairs.
+        """
         ms = self.members
         m = len(ms)
-        up = [set() for _ in range(m)]
-        for i in range(m):
-            a = ms[i]
-            for j in range(i + 1, m):
-                if a & ms[j] == a:
-                    up[i].add(j)
-        return tuple(frozenset(s) for s in up)
+        full = (1 << self.n) - 1
+        up = []
+        for i, a in enumerate(ms):
+            free = full ^ a
+            bits = 0
+            if 1 << free.bit_count() <= m - i:
+                index = self._index
+                sup = free
+                while sup:
+                    j = index.get(a | sup)
+                    if j is not None:
+                        bits |= 1 << j
+                    sup = (sup - 1) & free
+            else:
+                for j in range(i + 1, m):
+                    if a & ms[j] == a:
+                        bits |= 1 << j
+            up.append(bits)
+        return tuple(up)
 
     @cached_property
     def below(self):
-        down = [set() for _ in range(len(self.members))]
+        """below[j]: bitset of the indices i with members[i] a proper subset of members[j]."""
+        down = [0] * len(self.members)
         for i, ups in enumerate(self.above):
-            for j in ups:
-                down[j].add(i)
-        return tuple(frozenset(s) for s in down)
+            bit = 1 << i
+            for j in iter_bits(ups):
+                down[j] |= bit
+        return tuple(down)
 
     def restrict(self, indices) -> "SetFamily":
         return SetFamily(self.n, [self.members[i] for i in indices])
@@ -111,6 +139,21 @@ def full_lattice(n: int) -> SetFamily:
     return SetFamily(n, range(1 << n))
 
 
+def chain_count(avail: int, k: int, below) -> int:
+    """Number of k-chains among the members whose bits are set in ``avail``.
+
+    ``below[i]`` is the bitset of the members strictly below member i.
+    """
+    if k == 1:
+        return avail.bit_count()
+    tops = list(iter_bits(avail))
+    # dp[i]: chains of the current length (from 2 up) whose top is member i
+    dp = {i: (avail & below[i]).bit_count() for i in tops}
+    for _ in range(k - 2):
+        dp = {i: sum(dp[j] for j in iter_bits(avail & below[i])) for i in tops}
+    return sum(dp.values())
+
+
 def count_k_chains(family: SetFamily, k: int) -> int:
     """Number of k-element subsets of the family that are pairwise nested."""
     if k < 1:
@@ -120,23 +163,13 @@ def count_k_chains(family: SetFamily, k: int) -> int:
         return m
     if k > m:
         return 0
-    below = family.below
-    # dp[i]: chains of the current length ending at member i
-    dp = [1] * m
-    for _ in range(k - 1):
-        dp = [sum(dp[i] for i in below[j]) for j in range(m)]
-    return sum(dp)
+    return chain_count((1 << m) - 1, k, family.below)
 
 
 def containment_pairs(family: SetFamily):
-    """All ordered pairs (A, B) of members with A a proper subset of B."""
+    """All ordered pairs (A, B) of members with A a proper subset of B, ascending."""
     ms = family.members
-    pairs = []
-    for i, ups in enumerate(family.above):
-        for j in ups:
-            pairs.append((ms[i], ms[j]))
-    pairs.sort()
-    return pairs
+    return [(ms[i], ms[j]) for i, ups in enumerate(family.above) for j in iter_bits(ups)]
 
 
 def convex_hull(family: SetFamily) -> SetFamily:
@@ -151,26 +184,24 @@ def convex_hull(family: SetFamily) -> SetFamily:
 
 
 def comparability_components(family: SetFamily) -> ComparabilityComponents:
-    m = len(family)
-    parent = list(range(m))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, ups in enumerate(family.above):
-        for j in ups:
-            parent[find(i)] = find(j)
-    groups = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
-    comps = sorted(tuple(sorted(g)) for g in groups.values())
-    edges = tuple(
-        sum(len(family.above[i] & frozenset(comp)) for i in comp) for comp in comps
-    )
-    return ComparabilityComponents(family, tuple(comps), edges)
+    above = family.above
+    adj = [up | down for up, down in zip(above, family.below)]
+    unseen = (1 << len(family)) - 1
+    comps = []
+    edges = []
+    while unseen:
+        # grow the component of the least unseen member breadth-first
+        comp = frontier = unseen & -unseen
+        while frontier:
+            reach = 0
+            for i in iter_bits(frontier):
+                reach |= adj[i]
+            frontier = reach & ~comp
+            comp |= frontier
+        unseen &= ~comp
+        comps.append(tuple(iter_bits(comp)))
+        edges.append(sum((above[i] & comp).bit_count() for i in comps[-1]))
+    return ComparabilityComponents(family, tuple(comps), tuple(edges))
 
 
 def chains_meeting(n: int, family: SetFamily) -> int:
@@ -183,7 +214,7 @@ def chains_meeting(n: int, family: SetFamily) -> int:
         raise DimensionError(f"n={n} too large for full-chain enumeration (cap {MAX_CHAIN_N})")
     if family.n != n:
         raise ValueError("family dimension mismatch")
-    member = family._member_set
+    member = family._index
     size = 1 << n
     ways = [0] * size
     ways[0] = 0 if 0 in member else 1

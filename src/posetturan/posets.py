@@ -229,16 +229,19 @@ def diamond(r: int = 2) -> Poset:
     return poset_from_relations(r + 2, rels)
 
 
+@lru_cache(maxsize=None)
 def n_poset() -> Poset:
     # elements p1, p2, q1, q2 = 0, 1, 2, 3
     return poset_from_relations(4, [(0, 2), (1, 2), (1, 3)], "p1 p2 q1 q2".split())
 
 
+@lru_cache(maxsize=None)
 def w_poset() -> Poset:
     # elements a, b, c, d, e = 0..4 with b < a, b < c, d < c, d < e
     return poset_from_relations(5, [(1, 0), (1, 2), (3, 2), (3, 4)], "a b c d e".split())
 
 
+@lru_cache(maxsize=None)
 def m_poset() -> Poset:
     return dual_poset(w_poset())
 

@@ -11,6 +11,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .embedding import find_any_embedding, find_embedding, is_free
 from .lattice import (
@@ -21,6 +22,7 @@ from .lattice import (
     convex_hull,
     count_k_chains,
     interval_family,
+    iter_bits,
 )
 from .formulas import katona_nagy, sublattice
 from .posets import m_poset, n_poset, path_hasse_family, w_poset
@@ -126,7 +128,7 @@ def classify_nfree_components(family: SetFamily):
         else:
             center = None
             for i in range(len(sub)):
-                if len(sub.above[i]) + len(sub.below[i]) == len(sub) - 1:
+                if (sub.above[i] | sub.below[i]).bit_count() == len(sub) - 1:
                     center = sub.members[i]
                     break
             if center is None:  # singleton is a degenerate star
@@ -234,23 +236,23 @@ def erdos_gallai_check(components: ComparabilityComponents) -> bool:
 
 def _find_graph_path(components: ComparabilityComponents, length: int):
     fam = components.family
-    adj = [components.family.above[i] | components.family.below[i] for i in range(len(fam))]
+    adj = [up | down for up, down in zip(fam.above, fam.below)]
 
     def extend(path, seen):
+        # seen: bitset of the members on the path
         if len(path) == length:
             return list(path)
-        for nxt in sorted(adj[path[-1]]):
-            if nxt not in seen:
-                found = extend(path + [nxt], seen | {nxt})
-                if found:
-                    return found
+        for nxt in iter_bits(adj[path[-1]] & ~seen):
+            found = extend(path + [nxt], seen | 1 << nxt)
+            if found:
+                return found
         return None
 
     for comp in components.components:
         if len(comp) < length:
             continue
         for v in comp:
-            found = extend([v], {v})
+            found = extend([v], 1 << v)
             if found:
                 return tuple(fam.members[i] for i in found)
     return None
@@ -317,21 +319,22 @@ def p5_component_report(n: int, family: SetFamily):
 
 def _max_antichain(family: SetFamily) -> int:
     """Largest pairwise-incomparable subset, by branch and bound over members."""
-    adj = [family.above[i] | family.below[i] for i in range(len(family))]
+    adj = [up | down for up, down in zip(family.above, family.below)]
     best = 0
 
     def rec(candidates, size):
+        # candidates: bitset of the members still addable
         nonlocal best
-        if size + len(candidates) <= best:
+        if size + candidates.bit_count() <= best:
             return
         if not candidates:
             best = max(best, size)
             return
-        v = min(candidates)
-        rec(candidates - {v} - adj[v], size + 1)
-        rec(candidates - {v}, size)
+        low = candidates & -candidates
+        rec(candidates & ~(low | adj[low.bit_length() - 1]), size + 1)
+        rec(candidates ^ low, size)
 
-    rec(set(range(len(family))), 0)
+    rec((1 << len(family)) - 1, 0)
     return best
 
 
@@ -438,12 +441,30 @@ def _comparable(a, b):
     return a & b == a or a & b == b
 
 
+@lru_cache(maxsize=None)
+def _comparable_masks(n):
+    """Per mask of [n], the other masks comparable with it, ascending."""
+    full = (1 << n) - 1
+    table = []
+    for mask in range(1 << n):
+        near = []
+        for part in (mask, full ^ mask):  # walk the subsets, then the supersets
+            sub = part
+            while sub:
+                near.append(mask ^ sub)
+                sub = (sub - 1) & part
+        near.sort()
+        table.append(tuple(near))
+    return tuple(table)
+
+
 def random_zigzag(rng, n, length=6):
     """A uniform-ish random sequence of distinct, consecutively comparable sets."""
+    near = _comparable_masks(n)
     while True:
         seq = [rng.randrange(1 << n)]
         for _ in range(length - 1):
-            options = [m for m in range(1 << n) if m not in seq and _comparable(m, seq[-1])]
+            options = [m for m in near[seq[-1]] if m not in seq]
             if not options:
                 break
             seq.append(rng.choice(options))
@@ -452,19 +473,19 @@ def random_zigzag(rng, n, length=6):
 
 
 def _all_zigzags(n, length=6):
-    universe = range(1 << n)
+    near = _comparable_masks(n)
 
     def extend(seq):
         if len(seq) == length:
             yield list(seq)
             return
-        for m in universe:
-            if m not in seq and _comparable(m, seq[-1]):
+        for m in near[seq[-1]]:
+            if m not in seq:
                 seq.append(m)
                 yield from extend(seq)
                 seq.pop()
 
-    for start in universe:
+    for start in range(1 << n):
         yield from extend([start])
 
 

@@ -9,7 +9,7 @@ import time
 from dataclasses import dataclass, field
 
 from .embedding import count_copies, embedding_using_member, find_any_embedding, is_free
-from .lattice import SetFamily, level_family
+from .lattice import SetFamily, chain_count, iter_bits, level_family
 from .formulas import chain_count_in_levels
 from .posets import Poset
 
@@ -37,21 +37,6 @@ class SearchReport:
             "complete": self.complete,
             "params": self.params,
         }
-
-
-def _chain_count(avail: int, k: int, down) -> int:
-    """k-chain count among the masks whose bits are set in ``avail``.
-
-    ``down[m]`` is the bitset of the proper subsets of mask m.
-    """
-    members = [m for m in range(len(down)) if avail >> m & 1]
-    if k == 1:
-        return len(members)
-    # dp[m]: chains of the current length (from 2 up) whose top set is m
-    dp = {m: (avail & down[m]).bit_count() for m in members}
-    for _ in range(k - 2):
-        dp = {m: sum(c for a, c in dp.items() if down[m] >> a & 1) for m in members}
-    return sum(dp.values())
 
 
 def _check_request(n: int, budget):
@@ -84,18 +69,18 @@ def la_exact(
     # One family for the whole search: member index = mask.
     universe = SetFamily(n, range(1 << n))
     if q.is_chain():
-        down = [sum(1 << a for a in below) for below in universe.below]
+        below = universe.below
 
         def copies(avail):
-            return _chain_count(avail, q.size, down)
+            return chain_count(avail, q.size, below)
     else:
         def copies(avail):
-            return count_copies(SetFamily(n, (m for m in universe if avail >> m & 1)), q)
+            return count_copies(SetFamily(n, iter_bits(avail)), q)
 
     state = {"nodes": 0, "complete": True, "best": -1, "witnesses": []}
 
     def rec(pos, chosen, avail, bound):
-        # chosen: the included masks; avail: bitset of chosen plus order[pos:];
+        # chosen: bitset of the included masks; avail: bitset of chosen plus order[pos:];
         # bound: copies(avail), or None until some node needs it.
         if budget is not None and state["nodes"] >= budget:
             state["complete"] = False
@@ -106,9 +91,9 @@ def la_exact(
             value = copies(avail) if bound is None else bound
             if value > state["best"]:
                 state["best"] = value
-                state["witnesses"] = [tuple(sorted(chosen))]
+                state["witnesses"] = [tuple(iter_bits(chosen))]
             elif value == state["best"]:
-                state["witnesses"].append(tuple(sorted(chosen)))
+                state["witnesses"].append(tuple(iter_bits(chosen)))
             return
         if not no_bound and state["best"] >= 0:
             if bound is None:
@@ -118,13 +103,13 @@ def la_exact(
             if bound == state["best"] and len(state["witnesses"]) >= witness_cap:
                 return
         x = order[pos]
-        within = chosen | {x}
+        within = chosen | 1 << x
         if not any(embedding_using_member(universe, p, x, within) is not None for p in forbidden):
             # including x leaves chosen plus remaining, hence the bound, unchanged
             rec(pos + 1, within, avail, bound)
         rec(pos + 1, chosen, avail & ~(1 << x), None)
 
-    rec(0, frozenset(), (1 << (1 << n)) - 1, None)
+    rec(0, 0, (1 << (1 << n)) - 1, None)
     witnesses = sorted(set(state["witnesses"]))[:witness_cap]
     return SearchReport(
         optimum=state["best"],

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import posetturan
 from posetturan.cli import run_command
 from posetturan.dsl import DslError, parse_poset_dsl, parse_single_poset, poset_to_dsl
 from posetturan.familyio import (
@@ -108,6 +113,16 @@ class TestFamilyIo:
             parse_family("n=3\nLx\n")
         with pytest.raises(FamilyFormatError):
             parse_family('{"n": 3}')
+
+    @pytest.mark.parametrize("text", (
+        '{"n": null, "masks": [1]}',
+        '{"n": 3, "masks": 5}',
+        '{"n": 3, "masks": [1, "2"]}',
+        "# only\n# comments\n",
+    ))
+    def test_malformed_inputs_raise_format_error(self, text):
+        with pytest.raises(FamilyFormatError):
+            parse_family(text)
 
 
 class TestCli:
@@ -230,3 +245,31 @@ class TestCli:
             capsys, "free", "--family", str(fam_file), "--forbid", "@butterfly", "--pretty"
         )
         assert code == 0 and out.strip() == "free: yes"
+
+
+def run_cli_process(*argv):
+    """Run the CLI in a fresh interpreter, so an escaping exception shows on stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(posetturan.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "posetturan.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+class TestBadFamilyFiles:
+    @pytest.mark.parametrize("text", (
+        '{"n": null, "masks": [1]}',
+        '{"n": 3, "masks": 5}',
+        "# comment\n# another comment\n",
+    ), ids=("json-null-n", "json-int-masks", "comments-only"))
+    def test_malformed_file_exits_2(self, tmp_path, text):
+        fam_file = tmp_path / "fam.txt"
+        fam_file.write_text(text)
+        proc = run_cli_process("count", "--family", str(fam_file), "--q", "@chain(2)")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr and proc.stderr.startswith("error:")
+
+    def test_directory_exits_2(self, tmp_path):
+        proc = run_cli_process("count", "--family", str(tmp_path), "--q", "@chain(2)")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr and proc.stderr.startswith("error:")

@@ -92,6 +92,41 @@ def brute_images(fam, poset):
     return images
 
 
+def reference_embedding(fam, poset):
+    """The first embedding found by plain backtracking, as an assignment tuple.
+
+    Elements are assigned in decreasing (in + out) degree, ties by index, and
+    each takes the least member index comparable, in the right direction, to
+    every element placed before it.
+    """
+    deg = [sum(a == e or b == e for a, b in poset.relations) for e in range(poset.size)]
+    order = sorted(range(poset.size), key=lambda e: (-deg[e], e))
+    ms = fam.members
+    image = {}
+
+    def extend(i):
+        if i == len(order):
+            return True
+        e = order[i]
+        for idx in range(len(ms)):
+            if idx in image.values():
+                continue
+            if all(
+                (not poset.less(f, e) or ms[j] & ms[idx] == ms[j])
+                and (not poset.less(e, f) or ms[idx] & ms[j] == ms[idx])
+                for f, j in image.items()
+            ):
+                image[e] = idx
+                if extend(i + 1):
+                    return True
+                del image[e]
+        return False
+
+    if not extend(0):
+        return None
+    return tuple(ms[image[e]] for e in range(poset.size))
+
+
 class TestCompiledPlans:
     # witnesses found before the plans were compiled; find_embedding must keep them
     PINNED = [
@@ -122,6 +157,7 @@ class TestCompiledPlans:
                 for idx, mask in enumerate(fam.members):
                     within = {i for i in range(len(fam)) if i == idx or rng.random() < 0.6}
                     allowed = {fam.members[i] for i in within}
+                    within = sum(1 << i for i in within)
                     for restrict, ok_masks in ((None, set(fam.members)), (within, allowed)):
                         expect = any(mask in img and ok_masks.issuperset(img) for img in images)
                         w = embedding_using_member(fam, p, idx, within=restrict)
@@ -130,10 +166,26 @@ class TestCompiledPlans:
                             assert w.check() and mask in w.assignment
                             assert ok_masks.issuperset(w.assignment)
 
+    def test_find_embedding_matches_reference_backtracker(self):
+        rng = random.Random(41)
+        posets = catalog_posets(5)
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            fam = SetFamily(n, rng.sample(range(1 << n), rng.randint(0, min(14, 1 << n))))
+            for p in posets:
+                w = find_embedding(fam, p)
+                assert (w and w.assignment) == reference_embedding(fam, p), (fam.members, p)
+
+    def test_find_embedding_matches_reference_on_lattices(self):
+        for fam in (full_lattice(4), level_family(5, [1, 2, 3]), level_family(5, [2, 3])):
+            for p in catalog_posets(5):
+                w = find_embedding(fam, p)
+                assert (w and w.assignment) == reference_embedding(fam, p), (fam.members, p)
+
     def test_within_must_hold_the_forced_member(self):
         fam = SetFamily(3, [0, 1, 3, 7])
-        assert embedding_using_member(fam, chain(2), 0, within={1, 2}) is None
-        assert embedding_using_member(fam, chain(2), 0, within={0, 2}) is not None
+        assert embedding_using_member(fam, chain(2), 0, within=0b110) is None
+        assert embedding_using_member(fam, chain(2), 0, within=0b101) is not None
 
 
 class TestIsFree:

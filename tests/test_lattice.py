@@ -1,5 +1,7 @@
 import itertools
 import math
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from posetturan.lattice import (
     count_k_chains,
     full_lattice,
     interval_family,
+    iter_bits,
     level_family,
 )
 
@@ -200,3 +203,53 @@ class TestSetFamily:
     def test_mask_out_of_range(self):
         with pytest.raises(ValueError):
             SetFamily(2, [4])
+
+
+def pairwise_above(fam):
+    """above[i] as a bitset, by testing every pair of members."""
+    ms = fam.members
+    return tuple(
+        sum(1 << j for j, b in enumerate(ms) if a != b and a & b == a) for a in ms
+    )
+
+
+def pairwise_below(fam):
+    ms = fam.members
+    return tuple(
+        sum(1 << j for j, b in enumerate(ms) if a != b and b & a == b) for a in ms
+    )
+
+
+class TestBitsetComparability:
+    def test_iter_bits(self):
+        assert list(iter_bits(0)) == []
+        assert list(iter_bits(0b101001)) == [0, 3, 5]
+        assert list(iter_bits(1 << 200 | 2)) == [1, 200]
+
+    def test_random_families_match_pairwise_definition(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            fam = SetFamily(n, rng.sample(range(1 << n), rng.randint(0, 1 << n)))
+            assert fam.above == pairwise_above(fam)
+            assert fam.below == pairwise_below(fam)
+
+    def test_sparse_family_uses_both_builds(self):
+        # the empty set has 2^20 supersets, far more than later members, so it
+        # is tested pairwise; the sets near [20] walk their few supersets
+        n = 20
+        full = (1 << n) - 1
+        rng = random.Random(5)
+        masks = {0, full, full ^ 1, full ^ 6, 1, 3} | {rng.getrandbits(n) for _ in range(40)}
+        fam = SetFamily(n, masks)
+        assert fam.above == pairwise_above(fam)
+        assert fam.below == pairwise_below(fam)
+
+    def test_sparse_n62_family_builds_fast(self):
+        full = (1 << 62) - 1
+        fam = SetFamily(62, [0, 1, 3, 1 << 61, full])
+        start = time.perf_counter()
+        above, below = fam.above, fam.below
+        assert time.perf_counter() - start < 1.0
+        assert above == pairwise_above(fam) and below == pairwise_below(fam)
+        assert count_k_chains(fam, 3) == 5

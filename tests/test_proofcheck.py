@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,11 +9,13 @@ from posetturan.lattice import SetFamily, comparability_components, full_lattice
 from posetturan.posets import m_poset, w_poset
 from posetturan.proofcheck import (
     NotFreeError,
+    _all_zigzags,
     check_one_critical_pair_per_chain,
     classify_nfree_components,
     color_family,
     erdos_gallai_check,
     p5_component_report,
+    random_zigzag,
     run_verifiers,
     verify_chaincount,
     verify_coloring,
@@ -128,6 +131,38 @@ class TestZigzag:
     def test_rejects_incomparable_step(self):
         with pytest.raises(ValueError):
             zigzag_find_WM(3, [1, 2, 3, 7, 5, 4])
+
+
+def scan_zigzag(rng, n, length=6):
+    """random_zigzag as a scan of all 2^n masks at every step."""
+    while True:
+        seq = [rng.randrange(1 << n)]
+        for _ in range(length - 1):
+            options = [
+                m for m in range(1 << n)
+                if m not in seq and (m & seq[-1] == m or m & seq[-1] == seq[-1])
+            ]
+            if not options:
+                break
+            seq.append(rng.choice(options))
+        if len(seq) == length:
+            return seq
+
+
+class TestZigzagSequences:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_sequences_match_scan(self, seed):
+        for n in range(4, 9):
+            fast, slow = random.Random(seed), random.Random(seed)
+            for _ in range(50):
+                assert random_zigzag(fast, n) == scan_zigzag(slow, n)
+
+    def test_all_zigzags_match_scan(self):
+        scanned = [
+            seq for seq in itertools.permutations(range(8), 6)
+            if all(a & b in (a, b) for a, b in zip(seq, seq[1:]))
+        ]
+        assert list(_all_zigzags(3)) == [list(seq) for seq in scanned]
 
 
 class TestErdosGallai:
