@@ -11,7 +11,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .constructions import CONSTRUCTIONS, middle_two_levels
+from .constructions import CONSTRUCTIONS
 from .dsl import parse_poset_dsl, parse_single_poset
 from .embedding import count_copies, find_any_embedding
 from .familyio import format_family, read_family

@@ -81,10 +81,6 @@ def format_family(family: SetFamily) -> str:
     return "\n".join(lines) + "\n"
 
 
-def family_to_json(family: SetFamily) -> str:
-    return json.dumps({"n": family.n, "masks": list(family.members)})
-
-
 def read_family(path: str) -> SetFamily:
     with open(path, encoding="utf-8") as fh:
         return parse_family(fh.read())

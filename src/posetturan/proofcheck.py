@@ -7,6 +7,7 @@ avoiding all 5-element path posets.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -21,6 +22,7 @@ from .lattice import (
     comparability_components,
     convex_hull,
     count_k_chains,
+    full_lattice,
     interval_family,
     iter_bits,
 )
@@ -29,6 +31,10 @@ from .posets import m_poset, n_poset, path_hasse_family, w_poset
 
 MAX_COLOR_N = 12
 MAX_CRITICAL_CHAIN_N = 8
+
+# 2^[n] built once per n (n <= MAX_COLOR_N here); member index = mask, so its
+# above/below bitsets are indexed by masks
+_lattice = lru_cache(maxsize=None)(full_lattice)
 
 
 class NotFreeError(ValueError):
@@ -62,25 +68,15 @@ def color_family(n: int, family: SetFamily, t: int) -> Coloring:
         raise ValueError(f"coloring labels all 2^n masks; n <= {MAX_COLOR_N} required")
     if t < 1:
         raise ValueError("threshold must be at least 1")
-    members = family.members
-    blue = set()
-    for mask in range(1 << n):
-        above = 0
-        for f in members:
-            if mask != f and mask & f == mask:
-                above += 1
-                if above >= t:
-                    blue.add(mask)
-                    break
-    pairs = []
-    for g in blue:
-        for i in range(n):
-            if not g >> i & 1:
-                gp = g | (1 << i)
-                if gp not in blue:
-                    pairs.append((g, gp))
-    pairs.sort()
-    return Coloring(n, family, t, frozenset(blue), tuple(pairs))
+    if family.n != n:
+        raise ValueError("family dimension mismatch")
+    above = _lattice(n).above
+    members = sum(1 << f for f in family.members)
+    blue = frozenset(mask for mask in range(1 << n) if (above[mask] & members).bit_count() >= t)
+    pairs = sorted(
+        (g, g | 1 << i) for g in blue for i in range(n) if not g >> i & 1 and g | 1 << i not in blue
+    )
+    return Coloring(n, family, t, blue, tuple(pairs))
 
 
 def check_one_critical_pair_per_chain(n: int, coloring: Coloring) -> bool:
@@ -96,9 +92,7 @@ def check_one_critical_pair_per_chain(n: int, coloring: Coloring) -> bool:
     pairs = coloring.critical_pairs
     for _, gp in pairs:
         for g2, _ in pairs:
-            if gp != g2 and gp & g2 == gp:
-                return False
-            if gp == g2:
+            if gp & g2 == gp:
                 return False
     return True
 
@@ -362,100 +356,101 @@ class LemmaReport:
             out["first_failure"] = self.first_failure
         return out
 
-    def note_failure(self, message):
-        self.failures += 1
-        if self.first_failure is None:
-            self.first_failure = message
 
-
-def verify_sublattice() -> LemmaReport:
-    report = LemmaReport("sublattice", 0, 0)
-    for n in range(3, 7):
-        for lo in range(1 << n):
-            for hi in range(1 << n):
-                if lo != hi and lo & hi == lo:
-                    report.instances_checked += 1
-                    fam = interval_family(n, lo, hi)
-                    expect = sublattice(n, lo.bit_count(), hi.bit_count())
-                    got = chains_meeting(n, fam)
-                    if got != expect:
-                        report.note_failure(f"n={n} interval [{lo},{hi}]: {got} != {expect}")
+def _run_suite(lemma, seed, instances, check) -> LemmaReport:
+    """Run ``check(*instance)`` on every instance; it returns None or a failure message."""
+    report = LemmaReport(lemma, 0, 0, seed=seed)
+    for instance in instances:
+        report.instances_checked += 1
+        message = check(*instance)
+        if message is not None:
+            report.failures += 1
+            if report.first_failure is None:
+                report.first_failure = message
     return report
 
 
-def verify_chaincount(seed: int = 0) -> LemmaReport:
-    import itertools
+def _families_of_3():
+    """All 256 families of subsets of [3]."""
+    for bits in range(1 << 8):
+        yield SetFamily(3, [m for m in range(8) if bits >> m & 1])
 
-    report = LemmaReport("chaincount", 0, 0, seed=seed)
+
+def _sampled_families(seed, dims, max_size):
+    """(n, family): every family on [3], then 200 random families of 1..max_size sets per n."""
+    for fam in _families_of_3():
+        yield 3, fam
+    rng = random.Random(seed)
+    for n in dims:
+        for _ in range(200):
+            yield n, SetFamily(n, rng.sample(range(1 << n), rng.randint(1, max_size)))
+
+
+def verify_sublattice() -> LemmaReport:
+    def instances():
+        for n in range(3, 7):
+            above = _lattice(n).above
+            for lo in range(1 << n):
+                for hi in iter_bits(above[lo]):
+                    yield n, lo, hi
+
+    def check(n, lo, hi):
+        expect = sublattice(n, lo.bit_count(), hi.bit_count())
+        got = chains_meeting(n, interval_family(n, lo, hi))
+        if got != expect:
+            return f"n={n} interval [{lo},{hi}]: {got} != {expect}"
+
+    return _run_suite("sublattice", None, instances(), check)
+
+
+def verify_chaincount(seed: int = 0) -> LemmaReport:
+    def instances():
+        for t in range(1, 5):
+            for masks in itertools.combinations(range(1 << 4), t):
+                yield 4, masks
+        rng = random.Random(seed)
+        for n in (6, 8):
+            for _ in range(500):
+                yield n, rng.sample(range(1 << n), rng.randint(1, 6))
 
     def check(n, masks):
-        report.instances_checked += 1
         fam = SetFamily(n, masks)
         got = chains_meeting(n, fam)
         bound = katona_nagy(n, len(fam))
         if got < bound:
-            report.note_failure(f"n={n} F={list(masks)}: {got} < {bound}")
+            return f"n={n} F={list(masks)}: {got} < {bound}"
 
-    for t in range(1, 5):
-        for masks in itertools.combinations(range(1 << 4), t):
-            check(4, masks)
-    rng = random.Random(seed)
-    for n in (6, 8):
-        for _ in range(500):
-            t = rng.randint(1, 6)
-            check(n, rng.sample(range(1 << n), t))
-    return report
-
-
-def _random_family(rng, n, density=0.5):
-    return SetFamily(n, [m for m in range(1 << n) if rng.random() < density])
+    return _run_suite("chaincount", seed, instances(), check)
 
 
 def verify_coloring(seed: int = 0) -> LemmaReport:
-    report = LemmaReport("coloring", 0, 0, seed=seed)
+    def instances():
+        for fam in _families_of_3():
+            for t in (1, 2, 3):
+                yield 3, fam, t
+        rng = random.Random(seed)
+        for n in range(4, 9):
+            for _ in range(100):
+                fam = SetFamily(n, [m for m in range(1 << n) if rng.random() < 0.5])
+                yield n, fam, rng.randint(1, 3)
 
     def check(n, fam, t):
-        report.instances_checked += 1
         col = color_family(n, fam, t)
         for g in col.blue:  # downset: removing any element stays blue
             for i in range(n):
                 if g >> i & 1 and (g ^ (1 << i)) not in col.blue:
-                    report.note_failure(f"n={n} t={t}: blue set not a downset at {g}")
-                    return
+                    return f"n={n} t={t}: blue set not a downset at {g}"
         if not check_one_critical_pair_per_chain(n, col):
-            report.note_failure(f"n={n} t={t} F={list(fam.members)}: chain with two critical pairs")
+            return f"n={n} t={t} F={list(fam.members)}: chain with two critical pairs"
 
-    for bits in range(1 << 8):
-        fam = SetFamily(3, [m for m in range(8) if bits >> m & 1])
-        for t in (1, 2, 3):
-            check(3, fam, t)
-    rng = random.Random(seed)
-    for n in range(4, 9):
-        for _ in range(100):
-            fam = _random_family(rng, n)
-            check(n, fam, rng.randint(1, 3))
-    return report
-
-
-def _comparable(a, b):
-    return a & b == a or a & b == b
+    return _run_suite("coloring", seed, instances(), check)
 
 
 @lru_cache(maxsize=None)
 def _comparable_masks(n):
     """Per mask of [n], the other masks comparable with it, ascending."""
-    full = (1 << n) - 1
-    table = []
-    for mask in range(1 << n):
-        near = []
-        for part in (mask, full ^ mask):  # walk the subsets, then the supersets
-            sub = part
-            while sub:
-                near.append(mask ^ sub)
-                sub = (sub - 1) & part
-        near.sort()
-        table.append(tuple(near))
-    return tuple(table)
+    lat = _lattice(n)
+    return tuple(tuple(iter_bits(up | down)) for up, down in zip(lat.above, lat.below))
 
 
 def random_zigzag(rng, n, length=6):
@@ -490,18 +485,22 @@ def _all_zigzags(n, length=6):
 
 
 def verify_zigzag(seed: int = 0) -> LemmaReport:
-    report = LemmaReport("zigzag", 0, 0, seed=seed)
     w, m = w_poset(), m_poset()
 
+    def instances():
+        for seq in _all_zigzags(3):
+            yield 3, seq
+        rng = random.Random(seed)
+        for n in range(4, 9):
+            for _ in range(2000):
+                yield n, random_zigzag(rng, n)
+
     def check(n, seq):
-        report.instances_checked += 1
         try:
             zigzag_find_WM(n, seq)
         except AssertionError as exc:
-            report.note_failure(f"n={n} seq={seq}: {exc}")
-            return
-        dirs = _zigzag_dirs(seq)
-        if _longest_run(dirs)[1] == 2:
+            return f"n={n} seq={seq}: {exc}"
+        if _longest_run(_zigzag_dirs(seq))[1] == 2:
             lo = SetFamily(n, seq[:5])
             hi = SetFamily(n, seq[1:])
             split = (
@@ -510,83 +509,56 @@ def verify_zigzag(seed: int = 0) -> LemmaReport:
                 find_embedding(lo, w) is not None and find_embedding(hi, m) is not None
             )
             if not split:
-                report.note_failure(f"n={n} seq={seq}: windows do not split into W and M")
+                return f"n={n} seq={seq}: windows do not split into W and M"
 
-    for seq in _all_zigzags(3):
-        check(3, seq)
-    rng = random.Random(seed)
-    for n in range(4, 9):
-        for _ in range(2000):
-            check(n, random_zigzag(rng, n))
-    return report
+    return _run_suite("zigzag", seed, instances(), check)
 
 
 def verify_nfree_components(seed: int = 0) -> LemmaReport:
-    report = LemmaReport("nfree-components", 0, 0, seed=seed)
-
     def check(n, fam):
-        report.instances_checked += 1
         free = is_free(fam, [n_poset()])
         try:
             classes = classify_nfree_components(fam)
         except NotFreeError as exc:
             if free:
-                report.note_failure(f"n={n} F={list(fam.members)}: refused an N-free family")
-            elif not exc.witness.check():
-                report.note_failure(f"n={n} F={list(fam.members)}: invalid refusal witness")
-            return
+                return f"n={n} F={list(fam.members)}: refused an N-free family"
+            if not exc.witness.check():
+                return f"n={n} F={list(fam.members)}: invalid refusal witness"
+            return None
         if not free:
-            report.note_failure(f"n={n} F={list(fam.members)}: classified a non-N-free family")
-            return
+            return f"n={n} F={list(fam.members)}: classified a non-N-free family"
         for cls in classes:
             sub = SetFamily(fam.n, cls.members)
             if cls.kind == "triangle":
                 ok = len(sub) == 3 and count_k_chains(sub, 3) == 1
+            elif cls.center in sub:
+                # a star: the center is comparable with every other member, no other pair is
+                i = sub.members.index(cls.center)
+                spokes = len(sub) - 1
+                ok = (sub.above[i] | sub.below[i]).bit_count() == spokes == count_k_chains(sub, 2)
             else:
-                others = [m for m in cls.members if m != cls.center]
-                ok = all(_comparable(cls.center, m) for m in others) and all(
-                    not _comparable(a, b) for i, a in enumerate(others) for b in others[:i]
-                )
+                ok = False
             if not ok:
-                report.note_failure(f"n={n} component {cls.members}: bad {cls.kind}")
+                return f"n={n} component {cls.members}: bad {cls.kind}"
 
-    for bits in range(1 << 8):
-        check(3, SetFamily(3, [m for m in range(8) if bits >> m & 1]))
-    rng = random.Random(seed)
-    for n in (4, 5):
-        done = 0
-        while done < 200:
-            fam = SetFamily(n, rng.sample(range(1 << n), rng.randint(1, 8)))
-            check(n, fam)
-            done += 1
-    return report
+    return _run_suite("nfree-components", seed, _sampled_families(seed, (4, 5), 8), check)
 
 
 def verify_erdos_gallai(seed: int = 0) -> LemmaReport:
-    report = LemmaReport("erdos-gallai", 0, 0, seed=seed)
     p6 = path_hasse_family(6)
+    instances = (
+        (n, fam) for n, fam in _sampled_families(seed, (4, 5, 6), 10) if is_free(fam, p6)
+    )
 
     def check(n, fam):
-        if not is_free(fam, p6):
-            return
-        report.instances_checked += 1
-        comps = comparability_components(fam)
         try:
-            ok = erdos_gallai_check(comps)
+            ok = erdos_gallai_check(comparability_components(fam))
         except NotFreeError:
-            report.note_failure(f"n={n} F={list(fam.members)}: path found in a P6-free family")
-            return
+            return f"n={n} F={list(fam.members)}: path found in a P6-free family"
         if not ok:
-            report.note_failure(f"n={n} F={list(fam.members)}: edge bound violated")
+            return f"n={n} F={list(fam.members)}: edge bound violated"
 
-    for bits in range(1 << 8):
-        check(3, SetFamily(3, [m for m in range(8) if bits >> m & 1]))
-    rng = random.Random(seed)
-    for n in (4, 5, 6):
-        for _ in range(200):
-            fam = SetFamily(n, rng.sample(range(1 << n), rng.randint(1, 10)))
-            check(n, fam)
-    return report
+    return _run_suite("erdos-gallai", seed, instances, check)
 
 
 VERIFIERS = {

@@ -8,7 +8,7 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from .embedding import count_copies, embedding_using_member, find_any_embedding, is_free
+from .embedding import count_copies, embedding_using_member, is_free
 from .lattice import SetFamily, chain_count, iter_bits, level_family
 from .formulas import chain_count_in_levels
 from .posets import Poset

@@ -4,12 +4,15 @@ from fractions import Fraction
 
 import pytest
 
+from posetturan.cli import run_command
 from posetturan.constructions import middle_two_levels, p5_construction
 from posetturan.lattice import SetFamily, comparability_components, full_lattice, level_family
 from posetturan.posets import m_poset, w_poset
 from posetturan.proofcheck import (
+    LemmaReport,
     NotFreeError,
     _all_zigzags,
+    _run_suite,
     check_one_critical_pair_per_chain,
     classify_nfree_components,
     color_family,
@@ -43,6 +46,27 @@ def brute_one_pair_per_chain(n, coloring):
 
 
 class TestColoring:
+    def test_matches_strict_containment_reference(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            n = rng.randint(1, 8)
+            fam = SetFamily(n, [m for m in range(1 << n) if rng.random() < rng.random()])
+            t = rng.randint(1, 4)
+            blue = {
+                g for g in range(1 << n)
+                if sum(1 for f in fam.members if g != f and g & f == g) >= t
+            }
+            pairs = sorted(
+                (g, g | 1 << i) for g in blue for i in range(n)
+                if not g >> i & 1 and g | 1 << i not in blue
+            )
+            col = color_family(n, fam, t)
+            assert col.blue == blue and col.critical_pairs == tuple(pairs)
+
+    def test_dimension_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            color_family(4, full_lattice(3), 1)
+
     def test_middle_levels_t2(self):
         col = color_family(4, middle_two_levels(4), 2)
         assert all(m.bit_count() <= 2 for m in col.blue)
@@ -228,7 +252,12 @@ class TestVerifiers:
 
     def test_erdos_gallai(self):
         rep = verify_erdos_gallai(seed=0)
-        assert rep.failures == 0 and rep.instances_checked > 0
+        assert rep.failures == 0 and rep.instances_checked == 581
+
+    @pytest.mark.parametrize("seed, checked", [(1, 575), (7, 573)])
+    def test_erdos_gallai_other_seeds(self, seed, checked):
+        rep = verify_erdos_gallai(seed=seed)
+        assert rep.failures == 0 and rep.instances_checked == checked
 
     def test_run_verifiers_order(self):
         reports = run_verifiers(["sublattice", "coloring"], seed=1)
@@ -239,3 +268,47 @@ class TestVerifiers:
         rep = verify_sublattice()
         data = rep.to_json()
         assert data["lemma"] == "sublattice" and data["failures"] == 0
+
+
+class TestHarness:
+    def test_counts_failures_and_keeps_the_first(self):
+        rep = _run_suite(
+            "demo", 3, [(i,) for i in range(7)], lambda i: f"bad {i}" if i % 3 == 1 else None
+        )
+        assert (rep.instances_checked, rep.failures, rep.first_failure) == (7, 2, "bad 1")
+        assert rep.to_json() == {
+            "lemma": "demo", "instances_checked": 7, "failures": 2, "seed": 3,
+            "first_failure": "bad 1",
+        }
+
+    def test_clean_run_has_no_first_failure(self):
+        rep = _run_suite("demo", None, [(1, 2), (3, 4)], lambda a, b: None)
+        assert rep == LemmaReport("demo", 2, 0)
+        assert "first_failure" not in rep.to_json()
+
+
+# `posetturan verify --lemma all` stdout, pinned per seed
+VERIFY_ALL = {
+    0: """\
+{"failures": 0, "instances_checked": 3516, "lemma": "chaincount", "seed": 0}
+{"failures": 0, "instances_checked": 1268, "lemma": "coloring", "seed": 0}
+{"failures": 0, "instances_checked": 581, "lemma": "erdos-gallai", "seed": 0}
+{"failures": 0, "instances_checked": 656, "lemma": "nfree-components", "seed": 0}
+{"failures": 0, "instances_checked": 960, "lemma": "sublattice", "seed": null}
+{"failures": 0, "instances_checked": 12148, "lemma": "zigzag", "seed": 0}
+""",
+    1: """\
+{"failures": 0, "instances_checked": 3516, "lemma": "chaincount", "seed": 1}
+{"failures": 0, "instances_checked": 1268, "lemma": "coloring", "seed": 1}
+{"failures": 0, "instances_checked": 575, "lemma": "erdos-gallai", "seed": 1}
+{"failures": 0, "instances_checked": 656, "lemma": "nfree-components", "seed": 1}
+{"failures": 0, "instances_checked": 960, "lemma": "sublattice", "seed": null}
+{"failures": 0, "instances_checked": 12148, "lemma": "zigzag", "seed": 1}
+""",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_ALL))
+def test_verify_all_stdout_pinned(seed, capsys):
+    assert run_command(["verify", "--lemma", "all", "--seed", str(seed)]) == 0
+    assert capsys.readouterr().out == VERIFY_ALL[seed]
