@@ -1,7 +1,7 @@
 """The extremal families, parameterized by n."""
 from __future__ import annotations
 
-from .lattice import SetFamily, level_family
+from .lattice import MAX_SCAN_N, SetFamily, level_family
 
 
 def middle_two_levels(n: int, variant: str = "low") -> SetFamily:
@@ -38,6 +38,8 @@ def p5_construction(n: int) -> SetFamily:
     """
     if n < 4:
         raise ValueError("p5_construction needs n >= 4")
+    if n > MAX_SCAN_N:
+        raise ValueError(f"p5_construction scans 2^n sets and supports n <= {MAX_SCAN_N}")
     trace = (1 << (n - 2)) - 1
     want = (n - 2) // 2  # equals floor(n/2) - 1
     masks = [m for m in range(1 << n) if (m & trace).bit_count() == want]

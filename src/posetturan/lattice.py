@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-MAX_SCAN_N = 24      # whole-lattice scans
+MAX_SCAN_N = 24      # whole-lattice scans and level listings
 MAX_CHAIN_N = 8      # full-chain counting
 MAX_FORMULA_N = 62   # formula-only paths
 
@@ -122,7 +122,7 @@ class ComparabilityComponents:
 
 def level_family(n: int, ks) -> SetFamily:
     """All subsets of [n] whose size lies in ks."""
-    _check_n(n, MAX_FORMULA_N)
+    _check_n(n, MAX_SCAN_N)
     levels = sorted(set(ks))
     for k in levels:
         if not 0 <= k <= n:

@@ -1,7 +1,6 @@
 """Finite strict partial orders: construction, duality, isomorphism, catalog."""
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -79,14 +78,35 @@ class Poset:
 
 @lru_cache(maxsize=4096)
 def _canonical_relations(size, relations):
-    # Brute-force minimum relabeling; poset sizes are capped at 8.
-    rels = list(relations)
-    best = None
-    for perm in itertools.permutations(range(size)):
-        img = tuple(sorted((perm[a], perm[b]) for a, b in rels))
-        if best is None or img < best:
-            best = img
-    return best if best is not None else ()
+    # The least relabelled sorted relation list is the labelling whose 0/1
+    # relation matrix, read row by row, is greatest. Labels are handed out in
+    # order. The unlabelled elements form an ordered partition into cells that
+    # relate alike to the labelled ones, and the next label goes to a member
+    # of the first cell whose row (its relations to the labelled elements,
+    # then its up-set packed first in every cell) is greatest. Only the
+    # labellings that win every step are compared.
+    up = [frozenset(b for a, b in relations if a == x) for x in range(size)]
+    orders = []
+
+    def extend(order, cells):
+        if not cells:
+            orders.append(order)
+            return
+        rows = []
+        for y in cells[0]:
+            rest = [c for c in [cells[0] - {y}] + cells[1:] if c]
+            row = (tuple(x in up[y] for x in order), tuple(len(c & up[y]) for c in rest))
+            rows.append((row, y, rest))
+        top = max(row for row, _, _ in rows)
+        for row, y, rest in rows:
+            if row == top:
+                extend(order + [y], [p for c in rest for p in (c & up[y], c - up[y]) if p])
+
+    if not relations:
+        return ()
+    extend([], [frozenset(range(size))])
+    labels = ({x: i for i, x in enumerate(order)} for order in orders)
+    return min(tuple(sorted((lab[a], lab[b]) for a, b in relations)) for lab in labels)
 
 
 @lru_cache(maxsize=256)
@@ -113,10 +133,14 @@ def _orbit_representatives(p: Poset):
     return tuple(x for x in range(p.size) if find(x) == x)
 
 
-def poset_from_relations(m: int, relations, labels=None) -> Poset:
-    """Transitive closure of the given (lo, hi) pairs; rejects cycles."""
+def _check_size(m: int):
     if m < 0 or m > MAX_POSET_SIZE:
         raise PosetError(f"poset size {m} outside supported range 0..{MAX_POSET_SIZE}")
+
+
+def poset_from_relations(m: int, relations, labels=None) -> Poset:
+    """Transitive closure of the given (lo, hi) pairs; rejects cycles."""
+    _check_size(m)
     less = [[False] * m for _ in range(m)]
     for a, b in relations:
         if not (0 <= a < m and 0 <= b < m):
@@ -197,24 +221,28 @@ def _isomorphism(p: Poset, q: Poset, pin=None):
 def chain(k: int) -> Poset:
     if k < 1:
         raise PosetError("chain needs at least one element")
+    _check_size(k)
     return poset_from_relations(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
 
 
 def kst(s: int, t: int) -> Poset:
     if s < 1 or t < 1:
         raise PosetError("Kst parameters must be positive")
+    _check_size(s + t)
     return poset_from_relations(s + t, [(i, s + j) for i in range(s) for j in range(t)])
 
 
 def fork(r: int) -> Poset:
     if r < 1:
         raise PosetError("fork parameter must be positive")
+    _check_size(r + 1)
     return poset_from_relations(r + 1, [(0, i) for i in range(1, r + 1)])
 
 
 def crown(ell: int) -> Poset:
     if ell < 2:
         raise PosetError("crown parameter must be at least 2")
+    _check_size(2 * ell)
     rels = []
     for i in range(ell):
         rels.append((i, ell + i))
@@ -225,6 +253,7 @@ def crown(ell: int) -> Poset:
 def diamond(r: int = 2) -> Poset:
     if r < 1:
         raise PosetError("diamond parameter must be positive")
+    _check_size(r + 2)
     rels = [(0, i) for i in range(1, r + 1)] + [(i, r + 1) for i in range(1, r + 1)]
     return poset_from_relations(r + 2, rels)
 

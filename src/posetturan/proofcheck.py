@@ -455,6 +455,8 @@ def _comparable_masks(n):
 
 def random_zigzag(rng, n, length=6):
     """A uniform-ish random sequence of distinct, consecutively comparable sets."""
+    if not 1 <= length <= 1 << n:
+        raise ValueError(f"no sequence of {length} distinct subsets of [{n}]")
     near = _comparable_masks(n)
     while True:
         seq = [rng.randrange(1 << n)]

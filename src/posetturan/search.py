@@ -1,11 +1,9 @@
 """Exact La(n, forbidden, #Q) computation by branch-and-bound subfamily search."""
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import os
-import time
 from dataclasses import dataclass, field
 
 from .embedding import count_copies, embedding_using_member, is_free
@@ -46,13 +44,19 @@ def _check_request(n: int, budget):
         raise ValueError(f"budget must be at least 1, got {budget}")
 
 
+def _request(n: int, forbidden, q: Poset, budget) -> dict:
+    """The params of a search report, which are also its cache key."""
+    return {
+        "n": n,
+        "forbidden": [p.canonical_key() for p in forbidden],
+        "q": q.canonical_key(),
+        "budget": budget,
+        "witness_cap": DEFAULT_WITNESS_CAP,
+    }
+
+
 def la_exact(
-    n: int,
-    forbidden,
-    q: Poset,
-    budget: int = None,
-    witness_cap: int = DEFAULT_WITNESS_CAP,
-    no_bound: bool = False,
+    n: int, forbidden, q: Poset, budget: int = None, no_bound: bool = False
 ) -> SearchReport:
     """Exact maximum Q-copy count over forbidden-free subfamilies of 2^[n].
 
@@ -100,7 +104,7 @@ def la_exact(
                 bound = copies(avail)
             if bound < state["best"]:
                 return
-            if bound == state["best"] and len(state["witnesses"]) >= witness_cap:
+            if bound == state["best"] and len(state["witnesses"]) >= DEFAULT_WITNESS_CAP:
                 return
         x = order[pos]
         within = chosen | 1 << x
@@ -110,19 +114,12 @@ def la_exact(
         rec(pos + 1, chosen, avail & ~(1 << x), None)
 
     rec(0, 0, (1 << (1 << n)) - 1, None)
-    witnesses = sorted(set(state["witnesses"]))[:witness_cap]
     return SearchReport(
         optimum=state["best"],
-        witnesses=witnesses,
+        witnesses=sorted(set(state["witnesses"]))[:DEFAULT_WITNESS_CAP],
         nodes_explored=state["nodes"],
         complete=state["complete"],
-        params={
-            "n": n,
-            "forbidden": [p.canonical_key() for p in forbidden],
-            "q": q.canonical_key(),
-            "budget": budget,
-            "witness_cap": witness_cap,
-        },
+        params=_request(n, forbidden, q, budget),
     )
 
 
@@ -130,7 +127,7 @@ MAX_LEVEL_SEARCH_N = 16
 MAX_LEVEL_GENERIC_N = 10
 
 
-def la_levels(n: int, forbidden, q: Poset, witness_cap: int = DEFAULT_WITNESS_CAP) -> SearchReport:
+def la_levels(n: int, forbidden, q: Poset) -> SearchReport:
     """Best Q-copy count over unions of full levels that avoid the forbidden posets."""
     forbidden = list(forbidden)
     if n > MAX_LEVEL_SEARCH_N:
@@ -167,14 +164,14 @@ def la_levels(n: int, forbidden, q: Poset, witness_cap: int = DEFAULT_WITNESS_CA
     witnesses = sorted(tuple(level_family(n, t).members) for t in best_levels)
     return SearchReport(
         optimum=best,
-        witnesses=witnesses[:witness_cap],
+        witnesses=witnesses[:DEFAULT_WITNESS_CAP],
         nodes_explored=nodes,
         complete=True,
         params={
             "n": n,
             "forbidden": [p.canonical_key() for p in forbidden],
             "q": q.canonical_key(),
-            "levels": [list(t) for t in sorted(best_levels)[:witness_cap]],
+            "levels": [list(t) for t in sorted(best_levels)[:DEFAULT_WITNESS_CAP]],
         },
     )
 
@@ -190,27 +187,20 @@ def verify_witness(family: SetFamily, forbidden, q: Poset) -> WitnessCheck:
     return WitnessCheck(is_free(family, forbidden), count_copies(family, q))
 
 
-def _cache_key(n: int, forbidden, q: Poset):
-    forbidden_key = hashlib.sha256(
-        "|".join(sorted(p.canonical_key() for p in forbidden)).encode()
-    ).hexdigest()
-    q_key = hashlib.sha256(q.canonical_key().encode()).hexdigest()
-    return forbidden_key, q_key
-
-
 def cache_path() -> str:
     return os.environ.get(CACHE_ENV_VAR, DEFAULT_CACHE_FILE)
 
 
-def _cache_lookup(path, n, forbidden_key, q_key):
+def _cache_lookup(path, params):
     if not os.path.exists(path):
         return None
+    # Reports are written with sorted keys, so a line that lacks this exact
+    # text cannot hold the request; skipping it saves the JSON parse.
+    needle = '"params": ' + json.dumps(params, sort_keys=True)
     entry = None
     with open(path, encoding="utf-8") as fh:
         for line in fh:
-            # Keys are written as plain hex, so a line without the key's text
-            # cannot match; skipping it saves the JSON parse.
-            if forbidden_key not in line:
+            if needle not in line:
                 continue
             try:
                 rec = json.loads(line)
@@ -218,56 +208,28 @@ def _cache_lookup(path, n, forbidden_key, q_key):
                 continue
             if (
                 isinstance(rec, dict)
-                and rec.get("n") == n
-                and rec.get("forbidden_key") == forbidden_key
-                and rec.get("q_key") == q_key
+                and rec.keys() == SearchReport.__dataclass_fields__.keys()
+                and rec["params"] == params
             ):
                 entry = rec
     return entry
 
 
-def cached_la_exact(n, forbidden, q, budget=None, use_cache=True, path=None) -> SearchReport:
-    """la_exact with an append-only JSONL result cache.
+def cached_la_exact(n, forbidden, q, budget=None, path=None) -> SearchReport:
+    """la_exact with an append-only JSONL cache of its reports.
 
-    A cached entry is reused when it is complete, or when it was computed with
-    at least the requested budget; otherwise the search is rerun.
+    Each line is a report exactly as ``search`` prints it, keyed on its
+    params; the last line whose params equal the request is returned, so a
+    hit reports what la_exact would.
     """
     forbidden = list(forbidden)
     _check_request(n, budget)
     path = path or cache_path()
-    forbidden_key, q_key = _cache_key(n, forbidden, q)
-    if use_cache:
-        rec = _cache_lookup(path, n, forbidden_key, q_key)
-        if rec is not None:
-            prev_budget = rec.get("budget") or 0
-            stale = not rec["complete"] and (budget is None or budget > prev_budget)
-            if not stale:
-                return SearchReport(
-                    optimum=rec["optimum"],
-                    witnesses=[tuple(w) for w in rec["witnesses"]],
-                    nodes_explored=rec["nodes_explored"],
-                    complete=rec["complete"],
-                    params={
-                        "n": n,
-                        "forbidden": [p.canonical_key() for p in forbidden],
-                        "q": q.canonical_key(),
-                        "budget": budget,
-                        "witness_cap": DEFAULT_WITNESS_CAP,
-                    },
-                )
+    params = _request(n, forbidden, q, budget)
+    rec = _cache_lookup(path, params)
+    if rec is not None:
+        return SearchReport(**{**rec, "witnesses": [tuple(w) for w in rec["witnesses"]]})
     report = la_exact(n, forbidden, q, budget=budget)
-    if use_cache:
-        rec = {
-            "n": n,
-            "forbidden_key": forbidden_key,
-            "q_key": q_key,
-            "optimum": report.optimum,
-            "complete": report.complete,
-            "witnesses": [list(w) for w in report.witnesses],
-            "nodes_explored": report.nodes_explored,
-            "budget": budget,
-            "timestamp": time.time(),
-        }
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(report.to_json(), sort_keys=True) + "\n")
     return report

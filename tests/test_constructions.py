@@ -9,7 +9,13 @@ from posetturan.constructions import (
     p6_construction,
 )
 from posetturan.embedding import is_free
-from posetturan.lattice import comparability_components, count_k_chains, level_family
+from posetturan.lattice import (
+    MAX_SCAN_N,
+    DimensionError,
+    comparability_components,
+    count_k_chains,
+    level_family,
+)
 from posetturan.posets import n_poset, named_poset, path_hasse_family
 
 BFLY = named_poset("butterfly")
@@ -82,6 +88,12 @@ class TestP5Construction:
         with pytest.raises(ValueError):
             p5_construction(3)
 
+    def test_too_large_refused(self):
+        with pytest.raises(ValueError, match="supports n <= 24"):
+            p5_construction(40)
+        with pytest.raises(ValueError):
+            p5_construction(MAX_SCAN_N + 1)
+
     @pytest.mark.parametrize("n", range(4, 10))
     def test_block_structure(self, n):
         fam = p5_construction(n)
@@ -120,3 +132,21 @@ class TestP6Construction:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_free_of_all_6_paths(self, n):
         assert is_free(p6_construction(n), path_hasse_family(6))
+
+
+class TestLevelListingCap:
+    def test_levels_refused_before_any_mask(self):
+        class Unread:
+            def __iter__(self):
+                raise AssertionError("levels read for an oversized n")
+
+        with pytest.raises(DimensionError):
+            level_family(MAX_SCAN_N + 1, Unread())
+
+    @pytest.mark.parametrize("build", (middle_two_levels, n_free_construction, p6_construction))
+    def test_constructions_refuse_large_n(self, build):
+        with pytest.raises(DimensionError):
+            build(60)
+
+    def test_cap_itself_still_accepted(self):
+        assert len(level_family(MAX_SCAN_N, [0, 1, MAX_SCAN_N])) == MAX_SCAN_N + 2

@@ -1,10 +1,13 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import posetturan
 from posetturan.cli import run_command
@@ -14,7 +17,7 @@ from posetturan.familyio import (
     format_family,
     parse_family,
 )
-from posetturan.lattice import SetFamily, level_family
+from posetturan.lattice import MAX_SCAN_N, DimensionError, SetFamily, level_family
 from posetturan.posets import chain, n_poset, named_poset, poset_isomorphic, s_poset
 
 
@@ -113,6 +116,10 @@ class TestFamilyIo:
         with pytest.raises(FamilyFormatError):
             parse_family('{"n": 3}')
 
+    def test_level_shorthand_refused_past_the_scan_cap(self):
+        with pytest.raises(DimensionError):
+            parse_family("n=50\nL25\n")
+
     @pytest.mark.parametrize("text", (
         '{"n": null, "masks": [1]}',
         '{"n": 3, "masks": 5}',
@@ -180,6 +187,26 @@ class TestCli:
         _, cold = self.run(capsys, *args)
         _, warm = self.run(capsys, *args)
         assert cold == warm
+
+    @pytest.mark.parametrize("n, spec, first, second", (
+        ("3", "@butterfly", None, "5"),
+        ("5", "@N", "300", "100"),
+    ), ids=("after-unbudgeted", "after-larger-budget"))
+    def test_cached_search_prints_what_no_cache_prints(self, capsys, tmp_path, monkeypatch,
+                                                       n, spec, first, second):
+        monkeypatch.setenv("TURAN_CACHE", str(tmp_path / "c.jsonl"))
+        args = ("search", "--n", n, "--forbid", spec, "--q", "@chain(2)")
+        first_args = args + (("--budget", first) if first else ())
+        self.run(capsys, *first_args)
+        _, cached = self.run(capsys, *args, "--budget", second)
+        _, uncached = self.run(capsys, *args, "--budget", second, "--no-cache")
+        assert cached == uncached
+        assert json.loads(cached)["nodes_explored"] == int(second)
+        # the first request's record is still there and still returned verbatim
+        _, again = self.run(capsys, *first_args)
+        _, fresh = self.run(capsys, *first_args, "--no-cache")
+        assert again == fresh
+        assert len((tmp_path / "c.jsonl").read_text().splitlines()) == 2
 
     def test_search_no_cache(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("TURAN_CACHE", str(tmp_path / "c.jsonl"))
@@ -268,7 +295,76 @@ class TestBadFamilyFiles:
         assert proc.returncode == 2 and proc.stdout == ""
         assert "Traceback" not in proc.stderr and proc.stderr.startswith("error:")
 
+    def test_oversized_construction_exits_2(self):
+        proc = run_cli_process("construct", "p5", "--n", "40")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr and proc.stderr.startswith("error:")
+
     def test_directory_exits_2(self, tmp_path):
         proc = run_cli_process("count", "--family", str(tmp_path), "--q", "@chain(2)")
         assert proc.returncode == 2 and proc.stdout == ""
         assert "Traceback" not in proc.stderr and proc.stderr.startswith("error:")
+
+
+# Level listings that the scan cap accepts can still hold millions of sets
+# (C(24, 12) = 2,704,156 take seconds to build), so the fuzz below assumes
+# away accepted listings above this many sets; listings past the cap are kept.
+FUZZ_LEVEL_SETS = 1 << 16
+JUNK_LINES = (st.sampled_from(["L", "L+", "Lx", "L1+", "l1+x", "+L1", "x", "1 two", "{ }"])
+              | st.text(alphabet="ab -+{}#9", min_size=1, max_size=8))
+
+
+@st.composite
+def family_texts(draw):
+    """A family text of the line kinds parse_family reads, plus junk lines."""
+    n = draw(st.integers(1, 62))
+    lines, level_sets = [f"n={n}"], 0
+    for kind in draw(st.lists(st.sampled_from("eblj"), max_size=6)):
+        if kind == "e":
+            elements = draw(st.lists(st.integers(-2, n + 2), min_size=1, max_size=5))
+            lines.append(" ".join(map(str, elements)))
+        elif kind == "b":
+            lines.append("{}")
+        elif kind == "l":
+            ks = draw(st.lists(st.integers(-1, n + 1), min_size=1, max_size=2))
+            lines.append("+".join(f"L{k}" for k in ks))
+            level_sets += sum(math.comb(n, k) for k in ks if 0 <= k <= n)
+        else:
+            lines.append(draw(JUNK_LINES))
+    assume(n > MAX_SCAN_N or level_sets <= FUZZ_LEVEL_SETS)
+    return "\n".join(lines) + "\n"
+
+
+CATALOG_NAMES = ("chain", "p", "Kst", "fork", "crown", "diamond", "butterfly", "K22", "N", "W",
+                 "M", "S", "pathfamily", "mystery")
+
+
+@st.composite
+def builtin_specs(draw):
+    name = draw(st.sampled_from(CATALOG_NAMES))
+    args = draw(st.lists(st.integers(-5, 10**9), max_size=3))
+    if not args and draw(st.booleans()):
+        return f"@{name}"
+    return f"@{name}({', '.join(map(str, args))})"
+
+
+class TestParserFuzz:
+    """Every parser input returns or raises a ValueError, within a second."""
+
+    @settings(deadline=1000)
+    @given(family_texts())
+    def test_parse_family(self, text):
+        try:
+            fam = parse_family(text)
+        except ValueError:
+            return
+        assert isinstance(fam, SetFamily)
+
+    @settings(deadline=1000)
+    @given(builtin_specs())
+    def test_parse_poset_dsl(self, spec):
+        try:
+            found = parse_poset_dsl(spec)
+        except ValueError:
+            return
+        assert found and all(p.size <= 8 for p in found)

@@ -1,8 +1,11 @@
 import itertools
+import random
 
 import pytest
 
+from posetturan import posets
 from posetturan.posets import (
+    MAX_POSET_SIZE,
     PosetError,
     chain,
     crown,
@@ -181,6 +184,68 @@ class TestPathHasseFamily:
     def test_k_out_of_range(self):
         with pytest.raises(PosetError):
             path_hasse_family(9)
+
+    def test_k8_size(self):
+        assert len(path_hasse_family(8)) == orbit_count(8) == 64
+
+
+def brute_canonical_relations(p):
+    """The least sorted relation list over all relabellings of p."""
+    return min(
+        tuple(sorted((perm[a], perm[b]) for a, b in p.relations))
+        for perm in itertools.permutations(range(p.size))
+    )
+
+
+class TestCanonicalRelations:
+    def test_random_posets_match_permutation_scan(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            m = rng.randint(1, 6)
+            density = rng.random()
+            rels = [(a, b) for a in range(m) for b in range(a + 1, m) if rng.random() < density]
+            perm = rng.sample(range(m), m)
+            p = poset_from_relations(m, [(perm[a], perm[b]) for a, b in rels])
+            assert p.canonical_relations() == brute_canonical_relations(p)
+
+    @pytest.mark.parametrize("p", (fork(7), kst(4, 4), crown(4), diamond(6), chain(8),
+                                   poset_from_relations(8, [(0, 1), (2, 3), (4, 5), (6, 7)])),
+                             ids=("fork7", "kst44", "crown4", "diamond6", "chain8", "4xchain2"))
+    def test_eight_elements_match_permutation_scan(self, p):
+        assert p.canonical_relations() == brute_canonical_relations(p)
+
+    def test_relabelling_invariant(self):
+        rng = random.Random(43)
+        for p in path_hasse_family(7):
+            perm = rng.sample(range(7), 7)
+            q = poset_from_relations(7, [(perm[a], perm[b]) for a, b in p.relations])
+            assert q.canonical_key() == p.canonical_key()
+
+    def test_antichain(self):
+        assert poset_from_relations(3, []).canonical_relations() == ()
+
+
+class TestSizeCheckedBeforeAllocation:
+    # crown(ell) has 2 * ell elements, so its smallest oversized case has 10
+    @pytest.mark.parametrize("build, args", (
+        (chain, (MAX_POSET_SIZE + 1,)),
+        (kst, (1, MAX_POSET_SIZE)),
+        (kst, (MAX_POSET_SIZE, 1)),
+        (fork, (MAX_POSET_SIZE,)),
+        (crown, (MAX_POSET_SIZE // 2 + 1,)),
+        (diamond, (MAX_POSET_SIZE - 1,)),
+    ), ids=("chain", "kst-1-t", "kst-s-1", "fork", "crown", "diamond"))
+    def test_oversized_refused_before_relations_are_built(self, monkeypatch, build, args):
+        def unreachable(*_):
+            raise AssertionError("relations built for an oversized poset")
+
+        monkeypatch.setattr(posets, "poset_from_relations", unreachable)
+        with pytest.raises(PosetError, match="poset size"):
+            build(*args)
+
+    def test_largest_sizes_still_build(self):
+        sizes = [chain(8).size, kst(1, 7).size, fork(7).size, crown(4).size, diamond(6).size]
+        assert sizes == [MAX_POSET_SIZE] * 5
 
 
 class TestHeight:

@@ -181,6 +181,21 @@ class TestZigzagSequences:
             for _ in range(50):
                 assert random_zigzag(fast, n) == scan_zigzag(slow, n)
 
+    @pytest.mark.parametrize("n", (1, 2))
+    def test_too_few_sets_refused(self, n):
+        # 2^[n] has fewer than six sets, so no six-sequence exists
+        with pytest.raises(ValueError, match="distinct subsets"):
+            random_zigzag(random.Random(0), n)
+
+    def test_lengths_up_to_the_lattice_size(self):
+        rng = random.Random(3)
+        for n, length in ((1, 2), (2, 4), (3, 8)):
+            seq = random_zigzag(rng, n, length)
+            assert len(set(seq)) == length
+            assert all(a & b in (a, b) for a, b in zip(seq, seq[1:]))
+        with pytest.raises(ValueError):
+            random_zigzag(rng, 3, 0)
+
     def test_all_zigzags_match_scan(self):
         scanned = [
             seq for seq in itertools.permutations(range(8), 6)

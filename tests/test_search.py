@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -10,7 +11,7 @@ from posetturan.lattice import SetFamily, chain_count, count_k_chains, level_fam
 from posetturan.posets import chain, n_poset, named_poset
 from posetturan.search import (
     SearchReport,
-    _cache_key,
+    _request,
     cached_la_exact,
     la_exact,
     la_levels,
@@ -250,11 +251,6 @@ class TestCache:
         cached_la_exact(2, [BFLY], P2)
         assert path.exists()
 
-    def test_use_cache_false_skips_file(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        cached_la_exact(3, [BFLY], P2, use_cache=False, path=str(path))
-        assert not path.exists()
-
     def test_corrupt_lines_ignored(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         path.write_text("this is not json\n")
@@ -264,10 +260,43 @@ class TestCache:
 
     def test_non_object_lines_ignored(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        forbidden_key, _ = _cache_key(3, [BFLY], P2)
-        path.write_text(f'[1, 2]\n"{forbidden_key}"\n{{"broken": "{forbidden_key}\n')
+        request = {"params": _request(3, [BFLY], P2, None)}
+        decoys = [
+            json.dumps([request], sort_keys=True),   # the key inside a list
+            json.dumps(request, sort_keys=True),     # the key without a report
+            json.dumps(request, sort_keys=True)[:-1],  # cut short
+        ]
+        assert all('"params": ' + json.dumps(request["params"], sort_keys=True) in line
+                   for line in decoys)
+        path.write_text("[1, 2]\n" + "\n".join(decoys) + "\n")
         rep = cached_la_exact(3, [BFLY], P2, path=str(path))
         assert rep.optimum == 7
+
+    def test_record_is_the_report_line(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        rep = cached_la_exact(3, [BFLY], P2, budget=40, path=str(path))
+        assert path.read_text() == json.dumps(rep.to_json(), sort_keys=True) + "\n"
+        assert rep.params == _request(3, [BFLY], P2, 40) == la_exact(3, [BFLY], P2, 40).params
+        assert rep.params["witness_cap"] == 16
+
+    def test_forbidden_order_is_part_of_the_key(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        a = cached_la_exact(3, [BFLY, chain(3)], P2, path=str(path))
+        b = cached_la_exact(3, [chain(3), BFLY], P2, path=str(path))
+        assert a.params["forbidden"] == b.params["forbidden"][::-1]
+        assert len(path.read_text().splitlines()) == 2
+
+    def test_records_of_the_earlier_schema_ignored(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        old = {
+            "n": 3, "budget": None, "complete": True, "nodes_explored": 1, "optimum": 99,
+            "forbidden_key": hashlib.sha256(BFLY.canonical_key().encode()).hexdigest(),
+            "q_key": hashlib.sha256(P2.canonical_key().encode()).hexdigest(),
+            "timestamp": 1.7e9, "witnesses": [],
+        }
+        path.write_text(json.dumps(old, sort_keys=True) + "\n")
+        rep = cached_la_exact(3, [BFLY], P2, path=str(path))
+        assert rep.optimum == 7 and len(path.read_text().splitlines()) == 2
 
     def test_hit_among_filler_records(self, tmp_path):
         rng = random.Random(29)
@@ -277,10 +306,10 @@ class TestCache:
         (record,) = real.read_text().splitlines()
         stale = json.loads(record)
         stale["nodes_explored"] = -1
+        # the same request at other budgets
         filler = [
-            json.dumps({"n": 3, "forbidden_key": f"{rng.getrandbits(256):064x}",
-                        "q_key": f"{rng.getrandbits(256):064x}", "optimum": 0,
-                        "complete": True, "witnesses": [], "nodes_explored": 1})
+            json.dumps({"params": _request(3, [BFLY], P2, rng.randint(1, 10**6)), "optimum": 0,
+                        "complete": False, "witnesses": [], "nodes_explored": 1}, sort_keys=True)
             for _ in range(1000)
         ]
         # last match wins: the stale copy comes first, the real record later
