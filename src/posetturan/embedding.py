@@ -85,8 +85,11 @@ def _plan(poset: Poset, forced=None):
 
 @lru_cache(maxsize=256)
 def _forced_plans(poset: Poset):
-    """One forced plan per automorphism orbit of the poset."""
-    return tuple(_plan(poset, e) for e in poset.orbit_representatives())
+    """(plan forced at e, elements above e, elements below e) per orbit representative e."""
+    return tuple(
+        (_plan(poset, e), len(poset.up_set(e)), len(poset.down_set(e)))
+        for e in poset.orbit_representatives()
+    )
 
 
 def _search(family: SetFamily, poset: Poset, plan, forced=None, within=None):
@@ -161,9 +164,16 @@ def embedding_using_member(family: SetFamily, poset: Poset, member_index: int, w
     ``within``, if given, is a bitset of member indices (containing
     ``member_index``) to which the witness's image is restricted. One search
     per automorphism orbit suffices: composing a witness with an automorphism
-    moves the forced member onto any element of the orbit.
+    moves the forced member onto any element of the orbit. Ullmann's degree
+    filter skips an orbit whose representative has more elements above (below)
+    it than the forced member has allowed members above (below) it.
     """
-    for plan in _forced_plans(poset):
+    allowed = (1 << len(family.members)) - 1 if within is None else within
+    up = (family.above[member_index] & allowed).bit_count()
+    down = (family.below[member_index] & allowed).bit_count()
+    for plan, need_up, need_down in _forced_plans(poset):
+        if need_up > up or need_down > down:
+            continue
         w = _search(family, poset, plan, forced=member_index, within=within)
         if w is not None:
             return w

@@ -7,7 +7,6 @@ integers).
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -129,8 +128,13 @@ def level_family(n: int, ks) -> SetFamily:
             raise ValueError(f"level index {k} out of range 0..{n}")
     masks = []
     for k in levels:
-        for bits in itertools.combinations(range(n), k):
-            masks.append(sum(1 << b for b in bits))
+        # Gosper's next-combination step (HAKMEM 175): the k-sets in ascending order
+        m = (1 << k) - 1
+        masks.append(m)
+        for _ in range(math.comb(n, k) - 1):
+            ripple = m + (m & -m)
+            m = ripple | ((m ^ ripple) >> 2) // (m & -m)
+            masks.append(m)
     return SetFamily(n, masks)
 
 

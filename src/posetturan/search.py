@@ -55,26 +55,27 @@ def _request(n: int, forbidden, q: Poset, budget) -> dict:
     }
 
 
-def la_exact(
-    n: int, forbidden, q: Poset, budget: int = None, no_bound: bool = False
-) -> SearchReport:
+def la_exact(n: int, forbidden, q: Poset, budget: int = None) -> SearchReport:
     """Exact maximum Q-copy count over forbidden-free subfamilies of 2^[n].
 
     Depth-first inclusion/exclusion over lattice elements, middle levels first.
     Branches are cut when the current family already embeds a forbidden poset,
     or when the admissible bound (copies in current plus remaining) cannot beat
-    the best value found. n <= 4 always completes; n = 5 requires a node
-    budget of at least 1, stops after exactly that many nodes, and reports
-    complete=False if it ran out.
+    the best value found. For Q = P2 the bound is counted once, at the root, and
+    excluding x subtracts the remaining members comparable to x; other Q recount
+    it lazily. Neither this nor the degree filter of embedding_using_member
+    changes the nodes explored or the report. n <= 4 always completes; n = 5
+    requires a node budget of at least 1, stops after exactly that many nodes,
+    and reports complete=False if it ran out.
     """
     forbidden = list(forbidden)
     _check_request(n, budget)
     order = sorted(range(1 << n), key=lambda m: (abs(m.bit_count() - n / 2), m))
     # One family for the whole search: member index = mask.
     universe = SetFamily(n, range(1 << n))
+    above, below = universe.above, universe.below
+    pairs = q.is_chain() and q.size == 2
     if q.is_chain():
-        below = universe.below
-
         def copies(avail):
             return chain_count(avail, q.size, below)
     else:
@@ -85,7 +86,7 @@ def la_exact(
 
     def rec(pos, chosen, avail, bound):
         # chosen: bitset of the included masks; avail: bitset of chosen plus order[pos:];
-        # bound: copies(avail), or None until some node needs it.
+        # bound: copies(avail); for Q other than P2, None until some node needs it.
         if budget is not None and state["nodes"] >= budget:
             state["complete"] = False
             return
@@ -99,7 +100,7 @@ def la_exact(
             elif value == state["best"]:
                 state["witnesses"].append(tuple(iter_bits(chosen)))
             return
-        if not no_bound and state["best"] >= 0:
+        if state["best"] >= 0:
             if bound is None:
                 bound = copies(avail)
             if bound < state["best"]:
@@ -111,9 +112,13 @@ def la_exact(
         if not any(embedding_using_member(universe, p, x, within) is not None for p in forbidden):
             # including x leaves chosen plus remaining, hence the bound, unchanged
             rec(pos + 1, within, avail, bound)
-        rec(pos + 1, chosen, avail & ~(1 << x), None)
+        rest = avail & ~(1 << x)
+        # for Q = P2, excluding x loses exactly the 2-chains through x in rest
+        child = bound - (rest & (above[x] | below[x])).bit_count() if pairs else None
+        rec(pos + 1, chosen, rest, child)
 
-    rec(0, 0, (1 << (1 << n)) - 1, None)
+    full = (1 << (1 << n)) - 1
+    rec(0, 0, full, copies(full) if pairs else None)
     return SearchReport(
         optimum=state["best"],
         witnesses=sorted(set(state["witnesses"]))[:DEFAULT_WITNESS_CAP],

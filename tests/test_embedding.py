@@ -4,6 +4,8 @@ import random
 import pytest
 
 from posetturan.embedding import (
+    _plan,
+    _search,
     count_copies,
     embedding_using_member,
     find_embedding,
@@ -127,6 +129,15 @@ def reference_embedding(fam, poset):
     return tuple(ms[image[e]] for e in range(poset.size))
 
 
+def using_member_reference(fam, poset, member_index, within=None):
+    """embedding_using_member without the degree filter: every orbit is searched."""
+    for e in poset.orbit_representatives():
+        w = _search(fam, poset, _plan(poset, e), forced=member_index, within=within)
+        if w is not None:
+            return w
+    return None
+
+
 class TestCompiledPlans:
     # witnesses found before the plans were compiled; find_embedding must keep them
     PINNED = [
@@ -181,6 +192,23 @@ class TestCompiledPlans:
             for p in catalog_posets(5):
                 w = find_embedding(fam, p)
                 assert (w and w.assignment) == reference_embedding(fam, p), (fam.members, p)
+
+    def test_using_member_degree_filter_keeps_the_witness(self):
+        rng = random.Random(53)
+        posets = catalog_posets(5)
+        families = [full_lattice(n) for n in range(1, 5)]
+        for _ in range(30):
+            n = rng.randint(1, 4)
+            families.append(SetFamily(n, rng.sample(range(1 << n), rng.randint(1, 1 << n))))
+        for fam in families:
+            for p in posets:
+                for idx in range(len(fam)):
+                    within = sum(1 << i for i in range(len(fam)) if i == idx or rng.random() < 0.7)
+                    for restrict in (None, within):
+                        w = embedding_using_member(fam, p, idx, within=restrict)
+                        ref = using_member_reference(fam, p, idx, within=restrict)
+                        assert (w and w.assignment) == (ref and ref.assignment), (
+                            fam.members, p, idx, restrict)
 
     def test_within_must_hold_the_forced_member(self):
         fam = SetFamily(3, [0, 1, 3, 7])

@@ -68,6 +68,17 @@ class TestLevelFamily:
         with pytest.raises(ValueError):
             level_family(3, [4])
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_combinations(self, n):
+        for r in range(n + 2):
+            for ks in itertools.combinations(range(n + 1), r):
+                expect = sorted(
+                    sum(1 << b for b in bits)
+                    for k in ks
+                    for bits in itertools.combinations(range(n), k)
+                )
+                assert list(level_family(n, ks).members) == expect, ks
+
 
 class TestCountKChains:
     def test_full_lattice_n2(self):

@@ -7,9 +7,10 @@ import pytest
 
 from posetturan.dsl import parse_poset_dsl
 from posetturan.embedding import count_copies, is_free
-from posetturan.lattice import SetFamily, chain_count, count_k_chains, level_family
+from posetturan.lattice import SetFamily, chain_count, count_k_chains, iter_bits, level_family
 from posetturan.posets import chain, n_poset, named_poset
 from posetturan.search import (
+    DEFAULT_WITNESS_CAP,
     SearchReport,
     _request,
     cached_la_exact,
@@ -17,6 +18,7 @@ from posetturan.search import (
     la_levels,
     verify_witness,
 )
+from test_embedding import catalog_posets, using_member_reference
 
 BFLY = named_poset("butterfly")
 P2 = chain(2)
@@ -30,6 +32,60 @@ def brute_la(n, forbidden, q):
         if is_free(fam, forbidden):
             best = max(best, count_copies(fam, q))
     return best
+
+
+def reference_la_exact(n, forbidden, q, budget=None):
+    """la_exact as it was before the incremental P2 bound and the degree filter.
+
+    Every excluding child recounts its bound with chain_count over all of
+    avail, and every forced embedding search runs.
+    """
+    forbidden = list(forbidden)
+    order = sorted(range(1 << n), key=lambda m: (abs(m.bit_count() - n / 2), m))
+    universe = SetFamily(n, range(1 << n))
+    if q.is_chain():
+        def copies(avail):
+            return chain_count(avail, q.size, universe.below)
+    else:
+        def copies(avail):
+            return count_copies(SetFamily(n, iter_bits(avail)), q)
+
+    state = {"nodes": 0, "complete": True, "best": -1, "witnesses": []}
+
+    def rec(pos, chosen, avail, bound):
+        if budget is not None and state["nodes"] >= budget:
+            state["complete"] = False
+            return
+        state["nodes"] += 1
+        if pos == len(order):
+            value = copies(avail) if bound is None else bound
+            if value > state["best"]:
+                state["best"] = value
+                state["witnesses"] = [tuple(iter_bits(chosen))]
+            elif value == state["best"]:
+                state["witnesses"].append(tuple(iter_bits(chosen)))
+            return
+        if state["best"] >= 0:
+            if bound is None:
+                bound = copies(avail)
+            if bound < state["best"]:
+                return
+            if bound == state["best"] and len(state["witnesses"]) >= DEFAULT_WITNESS_CAP:
+                return
+        x = order[pos]
+        within = chosen | 1 << x
+        if not any(using_member_reference(universe, p, x, within) is not None for p in forbidden):
+            rec(pos + 1, within, avail, bound)
+        rec(pos + 1, chosen, avail & ~(1 << x), None)
+
+    rec(0, 0, (1 << (1 << n)) - 1, None)
+    return SearchReport(
+        optimum=state["best"],
+        witnesses=sorted(set(state["witnesses"]))[:DEFAULT_WITNESS_CAP],
+        nodes_explored=state["nodes"],
+        complete=state["complete"],
+        params=_request(n, forbidden, q, budget),
+    )
 
 
 class TestLaExact:
@@ -63,17 +119,6 @@ class TestLaExact:
     def test_matches_exhaustive_scan(self, n):
         for forbidden in ([BFLY], [n_poset()], [chain(3)]):
             assert la_exact(n, forbidden, P2).optimum == brute_la(n, forbidden, P2)
-
-    def test_no_bound_same_optimum(self):
-        for forbidden in ([BFLY], [n_poset()]):
-            a = la_exact(3, forbidden, P2)
-            b = la_exact(3, forbidden, P2, no_bound=True)
-            assert a.optimum == b.optimum
-            # the unbounded run records every leaf, so its witness list is the
-            # lexicographically least one; every witness still certifies the optimum
-            for fam in a.witness_families(3):
-                chk = verify_witness(fam, forbidden, P2)
-                assert chk.free and chk.copies == a.optimum
 
     def test_n5_requires_budget(self):
         with pytest.raises(ValueError):
@@ -171,12 +216,58 @@ PINNED_N4 = {
 }
 
 
+# The same for the two budgeted n = 5 benchmark searches, which run out of
+# budget: found before the incremental bound and the degree filter.
+PINNED_N5 = {
+    "@N": (9, [
+        [2, 3, 5, 6, 9, 10, 12, 13, 16, 17, 20, 24], [3, 4, 5, 6, 9, 10, 11, 12, 16, 17, 18, 24],
+        [3, 5, 6, 7, 8, 9, 10, 12, 16, 17, 18, 20],
+        [3, 5, 6, 7, 9, 10, 12, 17, 18, 20, 25, 26, 28],
+        [3, 5, 6, 9, 10, 11, 12, 17, 18, 21, 22, 24, 28],
+        [3, 5, 6, 9, 10, 12, 13, 17, 19, 20, 22, 24, 26]]),
+    "@butterfly": (30, [
+        [3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 17, 18, 19, 20, 21, 22, 24, 25, 26, 28]]),
+}
+
+
 @pytest.mark.parametrize("spec", sorted(PINNED_N4))
 def test_n4_search_tree_pinned(spec):
     optimum, nodes, witnesses = PINNED_N4[spec]
     rep = la_exact(4, parse_poset_dsl(spec), P2).to_json()
     assert (rep["optimum"], rep["nodes_explored"], rep["witnesses"]) == (optimum, nodes, witnesses)
     assert rep["complete"]
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_N5))
+def test_n5_budgeted_search_pinned(spec):
+    optimum, witnesses = PINNED_N5[spec]
+    rep = la_exact(5, parse_poset_dsl(spec), P2, budget=20000).to_json()
+    assert (rep["optimum"], rep["nodes_explored"], rep["witnesses"]) == (optimum, 20000, witnesses)
+    assert not rep["complete"]
+
+
+class TestSameTreeAsReference:
+    """la_exact explores the nodes of the reference search and reports the same."""
+
+    @staticmethod
+    def same(n, forbidden, q, budget=None):
+        got = la_exact(n, forbidden, q, budget).to_json()
+        assert got == reference_la_exact(n, forbidden, q, budget).to_json(), (n, forbidden, q)
+
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_catalog_posets_small_n(self, n):
+        for p in catalog_posets(5):
+            for q in (P2, chain(3)):
+                self.same(n, [p], q)
+
+    @pytest.mark.parametrize("spec", sorted(PINNED_N4))
+    def test_bench_posets_n4(self, spec):
+        self.same(4, parse_poset_dsl(spec), P2)
+
+    @pytest.mark.parametrize("spec", ("@N", "@butterfly"))
+    @pytest.mark.parametrize("budget", (1, 200, 5000))
+    def test_budgeted_n5(self, spec, budget):
+        self.same(5, parse_poset_dsl(spec), P2, budget)
 
 
 class TestLaLevels:
