@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .lattice import SetFamily, count_k_chains, iter_bits
+from .lattice import SetFamily, chain_count, iter_bits
 from .posets import Poset
 
 
@@ -139,7 +140,9 @@ def _search(family: SetFamily, poset: Poset, plan, forced=None, within=None):
         return False
 
     start, free = (0, allowed) if forced is None else (1, allowed ^ 1 << forced)
-    if not extend(start, free):
+    found = extend(start, free)
+    del extend  # extend's closure holds extend: drop it, or each call leaves a cycle
+    if not found:
         return None
     masks = [0] * k
     for i, e in enumerate(order):
@@ -147,15 +150,17 @@ def _search(family: SetFamily, poset: Poset, plan, forced=None, within=None):
     return EmbeddingWitness(poset, family, tuple(masks))
 
 
-def find_embedding(family: SetFamily, poset: Poset):
+def find_embedding(family: SetFamily, poset: Poset, within=None):
     """A weak-subposet embedding witness, or None.
 
     Backtracking over poset elements in decreasing-constraint order; candidate
     members are pruned by comparability with already-assigned images. The
     returned witness is the first found under ascending candidate order, so
-    output is deterministic.
+    output is deterministic. ``within``, if given, is a bitset of member
+    indices to which the witness's image is restricted; the witness is the
+    one ``family.restrict(iter_bits(within))`` gives, but keeps ``family``.
     """
-    return _search(family, poset, _plan(poset))
+    return _search(family, poset, _plan(poset), within=within)
 
 
 def embedding_using_member(family: SetFamily, poset: Poset, member_index: int, within=None):
@@ -194,32 +199,31 @@ def is_free(family: SetFamily, forbidden) -> bool:
     return find_any_embedding(family, forbidden) is None
 
 
-# Guard for the brute-force subfamily scan in count_copies.
+# Bounds the subfamilies that count_copies tests, one embedding search each.
 _MAX_COPY_COMBINATIONS = 2_000_000
 
 
-def count_copies(family: SetFamily, q: Poset) -> int:
+def count_copies(family: SetFamily, q: Poset, within=None) -> int:
     """Number of |Q|-element subfamilies that host Q using all their members.
 
     For a chain Q this is exactly the k-chain count. For general Q the count
     is over distinct supports: a subfamily is counted once no matter how many
-    embeddings land on it.
+    embeddings land on it. ``within``, if given, is a bitset of member indices
+    and only the subfamilies inside it are counted.
     """
-    if q.size > len(family):
-        return 0
+    if within is None:
+        within = (1 << len(family)) - 1
+    m = within.bit_count()
+    if q.size == 1:  # every member is a copy; skips building the comparability bitsets
+        return m
     if q.is_chain():
-        return count_k_chains(family, q.size)
-    total_combos = 1
-    for i in range(q.size):
-        total_combos = total_combos * (len(family) - i) // (i + 1)
-    if total_combos > _MAX_COPY_COMBINATIONS:
+        return chain_count(within, q.size, family.below)
+    if math.comb(m, q.size) > _MAX_COPY_COMBINATIONS:
         raise ValueError(
-            f"copy counting for non-chain posets needs C({len(family)},{q.size}) "
+            f"copy counting for non-chain posets needs C({m},{q.size}) "
             "subfamily checks; input too large"
         )
-    count = 0
-    for combo in itertools.combinations(family.members, q.size):
-        sub = SetFamily(family.n, combo)
-        if find_embedding(sub, q) is not None:
-            count += 1
-    return count
+    return sum(
+        find_embedding(family, q, sum(1 << i for i in combo)) is not None
+        for combo in itertools.combinations(iter_bits(within), q.size)
+    )

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
-MAX_SCAN_N = 24      # whole-lattice scans and level listings
-MAX_CHAIN_N = 8      # full-chain counting
-MAX_FORMULA_N = 62   # formula-only paths
+MAX_SCAN_N = 24      # 2^n-set passes: whole-lattice scans, level listings, hulls
+MAX_CHAIN_N = 8      # chains_meeting: its 2^n-state walk and the n! chains it counts
+MAX_FORMULA_N = 62   # SetFamily mask width, which bounds the cost of each mask operation
 
 
 class DimensionError(ValueError):
@@ -141,6 +141,10 @@ def level_family(n: int, ks) -> SetFamily:
 def full_lattice(n: int) -> SetFamily:
     _check_n(n, MAX_SCAN_N)
     return SetFamily(n, range(1 << n))
+
+
+# 2^[n] built once per n; member index = mask, so a bitset of masks selects a subfamily
+cached_lattice = lru_cache(maxsize=None)(full_lattice)
 
 
 def chain_count(avail: int, k: int, below) -> int:

@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-MAX_POSET_SIZE = 8
+MAX_POSET_SIZE = 8  # isomorphism and canonical labelling backtrack over up to size! maps
 
 
 class PosetError(ValueError):

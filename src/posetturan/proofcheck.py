@@ -18,23 +18,20 @@ from .embedding import find_any_embedding, find_embedding, is_free
 from .lattice import (
     ComparabilityComponents,
     SetFamily,
+    cached_lattice,
+    chain_count,
     chains_meeting,
     comparability_components,
     convex_hull,
     count_k_chains,
-    full_lattice,
     interval_family,
     iter_bits,
 )
 from .formulas import katona_nagy, sublattice
 from .posets import m_poset, n_poset, path_hasse_family, w_poset
 
-MAX_COLOR_N = 12
-MAX_CRITICAL_CHAIN_N = 8
-
-# 2^[n] built once per n (n <= MAX_COLOR_N here); member index = mask, so its
-# above/below bitsets are indexed by masks
-_lattice = lru_cache(maxsize=None)(full_lattice)
+MAX_COLOR_N = 12  # color_family and zigzag_find_WM read the 2^n-member cached lattice
+MAX_CRITICAL_CHAIN_N = 8  # critical-pair check: quadratic in up to n * 2^(n-1) critical pairs
 
 
 class NotFreeError(ValueError):
@@ -70,7 +67,7 @@ def color_family(n: int, family: SetFamily, t: int) -> Coloring:
         raise ValueError("threshold must be at least 1")
     if family.n != n:
         raise ValueError("family dimension mismatch")
-    above = _lattice(n).above
+    above = cached_lattice(n).above
     members = sum(1 << f for f in family.members)
     blue = frozenset(mask for mask in range(1 << n) if (above[mask] & members).bit_count() >= t)
     pairs = sorted(
@@ -111,24 +108,21 @@ def classify_nfree_components(family: SetFamily):
     hit = find_any_embedding(family, [n_poset()])
     if hit is not None:
         raise NotFreeError("family is not N-free", hit[1])
-    comps = comparability_components(family)
+    above, below, ms = family.above, family.below, family.members
     out = []
-    for comp in comps.components:
-        sub = family.restrict(comp)
-        if count_k_chains(sub, 3) > 0:
+    for comp in comparability_components(family).components:
+        bits = sum(1 << i for i in comp)
+        masks = tuple(ms[i] for i in comp)
+        if chain_count(bits, 3, below) > 0:
             # N-freeness forces a 3-chain component to be exactly a triangle
-            assert len(sub) == 3 and count_k_chains(sub, 2) == 3
-            out.append(ComponentClass("triangle", sub.members))
+            assert len(comp) == 3 and chain_count(bits, 2, below) == 3
+            out.append(ComponentClass("triangle", masks))
         else:
-            center = None
-            for i in range(len(sub)):
-                if (sub.above[i] | sub.below[i]).bit_count() == len(sub) - 1:
-                    center = sub.members[i]
-                    break
-            if center is None:  # singleton is a degenerate star
-                assert len(sub) == 1
-                center = sub.members[0]
-            out.append(ComponentClass("star", sub.members, center))
+            # a star's center is comparable with all others; a singleton is its own center
+            others = len(comp) - 1
+            centers = [i for i in comp if ((above[i] | below[i]) & bits).bit_count() == others]
+            assert centers
+            out.append(ComponentClass("star", masks, ms[centers[0]]))
     return out
 
 
@@ -177,19 +171,23 @@ def zigzag_find_WM(n: int, seq) -> ZigzagWitness:
     seq = list(seq)
     if len(seq) != 6 or len(set(seq)) != 6:
         raise ValueError("need 6 distinct sets")
+    if not 1 <= n <= MAX_COLOR_N or not all(0 <= s < 1 << n for s in seq):
+        raise ValueError(f"need subsets of [n] with 1 <= n <= {MAX_COLOR_N}")
     dirs = _zigzag_dirs(seq)
     start, m, direction = _longest_run(dirs)
     if m >= 5:
         witness = ZigzagWitness("W", tuple(range(start, start + 5)))
-        return _verify_zigzag(n, seq, witness)
-    if direction == -1:
+    elif direction == -1:
         # order-reverse via complementation, solve ascending, swap the label
         full = (1 << n) - 1
         flipped = zigzag_find_WM(n, [full ^ s for s in seq])
         witness = ZigzagWitness("W" if flipped.which == "M" else "M", flipped.indices)
-        return _verify_zigzag(n, seq, witness)
-    witness = _zigzag_ascending(seq, dirs, start, m)
-    return _verify_zigzag(n, seq, witness)
+    else:
+        witness = _zigzag_ascending(seq, dirs, start, m)
+    target = w_poset() if witness.which == "W" else m_poset()
+    if not _hosts(n, target, [seq[i] for i in witness.indices]):
+        raise AssertionError(f"zigzag case analysis produced an invalid {witness.which} selection")
+    return witness
 
 
 def _zigzag_ascending(seq, dirs, start, m):
@@ -211,12 +209,9 @@ def _zigzag_ascending(seq, dirs, start, m):
     return ZigzagWitness("M" if dirs[0] == 1 else "W", (0, 1, 2, 3, 4))
 
 
-def _verify_zigzag(n, seq, witness) -> ZigzagWitness:
-    target = w_poset() if witness.which == "W" else m_poset()
-    chosen = SetFamily(n, [seq[i] for i in witness.indices])
-    if find_embedding(chosen, target) is None:
-        raise AssertionError(f"zigzag case analysis produced an invalid {witness.which} selection")
-    return witness
+def _hosts(n, poset, masks) -> bool:
+    """Whether the subsets ``masks`` of [n] host the poset."""
+    return find_embedding(cached_lattice(n), poset, sum(1 << m for m in masks)) is not None
 
 
 def erdos_gallai_check(components: ComparabilityComponents) -> bool:
@@ -268,7 +263,7 @@ class ComponentReport:
     below_threshold: bool
 
 
-MAX_COMPONENT_MEMBERS = 20
+MAX_COMPONENT_MEMBERS = 20  # _max_antichain: branch and bound over up to 2^m member subsets
 
 
 def p5_component_report(n: int, family: SetFamily):
@@ -389,7 +384,7 @@ def _sampled_families(seed, dims, max_size):
 def verify_sublattice() -> LemmaReport:
     def instances():
         for n in range(3, 7):
-            above = _lattice(n).above
+            above = cached_lattice(n).above
             for lo in range(1 << n):
                 for hi in iter_bits(above[lo]):
                     yield n, lo, hi
@@ -449,7 +444,7 @@ def verify_coloring(seed: int = 0) -> LemmaReport:
 @lru_cache(maxsize=None)
 def _comparable_masks(n):
     """Per mask of [n], the other masks comparable with it, ascending."""
-    lat = _lattice(n)
+    lat = cached_lattice(n)
     return tuple(tuple(iter_bits(up | down)) for up, down in zip(lat.above, lat.below))
 
 
@@ -503,12 +498,9 @@ def verify_zigzag(seed: int = 0) -> LemmaReport:
         except AssertionError as exc:
             return f"n={n} seq={seq}: {exc}"
         if _longest_run(_zigzag_dirs(seq))[1] == 2:
-            lo = SetFamily(n, seq[:5])
-            hi = SetFamily(n, seq[1:])
-            split = (
-                find_embedding(lo, m) is not None and find_embedding(hi, w) is not None
-            ) or (
-                find_embedding(lo, w) is not None and find_embedding(hi, m) is not None
+            lo, hi = seq[:5], seq[1:]
+            split = (_hosts(n, m, lo) and _hosts(n, w, hi)) or (
+                _hosts(n, w, lo) and _hosts(n, m, hi)
             )
             if not split:
                 return f"n={n} seq={seq}: windows do not split into W and M"

@@ -7,7 +7,7 @@ import os
 from dataclasses import dataclass, field
 
 from .embedding import count_copies, embedding_using_member, is_free
-from .lattice import SetFamily, chain_count, iter_bits, level_family
+from .lattice import SetFamily, cached_lattice, iter_bits, level_family
 from .formulas import chain_count_in_levels
 from .posets import Poset
 
@@ -38,8 +38,8 @@ class SearchReport:
 
 
 def _check_request(n: int, budget):
-    if n > 5 or (n == 5 and budget is None):
-        raise ValueError("exact search supports n <= 4, or n = 5 with a budget")
+    if not 1 <= n <= 5 or (n == 5 and budget is None):
+        raise ValueError(f"exact search supports 1 <= n <= 4, or n = 5 with a budget; got n={n}")
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
 
@@ -72,28 +72,22 @@ def la_exact(n: int, forbidden, q: Poset, budget: int = None) -> SearchReport:
     _check_request(n, budget)
     order = sorted(range(1 << n), key=lambda m: (abs(m.bit_count() - n / 2), m))
     # One family for the whole search: member index = mask.
-    universe = SetFamily(n, range(1 << n))
+    universe = cached_lattice(n)
     above, below = universe.above, universe.below
     pairs = q.is_chain() and q.size == 2
-    if q.is_chain():
-        def copies(avail):
-            return chain_count(avail, q.size, below)
-    else:
-        def copies(avail):
-            return count_copies(SetFamily(n, iter_bits(avail)), q)
 
     state = {"nodes": 0, "complete": True, "best": -1, "witnesses": []}
 
     def rec(pos, chosen, avail, bound):
         # chosen: bitset of the included masks; avail: bitset of chosen plus order[pos:];
-        # bound: copies(avail); for Q other than P2, None until some node needs it.
+        # bound: the copies of Q in avail; for Q other than P2, None until some node needs it.
         if budget is not None and state["nodes"] >= budget:
             state["complete"] = False
             return
         state["nodes"] += 1
         if pos == len(order):
             # no masks remain, so avail is exactly chosen
-            value = copies(avail) if bound is None else bound
+            value = count_copies(universe, q, avail) if bound is None else bound
             if value > state["best"]:
                 state["best"] = value
                 state["witnesses"] = [tuple(iter_bits(chosen))]
@@ -102,7 +96,7 @@ def la_exact(n: int, forbidden, q: Poset, budget: int = None) -> SearchReport:
             return
         if state["best"] >= 0:
             if bound is None:
-                bound = copies(avail)
+                bound = count_copies(universe, q, avail)
             if bound < state["best"]:
                 return
             if bound == state["best"] and len(state["witnesses"]) >= DEFAULT_WITNESS_CAP:
@@ -118,7 +112,7 @@ def la_exact(n: int, forbidden, q: Poset, budget: int = None) -> SearchReport:
         rec(pos + 1, chosen, rest, child)
 
     full = (1 << (1 << n)) - 1
-    rec(0, 0, full, copies(full) if pairs else None)
+    rec(0, 0, full, count_copies(universe, q, full) if pairs else None)
     return SearchReport(
         optimum=state["best"],
         witnesses=sorted(set(state["witnesses"]))[:DEFAULT_WITNESS_CAP],
@@ -128,8 +122,8 @@ def la_exact(n: int, forbidden, q: Poset, budget: int = None) -> SearchReport:
     )
 
 
-MAX_LEVEL_SEARCH_N = 16
-MAX_LEVEL_GENERIC_N = 10
+MAX_LEVEL_SEARCH_N = 16  # la_levels: 2^(n+1) level tuples
+MAX_LEVEL_GENERIC_N = 10  # la_levels with non-chain P: an embedding search per level union
 
 
 def la_levels(n: int, forbidden, q: Poset) -> SearchReport:

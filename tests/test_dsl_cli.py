@@ -227,6 +227,17 @@ class TestCli:
             assert code == 2 and captured.out == ""
             assert "budget must be at least 1" in captured.err
 
+    @pytest.mark.parametrize("n", ("0", "-1"))
+    def test_search_n_below_one_is_a_usage_error(self, tmp_path, monkeypatch, n):
+        cache = tmp_path / "c.jsonl"
+        monkeypatch.setenv("TURAN_CACHE", str(cache))
+        for extra in ((), ("--no-cache",)):
+            proc = run_cli_process("search", "--n", n, "--forbid", "@N", "--q", "@chain(2)", *extra)
+            assert proc.returncode == 2 and proc.stdout == ""
+            assert "Traceback" not in proc.stderr
+            assert proc.stderr.startswith("error: exact search supports 1 <= n <= 4")
+        assert not cache.exists()
+
     def test_search_budget_is_exact(self, capsys):
         code, out = self.run(capsys, "search", "--n", "5", "--forbid", "@N", "--q", "@chain(2)",
                              "--budget", "10", "--no-cache")

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -16,6 +17,7 @@ from posetturan.lattice import (
     complement_family,
     count_k_chains,
     full_lattice,
+    iter_bits,
     level_family,
 )
 from posetturan.posets import (
@@ -214,6 +216,62 @@ class TestCompiledPlans:
         fam = SetFamily(3, [0, 1, 3, 7])
         assert embedding_using_member(fam, chain(2), 0, within=0b110) is None
         assert embedding_using_member(fam, chain(2), 0, within=0b101) is not None
+
+
+class TestWithin:
+    """A selection bitset over a family answers as the restricted family does."""
+
+    @staticmethod
+    def cases(seed, count):
+        rng = random.Random(seed)
+        for _ in range(count):
+            n = rng.randint(1, 4)
+            fam = SetFamily(n, rng.sample(range(1 << n), rng.randint(0, min(9, 1 << n))))
+            within = sum(1 << i for i in range(len(fam)) if rng.random() < 0.7)
+            yield fam, within, fam.restrict(iter_bits(within))
+
+    def test_find_embedding_within_matches_restricted_family(self):
+        posets = catalog_posets(5)
+        for fam, within, sub in self.cases(61, 60):
+            for p in posets:
+                w = find_embedding(fam, p, within)
+                ref = find_embedding(sub, p)
+                assert (w and w.assignment) == (ref and ref.assignment), (fam.members, within, p)
+                if w is not None:
+                    assert w.family is fam and w.check()
+
+    def test_count_copies_within_matches_restricted_family(self):
+        posets = catalog_posets(5)
+        for fam, within, sub in self.cases(67, 40):
+            for q in posets:
+                assert count_copies(fam, q, within) == count_copies(sub, q), (
+                    fam.members, within, q)
+
+    def test_count_copies_within_matches_brute_force(self):
+        lattice = full_lattice(3)
+        for within in (0b10010111, 0b11101001, 0b01111110):
+            sub = lattice.restrict(iter_bits(within))
+            for q in (n_poset(), kst(1, 2), chain(3)):
+                expect = sum(
+                    brute_embeds(SetFamily(3, combo), q)
+                    for combo in itertools.combinations(sub.members, q.size)
+                )
+                assert count_copies(lattice, q, within) == expect
+
+
+def test_searches_leave_no_garbage():
+    fam = full_lattice(4)
+    embedding_using_member(fam, BFLY, 0)
+    find_embedding(fam, BFLY)
+    gc.collect()
+    gc.disable()
+    try:
+        for x in range(16):
+            embedding_using_member(fam, BFLY, x)
+            find_embedding(fam, BFLY)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestIsFree:

@@ -156,6 +156,13 @@ class TestZigzag:
         with pytest.raises(ValueError):
             zigzag_find_WM(3, [1, 2, 3, 7, 5, 4])
 
+    def test_rejects_sets_outside_the_read_lattice(self):
+        # the selections are checked inside the cached 2^[n], so n and the sets must fit it
+        with pytest.raises(ValueError, match="subsets of"):
+            zigzag_find_WM(2, [0, 1, 3, 7, 15, 31])
+        with pytest.raises(ValueError, match="subsets of"):
+            zigzag_find_WM(13, [0, 1, 3, 7, 15, 31])
+
 
 def scan_zigzag(rng, n, length=6):
     """random_zigzag as a scan of all 2^n masks at every step."""

@@ -8,7 +8,7 @@ import pytest
 from posetturan.dsl import parse_poset_dsl
 from posetturan.embedding import count_copies, is_free
 from posetturan.lattice import SetFamily, chain_count, count_k_chains, iter_bits, level_family
-from posetturan.posets import chain, n_poset, named_poset
+from posetturan.posets import chain, kst, n_poset, named_poset
 from posetturan.search import (
     DEFAULT_WITNESS_CAP,
     SearchReport,
@@ -257,7 +257,7 @@ class TestSameTreeAsReference:
     @pytest.mark.parametrize("n", (1, 2, 3))
     def test_catalog_posets_small_n(self, n):
         for p in catalog_posets(5):
-            for q in (P2, chain(3)):
+            for q in (P2, chain(3), kst(1, 2), n_poset()):
                 self.same(n, [p], q)
 
     @pytest.mark.parametrize("spec", sorted(PINNED_N4))
