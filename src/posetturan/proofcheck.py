@@ -237,14 +237,17 @@ def _find_graph_path(components: ComparabilityComponents, length: int):
                 return found
         return None
 
-    for comp in components.components:
-        if len(comp) < length:
-            continue
-        for v in comp:
-            found = extend([v], 1 << v)
-            if found:
-                return tuple(fam.members[i] for i in found)
-    return None
+    try:
+        for comp in components.components:
+            if len(comp) < length:
+                continue
+            for v in comp:
+                found = extend([v], 1 << v)
+                if found:
+                    return tuple(fam.members[i] for i in found)
+        return None
+    finally:
+        del extend  # extend's closure holds extend: drop it, or each call leaves a cycle
 
 
 @dataclass(frozen=True)
@@ -324,6 +327,7 @@ def _max_antichain(family: SetFamily) -> int:
         rec(candidates ^ low, size)
 
     rec((1 << len(family)) - 1, 0)
+    del rec  # rec's closure holds rec: drop it, or each call leaves a cycle
     return best
 
 

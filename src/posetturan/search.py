@@ -113,6 +113,7 @@ def la_exact(n: int, forbidden, q: Poset, budget: int = None) -> SearchReport:
 
     full = (1 << (1 << n)) - 1
     rec(0, 0, full, count_copies(universe, q, full) if pairs else None)
+    del rec  # rec's closure holds rec: drop it, or each call leaves a cycle
     return SearchReport(
         optimum=state["best"],
         witnesses=sorted(set(state["witnesses"]))[:DEFAULT_WITNESS_CAP],
@@ -191,27 +192,36 @@ def cache_path() -> str:
 
 
 def _cache_lookup(path, params):
-    if not os.path.exists(path):
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
         return None
     # Reports are written with sorted keys, so a line that lacks this exact
-    # text cannot hold the request; skipping it saves the JSON parse.
-    needle = '"params": ' + json.dumps(params, sort_keys=True)
-    entry = None
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
+    # text cannot hold the request. Searching for it from the end finds the
+    # last valid line first, and only the lines around a hit are parsed.
+    needle = ('"params": ' + json.dumps(params, sort_keys=True)).encode()
+    end = len(data)
+    while (hit := data.rfind(needle, 0, end)) >= 0:
+        # The needle holds no line break. Cut out the text between the \n
+        # around the hit; splitlines also ends lines at \r, as text mode does.
+        start = data.rfind(b"\n", 0, hit) + 1
+        stop = data.find(b"\n", hit, end)
+        for line in reversed(data[start:end if stop < 0 else stop].splitlines()):
             if needle not in line:
                 continue
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError:
+                rec = json.loads(line.decode("utf-8"))
+            except ValueError:  # not UTF-8, or not JSON
                 continue
             if (
                 isinstance(rec, dict)
                 and rec.keys() == SearchReport.__dataclass_fields__.keys()
                 and rec["params"] == params
             ):
-                entry = rec
-    return entry
+                return rec
+        end = start
+    return None
 
 
 def cached_la_exact(n, forbidden, q, budget=None, path=None) -> SearchReport:

@@ -208,6 +208,18 @@ class TestCli:
         assert again == fresh
         assert len((tmp_path / "c.jsonl").read_text().splitlines()) == 2
 
+    def test_cached_search_skips_non_utf8_lines(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "c.jsonl"
+        monkeypatch.setenv("TURAN_CACHE", str(path))
+        args = ("search", "--n", "3", "--forbid", "@butterfly", "--q", "@chain(2)")
+        self.run(capsys, *args)
+        data = b"\xff\xfe garbage\n" + path.read_bytes() + b"\xff\xfe garbage\n"
+        path.write_bytes(data)
+        code, cached = self.run(capsys, *args)
+        _, uncached = self.run(capsys, *args, "--no-cache")
+        assert code == 0 and cached == uncached
+        assert path.read_bytes() == data  # a hit appends nothing
+
     def test_search_no_cache(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("TURAN_CACHE", str(tmp_path / "c.jsonl"))
         code, out = self.run(

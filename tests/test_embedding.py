@@ -14,6 +14,7 @@ from posetturan.embedding import (
 )
 from posetturan.lattice import (
     SetFamily,
+    comparability_components,
     complement_family,
     count_k_chains,
     full_lattice,
@@ -30,6 +31,8 @@ from posetturan.posets import (
     s_poset,
     w_poset,
 )
+from posetturan.proofcheck import _find_graph_path, _max_antichain
+from posetturan.search import la_exact
 
 BFLY = named_poset("butterfly")
 
@@ -260,16 +263,26 @@ class TestWithin:
 
 
 def test_searches_leave_no_garbage():
-    fam = full_lattice(4)
-    embedding_using_member(fam, BFLY, 0)
-    find_embedding(fam, BFLY)
+    # A recursive closure refers to itself; unless the search drops it, each
+    # call leaves a reference cycle for the collector.
+    fam, small = full_lattice(4), SetFamily(3, range(7))
+    components = comparability_components(small)
+    searches = {
+        "embedding_using_member": lambda x: embedding_using_member(fam, BFLY, x),
+        "find_embedding": lambda x: find_embedding(fam, BFLY),
+        "la_exact": lambda x: la_exact(2, [BFLY], chain(2)),
+        "_find_graph_path": lambda x: _find_graph_path(components, 6),
+        "_max_antichain": lambda x: _max_antichain(small),
+    }
+    for search in searches.values():
+        search(0)
     gc.collect()
     gc.disable()
     try:
-        for x in range(16):
-            embedding_using_member(fam, BFLY, x)
-            find_embedding(fam, BFLY)
-        assert gc.collect() == 0
+        for name, search in searches.items():
+            for x in range(16):
+                search(x)
+            assert gc.collect() == 0, name
     finally:
         gc.enable()
 

@@ -1,9 +1,19 @@
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import posetturan
 
 from posetturan.dsl import parse_poset_dsl
 from posetturan.embedding import count_copies, is_free
@@ -12,6 +22,7 @@ from posetturan.posets import chain, kst, n_poset, named_poset
 from posetturan.search import (
     DEFAULT_WITNESS_CAP,
     SearchReport,
+    _cache_lookup,
     _request,
     cached_la_exact,
     la_exact,
@@ -86,6 +97,33 @@ def reference_la_exact(n, forbidden, q, budget=None):
         complete=state["complete"],
         params=_request(n, forbidden, q, budget),
     )
+
+
+def reference_cache_lookup(path, params):
+    """search._cache_lookup as it was before the bytes search.
+
+    The whole file is decoded as text and tested line by line; the last
+    valid line wins.
+    """
+    if not os.path.exists(path):
+        return None
+    needle = '"params": ' + json.dumps(params, sort_keys=True)
+    entry = None
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if needle not in line:
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError:
+                continue
+            if (
+                isinstance(rec, dict)
+                and rec.keys() == SearchReport.__dataclass_fields__.keys()
+                and rec["params"] == params
+            ):
+                entry = rec
+    return entry
 
 
 class TestLaExact:
@@ -409,6 +447,127 @@ class TestCache:
         rep = cached_la_exact(3, [BFLY], P2, path=str(path))
         assert rep.to_json()["nodes_explored"] == json.loads(record)["nodes_explored"] > 0
         assert len(path.read_text().splitlines()) == 1002  # a hit appends nothing
+
+    def test_non_utf8_lines_around_a_record_ignored(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        record = json.dumps(la_exact(3, [BFLY], P2).to_json(), sort_keys=True).encode()
+        data = b"\xff\xfe garbage\n" + record + b"\n\xff\xfe garbage\n"
+        path.write_bytes(data)
+        rep = cached_la_exact(3, [BFLY], P2, path=str(path))
+        assert json.dumps(rep.to_json(), sort_keys=True).encode() == record
+        assert path.read_bytes() == data  # a hit appends nothing
+
+    def test_record_after_a_bom_is_not_a_match(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        marked = {**la_exact(3, [BFLY], P2).to_json(), "optimum": 99}
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps(marked, sort_keys=True).encode() + b"\n")
+        rep = cached_la_exact(3, [BFLY], P2, path=str(path))
+        assert rep.optimum == 7 and len(path.read_bytes().splitlines()) == 2
+
+
+LOOKUP_BUDGETS = (None, 5, 40)
+
+
+def _lookup_pieces():
+    """Lines for cache files: records of the request at several budgets and decoys."""
+    pieces = ["", "this is not json", "[1, 2]", "\u00e9 \u2202 garbage"]
+    for budget in LOOKUP_BUDGETS:
+        real = la_exact(3, [BFLY], P2, budget).to_json()
+        request = {"params": real["params"]}
+        needle = '"params": ' + json.dumps(real["params"], sort_keys=True)
+        pieces += [
+            json.dumps(real, sort_keys=True),
+            # stale copies under the same key: only the last record may win
+            json.dumps({**real, "nodes_explored": -1}, sort_keys=True),
+            json.dumps({**real, "nodes_explored": -2}, sort_keys=True),
+            json.dumps({**real, "timestamp": 1.7e9}, sort_keys=True),    # a field too many
+            "\ufeff" + json.dumps(real, sort_keys=True),                 # after a BOM
+            json.dumps([request], sort_keys=True),
+            json.dumps(request, sort_keys=True),
+            json.dumps(request, sort_keys=True)[:-1],
+            "x " + needle + " y",
+        ]
+    return pieces
+
+
+LOOKUP_PIECES = _lookup_pieces()
+REAL = json.dumps(la_exact(3, [BFLY], P2).to_json(), sort_keys=True)
+STALE = json.dumps({**json.loads(REAL), "nodes_explored": -1}, sort_keys=True)
+
+
+class TestCacheLookupAgainstReference:
+    """_cache_lookup against the line-by-line text lookup, on valid UTF-8 files."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(LOOKUP_BUDGETS),
+        st.lists(st.tuples(st.sampled_from(LOOKUP_PIECES), st.sampled_from(("\n", "\r", "\r\n"))),
+                 max_size=8),
+        st.booleans(),
+    )
+    @example(None, [], False)                                          # the empty file
+    @example(None, [(STALE, "\n"), (REAL, "\n")], False)               # the last record wins
+    @example(None, [(REAL, "\r"), (STALE, "\n")], False)
+    @example(None, [("this is not json", "\r"), (REAL, "\n")], False)  # \r ends a line
+    @example(None, [(STALE, "\n"), (REAL, "\r\n")], True)              # no final line end
+    def test_same_record_as_reference(self, budget, lines, unterminated):
+        text = "".join(piece + end for piece, end in lines)
+        if unterminated and lines:
+            text = text[: -len(lines[-1][1])]
+        params = _request(3, [BFLY], P2, budget)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cache.jsonl")
+            with open(path, "wb") as fh:
+                fh.write(text.encode("utf-8"))
+            assert _cache_lookup(path, params) == reference_cache_lookup(path, params)
+
+
+WRITER = """
+import sys
+from posetturan.posets import chain, named_poset
+from posetturan.search import cached_la_exact
+path, lo, hi = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+for budget in range(lo, hi):
+    cached_la_exact(3, [named_poset("butterfly")], chain(2), budget=budget, path=path)
+"""
+
+
+def test_concurrent_writers_leave_every_record_whole(tmp_path):
+    # Two processes append 200 reports each while this one keeps looking up.
+    path = str(tmp_path / "cache.jsonl")
+    expect = {b: la_exact(3, [BFLY], P2, b).to_json() for b in range(1, 401)}
+    env = dict(os.environ, PYTHONPATH=str(Path(posetturan.__file__).resolve().parents[1]))
+    writers = [
+        subprocess.Popen([sys.executable, "-c", WRITER, path, str(lo), str(lo + 200)],
+                         env=env, stderr=subprocess.PIPE)
+        for lo in (1, 201)
+    ]
+    rng = random.Random(5)
+    lookups = 0
+    try:
+        deadline = time.monotonic() + 120
+        while any(w.poll() is None for w in writers):
+            assert time.monotonic() < deadline, "writers did not finish"
+            budget = rng.randint(1, 400)
+            rec = _cache_lookup(path, _request(3, [BFLY], P2, budget))
+            assert rec is None or rec == expect[budget]
+            lookups += 1
+    finally:
+        for w in writers:
+            if w.poll() is None:
+                w.kill()
+    for w in writers:
+        _, err = w.communicate()
+        assert w.returncode == 0, err.decode()
+    assert lookups > 0
+    with open(path, "rb") as fh:
+        lines = fh.read().split(b"\n")
+    assert lines.pop() == b""
+    assert sorted(json.loads(line)["params"]["budget"] for line in lines) == list(range(1, 401))
+    size = os.path.getsize(path)
+    for budget, rec in expect.items():
+        assert cached_la_exact(3, [BFLY], P2, budget, path=path).to_json() == rec
+    assert os.path.getsize(path) == size  # every request was a hit
 
 
 class TestVerifyWitness:
