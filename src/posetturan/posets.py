@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-MAX_POSET_SIZE = 8  # isomorphism and canonical labelling backtrack over up to size! maps
+MAX_POSET_SIZE = 8  # canonical labelling backtracks over up to size! labellings
 
 
 class PosetError(ValueError):
@@ -45,7 +45,9 @@ class Poset:
                 memo[a] = 1 + max((climb(b) for b in ups), default=0)
             return memo[a]
 
-        return max((climb(a) for a in range(self.size)), default=0)
+        longest = max((climb(a) for a in range(self.size)), default=0)
+        del climb  # climb's closure holds climb: drop it, or each call leaves a cycle
+        return longest
 
     def is_chain(self) -> bool:
         return len(self.relations) == self.size * (self.size - 1) // 2
@@ -58,14 +60,8 @@ class Poset:
                 covers.add((a, b))
         return frozenset(covers)
 
-    def element_signature(self, a: int):
-        return (len(self.down_set(a)), len(self.up_set(a)))
-
-    def sorted_signature(self):
-        return tuple(sorted(self.element_signature(a) for a in range(self.size)))
-
     def canonical_relations(self):
-        return _canonical_relations(self.size, tuple(sorted(self.relations)))
+        return _canonical_form(self.size, tuple(sorted(self.relations)))[0]
 
     def canonical_key(self) -> str:
         rels = ";".join(f"{a}<{b}" for a, b in self.canonical_relations())
@@ -73,11 +69,12 @@ class Poset:
 
     def orbit_representatives(self) -> tuple:
         """The least element of each automorphism orbit, ascending."""
-        return _orbit_representatives(self)
+        return _canonical_form(self.size, tuple(sorted(self.relations)))[1]
 
 
 @lru_cache(maxsize=4096)
-def _canonical_relations(size, relations):
+def _canonical_form(size, relations):
+    """(least relabelled sorted relation list, least element of each orbit)."""
     # The least relabelled sorted relation list is the labelling whose 0/1
     # relation matrix, read row by row, is greatest. Labels are handed out in
     # order. The unlabelled elements form an ordered partition into cells that
@@ -85,13 +82,23 @@ def _canonical_relations(size, relations):
     # of the first cell whose row (its relations to the labelled elements,
     # then its up-set packed first in every cell) is greatest. Only the
     # labellings that win every step are compared.
+    if not relations:  # one orbit; walking its size! labellings would be slow
+        return (), tuple(range(min(size, 1)))
     up = [frozenset(b for a, b in relations if a == x) for x in range(size)]
-    orders = []
-
-    def extend(order, cells):
+    # The winning labellings are closed under automorphisms, and two that give
+    # the least list differ by one, so the orbit of the element labelled i is
+    # what the least-list labellings (best) put at label i.
+    least, best, stack = None, [], [([], [frozenset(range(size))])]
+    while stack:
+        order, cells = stack.pop()
         if not cells:
-            orders.append(order)
-            return
+            label = {x: i for i, x in enumerate(order)}
+            form = tuple(sorted((label[a], label[b]) for a, b in relations))
+            if least is None or form < least:
+                least, best = form, []
+            if form == least:
+                best.append(order)
+            continue
         rows = []
         for y in cells[0]:
             rest = [c for c in [cells[0] - {y}] + cells[1:] if c]
@@ -100,37 +107,8 @@ def _canonical_relations(size, relations):
         top = max(row for row, _, _ in rows)
         for row, y, rest in rows:
             if row == top:
-                extend(order + [y], [p for c in rest for p in (c & up[y], c - up[y]) if p])
-
-    if not relations:
-        return ()
-    extend([], [frozenset(range(size))])
-    labels = ({x: i for i, x in enumerate(order)} for order in orders)
-    return min(tuple(sorted((lab[a], lab[b]) for a, b in relations)) for lab in labels)
-
-
-@lru_cache(maxsize=256)
-def _orbit_representatives(p: Poset):
-    # Union-find over automorphisms: each pinned search either merges a's
-    # orbit with b's (and every other pair the automorphism found moves) or
-    # proves that no automorphism maps a to b.
-    parent = list(range(p.size))
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    for a in range(p.size):
-        for b in range(a + 1, p.size):
-            if find(a) == find(b):
-                continue
-            sigma = _isomorphism(p, p, pin=(a, b))
-            if sigma is not None:
-                for x, y in enumerate(sigma):
-                    rx, ry = find(x), find(y)
-                    parent[max(rx, ry)] = min(rx, ry)
-    return tuple(x for x in range(p.size) if find(x) == x)
+                stack.append((order + [y], [p for c in rest for p in (c & up[y], c - up[y]) if p]))
+    return least, tuple(sorted({min(order[i] for order in best) for i in range(size)}))
 
 
 def _check_size(m: int):
@@ -168,54 +146,8 @@ def dual_poset(p: Poset) -> Poset:
 
 
 def poset_isomorphic(p: Poset, q: Poset) -> bool:
-    """Order-isomorphism test by backtracking with degree/height invariants."""
-    return _isomorphism(p, q) is not None
-
-
-def _isomorphism(p: Poset, q: Poset, pin=None):
-    """An order isomorphism as a list (element a of p maps to entry a), or None.
-
-    ``pin=(a, b)`` restricts the search to isomorphisms mapping a to b.
-    """
-    if p.size != q.size or len(p.relations) != len(q.relations):
-        return None
-    if p.sorted_signature() != q.sorted_signature():
-        return None
-    sig_q = {}
-    for b in range(q.size):
-        sig_q.setdefault(q.element_signature(b), []).append(b)
-    if pin is not None and pin[1] not in sig_q.get(p.element_signature(pin[0]), ()):
-        return None
-
-    assignment = [-1] * p.size
-    used = [False] * q.size
-
-    def extend(a):
-        if a == p.size:
-            return True
-        if pin is not None and a == pin[0]:
-            pool = (pin[1],)
-        else:
-            pool = sig_q.get(p.element_signature(a), ())
-        for b in pool:
-            if used[b]:
-                continue
-            ok = True
-            for a2 in range(a):
-                b2 = assignment[a2]
-                if p.less(a, a2) != q.less(b, b2) or p.less(a2, a) != q.less(b2, b):
-                    ok = False
-                    break
-            if ok:
-                assignment[a] = b
-                used[b] = True
-                if extend(a + 1):
-                    return True
-                used[b] = False
-                assignment[a] = -1
-        return False
-
-    return assignment if extend(0) else None
+    """Order isomorphism: equal sizes and equal canonical relation lists."""
+    return p.size == q.size and p.canonical_relations() == q.canonical_relations()
 
 
 def chain(k: int) -> Poset:
@@ -314,12 +246,12 @@ def path_hasse_family(k: int, height_filter: int = None):
     """All posets on k elements whose undirected Hasse diagram is the k-path.
 
     Enumerates the up/down orientation of each path edge, closes transitively,
-    and dedupes by isomorphism.
+    and keeps the first poset of each isomorphism class.
     """
     if not 2 <= k <= 8:
         raise PosetError(f"path family supported for 2 <= k <= 8, got {k}")
     path_edges = {(i, i + 1) for i in range(k - 1)}
-    found = []
+    found = {}  # canonical relations -> first poset with them
     for bits in range(1 << (k - 1)):
         rels = []
         for i in range(k - 1):
@@ -331,9 +263,8 @@ def path_hasse_family(k: int, height_filter: int = None):
         hasse = {tuple(sorted(e)) for e in p.hasse_edges()}
         if hasse != path_edges:  # cannot happen for paths; asserted anyway
             raise PosetError("orientation closure collapsed a Hasse edge")
-        if not any(poset_isomorphic(p, q) for q in found):
-            found.append(p)
-    found.sort(key=lambda p: (p.height(), p.canonical_relations()))
+        found.setdefault(p.canonical_relations(), p)
+    found = sorted(found.values(), key=lambda p: (p.height(), p.canonical_relations()))
     if height_filter is not None:
         found = [p for p in found if p.height() == height_filter]
     return found

@@ -481,8 +481,11 @@ def _all_zigzags(n, length=6):
                 yield from extend(seq)
                 seq.pop()
 
-    for start in range(1 << n):
-        yield from extend([start])
+    try:
+        for start in range(1 << n):
+            yield from extend([start])
+    finally:
+        del extend  # extend's closure holds extend: drop it, or each call leaves a cycle
 
 
 def verify_zigzag(seed: int = 0) -> LemmaReport:

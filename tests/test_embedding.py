@@ -22,16 +22,20 @@ from posetturan.lattice import (
     level_family,
 )
 from posetturan.posets import (
+    _canonical_form,
     chain,
     crown,
     dual_poset,
+    fork,
     kst,
     n_poset,
     named_poset,
+    path_hasse_family,
+    poset_isomorphic,
     s_poset,
     w_poset,
 )
-from posetturan.proofcheck import _find_graph_path, _max_antichain
+from posetturan.proofcheck import _all_zigzags, _find_graph_path, _max_antichain
 from posetturan.search import la_exact
 
 BFLY = named_poset("butterfly")
@@ -273,6 +277,14 @@ def test_searches_leave_no_garbage():
         "la_exact": lambda x: la_exact(2, [BFLY], chain(2)),
         "_find_graph_path": lambda x: _find_graph_path(components, 6),
         "_max_antichain": lambda x: _max_antichain(small),
+        "_all_zigzags": lambda x: next(_all_zigzags(3)),
+        "height": lambda x: s_poset().height(),
+        "path_hasse_family": lambda x: path_hasse_family(5),
+        "poset_isomorphic": lambda x: poset_isomorphic(BFLY, dual_poset(BFLY)),
+        # a cleared cache makes every call compute the canonical form afresh
+        "orbit_representatives": lambda x: (_canonical_form.cache_clear(),
+                                            fork(4).orbit_representatives()),
+        "canonical_key": lambda x: (_canonical_form.cache_clear(), w_poset().canonical_key()),
     }
     for search in searches.values():
         search(0)

@@ -87,6 +87,20 @@ class TestIsomorphism:
     def test_different_relation_counts(self):
         assert not poset_isomorphic(chain(3), fork(2))
 
+    def test_random_pairs_match_permutation_scan(self):
+        # half the pairs are relabelled copies; the rest may differ in size
+        rng = random.Random(47)
+        for i in range(160):
+            p = random_poset(rng, 0, 7)
+            q = relabelled(rng, p) if i % 2 else random_poset(rng, max(0, p.size - 1), p.size + 1)
+            same = (p.size, brute_canonical_relations(p)) == (q.size, brute_canonical_relations(q))
+            assert poset_isomorphic(p, q) == same
+
+    def test_antichains_differ_only_by_size(self):
+        antichains = [poset_from_relations(m, []) for m in range(MAX_POSET_SIZE + 1)]
+        for p, q in itertools.product(antichains, repeat=2):
+            assert poset_isomorphic(p, q) == (p.size == q.size)
+
 
 class TestCatalog:
     def test_chain(self):
@@ -181,12 +195,36 @@ class TestPathHasseFamily:
         assert len(h2) == 1
         assert poset_isomorphic(dual_poset(h2[0]), h2[0])
 
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_keeps_the_first_orientation_of_each_class(self, k):
+        # edge i points up iff bit i is set; classes found by permutation scan
+        first = {}
+        for bits in range(1 << (k - 1)):
+            rels = [(i, i + 1) if bits >> i & 1 else (i + 1, i) for i in range(k - 1)]
+            p = poset_from_relations(k, rels)
+            first.setdefault(brute_canonical_relations(p), p.relations)
+        assert {p.relations for p in path_hasse_family(k)} == set(first.values())
+
     def test_k_out_of_range(self):
         with pytest.raises(PosetError):
             path_hasse_family(9)
 
     def test_k8_size(self):
         assert len(path_hasse_family(8)) == orbit_count(8) == 64
+
+
+def random_poset(rng, lo, hi):
+    """A random poset of lo..hi elements, its labels shuffled."""
+    m = rng.randint(lo, hi)
+    density = rng.random()
+    rels = [(a, b) for a in range(m) for b in range(a + 1, m) if rng.random() < density]
+    perm = rng.sample(range(m), m)
+    return poset_from_relations(m, [(perm[a], perm[b]) for a, b in rels])
+
+
+def relabelled(rng, p):
+    perm = rng.sample(range(p.size), p.size)
+    return poset_from_relations(p.size, [(perm[a], perm[b]) for a, b in p.relations])
 
 
 def brute_canonical_relations(p):
@@ -201,11 +239,7 @@ class TestCanonicalRelations:
     def test_random_posets_match_permutation_scan(self):
         rng = random.Random(41)
         for _ in range(300):
-            m = rng.randint(1, 6)
-            density = rng.random()
-            rels = [(a, b) for a in range(m) for b in range(a + 1, m) if rng.random() < density]
-            perm = rng.sample(range(m), m)
-            p = poset_from_relations(m, [(perm[a], perm[b]) for a, b in rels])
+            p = random_poset(rng, 1, 6)
             assert p.canonical_relations() == brute_canonical_relations(p)
 
     @pytest.mark.parametrize("p", (fork(7), kst(4, 4), crown(4), diamond(6), chain(8),
@@ -217,9 +251,7 @@ class TestCanonicalRelations:
     def test_relabelling_invariant(self):
         rng = random.Random(43)
         for p in path_hasse_family(7):
-            perm = rng.sample(range(7), 7)
-            q = poset_from_relations(7, [(perm[a], perm[b]) for a, b in p.relations])
-            assert q.canonical_key() == p.canonical_key()
+            assert relabelled(rng, p).canonical_key() == p.canonical_key()
 
     def test_antichain(self):
         assert poset_from_relations(3, []).canonical_relations() == ()
@@ -275,11 +307,14 @@ class TestOrbits:
         assert len(kst(4, 4).orbit_representatives()) == 2
         for k in range(1, 9):
             assert chain(k).orbit_representatives() == tuple(range(k))
+            assert poset_from_relations(k, []).orbit_representatives() == (0,)
+        assert poset_from_relations(0, []).orbit_representatives() == ()
 
     @pytest.mark.parametrize("p", [
         kst(2, 2), kst(4, 4), kst(2, 5), n_poset(), w_poset(), m_poset(), s_poset(),
         crown(3), crown(4), fork(4), diamond(3), poset_from_relations(5, [(0, 1), (2, 3)]),
         poset_from_relations(6, []), *path_hasse_family(6),
+        *(random_poset(random.Random(53 + i), 1, 7) for i in range(24)),
     ])
     def test_every_element_is_an_image_of_a_representative(self, p):
         reps = p.orbit_representatives()
