@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -30,8 +31,7 @@ from .lattice import (
 from .formulas import katona_nagy, sublattice
 from .posets import m_poset, n_poset, path_hasse_family, w_poset
 
-MAX_COLOR_N = 12  # color_family and zigzag_find_WM read the 2^n-member cached lattice
-MAX_CRITICAL_CHAIN_N = 8  # critical-pair check: quadratic in up to n * 2^(n-1) critical pairs
+MAX_COLOR_N = 12  # coloring, critical-pair and zigzag checks read the 2^n-member cached lattice
 
 
 class NotFreeError(ValueError):
@@ -81,17 +81,19 @@ def check_one_critical_pair_per_chain(n: int, coloring: Coloring) -> bool:
 
     Two critical pairs can share a full chain only if all four sets nest, so it
     suffices to test whether any pair's red top fits inside another pair's blue
-    bottom. (The n! chains are never materialized; tests cross-check against a
-    permutation enumeration at small n.)
+    bottom: one bitset of the bottoms, tested against each top's up-set. (The n!
+    chains are never materialized; tests cross-check against a permutation
+    enumeration at small n.)
     """
-    if n > MAX_CRITICAL_CHAIN_N:
-        raise ValueError(f"critical-pair chain check requires n <= {MAX_CRITICAL_CHAIN_N}")
-    pairs = coloring.critical_pairs
-    for _, gp in pairs:
-        for g2, _ in pairs:
-            if gp & g2 == gp:
-                return False
-    return True
+    if n > MAX_COLOR_N:
+        raise ValueError(f"critical-pair chain check requires n <= {MAX_COLOR_N}")
+    if coloring.n != n:
+        raise ValueError("coloring dimension mismatch")
+    above = cached_lattice(n).above
+    bottoms = 0
+    for g, _ in coloring.critical_pairs:
+        bottoms |= 1 << g
+    return not any((above[gp] | 1 << gp) & bottoms for _, gp in coloring.critical_pairs)
 
 
 @dataclass(frozen=True)
@@ -133,32 +135,29 @@ class ZigzagWitness:
 
 
 def _zigzag_dirs(seq):
+    """(dirs, start, length, direction) in one pass over the sequence.
+
+    ``dirs`` holds each step's direction, 1 up or -1 down; the rest describe the
+    first longest constant-direction run, its length counted in sets.
+    """
     dirs = []
-    for a, b in zip(seq, seq[1:]):
+    best = (0, 1, 0)
+    begin = prev = 0
+    for i, (a, b) in enumerate(zip(seq, seq[1:])):
         if a == b:
             raise ValueError("sequence elements must be distinct")
         if a & b == a:
-            dirs.append(1)
+            d = 1
         elif a & b == b:
-            dirs.append(-1)
+            d = -1
         else:
             raise ValueError("consecutive sets must be comparable")
-    return dirs
-
-
-def _longest_run(dirs):
-    """(start, length, direction) of the first longest constant-direction run."""
-    best = (0, 1, dirs[0])
-    i = 0
-    while i < len(dirs):
-        j = i
-        while j + 1 < len(dirs) and dirs[j + 1] == dirs[i]:
-            j += 1
-        length = j - i + 2  # elements, not edges
-        if length > best[1]:
-            best = (i, length, dirs[i])
-        i = j + 1
-    return best
+        if d != prev:
+            begin, prev = i, d
+        dirs.append(d)
+        if i - begin + 2 > best[1]:
+            best = (begin, i - begin + 2, d)
+    return (dirs, *best)
 
 
 def zigzag_find_WM(n: int, seq) -> ZigzagWitness:
@@ -168,19 +167,27 @@ def zigzag_find_WM(n: int, seq) -> ZigzagWitness:
     re-verifies the selection with the embedding engine. A 5-chain hosts both
     posets and is reported as W.
     """
+    return _find_WM(n, seq)[0]
+
+
+def _find_WM(n, seq):
+    """(zigzag_find_WM's witness, the length of the sequence's longest chain run)."""
     seq = list(seq)
     if len(seq) != 6 or len(set(seq)) != 6:
         raise ValueError("need 6 distinct sets")
-    if not 1 <= n <= MAX_COLOR_N or not all(0 <= s < 1 << n for s in seq):
+    if not 1 <= n <= MAX_COLOR_N or min(seq) < 0 or max(seq) >= 1 << n:
         raise ValueError(f"need subsets of [n] with 1 <= n <= {MAX_COLOR_N}")
-    dirs = _zigzag_dirs(seq)
-    start, m, direction = _longest_run(dirs)
+    dirs, start, m, direction = _zigzag_dirs(seq)
+    return _zigzag_select(n, seq, dirs, start, m, direction), m
+
+
+def _zigzag_select(n, seq, dirs, start, m, direction):
     if m >= 5:
         witness = ZigzagWitness("W", tuple(range(start, start + 5)))
     elif direction == -1:
         # order-reverse via complementation, solve ascending, swap the label
         full = (1 << n) - 1
-        flipped = zigzag_find_WM(n, [full ^ s for s in seq])
+        flipped = _zigzag_select(n, [full ^ s for s in seq], [-d for d in dirs], start, m, 1)
         witness = ZigzagWitness("W" if flipped.which == "M" else "M", flipped.indices)
     else:
         witness = _zigzag_ascending(seq, dirs, start, m)
@@ -209,9 +216,28 @@ def _zigzag_ascending(seq, dirs, start, m):
     return ZigzagWitness("M" if dirs[0] == 1 else "W", (0, 1, 2, 3, 4))
 
 
+# (poset size, poset relations, containment order of the selection) -> hosts
+_HOSTS = {}
+
+
 def _hosts(n, poset, masks) -> bool:
-    """Whether the subsets ``masks`` of [n] host the poset."""
-    return find_embedding(cached_lattice(n), poset, sum(1 << m for m in masks)) is not None
+    """Whether the distinct subsets ``masks`` of [n] host the poset.
+
+    The answer depends only on which mask contains which, so the engine runs
+    once per poset and containment order. The order is one int of the k^2 bits
+    ``a & b == a`` over ordered pairs of positions; its leading bit (the first
+    mask against itself) is always set, so the int also fixes k.
+    """
+    order = 0
+    for a in masks:
+        for b in masks:
+            order = order << 1 | (a & b == a)
+    key = (poset.size, poset.relations, order)
+    hit = _HOSTS.get(key)
+    if hit is None:
+        within = sum(1 << m for m in masks)
+        hit = _HOSTS[key] = find_embedding(cached_lattice(n), poset, within) is not None
+    return hit
 
 
 def erdos_gallai_check(components: ComparabilityComponents) -> bool:
@@ -458,12 +484,23 @@ def random_zigzag(rng, n, length=6):
         raise ValueError(f"no sequence of {length} distinct subsets of [{n}]")
     near = _comparable_masks(n)
     while True:
-        seq = [rng.randrange(1 << n)]
+        last = rng.randrange(1 << n)
+        seq = [last]
         for _ in range(length - 1):
-            options = [m for m in near[seq[-1]] if m not in seq]
-            if not options:
+            # draw the k-th of near[last] minus the earlier sets, without building that list
+            options = near[last]
+            taken = [bisect_left(options, s) for s in seq[:-1] if s & last in (s, last)]
+            count = len(options) - len(taken)
+            if not count:
                 break
-            seq.append(rng.choice(options))
+            k = rng.randrange(count)  # the same draw rng.choice makes from a list of count
+            taken.sort()
+            for p in taken:
+                if p > k:
+                    break
+                k += 1
+            last = options[k]
+            seq.append(last)
         if len(seq) == length:
             return seq
 
@@ -501,10 +538,10 @@ def verify_zigzag(seed: int = 0) -> LemmaReport:
 
     def check(n, seq):
         try:
-            zigzag_find_WM(n, seq)
+            run = _find_WM(n, seq)[1]
         except AssertionError as exc:
             return f"n={n} seq={seq}: {exc}"
-        if _longest_run(_zigzag_dirs(seq))[1] == 2:
+        if run == 2:
             lo, hi = seq[:5], seq[1:]
             split = (_hosts(n, m, lo) and _hosts(n, w, hi)) or (
                 _hosts(n, w, lo) and _hosts(n, m, hi)

@@ -4,14 +4,18 @@ from fractions import Fraction
 
 import pytest
 
+from posetturan import proofcheck
 from posetturan.cli import run_command
 from posetturan.constructions import middle_two_levels, p5_construction
+from posetturan.embedding import find_embedding
 from posetturan.lattice import SetFamily, comparability_components, full_lattice, level_family
-from posetturan.posets import m_poset, w_poset
+from posetturan.posets import chain, m_poset, n_poset, w_poset
 from posetturan.proofcheck import (
+    Coloring,
     LemmaReport,
     NotFreeError,
     _all_zigzags,
+    _hosts,
     _run_suite,
     check_one_critical_pair_per_chain,
     classify_nfree_components,
@@ -101,6 +105,47 @@ class TestColoring:
             )
 
 
+def hand_coloring(n, pairs):
+    """A Coloring carrying only the given critical pairs (no family, no blue sets)."""
+    return Coloring(n, SetFamily(n, []), 1, frozenset(), tuple(pairs))
+
+
+class TestCriticalPairCheck:
+    """Hand-built critical pairs: color_family only yields down-sets, which always pass."""
+
+    @pytest.mark.parametrize("pairs, ok", [
+        (((0, 1), (3, 7)), False),  # 0 < 1 < 3 < 7 is one chain through both pairs
+        (((0, 1), (1, 3)), False),  # the top of one pair is the bottom of the other
+        (((1, 3), (0, 1)), False),
+        (((0, 1), (2, 6)), True),   # {1} and {2, 3} are incomparable
+        (((1, 3), (2, 3)), True),   # a shared top: no chain holds both bottoms
+        (((0, 1),), True),
+        ((), True),
+    ])
+    def test_examples(self, pairs, ok):
+        col = hand_coloring(3, pairs)
+        assert check_one_critical_pair_per_chain(3, col) is ok
+        assert brute_one_pair_per_chain(3, col) is ok
+
+    def test_random_pair_lists_match_permutation_oracle(self):
+        rng = random.Random(23)
+        seen = set()
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            steps = [(g, g | 1 << i) for g in range(1 << n) for i in range(n) if not g >> i & 1]
+            col = hand_coloring(n, rng.sample(steps, rng.randint(0, min(4, len(steps)))))
+            expect = brute_one_pair_per_chain(n, col)
+            assert check_one_critical_pair_per_chain(n, col) is expect
+            seen.add(expect)
+        assert seen == {True, False}
+
+    def test_dimension_checks(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            check_one_critical_pair_per_chain(4, hand_coloring(3, [(0, 1)]))
+        with pytest.raises(ValueError, match="n <= 12"):
+            check_one_critical_pair_per_chain(13, hand_coloring(13, [(0, 1)]))
+
+
 class TestNFreeComponents:
     def test_star_classification(self):
         classes = classify_nfree_components(SetFamily(3, [0, 1, 2, 4]))
@@ -140,8 +185,6 @@ class TestZigzag:
     def test_selection_embeds(self):
         seq = [0, 3, 2, 6, 4, 5]
         wit = zigzag_find_WM(3, seq)
-        from posetturan.embedding import find_embedding
-
         chosen = SetFamily(3, [seq[i] for i in wit.indices])
         target = w_poset() if wit.which == "W" else m_poset()
         assert find_embedding(chosen, target) is not None
@@ -162,6 +205,86 @@ class TestZigzag:
             zigzag_find_WM(2, [0, 1, 3, 7, 15, 31])
         with pytest.raises(ValueError, match="subsets of"):
             zigzag_find_WM(13, [0, 1, 3, 7, 15, 31])
+
+
+def engine_hosts(n, poset, masks):
+    """_hosts without the memo or the cached lattice: search the selection itself."""
+    return find_embedding(SetFamily(n, masks), poset) is not None
+
+
+W_SHAPE = [5, 1, 3, 2, 6]  # b = {1} < a = {1, 3}, c = {1, 2}; d = {2} < c, e = {2, 3}
+
+
+class TestHosts:
+    def test_w_shape_hosts_w_only(self):
+        # same containment order, different posets: the memo key keeps the poset
+        assert _hosts(3, w_poset(), W_SHAPE)
+        assert not _hosts(3, m_poset(), W_SHAPE)
+
+    def test_complement_reverses_the_answer(self):
+        # the complements have the same comparabilities in reverse: the key keeps the direction
+        flipped = [7 ^ s for s in W_SHAPE]
+        assert _hosts(3, m_poset(), flipped)
+        assert not _hosts(3, w_poset(), flipped)
+
+    def test_antichain_hosts_neither(self):
+        antichain = [3, 5, 6, 9, 10]  # 2-subsets of [4]
+        assert not _hosts(4, w_poset(), antichain)
+        assert not _hosts(4, m_poset(), antichain)
+
+    def test_chains(self):
+        # a weak embedding: a 5-chain hosts every 5-element poset, a 4-chain none of them
+        five = [0, 1, 3, 7, 15]
+        assert _hosts(4, w_poset(), five) and _hosts(4, m_poset(), five)
+        assert not _hosts(4, w_poset(), five[:4]) and not _hosts(4, chain(5), five[:4])
+        assert _hosts(4, n_poset(), five[:4])
+
+    def test_random_selections_match_the_engine(self):
+        rng = random.Random(31)
+        posets = (w_poset(), m_poset(), n_poset(), chain(3))
+        seen = set()
+        for n in range(3, 9):
+            for _ in range(150):
+                if rng.random() < 0.5:
+                    masks = random_zigzag(rng, n)[:5]
+                else:
+                    masks = rng.sample(range(1 << n), 5)
+                for poset in posets:
+                    expect = engine_hosts(n, poset, masks)
+                    assert _hosts(n, poset, masks) is expect, (n, masks, poset)
+                    seen.add(expect)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_zigzag_check_matches_the_engine(self, seed, monkeypatch):
+        calls = []
+
+        def recorded(n, poset, masks):
+            got = _hosts(n, poset, masks)
+            calls.append((n, poset, tuple(masks), got))
+            return got
+
+        monkeypatch.setattr(proofcheck, "_hosts", recorded)
+        assert verify_zigzag(seed).failures == 0
+        assert len(calls) > 12148
+        reference = {}
+        for n, poset, masks, got in calls:
+            key = (poset, frozenset(masks))
+            if key not in reference:
+                reference[key] = engine_hosts(n, poset, masks)
+            assert got is reference[key], (n, masks, poset)
+
+    def test_one_engine_search_per_containment_order(self, monkeypatch):
+        searches = []
+
+        def counted(*args, **kwargs):
+            searches.append(args[1])
+            return find_embedding(*args, **kwargs)
+
+        monkeypatch.setattr(proofcheck, "_HOSTS", {})
+        monkeypatch.setattr(proofcheck, "find_embedding", counted)
+        assert verify_zigzag(0).failures == 0
+        assert len(searches) == len(proofcheck._HOSTS) < 2000
 
 
 def scan_zigzag(rng, n, length=6):
