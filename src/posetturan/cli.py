@@ -43,11 +43,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--forbid", required=True, metavar="POSETSPEC")
     p.add_argument("--pretty", action="store_true")
 
-    p = sub.add_parser("search", help="exact La(n, forbidden, #Q) by search")
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("search", help="exact La(n, forbidden, #Q) by search, 1 <= n <= 6")
+    p.add_argument("--n", type=int, required=True, help="ground set size, 1 <= n <= 6")
     p.add_argument("--forbid", required=True, metavar="POSETSPEC")
     p.add_argument("--q", required=True, metavar="POSETSPEC")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument(
+        "--budget", type=int, default=None,
+        help="stop after this many search nodes and report complete=false (optional)",
+    )
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("--pretty", action="store_true")
 

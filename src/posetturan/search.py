@@ -5,15 +5,20 @@ import itertools
 import json
 import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .embedding import count_copies, embedding_using_member, is_free
 from .lattice import SetFamily, cached_lattice, iter_bits, level_family
 from .formulas import chain_count_in_levels
-from .posets import Poset
+from .posets import Poset, dual_poset
 
 DEFAULT_WITNESS_CAP = 16
 CACHE_ENV_VAR = "TURAN_CACHE"
 DEFAULT_CACHE_FILE = "turan-cache.jsonl"
+
+MAX_EXACT_SEARCH_N = 6  # la_exact: 18-90 s per paper problem at n = 6 (2 vCPUs); 2^128 families at n = 7
+MAX_LEVEL_SEARCH_N = 16  # la_levels: 2^(n+1) level tuples
+MAX_LEVEL_GENERIC_N = 10  # la_levels with non-chain P: an embedding search per level union
 
 
 @dataclass
@@ -38,8 +43,10 @@ class SearchReport:
 
 
 def _check_request(n: int, budget):
-    if not 1 <= n <= 5 or (n == 5 and budget is None):
-        raise ValueError(f"exact search supports 1 <= n <= 4, or n = 5 with a budget; got n={n}")
+    if not 1 <= n <= MAX_EXACT_SEARCH_N:
+        raise ValueError(
+            f"exact search supports 1 <= n <= {MAX_EXACT_SEARCH_N}, with an optional budget; got n={n}"
+        )
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
 
@@ -52,79 +59,161 @@ def _request(n: int, forbidden, q: Poset, budget) -> dict:
         "q": q.canonical_key(),
         "budget": budget,
         "witness_cap": DEFAULT_WITNESS_CAP,
+        "search": "orbital",
     }
+
+
+@lru_cache(maxsize=None)
+def _permutation_tables(n: int) -> tuple:
+    """S_n acting on 2^[n]: per permutation of [n], the table mask -> image mask."""
+    tables = []
+    for perm in itertools.permutations(range(n)):
+        table = [0] * (1 << n)
+        for m in range(1, 1 << n):
+            low = m & -m
+            table[m] = table[m ^ low] | 1 << perm[low.bit_length() - 1]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+def _symmetry_group(n: int, forbidden, q: Poset) -> tuple:
+    """The symmetries of 2^[n] that map the search problem to itself, as mask tables.
+
+    Permuting [n] keeps containment. Complementing every set reverses it, so
+    it maps a P-free family to a P^d-free one and its copies of Q to copies of
+    Q^d: it is a symmetry when the forbidden list is closed under duality and
+    Q is self-dual.
+    """
+    tables = _permutation_tables(n)
+    if (sorted(p.canonical_key() for p in forbidden)
+            == sorted(dual_poset(p).canonical_key() for p in forbidden)
+            and q.canonical_key() == dual_poset(q).canonical_key()):
+        full = (1 << n) - 1
+        tables += tuple(tuple(full ^ image for image in table) for table in tables)
+    return tables
 
 
 def la_exact(n: int, forbidden, q: Poset, budget: int = None) -> SearchReport:
     """Exact maximum Q-copy count over forbidden-free subfamilies of 2^[n].
 
-    Depth-first inclusion/exclusion over lattice elements, middle levels first.
-    Branches are cut when the current family already embeds a forbidden poset,
-    or when the admissible bound (copies in current plus remaining) cannot beat
-    the best value found. For Q = P2 the bound is counted once, at the root, and
-    excluding x subtracts the remaining members comparable to x; other Q recount
-    it lazily. Neither this nor the degree filter of embedding_using_member
-    changes the nodes explored or the report. n <= 4 always completes; n = 5
-    requires a node budget of at least 1, stops after exactly that many nodes,
-    and reports complete=False if it ran out.
+    Branch-and-bound over the masks of 2^[n]. A node holds the included masks
+    (chosen), chosen plus the undecided masks (avail), the copies of Q in avail
+    (the bound) and H, the symmetries of the problem (``_symmetry_group``) that
+    fix chosen and avail setwise.
+
+    - Dynamic branching: the node branches on the undecided mask with the most
+      members of avail comparable to it, the least such mask on ties.
+    - Propagation: including x drops every undecided y for which chosen, x and
+      y hold a forbidden poset. So every undecided mask can join chosen, and
+      including one needs no check; the root propagates once from the empty
+      family, which drops every mask when a one-element poset is forbidden.
+    - Orbital branching (Ostrowski, Linderoth, Rossi and Smriglio, Math.
+      Programming 126, 2011): excluding x excludes its whole H-orbit, since
+      some element of H maps any family that meets the orbit onto one that
+      holds x, with the same value.
+    - Bound: a node is cut only when its bound is below the best value found,
+      so every optimal family keeps an image in the tree. For Q = P2 the
+      bound is counted once and each removed mask subtracts the members of
+      avail comparable to it; other Q recount it lazily.
+
+    The witnesses are the DEFAULT_WITNESS_CAP lexicographically least optimal
+    families: the images under the group of the leaves that reach the optimum,
+    streamed into the least few. n <= 6 is supported: each paper problem
+    takes under a second at n = 5 and 18-90 s at n = 6. A budget stops the
+    search after exactly that many nodes, with complete=False if it ran out.
     """
     forbidden = list(forbidden)
     _check_request(n, budget)
-    order = sorted(range(1 << n), key=lambda m: (abs(m.bit_count() - n / 2), m))
     # One family for the whole search: member index = mask.
     universe = cached_lattice(n)
-    above, below = universe.above, universe.below
+    near = [up | down for up, down in zip(universe.above, universe.below)]
     pairs = q.is_chain() and q.size == 2
+    group = _symmetry_group(n, forbidden, q)
 
-    state = {"nodes": 0, "complete": True, "best": -1, "witnesses": []}
+    state = {"nodes": 0, "complete": True, "best": -1, "leaves": []}
 
-    def rec(pos, chosen, avail, bound):
-        # chosen: bitset of the included masks; avail: bitset of chosen plus order[pos:];
-        # bound: the copies of Q in avail; for Q other than P2, None until some node needs it.
+    def drop(avail, bound, masks):
+        # avail without masks, and its bound: for Q = P2 each removed mask takes
+        # the 2-chains through it that remain; other Q recount when needed.
+        if not masks:
+            return avail, bound
+        for y in iter_bits(masks):
+            avail ^= 1 << y
+            if pairs:
+                bound -= (avail & near[y]).bit_count()
+        return avail, bound if pairs else None
+
+    def propagate(chosen, avail, bound):
+        # drop the undecided masks that would complete a forbidden poset with chosen
+        dead = 0
+        for y in iter_bits(avail & ~chosen):
+            within = chosen | 1 << y
+            if any(embedding_using_member(universe, p, y, within) is not None for p in forbidden):
+                dead |= 1 << y
+        return (*drop(avail, bound, dead), dead)
+
+    def rec(chosen, avail, bound, h):
+        # bound: the copies of Q in avail, or None until some node needs it;
+        # h: the group elements that map chosen and avail onto themselves
         if budget is not None and state["nodes"] >= budget:
             state["complete"] = False
             return
         state["nodes"] += 1
-        if pos == len(order):
-            # no masks remain, so avail is exactly chosen
+        free = avail & ~chosen
+        if not free:
             value = count_copies(universe, q, avail) if bound is None else bound
             if value > state["best"]:
                 state["best"] = value
-                state["witnesses"] = [tuple(iter_bits(chosen))]
+                state["leaves"] = [chosen]
             elif value == state["best"]:
-                state["witnesses"].append(tuple(iter_bits(chosen)))
+                state["leaves"].append(chosen)
             return
         if state["best"] >= 0:
             if bound is None:
                 bound = count_copies(universe, q, avail)
             if bound < state["best"]:
                 return
-            if bound == state["best"] and len(state["witnesses"]) >= DEFAULT_WITNESS_CAP:
-                return
-        x = order[pos]
-        within = chosen | 1 << x
-        if not any(embedding_using_member(universe, p, x, within) is not None for p in forbidden):
-            # including x leaves chosen plus remaining, hence the bound, unchanged
-            rec(pos + 1, within, avail, bound)
-        rest = avail & ~(1 << x)
-        # for Q = P2, excluding x loses exactly the 2-chains through x in rest
-        child = bound - (rest & (above[x] | below[x])).bit_count() if pairs else None
-        rec(pos + 1, chosen, rest, child)
+        x = max(iter_bits(free), key=lambda y: (avail & near[y]).bit_count())
+        included = chosen | 1 << x
+        child_avail, child_bound, dead = propagate(included, avail, bound)
+        dead_masks = tuple(iter_bits(dead))
+        stabiliser = [g for g in h if g[x] == x and all(dead >> g[d] & 1 for d in dead_masks)]
+        rec(included, child_avail, child_bound, stabiliser)
+        orbit = 0
+        for g in h:
+            orbit |= 1 << g[x]
+        rec(chosen, *drop(avail, bound, orbit), h)
 
     full = (1 << (1 << n)) - 1
-    rec(0, 0, full, count_copies(universe, q, full) if pairs else None)
+    avail, bound, _ = propagate(0, full, count_copies(universe, q, full) if pairs else None)
+    rec(0, avail, bound, group)
     del rec  # rec's closure holds rec: drop it, or each call leaves a cycle
     return SearchReport(
         optimum=state["best"],
-        witnesses=sorted(set(state["witnesses"]))[:DEFAULT_WITNESS_CAP],
+        witnesses=_least_images(state["leaves"], group),
         nodes_explored=state["nodes"],
         complete=state["complete"],
         params=_request(n, forbidden, q, budget),
     )
 
 
-MAX_LEVEL_SEARCH_N = 16  # la_levels: 2^(n+1) level tuples
-MAX_LEVEL_GENERIC_N = 10  # la_levels with non-chain P: an embedding search per level union
+def _least_images(leaves, group) -> list:
+    """The DEFAULT_WITNESS_CAP least distinct images of the leaves under the group.
+
+    Images are sorted mask tuples, compared lexicographically. They are
+    streamed, so at most the cap of them is kept at a time.
+    """
+    least = []  # ascending
+    for leaf in leaves:
+        members = tuple(iter_bits(leaf))
+        for g in group:
+            image = tuple(sorted(map(g.__getitem__, members)))
+            if len(least) == DEFAULT_WITNESS_CAP and image >= least[-1] or image in least:
+                continue
+            least.append(image)
+            least.sort()
+            del least[DEFAULT_WITNESS_CAP:]
+    return least
 
 
 def la_levels(n: int, forbidden, q: Poset) -> SearchReport:

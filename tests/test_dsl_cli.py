@@ -247,7 +247,7 @@ class TestCli:
             proc = run_cli_process("search", "--n", n, "--forbid", "@N", "--q", "@chain(2)", *extra)
             assert proc.returncode == 2 and proc.stdout == ""
             assert "Traceback" not in proc.stderr
-            assert proc.stderr.startswith("error: exact search supports 1 <= n <= 4")
+            assert proc.stderr.startswith("error: exact search supports 1 <= n <= 6")
         assert not cache.exists()
 
     def test_search_budget_is_exact(self, capsys):

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import posetturan
+from posetturan import formulas
 
 from posetturan.dsl import parse_poset_dsl
 from posetturan.embedding import count_copies, is_free
@@ -23,7 +24,9 @@ from posetturan.search import (
     DEFAULT_WITNESS_CAP,
     SearchReport,
     _cache_lookup,
+    _permutation_tables,
     _request,
+    _symmetry_group,
     cached_la_exact,
     la_exact,
     la_levels,
@@ -36,20 +39,30 @@ P2 = chain(2)
 
 
 def brute_la(n, forbidden, q):
-    """Exhaustive scan over all 2^(2^n) subfamilies."""
-    best = -1
+    """Exhaustive scan over all 2^(2^n) subfamilies.
+
+    Returns the optimum and the DEFAULT_WITNESS_CAP lexicographically least
+    optimal families, as sorted mask tuples.
+    """
+    best, optimal = -1, []
     for bits in range(1 << (1 << n)):
         fam = SetFamily(n, [m for m in range(1 << n) if bits >> m & 1])
         if is_free(fam, forbidden):
-            best = max(best, count_copies(fam, q))
-    return best
+            value = count_copies(fam, q)
+            if value > best:
+                best, optimal = value, []
+            if value == best:
+                optimal.append(fam.members)
+    return best, sorted(optimal)[:DEFAULT_WITNESS_CAP]
 
 
-def reference_la_exact(n, forbidden, q, budget=None):
-    """la_exact as it was before the incremental P2 bound and the degree filter.
+def reference_la_exact(n, forbidden, q):
+    """The optimum as la_exact found it before orbital branching, the
+    incremental P2 bound and the degree filter: the differential reference.
 
-    Every excluding child recounts its bound with chain_count over all of
-    avail, and every forced embedding search runs.
+    It branches on the masks in a static order, middle levels first, checks
+    each inclusion with a forced embedding search that tries every orbit, and
+    recounts the bound of every excluding child over all of avail.
     """
     forbidden = list(forbidden)
     order = sorted(range(1 << n), key=lambda m: (abs(m.bit_count() - n / 2), m))
@@ -60,43 +73,26 @@ def reference_la_exact(n, forbidden, q, budget=None):
     else:
         def copies(avail):
             return count_copies(SetFamily(n, iter_bits(avail)), q)
-
-    state = {"nodes": 0, "complete": True, "best": -1, "witnesses": []}
+    best = -1
 
     def rec(pos, chosen, avail, bound):
-        if budget is not None and state["nodes"] >= budget:
-            state["complete"] = False
-            return
-        state["nodes"] += 1
+        # bound: the copies of Q in avail, which is chosen plus order[pos:]
+        nonlocal best
         if pos == len(order):
-            value = copies(avail) if bound is None else bound
-            if value > state["best"]:
-                state["best"] = value
-                state["witnesses"] = [tuple(iter_bits(chosen))]
-            elif value == state["best"]:
-                state["witnesses"].append(tuple(iter_bits(chosen)))
+            best = max(best, bound)
             return
-        if state["best"] >= 0:
-            if bound is None:
-                bound = copies(avail)
-            if bound < state["best"]:
-                return
-            if bound == state["best"] and len(state["witnesses"]) >= DEFAULT_WITNESS_CAP:
-                return
+        if bound <= best:
+            return
         x = order[pos]
         within = chosen | 1 << x
         if not any(using_member_reference(universe, p, x, within) is not None for p in forbidden):
             rec(pos + 1, within, avail, bound)
-        rec(pos + 1, chosen, avail & ~(1 << x), None)
+        rest = avail & ~(1 << x)
+        rec(pos + 1, chosen, rest, copies(rest))
 
-    rec(0, 0, (1 << (1 << n)) - 1, None)
-    return SearchReport(
-        optimum=state["best"],
-        witnesses=sorted(set(state["witnesses"]))[:DEFAULT_WITNESS_CAP],
-        nodes_explored=state["nodes"],
-        complete=state["complete"],
-        params=_request(n, forbidden, q, budget),
-    )
+    full = (1 << (1 << n)) - 1
+    rec(0, 0, full, copies(full))
+    return best
 
 
 def reference_cache_lookup(path, params):
@@ -156,11 +152,16 @@ class TestLaExact:
     @pytest.mark.parametrize("n", (2, 3))
     def test_matches_exhaustive_scan(self, n):
         for forbidden in ([BFLY], [n_poset()], [chain(3)]):
-            assert la_exact(n, forbidden, P2).optimum == brute_la(n, forbidden, P2)
+            assert la_exact(n, forbidden, P2).optimum == brute_la(n, forbidden, P2)[0]
 
     def test_n5_requires_budget(self):
-        with pytest.raises(ValueError):
-            la_exact(5, [BFLY], P2)
+        # n = 5 and 6 no longer need one; n = 7 is refused with or without
+        with pytest.raises(ValueError, match="1 <= n <= 6"):
+            la_exact(7, [BFLY], P2)
+
+    def test_n5_without_budget_completes(self):
+        rep = la_exact(5, [chain(3)], P2)
+        assert rep.complete and rep.optimum == 30
 
     def test_n5_budget_exhaustion_flagged(self):
         rep = la_exact(5, [BFLY], P2, budget=200)
@@ -168,7 +169,7 @@ class TestLaExact:
 
     def test_n_too_large(self):
         with pytest.raises(ValueError):
-            la_exact(6, [BFLY], P2, budget=10)
+            la_exact(7, [BFLY], P2, budget=10)
 
     def test_three_chain_q(self):
         # butterfly-free optimum for counting 3-chains at n=3
@@ -230,82 +231,205 @@ class TestChainCount:
                     assert count_k_chains(SetFamily(n, masks), k) == expect
 
 
-# Optimum, witnesses and node count of the four n = 4 benchmark searches, as
-# found before the search kept one universe family and an inherited bound.
+# Optimum, node count and witnesses of the four n = 4 benchmark searches. The
+# optima and witnesses are the ones the search reported before orbital
+# branching; the witnesses are the 16 least optimal families.
 PINNED_N4 = {
-    "@butterfly": (14, 24761, [
+    "@butterfly": (14, 167, [
         [1, 2, 3, 5, 6, 9, 10, 12, 13, 14], [1, 3, 4, 5, 6, 9, 10, 11, 12, 14],
         [1, 3, 5, 6, 7, 8, 9, 10, 12, 14], [2, 3, 4, 5, 6, 9, 10, 11, 12, 13],
         [2, 3, 5, 6, 7, 8, 9, 10, 12, 13], [3, 4, 5, 6, 7, 8, 9, 10, 11, 12]]),
-    "@N": (6, 10604, [
+    "@N": (6, 143, [
         [0, 3, 5, 6, 9, 10, 12], [1, 2, 5, 6, 13, 14], [1, 2, 5, 10, 13, 14],
         [1, 2, 6, 9, 13, 14], [1, 2, 9, 10, 13, 14], [1, 3, 4, 6, 11, 14],
         [1, 3, 4, 11, 12, 14], [1, 3, 5, 6, 9, 10, 12, 14], [1, 3, 7, 8, 10, 14],
         [1, 3, 7, 8, 12, 14], [1, 4, 6, 9, 11, 14], [1, 4, 9, 11, 12, 14],
         [1, 5, 7, 8, 10, 14], [1, 5, 7, 8, 12, 14], [2, 3, 4, 5, 11, 13],
         [2, 3, 4, 11, 12, 13]]),
-    "@chain(3)": (12, 13308, [
+    "@chain(3)": (12, 127, [
         [1, 2, 3, 4, 5, 6, 8, 9, 10, 12], [1, 2, 4, 7, 8, 11, 13, 14],
         [3, 5, 6, 7, 9, 10, 11, 12, 13, 14]]),
-    "@pathfamily(5)": (10, 14494, [
+    "@pathfamily(5)": (10, 223, [
         [1, 2, 5, 6, 9, 10, 13, 14], [1, 3, 4, 6, 9, 11, 12, 14],
         [1, 3, 5, 7, 8, 10, 12, 14], [2, 3, 4, 5, 10, 11, 12, 13],
         [2, 3, 6, 7, 8, 9, 12, 13], [4, 5, 6, 7, 8, 9, 10, 11]]),
 }
 
 
-# The same for the two budgeted n = 5 benchmark searches, which run out of
-# budget: found before the incremental bound and the degree filter.
+# The same for the five paper problems at n = 5, run with the benchmark's
+# budget of 20,000 nodes, which each search now finishes within.
 PINNED_N5 = {
-    "@N": (9, [
-        [2, 3, 5, 6, 9, 10, 12, 13, 16, 17, 20, 24], [3, 4, 5, 6, 9, 10, 11, 12, 16, 17, 18, 24],
-        [3, 5, 6, 7, 8, 9, 10, 12, 16, 17, 18, 20],
-        [3, 5, 6, 7, 9, 10, 12, 17, 18, 20, 25, 26, 28],
-        [3, 5, 6, 9, 10, 11, 12, 17, 18, 21, 22, 24, 28],
-        [3, 5, 6, 9, 10, 12, 13, 17, 19, 20, 22, 24, 26]]),
-    "@butterfly": (30, [
+    "@N": (10, 2385, [
+        [0, 3, 5, 6, 9, 10, 12, 17, 18, 20, 24], [0, 7, 11, 13, 14, 19, 21, 22, 25, 26, 28],
+        [1, 3, 5, 6, 9, 10, 12, 17, 18, 20, 24, 30], [1, 7, 11, 13, 14, 19, 21, 22, 25, 26, 28, 30],
+        [2, 3, 5, 6, 9, 10, 12, 17, 18, 20, 24, 29], [2, 7, 11, 13, 14, 19, 21, 22, 25, 26, 28, 29],
+        [3, 4, 5, 6, 9, 10, 12, 17, 18, 20, 24, 27], [3, 5, 6, 8, 9, 10, 12, 17, 18, 20, 23, 24],
+        [3, 5, 6, 9, 10, 12, 15, 16, 17, 18, 20, 24], [3, 5, 6, 9, 10, 12, 17, 18, 20, 24, 31],
+        [4, 7, 11, 13, 14, 19, 21, 22, 25, 26, 27, 28], [7, 8, 11, 13, 14, 19, 21, 22, 23, 25, 26, 28],
+        [7, 11, 13, 14, 15, 16, 19, 21, 22, 25, 26, 28], [7, 11, 13, 14, 19, 21, 22, 25, 26, 28, 31]]),
+    "@butterfly": (30, 4059, [
         [3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 17, 18, 19, 20, 21, 22, 24, 25, 26, 28]]),
+    "@chain(3)": (30, 953, [
+        [1, 2, 4, 7, 8, 11, 13, 14, 16, 19, 21, 22, 25, 26, 28],
+        [3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 17, 18, 19, 20, 21, 22, 24, 25, 26, 28],
+        [3, 5, 6, 9, 10, 12, 15, 17, 18, 20, 23, 24, 27, 29, 30]]),
+    "@W @M": (21, 3065, [
+        [0, 3, 5, 6, 9, 10, 12, 17, 18, 20, 24, 31], [0, 7, 11, 13, 14, 19, 21, 22, 25, 26, 28, 31]]),
+    "@pathfamily(5)": (15, 3937, [
+        [1, 2, 4, 9, 10, 12, 17, 18, 20, 25, 26, 28], [1, 2, 5, 6, 8, 12, 17, 18, 21, 22, 24, 28],
+        [1, 2, 5, 6, 9, 10, 13, 14, 16, 20, 24, 28], [1, 3, 4, 6, 8, 10, 17, 19, 20, 22, 24, 26],
+        [1, 3, 4, 6, 9, 11, 12, 14, 16, 18, 24, 26], [1, 3, 5, 7, 8, 10, 12, 14, 16, 18, 20, 22],
+        [2, 3, 4, 5, 8, 9, 18, 19, 20, 21, 24, 25], [2, 3, 4, 5, 10, 11, 12, 13, 16, 17, 24, 25],
+        [2, 3, 6, 7, 8, 9, 12, 13, 16, 17, 20, 21], [3, 5, 6, 11, 13, 14, 19, 21, 22, 27, 29, 30],
+        [3, 7, 9, 10, 13, 14, 19, 23, 25, 26, 29, 30], [3, 7, 11, 15, 17, 18, 21, 22, 25, 26, 29, 30],
+        [4, 5, 6, 7, 8, 9, 10, 11, 16, 17, 18, 19], [5, 7, 9, 11, 12, 14, 21, 23, 25, 27, 28, 30],
+        [5, 7, 13, 15, 17, 19, 20, 22, 25, 27, 28, 30], [6, 7, 10, 11, 12, 13, 22, 23, 26, 27, 28, 29]]),
 }
+
+
+def forbid(spec):
+    """The forbidden list of space-separated DSL specs."""
+    return [p for part in spec.split() for p in parse_poset_dsl(part)]
 
 
 @pytest.mark.parametrize("spec", sorted(PINNED_N4))
 def test_n4_search_tree_pinned(spec):
     optimum, nodes, witnesses = PINNED_N4[spec]
-    rep = la_exact(4, parse_poset_dsl(spec), P2).to_json()
+    rep = la_exact(4, forbid(spec), P2).to_json()
     assert (rep["optimum"], rep["nodes_explored"], rep["witnesses"]) == (optimum, nodes, witnesses)
     assert rep["complete"]
 
 
 @pytest.mark.parametrize("spec", sorted(PINNED_N5))
 def test_n5_budgeted_search_pinned(spec):
-    optimum, witnesses = PINNED_N5[spec]
-    rep = la_exact(5, parse_poset_dsl(spec), P2, budget=20000).to_json()
-    assert (rep["optimum"], rep["nodes_explored"], rep["witnesses"]) == (optimum, 20000, witnesses)
-    assert not rep["complete"]
+    optimum, nodes, witnesses = PINNED_N5[spec]
+    rep = la_exact(5, forbid(spec), P2, budget=20000).to_json()
+    assert (rep["optimum"], rep["nodes_explored"], rep["witnesses"]) == (optimum, nodes, witnesses)
+    assert rep["complete"]
+    for w in witnesses:
+        chk = verify_witness(SetFamily(5, w), forbid(spec), P2)
+        assert chk.free and chk.copies == optimum
+
+
+def test_n5_optima_are_the_paper_values():
+    paper = {"@N": formulas.n_free, "@butterfly": formulas.butterfly_p2,
+             "@W @M": formulas.p6_lower, "@pathfamily(5)": formulas.p5}
+    for spec, formula in paper.items():
+        assert PINNED_N5[spec][0] == formula(5), spec
+
+
+# La(4, p, #Q) for every catalog poset p, by canonical key: (Q = P2, Q = P3),
+# as the search reported before orbital branching.
+PARENT_OPTIMA_N4 = {
+    "poset[1]{}": (0, 0),
+    "poset[2]{0<1}": (0, 0),
+    "poset[3]{0<1;0<2;1<2}": (12, 0),
+    "poset[3]{0<1;0<2}": (6, 0),
+    "poset[3]{0<1;2<1}": (6, 0),
+    "poset[4]{0<1;0<2;0<3;1<2;1<3;2<3}": (36, 24),
+    "poset[4]{0<1;0<2;0<3;1<2;3<2}": (20, 8),
+    "poset[4]{0<1;0<2;0<3}": (12, 4),
+    "poset[4]{0<1;0<2;3<1;3<2}": (14, 6),
+    "poset[4]{0<1;0<2;3<1}": (6, 2),
+    "poset[4]{0<1;2<1;3<1}": (12, 4),
+    "poset[5]{0<1;0<2;0<3;0<4;1<2;1<3;1<4;2<3;2<4;3<4}": (50, 60),
+    "poset[5]{0<1;0<2;0<3;0<4;1<2;3<2;4<2}": (36, 24),
+    "poset[5]{0<1;0<2;0<3;0<4}": (22, 12),
+    "poset[5]{0<1;0<2;0<3;1<2;4<2}": (12, 4),
+    "poset[5]{0<1;0<2;0<3;4<1;4<2;4<3}": (24, 18),
+    "poset[5]{0<1;0<2;3<1;3<2;4<1;4<2}": (24, 18),
+    "poset[5]{0<1;0<2;3<1;3<4}": (13, 6),
+    "poset[5]{0<1;0<2;3<1;4<2}": (13, 6),
+    "poset[5]{0<1;2<1;3<1;4<1}": (22, 12),
+}
 
 
 class TestSameTreeAsReference:
-    """la_exact explores the nodes of the reference search and reports the same."""
+    """la_exact against independent answers to the same requests.
 
-    @staticmethod
-    def same(n, forbidden, q, budget=None):
-        got = la_exact(n, forbidden, q, budget).to_json()
-        assert got == reference_la_exact(n, forbidden, q, budget).to_json(), (n, forbidden, q)
+    The optima come from the search before orbital branching (run here at
+    n <= 4, pinned for every catalog poset at n = 4), the witnesses from brute
+    force, and a budgeted run must be a prefix of the unbudgeted one.
+    """
 
     @pytest.mark.parametrize("n", (1, 2, 3))
     def test_catalog_posets_small_n(self, n):
         for p in catalog_posets(5):
             for q in (P2, chain(3), kst(1, 2), n_poset()):
-                self.same(n, [p], q)
+                rep = la_exact(n, [p], q)
+                assert rep.complete
+                assert rep.optimum == reference_la_exact(n, [p], q), (n, p, q)
 
     @pytest.mark.parametrize("spec", sorted(PINNED_N4))
     def test_bench_posets_n4(self, spec):
-        self.same(4, parse_poset_dsl(spec), P2)
+        got = la_exact(4, forbid(spec), P2).optimum
+        assert got == reference_la_exact(4, forbid(spec), P2)
+
+    def test_catalog_posets_n4(self):
+        for p in catalog_posets(5):
+            got = tuple(la_exact(4, [p], q).optimum for q in (P2, chain(3)))
+            assert got == PARENT_OPTIMA_N4[p.canonical_key()], p
+
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_witnesses_are_the_least_optimal_families(self, n):
+        for p in catalog_posets(5):
+            for q in (P2, chain(3)):
+                best, least = brute_la(n, [p], q)
+                rep = la_exact(n, [p], q)
+                assert (rep.optimum, rep.witnesses) == (best, least), (n, p, q)
 
     @pytest.mark.parametrize("spec", ("@N", "@butterfly"))
     @pytest.mark.parametrize("budget", (1, 200, 5000))
     def test_budgeted_n5(self, spec, budget):
-        self.same(5, parse_poset_dsl(spec), P2, budget)
+        full = la_exact(5, forbid(spec), P2)
+        rep = la_exact(5, forbid(spec), P2, budget)
+        assert rep.nodes_explored == min(budget, full.nodes_explored)
+        assert rep.complete == (budget >= full.nodes_explored)
+        if rep.complete:
+            assert rep.to_json() == {**full.to_json(), "params": rep.params}
+        else:
+            assert rep.optimum <= full.optimum
+            for w in rep.witnesses:
+                chk = verify_witness(SetFamily(5, w), forbid(spec), P2)
+                assert chk.free and chk.copies == rep.optimum
+
+
+class TestSymmetry:
+    """The group that orbital branching and the witness rule use."""
+
+    def test_complementation_only_for_dual_closed_problems(self):
+        fork, dual = named_poset("fork", 2), named_poset("kst", 2, 1)
+        assert len(_symmetry_group(4, [fork], P2)) == 24
+        assert len(_symmetry_group(4, [fork, dual], P2)) == 48
+        assert len(_symmetry_group(4, [BFLY], P2)) == 48
+        assert len(_symmetry_group(4, [BFLY], fork)) == 24
+        assert len(_symmetry_group(6, [chain(3)], P2)) == 1440
+
+    @pytest.mark.parametrize("spec", sorted(PINNED_N5))
+    def test_permutations_alone_give_the_same_report(self, spec, monkeypatch):
+        # every paper problem is dual-closed, so la_exact uses S_n x Z2 on its own
+        assert len(_symmetry_group(5, forbid(spec), P2)) == 240
+        both = la_exact(5, forbid(spec), P2)
+        monkeypatch.setattr(posetturan.search, "_symmetry_group", lambda n, f, q: _permutation_tables(n))
+        alone = la_exact(5, forbid(spec), P2)
+        assert (alone.optimum, alone.witnesses) == (both.optimum, both.witnesses)
+        assert alone.complete and alone.nodes_explored > both.nodes_explored
+
+    def test_witnesses_of_the_antichain_problem(self):
+        # With chain(2) forbidden every antichain is optimal: the 16 least antichains
+        antichains = []
+
+        def grow(members, start):
+            antichains.append(tuple(members))
+            for m in range(start, 32):
+                if all(a & m != a for a in members):  # no earlier member lies below m
+                    grow(members + [m], m + 1)
+
+        grow([], 0)
+        assert len(antichains) == 7581  # the Dedekind number M(5)
+        rep = la_exact(5, [chain(2)], P2)
+        assert rep.complete and rep.optimum == 0
+        assert rep.witnesses == sorted(antichains)[:DEFAULT_WITNESS_CAP]
 
 
 class TestLaLevels:
@@ -413,6 +537,19 @@ class TestCache:
         a = cached_la_exact(3, [BFLY, chain(3)], P2, path=str(path))
         b = cached_la_exact(3, [chain(3), BFLY], P2, path=str(path))
         assert a.params["forbidden"] == b.params["forbidden"][::-1]
+        assert len(path.read_text().splitlines()) == 2
+
+    def test_records_of_the_static_order_search_ignored(self, tmp_path):
+        # a record as the search before orbital branching wrote it: the same
+        # request without the "search" entry, and its own nodes and witnesses
+        path = tmp_path / "cache.jsonl"
+        params = _request(3, [BFLY], P2, None)
+        del params["search"]
+        old = {"optimum": 99, "witnesses": [], "nodes_explored": 1, "complete": True,
+               "params": params}
+        path.write_text(json.dumps(old, sort_keys=True) + "\n")
+        rep = cached_la_exact(3, [BFLY], P2, path=str(path))
+        assert rep.optimum == 7 and rep.params["search"] == "orbital"
         assert len(path.read_text().splitlines()) == 2
 
     def test_records_of_the_earlier_schema_ignored(self, tmp_path):
