@@ -1,8 +1,6 @@
 """Weak-subposet embedding: freeness decisions and copy counting."""
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -93,7 +91,11 @@ def _forced_plans(poset: Poset):
     )
 
 
-def _search(family: SetFamily, poset: Poset, plan, forced=None, within=None):
+# The supports count_copies may store: 80-200 bytes each for 64..1000 members.
+MAX_COPY_SUPPORTS = 2_000_000
+
+
+def _search(family: SetFamily, poset: Poset, plan, forced=None, within=None, found=None):
     """Backtracking over ``plan`` with bitset domains.
 
     ``forced`` is the member index assigned to the plan's first element.
@@ -101,6 +103,9 @@ def _search(family: SetFamily, poset: Poset, plan, forced=None, within=None):
     Candidates are tried in ascending index order, which makes the witness
     deterministic; the look-ahead through ``supports`` only drops candidates
     that cannot be completed, so it does not change which witness is found.
+    ``found``, if given, is a set, and the search lists instead: each complete
+    image adds its support (its member-index bitset) and the search goes on,
+    until the set holds more than MAX_COPY_SUPPORTS supports.
     """
     order, constraints, supports = plan
     k = len(order)
@@ -113,7 +118,10 @@ def _search(family: SetFamily, poset: Poset, plan, forced=None, within=None):
     def extend(i, free):
         # free: bitset of the allowed members not yet used
         if i == k:
-            return True
+            if found is None:
+                return True
+            found.add(allowed ^ free)
+            return len(found) > MAX_COPY_SUPPORTS  # past the cap: stop listing
         lower, upper = constraints[i]
         pool = free
         for j in lower:
@@ -140,9 +148,9 @@ def _search(family: SetFamily, poset: Poset, plan, forced=None, within=None):
         return False
 
     start, free = (0, allowed) if forced is None else (1, allowed ^ 1 << forced)
-    found = extend(start, free)
+    hit = extend(start, free)
     del extend  # extend's closure holds extend: drop it, or each call leaves a cycle
-    if not found:
+    if not hit:
         return None
     masks = [0] * k
     for i, e in enumerate(order):
@@ -199,31 +207,32 @@ def is_free(family: SetFamily, forbidden) -> bool:
     return find_any_embedding(family, forbidden) is None
 
 
-# Bounds the subfamilies that count_copies tests, one embedding search each.
-_MAX_COPY_COMBINATIONS = 2_000_000
-
-
-def count_copies(family: SetFamily, q: Poset, within=None) -> int:
+def count_copies(family: SetFamily, q: Poset, within=None, using=None) -> int:
     """Number of |Q|-element subfamilies that host Q using all their members.
 
-    For a chain Q this is exactly the k-chain count. For general Q the count
-    is over distinct supports: a subfamily is counted once no matter how many
-    embeddings land on it. ``within``, if given, is a bitset of member indices
-    and only the subfamilies inside it are counted.
+    A chain Q counts chains; any other Q lists its distinct supports with the
+    embedding search. Only subfamilies inside ``within`` (a bitset of member
+    indices) count, and with ``using`` (a member index) only those holding it.
     """
     if within is None:
         within = (1 << len(family)) - 1
-    m = within.bit_count()
+    if using is not None and q.is_chain():
+        if not within >> using & 1:
+            return 0
+        down, up = within & family.below[using], within & family.above[using]
+        if q.size == 2:
+            return (down | up).bit_count()
+        # a chain through it is a chain below it, then it, then a chain above it
+        return sum(chain_count(down, a, family.below) * chain_count(up, q.size - 1 - a, family.below)
+                   for a in range(q.size))
     if q.size == 1:  # every member is a copy; skips building the comparability bitsets
-        return m
+        return within.bit_count()
     if q.is_chain():
         return chain_count(within, q.size, family.below)
-    if math.comb(m, q.size) > _MAX_COPY_COMBINATIONS:
-        raise ValueError(
-            f"copy counting for non-chain posets needs C({m},{q.size}) "
-            "subfamily checks; input too large"
-        )
-    return sum(
-        find_embedding(family, q, sum(1 << i for i in combo)) is not None
-        for combo in itertools.combinations(iter_bits(within), q.size)
-    )
+    # force a member at each orbit representative: automorphisms cover the rest
+    found = set()
+    for plan in [_plan(q)] if using is None else [plan for plan, _, _ in _forced_plans(q)]:
+        _search(family, q, plan, using, within, found)
+    if len(found) > MAX_COPY_SUPPORTS:
+        raise ValueError(f"copy counting stores at most {MAX_COPY_SUPPORTS} supports")
+    return len(found)

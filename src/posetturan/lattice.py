@@ -152,8 +152,8 @@ def chain_count(avail: int, k: int, below) -> int:
 
     ``below[i]`` is the bitset of the members strictly below member i.
     """
-    if k == 1:
-        return avail.bit_count()
+    if k < 2:  # the empty chain, or one member
+        return avail.bit_count() if k else 1
     tops = list(iter_bits(avail))
     # dp[i]: chains of the current length (from 2 up) whose top is member i
     dp = {i: (avail & below[i]).bit_count() for i in tops}

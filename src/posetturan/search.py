@@ -19,6 +19,7 @@ DEFAULT_CACHE_FILE = "turan-cache.jsonl"
 MAX_EXACT_SEARCH_N = 6  # la_exact: 18-90 s per paper problem at n = 6 (2 vCPUs); 2^128 families at n = 7
 MAX_LEVEL_SEARCH_N = 16  # la_levels: 2^(n+1) level tuples
 MAX_LEVEL_GENERIC_N = 10  # la_levels with non-chain P: an embedding search per level union
+MAX_LEVEL_GENERIC_Q_N = 8  # la_levels with non-chain Q: copy listing, 30 s at n = 9 on 2 vCPUs
 
 
 @dataclass
@@ -112,9 +113,9 @@ def la_exact(n: int, forbidden, q: Poset, budget: int = None) -> SearchReport:
       some element of H maps any family that meets the orbit onto one that
       holds x, with the same value.
     - Bound: a node is cut only when its bound is below the best value found,
-      so every optimal family keeps an image in the tree. For Q = P2 the
-      bound is counted once and each removed mask subtracts the members of
-      avail comparable to it; other Q recount it lazily.
+      so every optimal family keeps an image in the tree. The bound is
+      counted once at the root, and each removed mask subtracts the copies
+      through it that remain (``count_copies`` with ``using``).
 
     The witnesses are the DEFAULT_WITNESS_CAP lexicographically least optimal
     families: the images under the group of the leaves that reach the optimum,
@@ -127,21 +128,16 @@ def la_exact(n: int, forbidden, q: Poset, budget: int = None) -> SearchReport:
     # One family for the whole search: member index = mask.
     universe = cached_lattice(n)
     near = [up | down for up, down in zip(universe.above, universe.below)]
-    pairs = q.is_chain() and q.size == 2
     group = _symmetry_group(n, forbidden, q)
 
     state = {"nodes": 0, "complete": True, "best": -1, "leaves": []}
 
     def drop(avail, bound, masks):
-        # avail without masks, and its bound: for Q = P2 each removed mask takes
-        # the 2-chains through it that remain; other Q recount when needed.
-        if not masks:
-            return avail, bound
+        # avail without masks, and its bound less the copies through each removed mask
         for y in iter_bits(masks):
+            bound -= count_copies(universe, q, avail, y)
             avail ^= 1 << y
-            if pairs:
-                bound -= (avail & near[y]).bit_count()
-        return avail, bound if pairs else None
+        return avail, bound
 
     def propagate(chosen, avail, bound):
         # drop the undecided masks that would complete a forbidden poset with chosen
@@ -153,26 +149,20 @@ def la_exact(n: int, forbidden, q: Poset, budget: int = None) -> SearchReport:
         return (*drop(avail, bound, dead), dead)
 
     def rec(chosen, avail, bound, h):
-        # bound: the copies of Q in avail, or None until some node needs it;
+        # bound: the copies of Q in avail
         # h: the group elements that map chosen and avail onto themselves
         if budget is not None and state["nodes"] >= budget:
             state["complete"] = False
             return
         state["nodes"] += 1
+        if bound < state["best"]:
+            return
         free = avail & ~chosen
         if not free:
-            value = count_copies(universe, q, avail) if bound is None else bound
-            if value > state["best"]:
-                state["best"] = value
-                state["leaves"] = [chosen]
-            elif value == state["best"]:
-                state["leaves"].append(chosen)
+            if bound > state["best"]:
+                state["best"], state["leaves"] = bound, []
+            state["leaves"].append(chosen)
             return
-        if state["best"] >= 0:
-            if bound is None:
-                bound = count_copies(universe, q, avail)
-            if bound < state["best"]:
-                return
         x = max(iter_bits(free), key=lambda y: (avail & near[y]).bit_count())
         included = chosen | 1 << x
         child_avail, child_bound, dead = propagate(included, avail, bound)
@@ -185,7 +175,7 @@ def la_exact(n: int, forbidden, q: Poset, budget: int = None) -> SearchReport:
         rec(chosen, *drop(avail, bound, orbit), h)
 
     full = (1 << (1 << n)) - 1
-    avail, bound, _ = propagate(0, full, count_copies(universe, q, full) if pairs else None)
+    avail, bound, _ = propagate(0, full, count_copies(universe, q, full))
     rec(0, avail, bound, group)
     del rec  # rec's closure holds rec: drop it, or each call leaves a cycle
     return SearchReport(
@@ -226,8 +216,8 @@ def la_levels(n: int, forbidden, q: Poset) -> SearchReport:
         raise ValueError(
             f"level search with non-chain forbidden posets supports n <= {MAX_LEVEL_GENERIC_N}"
         )
-    if not q.is_chain() and n > 8:
-        raise ValueError("level search with a non-chain Q supports n <= 8")
+    if not q.is_chain() and n > MAX_LEVEL_GENERIC_Q_N:
+        raise ValueError(f"level search with a non-chain Q supports n <= {MAX_LEVEL_GENERIC_Q_N}")
     min_chain = min((p.size for p in forbidden if p.is_chain()), default=None)
     best = -1
     best_levels = []

@@ -296,11 +296,16 @@ class TestCli:
         assert code == 0 and out.strip() == "free: yes"
 
 
-def run_cli_process(*argv):
-    """Run the CLI in a fresh interpreter, so an escaping exception shows on stderr."""
+def run_cli_process(*argv, setup=None):
+    """Run the CLI in a fresh interpreter, so an escaping exception shows on stderr.
+
+    ``setup``, if given, is Python code run in that interpreter before the CLI.
+    """
     env = dict(os.environ, PYTHONPATH=str(Path(posetturan.__file__).resolve().parents[1]))
+    entry = ["-m", "posetturan.cli"] if setup is None else [
+        "-c", f"{setup}\nfrom posetturan.cli import main\nmain()"]
     return subprocess.run(
-        [sys.executable, "-m", "posetturan.cli", *argv],
+        [sys.executable, *entry, *argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
 
@@ -322,6 +327,18 @@ class TestBadFamilyFiles:
         proc = run_cli_process("construct", "p5", "--n", "40")
         assert proc.returncode == 2 and proc.stdout == ""
         assert "Traceback" not in proc.stderr and proc.stderr.startswith("error:")
+
+    def test_count_past_the_support_cap_exits_2(self, tmp_path):
+        # 1,260 copies of N; a cap of 1,000 supports makes the listing refuse
+        fam_file = tmp_path / "fam.txt"
+        fam_file.write_text(format_family(level_family(7, [3, 4])))
+        argv = ("count", "--family", str(fam_file), "--q", "@N")
+        assert run_cli_process(*argv).stdout == "1260\n"
+        cap = "import posetturan.embedding as e\ne.MAX_COPY_SUPPORTS = 1000"
+        proc = run_cli_process(*argv, setup=cap)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr and proc.stderr.startswith("error:")
+        assert "supports" in proc.stderr
 
     def test_directory_exits_2(self, tmp_path):
         proc = run_cli_process("count", "--family", str(tmp_path), "--q", "@chain(2)")

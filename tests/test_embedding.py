@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from posetturan import embedding
 from posetturan.embedding import (
     _plan,
     _search,
@@ -14,6 +15,7 @@ from posetturan.embedding import (
 )
 from posetturan.lattice import (
     SetFamily,
+    chain_count,
     comparability_components,
     complement_family,
     count_k_chains,
@@ -92,6 +94,21 @@ def catalog_posets(max_size):
         if k >= 4 and k % 2 == 0:
             found.append(named_poset("crown", k // 2))
     return [p for p in found if p.size <= max_size]
+
+
+def reference_count_copies(family, q, within=None):
+    """count_copies as it was before listing: one embedding search per
+    |Q|-element selection of ``within``, so it checks the listing counter."""
+    if within is None:
+        within = (1 << len(family)) - 1
+    if q.size == 1:
+        return within.bit_count()
+    if q.is_chain():
+        return chain_count(within, q.size, family.below)
+    return sum(
+        find_embedding(family, q, sum(1 << i for i in combo)) is not None
+        for combo in itertools.combinations(iter_bits(within), q.size)
+    )
 
 
 def brute_images(fam, poset):
@@ -274,6 +291,7 @@ def test_searches_leave_no_garbage():
     searches = {
         "embedding_using_member": lambda x: embedding_using_member(fam, BFLY, x),
         "find_embedding": lambda x: find_embedding(fam, BFLY),
+        "count_copies": lambda x: count_copies(fam, n_poset()),
         "la_exact": lambda x: la_exact(2, [BFLY], chain(2)),
         "_find_graph_path": lambda x: _find_graph_path(components, 6),
         "_max_antichain": lambda x: _max_antichain(small),
@@ -378,3 +396,40 @@ class TestCountCopies:
                 assert count_copies(fam, q) == count_copies(
                     complement_family(fam), dual_poset(q)
                 )
+
+    def test_matches_the_subset_counter(self):
+        # every catalog poset of <= 5 elements on random families, with and
+        # without a selection; the copies through y are the copies lost by
+        # removing y, and none when y is not selected
+        rng = random.Random(71)
+        posets = catalog_posets(5)
+        cases = 0
+        for _ in range(50):
+            n = rng.randint(1, 5)
+            fam = SetFamily(n, rng.sample(range(1 << n), rng.randint(0, min(10, 1 << n))))
+            full = (1 << len(fam)) - 1
+            within = sum(1 << i for i in range(len(fam)) if rng.random() < 0.7)
+            for q in posets:
+                for sel in (None, within):
+                    ref = reference_count_copies(fam, q, sel)
+                    assert count_copies(fam, q, sel) == ref, (fam.members, q, sel)
+                    base = full if sel is None else sel
+                    for y in range(len(fam)):
+                        expect = ref - reference_count_copies(fam, q, base & ~(1 << y))
+                        got = count_copies(fam, q, sel, using=y)
+                        assert got == expect, (fam.members, q, sel, y)
+                        cases += 1
+        assert cases > 8000
+
+    def test_listing_refuses_past_the_support_cap(self, monkeypatch):
+        fam = full_lattice(3)
+        copies = count_copies(fam, n_poset())
+        through = count_copies(fam, n_poset(), using=1)
+        assert copies > through > 1
+        monkeypatch.setattr(embedding, "MAX_COPY_SUPPORTS", copies)
+        assert count_copies(fam, n_poset()) == copies
+        monkeypatch.setattr(embedding, "MAX_COPY_SUPPORTS", through - 1)
+        with pytest.raises(ValueError, match="supports"):
+            count_copies(fam, n_poset())
+        with pytest.raises(ValueError, match="supports"):
+            count_copies(fam, n_poset(), using=1)

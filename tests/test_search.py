@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 import posetturan
 from posetturan import formulas
 
-from posetturan.dsl import parse_poset_dsl
-from posetturan.embedding import count_copies, is_free
-from posetturan.lattice import SetFamily, chain_count, count_k_chains, iter_bits, level_family
+from posetturan.dsl import parse_poset_dsl, parse_single_poset
+from posetturan.embedding import is_free
+from posetturan.lattice import SetFamily, chain_count, count_k_chains, level_family
 from posetturan.posets import chain, kst, n_poset, named_poset
 from posetturan.search import (
     DEFAULT_WITNESS_CAP,
@@ -32,7 +32,7 @@ from posetturan.search import (
     la_levels,
     verify_witness,
 )
-from test_embedding import catalog_posets, using_member_reference
+from test_embedding import catalog_posets, reference_count_copies, using_member_reference
 
 BFLY = named_poset("butterfly")
 P2 = chain(2)
@@ -48,7 +48,7 @@ def brute_la(n, forbidden, q):
     for bits in range(1 << (1 << n)):
         fam = SetFamily(n, [m for m in range(1 << n) if bits >> m & 1])
         if is_free(fam, forbidden):
-            value = count_copies(fam, q)
+            value = reference_count_copies(fam, q)
             if value > best:
                 best, optimal = value, []
             if value == best:
@@ -67,12 +67,8 @@ def reference_la_exact(n, forbidden, q):
     forbidden = list(forbidden)
     order = sorted(range(1 << n), key=lambda m: (abs(m.bit_count() - n / 2), m))
     universe = SetFamily(n, range(1 << n))
-    if q.is_chain():
-        def copies(avail):
-            return chain_count(avail, q.size, universe.below)
-    else:
-        def copies(avail):
-            return count_copies(SetFamily(n, iter_bits(avail)), q)
+    def copies(avail):
+        return reference_count_copies(universe, q, avail)
     best = -1
 
     def rec(pos, chosen, avail, bound):
@@ -256,6 +252,21 @@ PINNED_N4 = {
 }
 
 
+# The same for three searches whose Q is not P2, as the search reported while
+# it recounted their bound at the nodes that needed it: (forbidden, Q) ->
+# (optimum, nodes, witnesses).
+PINNED_OTHER_Q_N4 = {
+    ("@N", "@N"): (0, 449, [
+        [], [0], [0, 1], [0, 1, 2], [0, 1, 2, 4], [0, 1, 2, 4, 8], [0, 1, 2, 8],
+        [0, 1, 2, 12], [0, 1, 3], [0, 1, 4], [0, 1, 4, 8], [0, 1, 4, 10], [0, 1, 5],
+        [0, 1, 6], [0, 1, 6, 8], [0, 1, 6, 10]]),
+    ("@chain(3)", "@kst(1,2)"): (15, 101, [
+        [0, 3, 5, 6, 9, 10, 12]]),
+    ("@butterfly", "@chain(3)"): (6, 145, [
+        [0, 3, 5, 6, 9, 10, 12, 15]]),
+}
+
+
 # The same for the five paper problems at n = 5, run with the benchmark's
 # budget of 20,000 nodes, which each search now finishes within.
 PINNED_N5 = {
@@ -298,6 +309,18 @@ def test_n4_search_tree_pinned(spec):
     rep = la_exact(4, forbid(spec), P2).to_json()
     assert (rep["optimum"], rep["nodes_explored"], rep["witnesses"]) == (optimum, nodes, witnesses)
     assert rep["complete"]
+
+
+@pytest.mark.parametrize("spec, q_spec", sorted(PINNED_OTHER_Q_N4))
+def test_n4_other_q_search_tree_pinned(spec, q_spec):
+    optimum, nodes, witnesses = PINNED_OTHER_Q_N4[spec, q_spec]
+    q = parse_single_poset(q_spec)
+    rep = la_exact(4, forbid(spec), q).to_json()
+    assert (rep["optimum"], rep["nodes_explored"], rep["witnesses"]) == (optimum, nodes, witnesses)
+    assert rep["complete"]
+    for w in witnesses:
+        chk = verify_witness(SetFamily(4, w), forbid(spec), q)
+        assert chk.free and chk.copies == optimum
 
 
 @pytest.mark.parametrize("spec", sorted(PINNED_N5))
