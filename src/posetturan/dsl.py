@@ -80,10 +80,10 @@ def _parse_relations(text: str) -> Poset:
         return elements[tok]
 
     for lineno, line in enumerate(text.splitlines(), start=1):
-        for stmt in line.split(";"):
-            if not stmt.strip():
+        for match in re.finditer(r"\s*([^;]*)", line):  # group 1: a statement, without its indent
+            stmt, col = match.group(1), match.start(1) + 1
+            if not stmt:
                 continue
-            col = line.index(stmt.strip()[0]) + 1
             toks = [t.strip() for t in stmt.split("<")]
             if any(not t for t in toks):
                 raise DslError("empty identifier in relation", lineno, col)

@@ -219,9 +219,9 @@ def count_copies(family: SetFamily, q: Poset, within=None, using=None) -> int:
     if using is not None and q.is_chain():
         if not within >> using & 1:
             return 0
-        down, up = within & family.below[using], within & family.above[using]
         if q.size == 2:
-            return (down | up).bit_count()
+            return (within & family.comparable[using]).bit_count()
+        down, up = within & family.below[using], within & family.above[using]
         # a chain through it is a chain below it, then it, then a chain above it
         return sum(chain_count(down, a, family.below) * chain_count(up, q.size - 1 - a, family.below)
                    for a in range(q.size))

@@ -34,6 +34,7 @@ def parse_family(text: str) -> SetFamily:
     except ValueError:
         raise FamilyFormatError(f"bad dimension {head[2:]!r}") from None
     masks = []
+    levels = set()
     for lineno, line in enumerate(lines[1:], start=2):
         if line == "{}":
             masks.append(0)
@@ -42,12 +43,11 @@ def parse_family(text: str) -> SetFamily:
                 if not part or part[0] not in "Ll":
                     raise FamilyFormatError(f"line {lineno}: bad level shorthand {line!r}")
                 try:
-                    k = int(part[1:])
+                    levels.add(int(part[1:]))
                 except ValueError:
                     raise FamilyFormatError(
                         f"line {lineno}: bad level shorthand {line!r}"
                     ) from None
-                masks.extend(level_family(n, [k]).members)
         else:
             mask = 0
             for tok in line.split():
@@ -59,6 +59,8 @@ def parse_family(text: str) -> SetFamily:
                     raise FamilyFormatError(f"line {lineno}: element {el} outside 1..{n}")
                 mask |= 1 << (el - 1)
             masks.append(mask)
+    if levels:
+        masks.extend(level_family(n, levels).members)
     return SetFamily(n, masks)
 
 

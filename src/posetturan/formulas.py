@@ -5,6 +5,11 @@ import itertools
 import math
 from fractions import Fraction
 
+from .lattice import MAX_FORMULA_N
+
+MAX_TUPLE_SCAN_N = 20  # la_chain_levels_max: C(n+1, k-1) level tuples, 0.06 s at n = 20, k = 6
+MAX_TUPLE_SCAN_K = 6   # with a chain_count_in_levels sum over C(k-1, ell) subsets per tuple
+
 
 def butterfly_p2(n: int) -> int:
     """Maximum 2-chain count of a butterfly-free family (n >= 5)."""
@@ -52,7 +57,7 @@ def katona_nagy(n: int, t: int) -> Fraction:
     )
 
 
-def _check_range(n, lo, hi=62):
+def _check_range(n, lo, hi=MAX_FORMULA_N):
     if not lo <= n <= hi:
         raise ValueError(f"n={n} outside supported range {lo}..{hi}")
 
@@ -105,8 +110,8 @@ def la_chain_levels_max(n: int, k: int, ell: int):
     """Maximum of chain_count_in_levels over all (k-1)-tuples, with all argmaxes."""
     if not k > ell >= 1:
         raise ValueError("need k > ell >= 1")
-    if n > 20 or k > 6:
-        raise ValueError("tuple scan infeasible beyond n=20, k=6")
+    if n > MAX_TUPLE_SCAN_N or k > MAX_TUPLE_SCAN_K:
+        raise ValueError(f"tuple scan infeasible beyond n={MAX_TUPLE_SCAN_N}, k={MAX_TUPLE_SCAN_K}")
     best = -1
     argmax = []
     for tup in itertools.combinations(range(n + 1), k - 1):

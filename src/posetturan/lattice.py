@@ -102,6 +102,11 @@ class SetFamily:
                 down[j] |= bit
         return tuple(down)
 
+    @cached_property
+    def comparable(self):
+        """comparable[i]: bitset of the indices j != i with members i and j nested."""
+        return tuple(up | down for up, down in zip(self.above, self.below))
+
     def restrict(self, indices) -> "SetFamily":
         return SetFamily(self.n, [self.members[i] for i in indices])
 
@@ -192,8 +197,7 @@ def convex_hull(family: SetFamily) -> SetFamily:
 
 
 def comparability_components(family: SetFamily) -> ComparabilityComponents:
-    above = family.above
-    adj = [up | down for up, down in zip(above, family.below)]
+    above, adj = family.above, family.comparable
     unseen = (1 << len(family)) - 1
     comps = []
     edges = []

@@ -248,8 +248,8 @@ def path_hasse_family(k: int, height_filter: int = None):
     Enumerates the up/down orientation of each path edge, closes transitively,
     and keeps the first poset of each isomorphism class.
     """
-    if not 2 <= k <= 8:
-        raise PosetError(f"path family supported for 2 <= k <= 8, got {k}")
+    if not 2 <= k <= MAX_POSET_SIZE:
+        raise PosetError(f"path family supported for 2 <= k <= {MAX_POSET_SIZE}, got {k}")
     path_edges = {(i, i + 1) for i in range(k - 1)}
     found = {}  # canonical relations -> first poset with them
     for bits in range(1 << (k - 1)):

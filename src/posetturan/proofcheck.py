@@ -18,6 +18,7 @@ from functools import lru_cache
 from .embedding import find_any_embedding, find_embedding, is_free
 from .lattice import (
     ComparabilityComponents,
+    MAX_CHAIN_N,
     SetFamily,
     cached_lattice,
     chain_count,
@@ -110,7 +111,7 @@ def classify_nfree_components(family: SetFamily):
     hit = find_any_embedding(family, [n_poset()])
     if hit is not None:
         raise NotFreeError("family is not N-free", hit[1])
-    above, below, ms = family.above, family.below, family.members
+    below, comparable, ms = family.below, family.comparable, family.members
     out = []
     for comp in comparability_components(family).components:
         bits = sum(1 << i for i in comp)
@@ -122,7 +123,7 @@ def classify_nfree_components(family: SetFamily):
         else:
             # a star's center is comparable with all others; a singleton is its own center
             others = len(comp) - 1
-            centers = [i for i in comp if ((above[i] | below[i]) & bits).bit_count() == others]
+            centers = [i for i in comp if (comparable[i] & bits).bit_count() == others]
             assert centers
             out.append(ComponentClass("star", masks, ms[centers[0]]))
     return out
@@ -251,27 +252,31 @@ def erdos_gallai_check(components: ComparabilityComponents) -> bool:
 
 def _find_graph_path(components: ComparabilityComponents, length: int):
     fam = components.family
-    adj = [up | down for up, down in zip(fam.above, fam.below)]
+    starts = (v for comp in components.components if len(comp) >= length for v in comp)
+    for path in _walks(fam.comparable, starts, length):
+        return tuple(fam.members[i] for i in path)
+    return None
 
-    def extend(path, seen):
-        # seen: bitset of the members on the path
-        if len(path) == length:
-            return list(path)
-        for nxt in iter_bits(adj[path[-1]] & ~seen):
-            found = extend(path + [nxt], seen | 1 << nxt)
-            if found:
-                return found
-        return None
+
+def _walks(near, starts, length):
+    """Every sequence of ``length`` distinct indices, consecutive ones adjacent in ``near``.
+
+    ``near[i]`` is the bitset of i's neighbours. Starts come in turn, least index first.
+    """
+
+    def extend(walk, seen):
+        # seen: bitset of the indices on the walk
+        if len(walk) == length:
+            yield list(walk)
+            return
+        for nxt in iter_bits(near[walk[-1]] & ~seen):
+            walk.append(nxt)
+            yield from extend(walk, seen | 1 << nxt)
+            walk.pop()
 
     try:
-        for comp in components.components:
-            if len(comp) < length:
-                continue
-            for v in comp:
-                found = extend([v], 1 << v)
-                if found:
-                    return tuple(fam.members[i] for i in found)
-        return None
+        for start in starts:
+            yield from extend([start], 1 << start)
     finally:
         del extend  # extend's closure holds extend: drop it, or each call leaves a cycle
 
@@ -304,8 +309,8 @@ def p5_component_report(n: int, family: SetFamily):
     hit = find_any_embedding(family, path_hasse_family(5))
     if hit is not None:
         raise NotFreeError("family embeds a 5-element path poset", hit[1])
-    if n > 7:
-        raise ValueError("component report needs n <= 7 for the chain oracle")
+    if n > MAX_CHAIN_N:
+        raise ValueError(f"component report needs n <= {MAX_CHAIN_N} for the chain oracle")
     denom = 5 * math.comb(n - 2, n // 2 - 1)
     reports = []
     for comp in comparability_components(family).components:
@@ -337,7 +342,7 @@ def p5_component_report(n: int, family: SetFamily):
 
 def _max_antichain(family: SetFamily) -> int:
     """Largest pairwise-incomparable subset, by branch and bound over members."""
-    adj = [up | down for up, down in zip(family.above, family.below)]
+    adj = family.comparable
     best = 0
 
     def rec(candidates, size):
@@ -474,8 +479,7 @@ def verify_coloring(seed: int = 0) -> LemmaReport:
 @lru_cache(maxsize=None)
 def _comparable_masks(n):
     """Per mask of [n], the other masks comparable with it, ascending."""
-    lat = cached_lattice(n)
-    return tuple(tuple(iter_bits(up | down)) for up, down in zip(lat.above, lat.below))
+    return tuple(tuple(iter_bits(near)) for near in cached_lattice(n).comparable)
 
 
 def random_zigzag(rng, n, length=6):
@@ -506,23 +510,7 @@ def random_zigzag(rng, n, length=6):
 
 
 def _all_zigzags(n, length=6):
-    near = _comparable_masks(n)
-
-    def extend(seq):
-        if len(seq) == length:
-            yield list(seq)
-            return
-        for m in near[seq[-1]]:
-            if m not in seq:
-                seq.append(m)
-                yield from extend(seq)
-                seq.pop()
-
-    try:
-        for start in range(1 << n):
-            yield from extend([start])
-    finally:
-        del extend  # extend's closure holds extend: drop it, or each call leaves a cycle
+    return _walks(cached_lattice(n).comparable, range(1 << n), length)
 
 
 def verify_zigzag(seed: int = 0) -> LemmaReport:
@@ -573,7 +561,7 @@ def verify_nfree_components(seed: int = 0) -> LemmaReport:
                 # a star: the center is comparable with every other member, no other pair is
                 i = sub.members.index(cls.center)
                 spokes = len(sub) - 1
-                ok = (sub.above[i] | sub.below[i]).bit_count() == spokes == count_k_chains(sub, 2)
+                ok = sub.comparable[i].bit_count() == spokes == count_k_chains(sub, 2)
             else:
                 ok = False
             if not ok:

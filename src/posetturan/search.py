@@ -127,7 +127,7 @@ def la_exact(n: int, forbidden, q: Poset, budget: int = None) -> SearchReport:
     _check_request(n, budget)
     # One family for the whole search: member index = mask.
     universe = cached_lattice(n)
-    near = [up | down for up, down in zip(universe.above, universe.below)]
+    near = universe.comparable
     group = _symmetry_group(n, forbidden, q)
 
     state = {"nodes": 0, "complete": True, "best": -1, "leaves": []}

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import posetturan
+from posetturan import familyio
 from posetturan.cli import run_command
 from posetturan.dsl import DslError, parse_poset_dsl, parse_single_poset, poset_to_dsl
 from posetturan.familyio import (
@@ -66,6 +67,15 @@ class TestPosetDsl:
         with pytest.raises(DslError):
             parse_single_poset("@pathfamily(4)")
 
+    @pytest.mark.parametrize("text, line, column", (
+        ("a<b; a<", 1, 6),
+        ("x<y\n  y<z; y<", 2, 8),
+    ))
+    def test_error_column_is_the_statement_start(self, text, line, column):
+        with pytest.raises(DslError) as exc:
+            parse_poset_dsl(text)
+        assert (exc.value.line, exc.value.column) == (line, column)
+
     def test_roundtrip(self):
         for p in (
             named_poset("N"),
@@ -115,6 +125,19 @@ class TestFamilyIo:
             parse_family("n=3\nLx\n")
         with pytest.raises(FamilyFormatError):
             parse_family('{"n": 3}')
+
+    def test_repeated_level_lines_list_the_level_once(self, monkeypatch):
+        calls = []
+
+        def counted(n, ks):
+            calls.append(sorted(ks))
+            return level_family(n, ks)
+
+        one = parse_family("n=18\nL9\n")
+        monkeypatch.setattr(familyio, "level_family", counted)
+        assert parse_family("n=18\n" + "L9\n" * 200) == one
+        assert calls == [[9]]
+        assert len(one) == math.comb(18, 9)
 
     def test_level_shorthand_refused_past_the_scan_cap(self):
         with pytest.raises(DimensionError):

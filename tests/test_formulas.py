@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from posetturan.formulas import (
+    MAX_TUPLE_SCAN_K,
+    MAX_TUPLE_SCAN_N,
     balanced_parts,
     butterfly_p2,
     chain_count_in_levels,
@@ -169,6 +171,14 @@ class TestLaChainLevelsMax:
             la_chain_levels_max(4, 2, 2)
         with pytest.raises(ValueError):
             la_chain_levels_max(25, 3, 2)
+
+    def test_tuple_scan_caps(self):
+        best, argmax = la_chain_levels_max(MAX_TUPLE_SCAN_N, MAX_TUPLE_SCAN_K, 5)
+        assert best == chain_count_in_levels(MAX_TUPLE_SCAN_N, 5, argmax[0])
+        with pytest.raises(ValueError, match="n=20, k=6"):
+            la_chain_levels_max(MAX_TUPLE_SCAN_N + 1, 3, 2)
+        with pytest.raises(ValueError, match="n=20, k=6"):
+            la_chain_levels_max(10, MAX_TUPLE_SCAN_K + 1, 2)
 
 
 class TestBalancedParts:

@@ -245,6 +245,17 @@ class TestBitsetComparability:
             assert fam.above == pairwise_above(fam)
             assert fam.below == pairwise_below(fam)
 
+    def test_comparable_is_the_symmetric_irreflexive_union(self):
+        rng = random.Random(13)
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            fam = SetFamily(n, rng.sample(range(1 << n), rng.randint(0, 1 << n)))
+            near = fam.comparable
+            assert near == tuple(up | down for up, down in zip(fam.above, fam.below))
+            for i, bits in enumerate(near):
+                assert not bits >> i & 1
+                assert all(near[j] >> i & 1 for j in iter_bits(bits))
+
     def test_sparse_family_uses_both_builds(self):
         # the empty set has 2^20 supersets, far more than later members, so it
         # is tested pairwise; the sets near [20] walk their few supersets

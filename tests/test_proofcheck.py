@@ -15,6 +15,7 @@ from posetturan.proofcheck import (
     LemmaReport,
     NotFreeError,
     _all_zigzags,
+    _find_graph_path,
     _hosts,
     _run_suite,
     check_one_critical_pair_per_chain,
@@ -334,6 +335,37 @@ class TestZigzagSequences:
         assert list(_all_zigzags(3)) == [list(seq) for seq in scanned]
 
 
+def scan_graph_path(components, length):
+    """_find_graph_path as a scan of member permutations, from the same starts in turn."""
+    fam = components.family
+    ms = fam.members
+    for comp in components.components:
+        if len(comp) < length:
+            continue
+        for v in comp:
+            for rest in itertools.permutations([j for j in range(len(ms)) if j != v], length - 1):
+                path = (v, *rest)
+                if all(ms[a] & ms[b] in (ms[a], ms[b]) for a, b in zip(path, path[1:])):
+                    return tuple(ms[i] for i in path)
+    return None
+
+
+class TestGraphPath:
+    def test_matches_permutation_scan(self):
+        rng = random.Random(17)
+        found = set()  # the lengths at which some path was found
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            fam = SetFamily(n, rng.sample(range(1 << n), rng.randint(1, min(10, 1 << n))))
+            components = comparability_components(fam)
+            for length in range(2, 7):
+                path = _find_graph_path(components, length)
+                assert path == scan_graph_path(components, length)
+                if path is not None:
+                    found.add(length)
+        assert found == set(range(2, 7))  # the scan is not vacuous
+
+
 class TestErdosGallai:
     def test_p5_construction_bound(self):
         comps = comparability_components(p5_construction(6))
@@ -367,6 +399,14 @@ class TestP5ComponentReport:
     def test_refuses_non_free(self):
         with pytest.raises(NotFreeError):
             p5_component_report(3, SetFamily(3, [0, 1, 3, 7, 5]))
+
+    def test_chain_oracle_cap(self):
+        reports = p5_component_report(8, p5_construction(8))
+        assert len(reports) == 20
+        # each hull is an interval from a 3-set to a 5-set: 8! / C(6, 3) chains meet it
+        assert all(rep.containments == 5 and rep.chains_meeting_hull == 2016 for rep in reports)
+        with pytest.raises(ValueError, match="n <= 8 for the chain oracle"):
+            p5_component_report(9, p5_construction(9))
 
     def test_singleton_component(self):
         (rep,) = p5_component_report(4, SetFamily(4, [3]))
