@@ -17,7 +17,7 @@ from .embedding import count_copies, find_any_embedding
 from .familyio import format_family, read_family
 from .formulas import FORMULAS, closed_formula
 from .proofcheck import VERIFIERS, run_verifiers
-from .search import cached_la_exact, la_exact
+from .search import MAX_EXACT_SEARCH_N, cached_la_exact, la_exact
 
 USAGE_ERROR = 2
 
@@ -43,8 +43,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--forbid", required=True, metavar="POSETSPEC")
     p.add_argument("--pretty", action="store_true")
 
-    p = sub.add_parser("search", help="exact La(n, forbidden, #Q) by search, 1 <= n <= 6")
-    p.add_argument("--n", type=int, required=True, help="ground set size, 1 <= n <= 6")
+    n_range = f"1 <= n <= {MAX_EXACT_SEARCH_N}"
+    p = sub.add_parser("search", help=f"exact La(n, forbidden, #Q) by search, {n_range}")
+    p.add_argument("--n", type=int, required=True, help=f"ground set size, {n_range}")
     p.add_argument("--forbid", required=True, metavar="POSETSPEC")
     p.add_argument("--q", required=True, metavar="POSETSPEC")
     p.add_argument(

@@ -28,6 +28,16 @@ class EmbeddingWitness:
         return True
 
 
+def _constraints(poset: Poset, order) -> tuple:
+    """Per position i of ``order``, (lower, upper): the earlier positions whose
+    elements lie below, resp. above, order[i]."""
+    return tuple(
+        (tuple(j for j in range(i) if poset.less(order[j], a)),
+         tuple(j for j in range(i) if poset.less(a, order[j])))
+        for i, a in enumerate(order)
+    )
+
+
 @lru_cache(maxsize=256)
 def _plan(poset: Poset, forced=None):
     """Compiled assignment order for the backtracking search.
@@ -62,13 +72,7 @@ def _plan(poset: Poset, forced=None):
             order.append(e)
             rest.remove(e)
     k = len(order)
-    constraints = tuple(
-        (
-            tuple(j for j in range(i) if poset.less(order[j], order[i])),
-            tuple(j for j in range(i) if poset.less(order[i], order[j])),
-        )
-        for i in range(k)
-    )
+    constraints = _constraints(poset, order)
     supports = []
     for i in range(k):
         sup = []
@@ -193,8 +197,133 @@ def embedding_using_member(family: SetFamily, poset: Poset, member_index: int, w
     return None
 
 
+@lru_cache(maxsize=256)
+def _through_plans(poset: Poset):
+    """Listing plans for ``completing_members``, one per pair (e, f).
+
+    e is an orbit representative (the element the candidate plays) and f any
+    other element (the element x plays). Each plan is (order, constraints,
+    toward, ready, need_up, need_down):
+
+    - ``order`` lists the elements other than e, starting at f; each next one
+      has the most comparabilities to those placed, e's neighbours first on
+      ties, then the least index. ``constraints`` is as in ``_plan``.
+    - ``toward[i]`` is 1 if order[i] lies below e (the candidate must lie
+      above its image), -1 if above e, 0 if incomparable to e.
+    - ``ready`` is the length of the shortest prefix that holds f and every
+      neighbour of e: past it the candidates are fixed.
+    - ``need_up`` (``need_down``) counts the elements other than e above
+      (below) f, Ullmann's degree filter for x.
+    """
+    plans = []
+    for e in poset.orbit_representatives():
+        for f in range(poset.size):
+            if f == e:
+                continue
+            order = [f]
+            rest = set(range(poset.size)) - {e, f}
+            while rest:
+                a = min(rest, key=lambda a: (-sum(poset.comparable(a, b) for b in order),
+                                             not poset.comparable(a, e), a))
+                order.append(a)
+                rest.remove(a)
+            constraints = _constraints(poset, order)
+            toward = tuple(poset.less(a, e) - poset.less(e, a) for a in order)
+            ready = max([i + 1 for i, t in enumerate(toward) if t], default=1)
+            plans.append((tuple(order), constraints, toward, ready,
+                          len(poset.up_set(f) - {e}), len(poset.down_set(f) - {e})))
+    return tuple(plans)
+
+
+def completing_members(family: SetFamily, poset: Poset, x: int, within: int, candidates: int) -> int:
+    """The candidates c for which the poset embeds in ``within | c`` using both x and c.
+
+    ``within`` and ``candidates`` are disjoint bitsets of member indices, and
+    ``within`` holds the member index x. For each plan of ``_through_plans``
+    the search lists the images of P - e in ``within`` with f at x. Once e's
+    neighbours are placed, the candidates comparable to their images in the
+    right directions are fixed, and one completion of the remaining elements
+    adds all of them. Automorphisms move any embedding's candidate onto an
+    orbit representative, so e need only range over those; x may play any
+    other element. A partial image is dropped as soon as e's neighbours placed
+    so far leave no candidate that is not already added.
+    """
+    above, below = family.above, family.below
+    up, down = (above[x] & within).bit_count(), (below[x] & within).bit_count()
+    image = [x] * poset.size
+    found = 0
+
+    def extend(i, left, hosts):
+        # Lists the images of positions i.. in left. hosts: the candidates not
+        # yet found that are comparable, as e needs, to the images before i.
+        # Past ready one completion adds hosts, and the search returns True.
+        nonlocal found
+        if i == k:
+            found |= hosts
+            return True
+        lower, upper = constraints[i]
+        pool = left
+        for j in lower:
+            pool &= above[image[j]]
+        for j in upper:
+            pool &= below[image[j]]
+        t = toward[i]
+        while pool:
+            low = pool & -pool
+            pool ^= low
+            m = image[i] = low.bit_length() - 1
+            h = (hosts & above[m] if t > 0 else hosts & below[m] if t < 0 else hosts) & ~found
+            if h and extend(i + 1, left ^ low, h) and i >= ready:
+                return True
+        return False
+
+    if candidates and poset.size - 1 <= within.bit_count():
+        left = within ^ 1 << x
+        for order, constraints, toward, ready, need_up, need_down in _through_plans(poset):
+            if need_up > up or need_down > down:
+                continue
+            k = len(order)
+            t = toward[0]
+            hosts = (candidates & above[x] if t > 0 else candidates & below[x] if t < 0
+                     else candidates) & ~found
+            if hosts:
+                extend(1, left, hosts)
+    del extend  # extend's closure holds extend: drop it, or each call leaves a cycle
+    return found
+
+
+def minimal_posets(forbidden) -> list:
+    """The members of the list into which no other non-isomorphic member weakly embeds.
+
+    If q embeds in p, every q-free family is p-free, so the result forbids
+    exactly what the list forbids. Of isomorphic members the first is kept,
+    and the list order is kept.
+    """
+    return list(_minimal_posets(tuple(forbidden)))
+
+
+@lru_cache(maxsize=64)
+def _minimal_posets(forbidden: tuple) -> tuple:
+    keys = [p.canonical_key() for p in forbidden]
+    keep = []
+    for i, p in enumerate(forbidden):
+        if keys[i] in keys[:i]:
+            continue
+        # p's principal down-sets, ordered by inclusion, form a copy of p
+        host = SetFamily(max(p.size, 1), [
+            sum(1 << a for a in p.down_set(b)) | 1 << b for b in range(p.size)
+        ])
+        if not any(key != keys[i] and find_embedding(host, q) is not None
+                   for q, key in zip(forbidden, keys)):
+            keep.append(p)
+    return tuple(keep)
+
+
 def find_any_embedding(family: SetFamily, forbidden):
     """First (poset, witness) pair among the forbidden list, or None."""
+    forbidden = list(forbidden)
+    if is_free(family, forbidden):
+        return None
     for p in forbidden:
         w = find_embedding(family, p)
         if w is not None:
@@ -203,8 +332,11 @@ def find_any_embedding(family: SetFamily, forbidden):
 
 
 def is_free(family: SetFamily, forbidden) -> bool:
-    """True iff no member of the forbidden list embeds into the family."""
-    return find_any_embedding(family, forbidden) is None
+    """True iff no member of the forbidden list embeds into the family.
+
+    Only the members that ``minimal_posets`` keeps are tested.
+    """
+    return all(find_embedding(family, p) is None for p in minimal_posets(forbidden))
 
 
 def count_copies(family: SetFamily, q: Poset, within=None, using=None) -> int:

@@ -7,7 +7,7 @@ import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .embedding import count_copies, embedding_using_member, is_free
+from .embedding import completing_members, count_copies, embedding_using_member, is_free, minimal_posets
 from .lattice import SetFamily, cached_lattice, iter_bits, level_family
 from .formulas import chain_count_in_levels
 from .posets import Poset, dual_poset
@@ -16,7 +16,7 @@ DEFAULT_WITNESS_CAP = 16
 CACHE_ENV_VAR = "TURAN_CACHE"
 DEFAULT_CACHE_FILE = "turan-cache.jsonl"
 
-MAX_EXACT_SEARCH_N = 6  # la_exact: 18-90 s per paper problem at n = 6 (2 vCPUs); 2^128 families at n = 7
+MAX_EXACT_SEARCH_N = 6  # la_exact: 7-45 s per paper problem at n = 6 (2 vCPUs); 2^128 families at n = 7
 MAX_LEVEL_SEARCH_N = 16  # la_levels: 2^(n+1) level tuples
 MAX_LEVEL_GENERIC_N = 10  # la_levels with non-chain P: an embedding search per level union
 MAX_LEVEL_GENERIC_Q_N = 8  # la_levels with non-chain Q: copy listing, 30 s at n = 9 on 2 vCPUs
@@ -106,8 +106,13 @@ def la_exact(n: int, forbidden, q: Poset, budget: int = None) -> SearchReport:
       members of avail comparable to it, the least such mask on ties.
     - Propagation: including x drops every undecided y for which chosen, x and
       y hold a forbidden poset. So every undecided mask can join chosen, and
-      including one needs no check; the root propagates once from the empty
-      family, which drops every mask when a one-element poset is forbidden.
+      including one needs no check. As chosen, and chosen with any one
+      undecided y, are free, such an embedding uses both x and y: one listing
+      through x per forbidden poset (``completing_members``) finds every such
+      y. Only the posets that ``minimal_posets`` keeps are listed, since a
+      family free of those is free of the whole list. The root has no x: it
+      tests each mask on its own once, which drops every mask when a
+      one-element poset is forbidden.
     - Orbital branching (Ostrowski, Linderoth, Rossi and Smriglio, Math.
       Programming 126, 2011): excluding x excludes its whole H-orbit, since
       some element of H maps any family that meets the orbit onto one that
@@ -120,7 +125,7 @@ def la_exact(n: int, forbidden, q: Poset, budget: int = None) -> SearchReport:
     The witnesses are the DEFAULT_WITNESS_CAP lexicographically least optimal
     families: the images under the group of the leaves that reach the optimum,
     streamed into the least few. n <= 6 is supported: each paper problem
-    takes under a second at n = 5 and 18-90 s at n = 6. A budget stops the
+    takes under 0.2 s at n = 5 and 7-45 s at n = 6. A budget stops the
     search after exactly that many nodes, with complete=False if it ran out.
     """
     forbidden = list(forbidden)
@@ -129,6 +134,7 @@ def la_exact(n: int, forbidden, q: Poset, budget: int = None) -> SearchReport:
     universe = cached_lattice(n)
     near = universe.comparable
     group = _symmetry_group(n, forbidden, q)
+    minimal = minimal_posets(forbidden)
 
     state = {"nodes": 0, "complete": True, "best": -1, "leaves": []}
 
@@ -138,15 +144,6 @@ def la_exact(n: int, forbidden, q: Poset, budget: int = None) -> SearchReport:
             bound -= count_copies(universe, q, avail, y)
             avail ^= 1 << y
         return avail, bound
-
-    def propagate(chosen, avail, bound):
-        # drop the undecided masks that would complete a forbidden poset with chosen
-        dead = 0
-        for y in iter_bits(avail & ~chosen):
-            within = chosen | 1 << y
-            if any(embedding_using_member(universe, p, y, within) is not None for p in forbidden):
-                dead |= 1 << y
-        return (*drop(avail, bound, dead), dead)
 
     def rec(chosen, avail, bound, h):
         # bound: the copies of Q in avail
@@ -165,17 +162,22 @@ def la_exact(n: int, forbidden, q: Poset, budget: int = None) -> SearchReport:
             return
         x = max(iter_bits(free), key=lambda y: (avail & near[y]).bit_count())
         included = chosen | 1 << x
-        child_avail, child_bound, dead = propagate(included, avail, bound)
+        dead = 0  # the undecided masks that would complete a forbidden poset with x
+        for p in minimal:
+            dead |= completing_members(universe, p, x, included, (free ^ 1 << x) & ~dead)
         dead_masks = tuple(iter_bits(dead))
         stabiliser = [g for g in h if g[x] == x and all(dead >> g[d] & 1 for d in dead_masks)]
-        rec(included, child_avail, child_bound, stabiliser)
+        rec(included, *drop(avail, bound, dead), stabiliser)
         orbit = 0
         for g in h:
             orbit |= 1 << g[x]
         rec(chosen, *drop(avail, bound, orbit), h)
 
+    # the root has no x: drop every mask that hosts a forbidden poset on its own
     full = (1 << (1 << n)) - 1
-    avail, bound, _ = propagate(0, full, count_copies(universe, q, full))
+    alone = sum(1 << y for y in range(1 << n)
+                if any(embedding_using_member(universe, p, y, 1 << y) is not None for p in minimal))
+    avail, bound = drop(full, count_copies(universe, q, full), alone)
     rec(0, avail, bound, group)
     del rec  # rec's closure holds rec: drop it, or each call leaves a cycle
     return SearchReport(

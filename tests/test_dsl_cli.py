@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import posetturan
-from posetturan import familyio
+from posetturan import cli, familyio
 from posetturan.cli import run_command
 from posetturan.dsl import DslError, parse_poset_dsl, parse_single_poset, poset_to_dsl
 from posetturan.familyio import (
@@ -309,6 +309,15 @@ class TestCli:
         assert self.run(capsys, "search", "--n", "3", "--forbid", "@oops", "--q", "@chain(2)")[0] == 2
         assert self.run(capsys, "count", "--family", "/no/such/file", "--q", "@N")[0] == 2
         assert self.run(capsys, "nope")[0] == 2
+
+    def test_search_help_carries_the_search_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_EXACT_SEARCH_N", 9)
+        main_help = cli.build_parser().format_help()
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["search", "--help"])
+        search_help = capsys.readouterr().out
+        assert "search, 1 <= n <= 9" in " ".join(main_help.split())
+        assert "ground set size, 1 <= n <= 9" in " ".join(search_help.split())
 
     def test_pretty_free(self, capsys, tmp_path):
         fam_file = tmp_path / "fam.txt"

@@ -8,10 +8,13 @@ from posetturan import embedding
 from posetturan.embedding import (
     _plan,
     _search,
+    completing_members,
     count_copies,
     embedding_using_member,
+    find_any_embedding,
     find_embedding,
     is_free,
+    minimal_posets,
 )
 from posetturan.lattice import (
     SetFamily,
@@ -242,6 +245,124 @@ class TestCompiledPlans:
         assert embedding_using_member(fam, chain(2), 0, within=0b101) is not None
 
 
+def reference_completing_members(fam, poset, x, within, candidates):
+    """completing_members by brute force: every embedding of the poset into
+    ``within | candidates``, assigned element by element in index order;
+    each one that uses x and exactly one candidate adds that candidate."""
+    ms = fam.members
+    image = [None] * poset.size
+    found = 0
+
+    def extend(a, used):
+        nonlocal found
+        if a == poset.size:
+            hosts = used & candidates
+            if used >> x & 1 and hosts.bit_count() == 1:
+                found |= hosts
+            return
+        for i in iter_bits((within | candidates) & ~used):
+            if all(ms[image[b]] & ms[i] == ms[image[b]] for b in range(a) if poset.less(b, a)) \
+                    and all(ms[i] & ms[image[b]] == ms[i] for b in range(a) if poset.less(a, b)):
+                image[a] = i
+                extend(a + 1, used | 1 << i)
+
+    extend(0, 0)
+    return found
+
+
+def propagation_reference(fam, forbidden, within, free):
+    """The members of free that la_exact dropped after an include before the
+    listing: one forced embedding search per free member and forbidden poset."""
+    return sum(1 << y for y in iter_bits(free)
+               if any(embedding_using_member(fam, p, y, within | 1 << y) is not None
+                      for p in forbidden))
+
+
+class TestCompletingMembers:
+    """The listing through x against brute force and against the per-member loop."""
+
+    @staticmethod
+    def cases(seed, count):
+        # (lattice, chosen, x, candidates) at n <= 4, member index = mask
+        rng = random.Random(seed)
+        for _ in range(count):
+            n = rng.randint(2, 4)
+            masks = rng.sample(range(1 << n), rng.randint(2, min(10, 1 << n)))
+            chosen = sum(1 << m for m in masks[2:rng.randint(2, len(masks))])
+            candidates = sum(1 << m for m in masks[1:]) & ~chosen
+            yield full_lattice(n), chosen, masks[0], candidates
+
+    def test_matches_brute_force(self):
+        posets = catalog_posets(5)
+        for fam, chosen, x, candidates in self.cases(61, 60):
+            within = chosen | 1 << x
+            for p in posets:
+                got = completing_members(fam, p, x, within, candidates)
+                assert got == reference_completing_members(fam, p, x, within, candidates), (
+                    fam.n, chosen, x, candidates, p)
+
+    def test_matches_the_per_member_loop(self):
+        # as in la_exact: chosen is P-free, and so is chosen with any one candidate
+        posets = catalog_posets(5)
+        for fam, chosen, x, candidates in self.cases(67, 60):
+            within = chosen | 1 << x
+            for p in posets:
+                if find_embedding(fam, p, chosen) is not None:
+                    continue
+                free = sum(1 << c for c in iter_bits(candidates)
+                           if find_embedding(fam, p, chosen | 1 << c) is None)
+                got = completing_members(fam, p, x, within, free)
+                assert got == propagation_reference(fam, [p], within, free), (
+                    fam.n, chosen, x, free, p)
+
+    def test_plans_cover_every_role_of_x(self):
+        # e ranges over the orbit representatives and f over every other element
+        for p in catalog_posets(5):
+            roles = [(*set(range(p.size)) - set(order), order[0])
+                     for order, *_ in embedding._through_plans(p)]
+            assert roles == [(e, f) for e in p.orbit_representatives()
+                             for f in range(p.size) if f != e], p
+
+
+class TestMinimalPosets:
+    @pytest.mark.parametrize("k, size", ((4, 1), (5, 3), (6, 3)))
+    def test_path_family_sizes(self, k, size):
+        assert len(minimal_posets(path_hasse_family(k))) == size
+
+    def test_a_point_is_all_that_remains(self):
+        for forbidden in ([chain(1)], [BFLY, chain(1), n_poset()], [chain(3), chain(1), chain(1)]):
+            assert minimal_posets(forbidden) == [chain(1)]
+
+    def test_keeps_order_and_one_of_each_class(self):
+        assert minimal_posets([chain(3), BFLY, n_poset()]) == [chain(3), n_poset()]
+        assert minimal_posets([w_poset(), dual_poset(w_poset())]) == [w_poset(), dual_poset(w_poset())]
+        assert minimal_posets([n_poset(), dual_poset(n_poset())]) == [n_poset()]
+
+    def test_dual_closed_lists_stay_dual_closed(self):
+        lists = [path_hasse_family(k) for k in (4, 5, 6)]
+        lists += [[p, dual_poset(p)] for p in catalog_posets(5)]
+        lists.append([p for p in catalog_posets(5) if p.size == 4] + [fork(3), dual_poset(fork(3))])
+        for forbidden in lists:
+            keys = {p.canonical_key() for p in forbidden}
+            if keys != {dual_poset(p).canonical_key() for p in forbidden}:
+                continue
+            kept = minimal_posets(forbidden)
+            assert {p.canonical_key() for p in kept} == {dual_poset(p).canonical_key() for p in kept}
+
+    def test_decisions_match_the_full_scan(self):
+        rng = random.Random(71)
+        posets = catalog_posets(5)
+        lists = [path_hasse_family(4), path_hasse_family(5), [w_poset(), dual_poset(w_poset())]]
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            fam = SetFamily(n, rng.sample(range(1 << n), rng.randint(0, min(14, 1 << n))))
+            forbidden = rng.choice(lists + [rng.sample(posets, rng.randint(1, 4))])
+            scan = next(((p, w) for p in forbidden
+                         if (w := find_embedding(fam, p)) is not None), None)
+            assert is_free(fam, forbidden) == (scan is None)
+            assert find_any_embedding(fam, forbidden) == scan
+
+
 class TestWithin:
     """A selection bitset over a family answers as the restricted family does."""
 
@@ -290,6 +411,7 @@ def test_searches_leave_no_garbage():
     components = comparability_components(small)
     searches = {
         "embedding_using_member": lambda x: embedding_using_member(fam, BFLY, x),
+        "completing_members": lambda x: completing_members(fam, BFLY, x, 1 << x | 0b1111, 1 << 15),
         "find_embedding": lambda x: find_embedding(fam, BFLY),
         "count_copies": lambda x: count_copies(fam, n_poset()),
         "la_exact": lambda x: la_exact(2, [BFLY], chain(2)),

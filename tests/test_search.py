@@ -17,7 +17,7 @@ import posetturan
 from posetturan import formulas
 
 from posetturan.dsl import parse_poset_dsl, parse_single_poset
-from posetturan.embedding import is_free
+from posetturan.embedding import completing_members, is_free, minimal_posets
 from posetturan.lattice import SetFamily, chain_count, count_k_chains, level_family
 from posetturan.posets import chain, kst, n_poset, named_poset
 from posetturan.search import (
@@ -32,7 +32,12 @@ from posetturan.search import (
     la_levels,
     verify_witness,
 )
-from test_embedding import catalog_posets, reference_count_copies, using_member_reference
+from test_embedding import (
+    catalog_posets,
+    propagation_reference,
+    reference_count_copies,
+    using_member_reference,
+)
 
 BFLY = named_poset("butterfly")
 P2 = chain(2)
@@ -415,6 +420,30 @@ class TestSameTreeAsReference:
             for w in rep.witnesses:
                 chk = verify_witness(SetFamily(5, w), forbid(spec), P2)
                 assert chk.free and chk.copies == rep.optimum
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_N5))
+def test_n5_dead_sets_match_the_per_member_loop(spec, monkeypatch):
+    # every include lists through x once per minimal poset; the union of those
+    # listings is what one forced search per free mask and poset finds
+    forbidden = forbid(spec)
+    calls = []
+
+    def listed(family, p, x, within, candidates):
+        found = completing_members(family, p, x, within, candidates)
+        calls.append((family, within, candidates, found))
+        return found
+
+    monkeypatch.setattr(posetturan.search, "completing_members", listed)
+    assert la_exact(5, forbidden, P2).nodes_explored == PINNED_N5[spec][1]
+    k = len(minimal_posets(forbidden))
+    assert calls and len(calls) % k == 0
+    for start in range(0, len(calls), k):
+        family, within, free, _ = calls[start]
+        dead = 0
+        for call in calls[start:start + k]:
+            dead |= call[3]
+        assert dead == propagation_reference(family, forbidden, within, free), (spec, within)
 
 
 class TestSymmetry:
