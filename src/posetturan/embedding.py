@@ -88,11 +88,8 @@ def _plan(poset: Poset, forced=None):
 
 @lru_cache(maxsize=256)
 def _forced_plans(poset: Poset):
-    """(plan forced at e, elements above e, elements below e) per orbit representative e."""
-    return tuple(
-        (_plan(poset, e), len(poset.up_set(e)), len(poset.down_set(e)))
-        for e in poset.orbit_representatives()
-    )
+    """The plan forced at e, per orbit representative e."""
+    return tuple(_plan(poset, e) for e in poset.orbit_representatives())
 
 
 # The supports count_copies may store: 80-200 bytes each for 64..1000 members.
@@ -181,16 +178,9 @@ def embedding_using_member(family: SetFamily, poset: Poset, member_index: int, w
     ``within``, if given, is a bitset of member indices (containing
     ``member_index``) to which the witness's image is restricted. One search
     per automorphism orbit suffices: composing a witness with an automorphism
-    moves the forced member onto any element of the orbit. Ullmann's degree
-    filter skips an orbit whose representative has more elements above (below)
-    it than the forced member has allowed members above (below) it.
+    moves the forced member onto any element of the orbit.
     """
-    allowed = (1 << len(family.members)) - 1 if within is None else within
-    up = (family.above[member_index] & allowed).bit_count()
-    down = (family.below[member_index] & allowed).bit_count()
-    for plan, need_up, need_down in _forced_plans(poset):
-        if need_up > up or need_down > down:
-            continue
+    for plan in _forced_plans(poset):
         w = _search(family, poset, plan, forced=member_index, within=within)
         if w is not None:
             return w
@@ -363,7 +353,7 @@ def count_copies(family: SetFamily, q: Poset, within=None, using=None) -> int:
         return chain_count(within, q.size, family.below)
     # force a member at each orbit representative: automorphisms cover the rest
     found = set()
-    for plan in [_plan(q)] if using is None else [plan for plan, _, _ in _forced_plans(q)]:
+    for plan in [_plan(q)] if using is None else _forced_plans(q):
         _search(family, q, plan, using, within, found)
     if len(found) > MAX_COPY_SUPPORTS:
         raise ValueError(f"copy counting stores at most {MAX_COPY_SUPPORTS} supports")

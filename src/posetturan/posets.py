@@ -37,17 +37,12 @@ class Poset:
 
     def height(self) -> int:
         """Number of elements in a longest chain."""
-        memo = {}
-
-        def climb(a):
-            if a not in memo:
-                ups = [b for b in range(self.size) if self.less(a, b)]
-                memo[a] = 1 + max((climb(b) for b in ups), default=0)
-            return memo[a]
-
-        longest = max((climb(a) for a in range(self.size)), default=0)
-        del climb  # climb's closure holds climb: drop it, or each call leaves a cycle
-        return longest
+        ups = [self.up_set(a) for a in range(self.size)]
+        longest = [0] * self.size  # longest[a]: the longest chain starting at a
+        # an element's up-set holds only elements whose up-sets are smaller
+        for a in sorted(range(self.size), key=lambda a: len(ups[a])):
+            longest[a] = 1 + max((longest[b] for b in ups[a]), default=0)
+        return max(longest, default=0)
 
     def is_chain(self) -> bool:
         return len(self.relations) == self.size * (self.size - 1) // 2

@@ -43,13 +43,16 @@ class SearchReport:
         }
 
 
-def _check_request(n: int, budget):
+def _check_request(n: int, forbidden, budget):
     if not 1 <= n <= MAX_EXACT_SEARCH_N:
         raise ValueError(
             f"exact search supports 1 <= n <= {MAX_EXACT_SEARCH_N}, with an optional budget; got n={n}"
         )
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
+    if any(p.size == 0 for p in forbidden):
+        # every family, even the empty one, hosts the empty poset
+        raise ValueError("a forbidden poset must have at least one element")
 
 
 def _request(n: int, forbidden, q: Poset, budget) -> dict:
@@ -97,69 +100,73 @@ def _symmetry_group(n: int, forbidden, q: Poset) -> tuple:
 def la_exact(n: int, forbidden, q: Poset, budget: int = None) -> SearchReport:
     """Exact maximum Q-copy count over forbidden-free subfamilies of 2^[n].
 
-    Branch-and-bound over the masks of 2^[n]. A node holds the included masks
-    (chosen), chosen plus the undecided masks (avail), the copies of Q in avail
-    (the bound) and H, the symmetries of the problem (``_symmetry_group``) that
-    fix chosen and avail setwise.
+    Branch-and-bound over the masks of 2^[n], one loop over an explicit stack
+    of nodes. A node holds the included masks (chosen), chosen plus the
+    undecided masks (avail), the copies of Q in avail (the bound), H, the
+    symmetries of the problem (``_symmetry_group``) that fix chosen and avail
+    setwise, and gone, the masks it removes from avail when it is popped. Each
+    node branches into an include child and an exclude child; the exclude
+    child is pushed first, so the include subtree is explored first.
 
     - Dynamic branching: the node branches on the undecided mask with the most
       members of avail comparable to it, the least such mask on ties.
-    - Propagation: including x drops every undecided y for which chosen, x and
-      y hold a forbidden poset. So every undecided mask can join chosen, and
-      including one needs no check. As chosen, and chosen with any one
+    - Propagation: including x removes every undecided y for which chosen, x
+      and y hold a forbidden poset. So every undecided mask can join chosen,
+      and including one needs no check. As chosen, and chosen with any one
       undecided y, are free, such an embedding uses both x and y: one listing
       through x per forbidden poset (``completing_members``) finds every such
       y. Only the posets that ``minimal_posets`` keeps are listed, since a
-      family free of those is free of the whole list. The root has no x: it
-      tests each mask on its own once, which drops every mask when a
+      family free of those is free of the whole list; these masks are the
+      include child's gone. The root has no x: its gone is every mask that
+      hosts a forbidden poset on its own, which is every mask when a
       one-element poset is forbidden.
     - Orbital branching (Ostrowski, Linderoth, Rossi and Smriglio, Math.
-      Programming 126, 2011): excluding x excludes its whole H-orbit, since
-      some element of H maps any family that meets the orbit onto one that
-      holds x, with the same value.
+      Programming 126, 2011): the exclude child's gone is the whole H-orbit
+      of x, since some element of H maps any family that meets the orbit onto
+      one that holds x, with the same value.
     - Bound: a node is cut only when its bound is below the best value found,
       so every optimal family keeps an image in the tree. The bound is
-      counted once at the root, and each removed mask subtracts the copies
-      through it that remain (``count_copies`` with ``using``).
+      counted once at the root, and each mask of gone subtracts the copies
+      through it that remain (``count_copies`` with ``using``) before the cut.
 
     The witnesses are the DEFAULT_WITNESS_CAP lexicographically least optimal
     families: the images under the group of the leaves that reach the optimum,
     streamed into the least few. n <= 6 is supported: each paper problem
     takes under 0.2 s at n = 5 and 7-45 s at n = 6. A budget stops the
-    search after exactly that many nodes, with complete=False if it ran out.
+    search after exactly that many nodes, with complete=False if a node was
+    still pending. A forbidden poset with no elements is refused: every
+    family hosts it.
     """
     forbidden = list(forbidden)
-    _check_request(n, budget)
+    _check_request(n, forbidden, budget)
     # One family for the whole search: member index = mask.
     universe = cached_lattice(n)
     near = universe.comparable
     group = _symmetry_group(n, forbidden, q)
     minimal = minimal_posets(forbidden)
-
-    state = {"nodes": 0, "complete": True, "best": -1, "leaves": []}
-
-    def drop(avail, bound, masks):
-        # avail without masks, and its bound less the copies through each removed mask
-        for y in iter_bits(masks):
+    # the root has no x: it removes every mask that hosts a forbidden poset on its own
+    full = (1 << (1 << n)) - 1
+    alone = sum(1 << y for y in range(1 << n)
+                if any(embedding_using_member(universe, p, y, 1 << y) is not None for p in minimal))
+    stack = [(0, full, count_copies(universe, q, full), group, alone)]
+    nodes, best, leaves, complete = 0, -1, [], True
+    while stack:
+        if nodes == budget:
+            complete = False
+            break
+        chosen, avail, bound, h, gone = stack.pop()
+        nodes += 1
+        for y in iter_bits(gone):
             bound -= count_copies(universe, q, avail, y)
             avail ^= 1 << y
-        return avail, bound
-
-    def rec(chosen, avail, bound, h):
-        # bound: the copies of Q in avail
-        # h: the group elements that map chosen and avail onto themselves
-        if budget is not None and state["nodes"] >= budget:
-            state["complete"] = False
-            return
-        state["nodes"] += 1
-        if bound < state["best"]:
-            return
+        if bound < best:
+            continue
         free = avail & ~chosen
         if not free:
-            if bound > state["best"]:
-                state["best"], state["leaves"] = bound, []
-            state["leaves"].append(chosen)
-            return
+            if bound > best:
+                best, leaves = bound, []
+            leaves.append(chosen)
+            continue
         x = max(iter_bits(free), key=lambda y: (avail & near[y]).bit_count())
         included = chosen | 1 << x
         dead = 0  # the undecided masks that would complete a forbidden poset with x
@@ -167,24 +174,17 @@ def la_exact(n: int, forbidden, q: Poset, budget: int = None) -> SearchReport:
             dead |= completing_members(universe, p, x, included, (free ^ 1 << x) & ~dead)
         dead_masks = tuple(iter_bits(dead))
         stabiliser = [g for g in h if g[x] == x and all(dead >> g[d] & 1 for d in dead_masks)]
-        rec(included, *drop(avail, bound, dead), stabiliser)
         orbit = 0
         for g in h:
             orbit |= 1 << g[x]
-        rec(chosen, *drop(avail, bound, orbit), h)
-
-    # the root has no x: drop every mask that hosts a forbidden poset on its own
-    full = (1 << (1 << n)) - 1
-    alone = sum(1 << y for y in range(1 << n)
-                if any(embedding_using_member(universe, p, y, 1 << y) is not None for p in minimal))
-    avail, bound = drop(full, count_copies(universe, q, full), alone)
-    rec(0, avail, bound, group)
-    del rec  # rec's closure holds rec: drop it, or each call leaves a cycle
+        # the include child is pushed last, so its subtree is explored first
+        stack.append((chosen, avail, bound, h, orbit))
+        stack.append((included, avail, bound, stabiliser, dead))
     return SearchReport(
-        optimum=state["best"],
-        witnesses=_least_images(state["leaves"], group),
-        nodes_explored=state["nodes"],
-        complete=state["complete"],
+        optimum=best,
+        witnesses=_least_images(leaves, group),
+        nodes_explored=nodes,
+        complete=complete,
         params=_request(n, forbidden, q, budget),
     )
 
@@ -313,7 +313,7 @@ def cached_la_exact(n, forbidden, q, budget=None, path=None) -> SearchReport:
     hit reports what la_exact would.
     """
     forbidden = list(forbidden)
-    _check_request(n, budget)
+    _check_request(n, forbidden, budget)
     path = path or cache_path()
     params = _request(n, forbidden, q, budget)
     rec = _cache_lookup(path, params)

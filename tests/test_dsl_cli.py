@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -440,3 +441,83 @@ class TestParserFuzz:
         except ValueError:
             return
         assert found and all(p.size <= 8 for p in found)
+
+
+# Integers that reach no slow path: every n past 3 is refused by a size cap
+# before any search or construction starts.
+FUZZ_INTS = ("-1", "0", "1", "2", "3", "25", "63", "1000000000")
+FUZZ_SWEEPS = ("1..3", "3..1", "2..25", "0..63", "1..", "x..2", "..")
+FUZZ_WORDS = (*sorted(cli.CONSTRUCTIONS), *sorted(cli.FORMULAS), "low", "high", "all", "zigzag")
+# no "l", so no junk token abbreviates --lemma
+FUZZ_JUNK = st.text(alphabet="-=@(),{}x ", max_size=6)
+
+
+# what each subcommand needs to get past argparse: positionals, then flags
+FUZZ_NEEDS = {"construct": ("name", "--n"), "count": ("--family", "--q"),
+              "free": ("--family", "--forbid"), "search": ("--n", "--forbid", "--q"),
+              "formula": ("name", "--n"), "verify": (), "nope": ()}
+
+
+@st.composite
+def cli_argvs(draw, paths):
+    """A subcommand, mostly with what it needs, then drawn flags and tokens.
+
+    A flag's value is mostly of its kind. ``verify`` always runs ``--lemma
+    sublattice``, its one fast lemma.
+    """
+    ints, words = st.sampled_from(FUZZ_INTS), st.sampled_from(FUZZ_WORDS)
+    specs = st.sampled_from(("@chain(2)", "@N", "@butterfly")) | builtin_specs()
+    values = {"name": words, "--n": ints, "--budget": ints, "--a": ints, "--b": ints, "--t": ints,
+              "--seed": ints, "--q": specs, "--forbid": specs, "--family": st.sampled_from(paths),
+              "--sweep": st.sampled_from(FUZZ_SWEEPS), "--variant": words, "--lemma": words}
+    anything = st.one_of(ints, specs, words, st.sampled_from(paths), FUZZ_JUNK)
+
+    def tokens(key):
+        # a positional, a flag and its value, or a flag that takes none
+        if key not in values:
+            return [key]
+        value = draw(values[key] if draw(st.integers(0, 3)) else anything)
+        return [value] if key == "name" else [key, value]
+
+    command = draw(st.sampled_from(sorted(FUZZ_NEEDS)))
+    argv = [command]
+    for key in FUZZ_NEEDS[command]:
+        if draw(st.integers(0, 3)):
+            argv += tokens(key)
+    for _ in range(draw(st.integers(0, 4))):
+        argv += tokens(draw(st.sampled_from((*values, "--no-cache", "--pretty", "--help"))))
+    if command == "verify":
+        argv = [token for token in argv if token != "--lemma"] + ["--lemma", "sublattice"]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """Family files of each kind the CLI may be given, and a cache path."""
+    root = tmp_path_factory.mktemp("argv")
+    texts = {
+        "text.txt": "n=3\n{}\n0 1\nL2\n",
+        "json.json": '{"n": 3, "masks": [0, 1, 3, 7]}',
+        "bad.json": '{"n": null, "masks": [1]}',
+        "junk.txt": "n=3\n1 two\n",
+    }
+    for name, text in texts.items():
+        (root / name).write_text(text)
+    (root / "bytes.bin").write_bytes(b"\xff\xfen=3\n0 1\n")  # not UTF-8
+    paths = [str(root / name) for name in (*texts, "bytes.bin")] + [
+        str(root), str(root / "missing.txt")]
+    return paths, str(root / "cache.jsonl")
+
+
+class TestArgvFuzz:
+    """Every argv exits 0, 1 or 2 without an escaping exception; 1 only from verify."""
+
+    @settings(deadline=2000, max_examples=300)
+    @given(data=st.data())
+    def test_exit_codes(self, argv_files, data):
+        paths, cache = argv_files
+        argv = data.draw(cli_argvs(paths))
+        with mock.patch.dict(os.environ, {"TURAN_CACHE": cache}):
+            code = run_command(argv)
+        assert code in (0, 1, 2)
+        assert code != 1 or argv[0] == "verify"

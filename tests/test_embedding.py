@@ -222,23 +222,6 @@ class TestCompiledPlans:
                 w = find_embedding(fam, p)
                 assert (w and w.assignment) == reference_embedding(fam, p), (fam.members, p)
 
-    def test_using_member_degree_filter_keeps_the_witness(self):
-        rng = random.Random(53)
-        posets = catalog_posets(5)
-        families = [full_lattice(n) for n in range(1, 5)]
-        for _ in range(30):
-            n = rng.randint(1, 4)
-            families.append(SetFamily(n, rng.sample(range(1 << n), rng.randint(1, 1 << n))))
-        for fam in families:
-            for p in posets:
-                for idx in range(len(fam)):
-                    within = sum(1 << i for i in range(len(fam)) if i == idx or rng.random() < 0.7)
-                    for restrict in (None, within):
-                        w = embedding_using_member(fam, p, idx, within=restrict)
-                        ref = using_member_reference(fam, p, idx, within=restrict)
-                        assert (w and w.assignment) == (ref and ref.assignment), (
-                            fam.members, p, idx, restrict)
-
     def test_within_must_hold_the_forced_member(self):
         fam = SetFamily(3, [0, 1, 3, 7])
         assert embedding_using_member(fam, chain(2), 0, within=0b110) is None

@@ -17,13 +17,27 @@ import posetturan
 from posetturan import formulas
 
 from posetturan.dsl import parse_poset_dsl, parse_single_poset
-from posetturan.embedding import completing_members, is_free, minimal_posets
-from posetturan.lattice import SetFamily, chain_count, count_k_chains, level_family
-from posetturan.posets import chain, kst, n_poset, named_poset
+from posetturan.embedding import (
+    completing_members,
+    count_copies,
+    embedding_using_member,
+    is_free,
+    minimal_posets,
+)
+from posetturan.lattice import (
+    SetFamily,
+    cached_lattice,
+    chain_count,
+    count_k_chains,
+    iter_bits,
+    level_family,
+)
+from posetturan.posets import chain, kst, n_poset, named_poset, poset_from_relations
 from posetturan.search import (
     DEFAULT_WITNESS_CAP,
     SearchReport,
     _cache_lookup,
+    _least_images,
     _permutation_tables,
     _request,
     _symmetry_group,
@@ -94,6 +108,69 @@ def reference_la_exact(n, forbidden, q):
     full = (1 << (1 << n)) - 1
     rec(0, 0, full, copies(full))
     return best
+
+
+def recursive_la_exact(n, forbidden, q, budget=None):
+    """la_exact as a recursive closure over a shared state dict: the reference
+    for the node loop, budgeted runs included.
+
+    The include child recurses before the exclude child, and each child drops
+    its removed masks from avail, and their copies from the bound, before it
+    is entered.
+    """
+    forbidden = list(forbidden)
+    universe = cached_lattice(n)
+    near = universe.comparable
+    group = _symmetry_group(n, forbidden, q)
+    minimal = minimal_posets(forbidden)
+
+    state = {"nodes": 0, "complete": True, "best": -1, "leaves": []}
+
+    def drop(avail, bound, masks):
+        for y in iter_bits(masks):
+            bound -= count_copies(universe, q, avail, y)
+            avail ^= 1 << y
+        return avail, bound
+
+    def rec(chosen, avail, bound, h):
+        if budget is not None and state["nodes"] >= budget:
+            state["complete"] = False
+            return
+        state["nodes"] += 1
+        if bound < state["best"]:
+            return
+        free = avail & ~chosen
+        if not free:
+            if bound > state["best"]:
+                state["best"], state["leaves"] = bound, []
+            state["leaves"].append(chosen)
+            return
+        x = max(iter_bits(free), key=lambda y: (avail & near[y]).bit_count())
+        included = chosen | 1 << x
+        dead = 0
+        for p in minimal:
+            dead |= completing_members(universe, p, x, included, (free ^ 1 << x) & ~dead)
+        dead_masks = tuple(iter_bits(dead))
+        stabiliser = [g for g in h if g[x] == x and all(dead >> g[d] & 1 for d in dead_masks)]
+        rec(included, *drop(avail, bound, dead), stabiliser)
+        orbit = 0
+        for g in h:
+            orbit |= 1 << g[x]
+        rec(chosen, *drop(avail, bound, orbit), h)
+
+    full = (1 << (1 << n)) - 1
+    alone = sum(1 << y for y in range(1 << n)
+                if any(embedding_using_member(universe, p, y, 1 << y) is not None for p in minimal))
+    avail, bound = drop(full, count_copies(universe, q, full), alone)
+    rec(0, avail, bound, group)
+    del rec
+    return SearchReport(
+        optimum=state["best"],
+        witnesses=_least_images(state["leaves"], group),
+        nodes_explored=state["nodes"],
+        complete=state["complete"],
+        params=_request(n, forbidden, q, budget),
+    )
 
 
 def reference_cache_lookup(path, params):
@@ -197,6 +274,16 @@ class TestBudget:
         assert exact.complete and exact.to_json()["witnesses"] == full.to_json()["witnesses"]
         short = la_exact(3, [BFLY], P2, budget=full.nodes_explored - 1)
         assert not short.complete and short.nodes_explored == full.nodes_explored - 1
+
+    def test_empty_forbidden_poset_rejected(self, tmp_path):
+        # every family, even the empty one, hosts the empty poset
+        empty = poset_from_relations(0, [])
+        with pytest.raises(ValueError, match="at least one element"):
+            la_exact(2, [empty], P2)
+        path = tmp_path / "c.jsonl"
+        with pytest.raises(ValueError, match="at least one element"):
+            cached_la_exact(2, [BFLY, empty], P2, path=str(path))
+        assert not path.exists()
 
     @pytest.mark.parametrize("budget", (0, -5))
     def test_budget_below_one_rejected(self, budget, tmp_path):
@@ -420,6 +507,24 @@ class TestSameTreeAsReference:
             for w in rep.witnesses:
                 chk = verify_witness(SetFamily(5, w), forbid(spec), P2)
                 assert chk.free and chk.copies == rep.optimum
+
+
+def budgeted_cases():
+    """(n, spec, Q spec, budget) for the budgeted comparison with the recursive search."""
+    runs = [(spec, "@chain(2)", PINNED_N4[spec][1]) for spec in sorted(PINNED_N4)]
+    runs.append(("@N", "@N", PINNED_OTHER_Q_N4["@N", "@N"][1]))
+    cases = [(4, spec, q_spec, budget) for spec, q_spec, full in runs
+             for budget in sorted({1, 2, 3, 5, 10, 30, 100, full - 1, full, full + 1})]
+    return cases + [(5, "@N", "@chain(2)", budget) for budget in (1, 17, 200, PINNED_N5["@N"][1])]
+
+
+@pytest.mark.parametrize("n, spec, q_spec, budget", budgeted_cases())
+def test_budgeted_report_matches_the_recursive_search(n, spec, q_spec, budget):
+    # a budget that runs out mid-tree must stop at the same node, with the
+    # same best value and witnesses, as the recursive search did
+    q = parse_single_poset(q_spec)
+    got = la_exact(n, forbid(spec), q, budget).to_json()
+    assert got == recursive_la_exact(n, forbid(spec), q, budget).to_json()
 
 
 @pytest.mark.parametrize("spec", sorted(PINNED_N5))
