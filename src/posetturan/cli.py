@@ -38,15 +38,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, metavar="FILE")
     p.add_argument("--q", required=True, metavar="POSETSPEC")
 
+    forbid_help = "a forbidden poset or list; repeat to forbid the concatenation, in order"
     p = sub.add_parser("free", help="decide P-freeness of a family")
     p.add_argument("--family", required=True, metavar="FILE")
-    p.add_argument("--forbid", required=True, metavar="POSETSPEC")
+    p.add_argument("--forbid", required=True, action="append", metavar="POSETSPEC", help=forbid_help)
     p.add_argument("--pretty", action="store_true")
 
     n_range = f"1 <= n <= {MAX_EXACT_SEARCH_N}"
     p = sub.add_parser("search", help=f"exact La(n, forbidden, #Q) by search, {n_range}")
     p.add_argument("--n", type=int, required=True, help=f"ground set size, {n_range}")
-    p.add_argument("--forbid", required=True, metavar="POSETSPEC")
+    p.add_argument("--forbid", required=True, action="append", metavar="POSETSPEC", help=forbid_help)
     p.add_argument("--q", required=True, metavar="POSETSPEC")
     p.add_argument(
         "--budget", type=int, default=None,
@@ -85,6 +86,11 @@ def _format_value(value) -> str:
     return str(value)
 
 
+def _forbidden(specs):
+    """The posets of every --forbid spec, concatenated in the order given."""
+    return [p for spec in specs for p in parse_poset_dsl(spec)]
+
+
 def cmd_construct(args):
     func = CONSTRUCTIONS[args.name]
     if args.name == "middle-two-levels":
@@ -104,7 +110,7 @@ def cmd_count(args):
 
 def cmd_free(args):
     fam = read_family(args.family)
-    forbidden = parse_poset_dsl(args.forbid)
+    forbidden = _forbidden(args.forbid)
     hit = find_any_embedding(fam, forbidden)
     if hit is None:
         out = {"free": True}
@@ -126,7 +132,7 @@ def cmd_free(args):
 
 
 def cmd_search(args):
-    forbidden = parse_poset_dsl(args.forbid)
+    forbidden = _forbidden(args.forbid)
     q = parse_single_poset(args.q)
     if args.no_cache:
         report = la_exact(args.n, forbidden, q, budget=args.budget)

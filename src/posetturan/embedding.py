@@ -42,7 +42,7 @@ def _constraints(poset: Poset, order) -> tuple:
 def _plan(poset: Poset, forced=None):
     """Compiled assignment order for the backtracking search.
 
-    Returns (order, constraints, supports): ``order`` lists the poset
+    Returns (order, constraints, supports, needs): ``order`` lists the poset
     elements in the order they are assigned, and ``constraints[i] = (lower,
     upper)`` holds the earlier positions whose elements lie below, resp.
     above, ``order[i]``. Without a forced element the order is decreasing
@@ -56,6 +56,9 @@ def _plan(poset: Poset, forced=None):
     ``(up, lower, upper)``: whether order[i] lies below order[p], and p's
     constraints cut to the positions before i. The image of position i must
     then be comparable, in that direction, to some member still open to p.
+
+    ``needs[i]`` is (|up-set|, |down-set|) of order[i]: its image needs at
+    least that many members above, resp. below it (Ullmann's degree filter).
     """
     deg = [0] * poset.size
     for a, b in poset.relations:
@@ -83,7 +86,8 @@ def _plan(poset: Poset, forced=None):
                     if lower or upper:
                         sup.append((poset.less(order[i], order[p]), lower, upper))
         supports.append(tuple(sup))
-    return tuple(order), constraints, tuple(supports)
+    needs = tuple((len(poset.up_set(a)), len(poset.down_set(a))) for a in order)
+    return tuple(order), constraints, tuple(supports), needs
 
 
 @lru_cache(maxsize=256)
@@ -102,18 +106,46 @@ def _search(family: SetFamily, poset: Poset, plan, forced=None, within=None, fou
     ``forced`` is the member index assigned to the plan's first element.
     ``within``, if given, is the bitset of member indices the images may use.
     Candidates are tried in ascending index order, which makes the witness
-    deterministic; the look-ahead through ``supports`` only drops candidates
-    that cannot be completed, so it does not change which witness is found.
+    deterministic. The look-ahead through ``supports`` and the degree
+    domains only drop candidates that cannot be completed, so they change
+    neither the witness found nor the supports listed. The images of an
+    element's up-set are distinct allowed members above its image, so a
+    member with fewer allowed members above it than ``needs`` asks (or
+    below it, likewise) cannot host that element. An unforced search builds
+    the domain of each distinct need with a component of at least 2 once. A
+    forced search only checks the forced member: it is one of the many short
+    listing runs of the search bound, on at most 2^n members, where building
+    the domains cost more than they saved.
     ``found``, if given, is a set, and the search lists instead: each complete
     image adds its support (its member-index bitset) and the search goes on,
     until the set holds more than MAX_COPY_SUPPORTS supports.
     """
-    order, constraints, supports = plan
+    order, constraints, supports, needs = plan
     k = len(order)
     allowed = (1 << len(family.members)) - 1 if within is None else within
     if k > allowed.bit_count() or forced is not None and not allowed >> forced & 1:
         return None
     above, below = family.above, family.below
+    domain = [allowed] * k
+    if forced is None:
+        fits = {}  # (u, d): the allowed members with at least u allowed members above, d below
+        for i, (u, d) in enumerate(needs):
+            if (u > 1 or d > 1) and (u, d) not in fits:
+                bits = 0
+                rest = allowed
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    y = low.bit_length() - 1
+                    if ((not u or (above[y] & allowed).bit_count() >= u)
+                            and (not d or (below[y] & allowed).bit_count() >= d)):
+                        bits |= low
+                fits[u, d] = bits
+            domain[i] = fits.get((u, d), allowed)
+    else:
+        u, d = needs[0]
+        if (above[forced] & allowed).bit_count() < u or (below[forced] & allowed).bit_count() < d:
+            return None
     image = [forced] * k  # image[i]: member index of order[i]; image[0] may be forced
 
     def extend(i, free):
@@ -124,7 +156,7 @@ def _search(family: SetFamily, poset: Poset, plan, forced=None, within=None, fou
             found.add(allowed ^ free)
             return len(found) > MAX_COPY_SUPPORTS  # past the cap: stop listing
         lower, upper = constraints[i]
-        pool = free
+        pool = free & domain[i]
         for j in lower:
             pool &= above[image[j]]
         for j in upper:

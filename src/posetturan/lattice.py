@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 MAX_SCAN_N = 24      # 2^n-set passes: whole-lattice scans, level listings, hulls
-MAX_CHAIN_N = 8      # chains_meeting: its 2^n-state walk and the n! chains it counts
+MAX_CHAIN_N = 8      # chains_meeting: its oracles list the n! full chains; the count walks only below
 MAX_FORMULA_N = 62   # SetFamily mask width, which bounds the cost of each mask operation
 
 
@@ -63,43 +63,58 @@ class SetFamily:
         return {mask: i for i, mask in enumerate(self.members)}
 
     @cached_property
+    def _slices(self):
+        """_slices[e]: bitset of the indices of the members that hold element e."""
+        has = [0] * self.n
+        for j, a in enumerate(self.members):
+            bit = 1 << j
+            while a:
+                low = a & -a
+                has[low.bit_length() - 1] |= bit
+                a ^= low
+        return tuple(has)
+
+    @cached_property
     def above(self):
         """above[i]: bitset of the indices j with members[i] a proper subset of members[j].
 
-        Member i has 2^(n - |A|) supersets in the lattice and m - i - 1 later
-        members; whichever is cheaper is scanned, so dense families walk the
-        supersets through the mask -> index table and sparse ones test pairs.
+        A superset comes later in the ascending order, so above[i] is the
+        later indices that hold every element of members[i]: the bits past i,
+        ANDed with the slice of each of its elements.
         """
-        ms = self.members
-        m = len(ms)
-        full = (1 << self.n) - 1
+        slices = self._slices
+        m = len(self.members)
         up = []
-        for i, a in enumerate(ms):
-            free = full ^ a
-            bits = 0
-            if 1 << free.bit_count() <= m - i:
-                index = self._index
-                sup = free
-                while sup:
-                    j = index.get(a | sup)
-                    if j is not None:
-                        bits |= 1 << j
-                    sup = (sup - 1) & free
-            else:
-                for j in range(i + 1, m):
-                    if a & ms[j] == a:
-                        bits |= 1 << j
+        for i, a in enumerate(self.members):
+            bits = (1 << m) - (2 << i)
+            while a:
+                low = a & -a
+                bits &= slices[low.bit_length() - 1]
+                a ^= low
             up.append(bits)
         return tuple(up)
 
     @cached_property
     def below(self):
-        """below[j]: bitset of the indices i with members[i] a proper subset of members[j]."""
-        down = [0] * len(self.members)
-        for i, ups in enumerate(self.above):
-            bit = 1 << i
-            for j in iter_bits(ups):
-                down[j] |= bit
+        """below[j]: bitset of the indices i with members[i] a proper subset of members[j].
+
+        A subset comes earlier, so below[j] is the earlier indices that hold
+        no element outside members[j]: the bits before j, ANDed with the
+        complement (within the m member bits) of the slice of each element
+        that members[j] lacks. ``above`` is not built.
+        """
+        every = (1 << len(self.members)) - 1
+        lacks = [every ^ s for s in self._slices]
+        full = (1 << self.n) - 1
+        down = []
+        for j, a in enumerate(self.members):
+            bits = (1 << j) - 1
+            out = full ^ a
+            while out:
+                low = out & -out
+                bits &= lacks[low.bit_length() - 1]
+                out ^= low
+            down.append(bits)
         return tuple(down)
 
     @cached_property
@@ -219,28 +234,26 @@ def comparability_components(family: SetFamily) -> ComparabilityComponents:
 def chains_meeting(n: int, family: SetFamily) -> int:
     """Number of the n! full chains containing at least one member of the family.
 
-    Counts the complement (chains avoiding the family) by extending chains one
-    element at a time through the lattice.
+    Counts each chain at its first (least) member. Of the |B|! chains from
+    the empty set up to member B, first[B] avoid every member below B:
+    first[B] = |B|! - sum over members A below B of first[A] * (|B| - |A|)!.
+    Members come in ascending order, so every A is counted before B, and
+    the result is the sum of first[B] * (n - |B|)!.
     """
     if n > MAX_CHAIN_N:
         raise DimensionError(f"n={n} too large for full-chain enumeration (cap {MAX_CHAIN_N})")
     if family.n != n:
         raise ValueError("family dimension mismatch")
-    member = family._index
-    size = 1 << n
-    ways = [0] * size
-    ways[0] = 0 if 0 in member else 1
-    for mask in range(1, size):  # every mask ^ bit below is smaller, so already counted
-        if mask in member:
-            continue
-        total = 0
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            total += ways[mask ^ bit]
-            rest ^= bit
-        ways[mask] = total
-    return math.factorial(n) - ways[size - 1]
+    fact = [math.factorial(k) for k in range(n + 1)]
+    below = family.below
+    sizes = [a.bit_count() for a in family.members]
+    first = []
+    total = 0
+    for j, size in enumerate(sizes):
+        f = fact[size] - sum(first[i] * fact[size - sizes[i]] for i in iter_bits(below[j]))
+        first.append(f)
+        total += f * fact[n - size]
+    return total
 
 
 def complement_family(family: SetFamily) -> SetFamily:

@@ -205,6 +205,29 @@ class TestCli:
         assert code == 0
         assert json.loads(out)["optimum"] == 7
 
+    def test_search_repeated_forbid_states_w_and_m(self, capsys):
+        code, out = self.run(capsys, "search", "--no-cache", "--n", "5", "--forbid", "@W",
+                             "--forbid", "@M", "--q", "@chain(2)")
+        data = json.loads(out)
+        assert code == 0 and data["complete"] is True
+        assert (data["optimum"], data["nodes_explored"]) == (21, 3065)
+        keys = [named_poset(name).canonical_key() for name in ("W", "M")]
+        assert data["params"]["forbidden"] == keys
+        _, swapped = self.run(capsys, "search", "--no-cache", "--n", "5", "--forbid", "@M",
+                              "--forbid", "@W", "--q", "@chain(2)", "--budget", "1")
+        assert json.loads(swapped)["params"]["forbidden"] == keys[::-1]
+
+    def test_free_repeated_forbid_concatenates(self, capsys, tmp_path):
+        fam_file = tmp_path / "fam.txt"
+        fam_file.write_text(format_family(level_family(3, [1, 2])))
+        _, alone = self.run(capsys, "free", "--family", str(fam_file), "--forbid", "@butterfly")
+        assert json.loads(alone) == {"free": True}
+        code, out = self.run(capsys, "free", "--family", str(fam_file), "--forbid", "@butterfly",
+                             "--forbid", "@chain(2)")
+        data = json.loads(out)
+        assert code == 0 and data["free"] is False
+        assert data["poset"] == chain(2).canonical_key()
+
     def test_search_cache_stable_output(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("TURAN_CACHE", str(tmp_path / "c.jsonl"))
         args = ("search", "--n", "3", "--forbid", "@N", "--q", "@chain(2)")

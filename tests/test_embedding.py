@@ -216,6 +216,24 @@ class TestCompiledPlans:
                 w = find_embedding(fam, p)
                 assert (w and w.assignment) == reference_embedding(fam, p), (fam.members, p)
 
+    def test_find_embedding_is_the_least_image_in_plan_order(self):
+        # the search tries candidates in ascending index order, position by
+        # position of the plan, and its filters drop only dead candidates; so
+        # its witness is the embedding whose member indices, read in plan
+        # order, are lexicographically least
+        rng = random.Random(59)
+        posets = catalog_posets(5)
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            fam = SetFamily(n, rng.sample(range(1 << n), rng.randint(0, min(7, 1 << n))))
+            index = {mask: i for i, mask in enumerate(fam.members)}
+            for p in posets:
+                order = _plan(p)[0]
+                images = brute_images(fam, p)
+                least = min(images, key=lambda img: [index[img[e]] for e in order], default=None)
+                w = find_embedding(fam, p)
+                assert (w and w.assignment) == least, (fam.members, p)
+
     def test_find_embedding_matches_reference_on_lattices(self):
         for fam in (full_lattice(4), level_family(5, [1, 2, 3]), level_family(5, [2, 3])):
             for p in catalog_posets(5):

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from posetturan.constructions import CONSTRUCTIONS
+from posetturan.embedding import count_copies
 from posetturan.lattice import (
     DimensionError,
     SetFamily,
@@ -21,6 +23,7 @@ from posetturan.lattice import (
     iter_bits,
     level_family,
 )
+from posetturan.posets import chain
 
 families = st.integers(min_value=2, max_value=5).flatmap(
     lambda n: st.lists(
@@ -52,6 +55,18 @@ def brute_chains_meeting(n, fam):
                 hits += 1
                 break
     return hits
+
+
+def walk_chains_meeting(n, fam):
+    """chains_meeting by its former walk over all 2^n masks: the chains that
+    avoid the family, extended one element at a time, subtracted from n!."""
+    member = set(fam.members)
+    ways = [0] * (1 << n)
+    ways[0] = 0 if 0 in member else 1
+    for mask in range(1, 1 << n):  # every mask ^ bit below is smaller, so already counted
+        if mask not in member:
+            ways[mask] = sum(ways[mask ^ 1 << i] for i in range(n) if mask >> i & 1)
+    return math.factorial(n) - ways[-1]
 
 
 class TestLevelFamily:
@@ -190,6 +205,24 @@ class TestChainsMeeting:
     def test_matches_permutation_enumeration(self, fam):
         assert chains_meeting(fam.n, fam) == brute_chains_meeting(fam.n, fam)
 
+    def test_matches_the_walk_on_random_families(self):
+        rng = random.Random(23)
+        for _ in range(3000):
+            n = rng.randint(1, 8)
+            fam = SetFamily(n, rng.sample(range(1 << n), rng.randint(0, min(40, 1 << n))))
+            assert chains_meeting(n, fam) == walk_chains_meeting(n, fam), fam.members
+
+    def test_matches_the_walk_on_every_interval(self):
+        for n in range(1, 7):
+            for hi in range(1 << n):
+                lo = hi
+                while True:  # every lo inside hi, down to the empty set
+                    fam = interval_family(n, lo, hi)
+                    assert chains_meeting(n, fam) == walk_chains_meeting(n, fam), (n, lo, hi)
+                    if not lo:
+                        break
+                    lo = (lo - 1) & hi
+
 
 class TestComplementFamily:
     def test_empty_to_full(self):
@@ -256,9 +289,9 @@ class TestBitsetComparability:
                 assert not bits >> i & 1
                 assert all(near[j] >> i & 1 for j in iter_bits(bits))
 
-    def test_sparse_family_uses_both_builds(self):
-        # the empty set has 2^20 supersets, far more than later members, so it
-        # is tested pairwise; the sets near [20] walk their few supersets
+    def test_sparse_n20_family_matches_pairwise(self):
+        # the sets near the empty set AND few slices for above and nearly all
+        # 20 for below; the sets near [20] the other way round
         n = 20
         full = (1 << n) - 1
         rng = random.Random(5)
@@ -275,3 +308,26 @@ class TestBitsetComparability:
         assert time.perf_counter() - start < 1.0
         assert above == pairwise_above(fam) and below == pairwise_below(fam)
         assert count_k_chains(fam, 3) == 5
+
+    def test_constructions_match_pairwise(self):
+        builds = dict(CONSTRUCTIONS, high=lambda n: CONSTRUCTIONS["middle-two-levels"](n, "high"))
+        for name, build in builds.items():
+            for n in range(1, 11):
+                try:
+                    fam = build(n)
+                except ValueError:  # below the construction's least n
+                    continue
+                assert fam.above == pairwise_above(fam), (name, n)
+                assert fam.below == pairwise_below(fam), (name, n)
+
+    def test_wide_family_matches_pairwise(self):
+        rng = random.Random(40)
+        fam = SetFamily(40, [rng.getrandbits(40) & rng.getrandbits(40) for _ in range(200)])
+        assert len(fam) == 200
+        assert fam.above == pairwise_above(fam)
+        assert fam.below == pairwise_below(fam)
+
+    def test_counting_two_chains_builds_no_above(self):
+        fam = CONSTRUCTIONS["middle-two-levels"](12)
+        assert count_copies(fam, chain(2)) == 7 * math.comb(12, 7)
+        assert "above" not in fam.__dict__
