@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .constructions import CONSTRUCTIONS
 from .dsl import parse_poset_dsl, parse_single_poset
@@ -73,6 +74,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     return parser
+
+
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser run_command uses, built on its first call.
+
+    Parsing leaves a parser as it was: an append action copies its list, and
+    a subcommand parses into a new namespace. So one parser serves every call.
+    """
+    return build_parser()
 
 
 def _fail(message: str, code: int = USAGE_ERROR):
@@ -196,9 +207,8 @@ _COMMANDS = {
 
 
 def run_command(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:

@@ -16,7 +16,7 @@ DEFAULT_WITNESS_CAP = 16
 CACHE_ENV_VAR = "TURAN_CACHE"
 DEFAULT_CACHE_FILE = "turan-cache.jsonl"
 
-MAX_EXACT_SEARCH_N = 6  # la_exact: 7-45 s per paper problem at n = 6 (2 vCPUs); 2^128 families at n = 7
+MAX_EXACT_SEARCH_N = 6  # la_exact: 6-37 s per paper problem at n = 6 (2 vCPUs); 2^128 families at n = 7
 MAX_LEVEL_SEARCH_N = 16  # la_levels: 2^(n+1) level tuples
 MAX_LEVEL_GENERIC_N = 10  # la_levels with non-chain P: an embedding search per level union
 MAX_LEVEL_GENERIC_Q_N = 8  # la_levels with non-chain Q: copy listing, 30 s at n = 9 on 2 vCPUs
@@ -127,12 +127,13 @@ def la_exact(n: int, forbidden, q: Poset, budget: int = None) -> SearchReport:
     - Bound: a node is cut only when its bound is below the best value found,
       so every optimal family keeps an image in the tree. The bound is
       counted once at the root, and each mask of gone subtracts the copies
-      through it that remain (``count_copies`` with ``using``) before the cut.
+      through it that remain (``count_copies`` with ``using``; for P2, the
+      members of avail comparable to it) before the cut.
 
     The witnesses are the DEFAULT_WITNESS_CAP lexicographically least optimal
     families: the images under the group of the leaves that reach the optimum,
     streamed into the least few. n <= 6 is supported: each paper problem
-    takes under 0.2 s at n = 5 and 7-45 s at n = 6. A budget stops the
+    takes under 0.2 s at n = 5 and 6-37 s at n = 6. A budget stops the
     search after exactly that many nodes, with complete=False if a node was
     still pending. A forbidden poset with no elements is refused: every
     family hosts it.
@@ -149,6 +150,8 @@ def la_exact(n: int, forbidden, q: Poset, budget: int = None) -> SearchReport:
     alone = sum(1 << y for y in range(1 << n)
                 if any(embedding_using_member(universe, p, y, 1 << y) is not None for p in minimal))
     stack = [(0, full, count_copies(universe, q, full), group, alone)]
+    # the copies of P2 through y among avail are the members of avail comparable to y
+    p2 = q.is_chain() and q.size == 2
     nodes, best, leaves, complete = 0, -1, [], True
     while stack:
         if nodes == budget:
@@ -156,8 +159,8 @@ def la_exact(n: int, forbidden, q: Poset, budget: int = None) -> SearchReport:
             break
         chosen, avail, bound, h, gone = stack.pop()
         nodes += 1
-        for y in iter_bits(gone):
-            bound -= count_copies(universe, q, avail, y)
+        for y in iter_bits(gone):  # every mask of gone is in avail
+            bound -= (avail & near[y]).bit_count() if p2 else count_copies(universe, q, avail, y)
             avail ^= 1 << y
         if bound < best:
             continue
@@ -167,7 +170,11 @@ def la_exact(n: int, forbidden, q: Poset, budget: int = None) -> SearchReport:
                 best, leaves = bound, []
             leaves.append(chosen)
             continue
-        x = max(iter_bits(free), key=lambda y: (avail & near[y]).bit_count())
+        x, most = -1, -1  # the least free mask with the most members of avail comparable to it
+        for y in iter_bits(free):
+            degree = (avail & near[y]).bit_count()
+            if degree > most:
+                x, most = y, degree
         included = chosen | 1 << x
         dead = 0  # the undecided masks that would complete a forbidden poset with x
         for p in minimal:
@@ -193,11 +200,19 @@ def _least_images(leaves, group) -> list:
     """The DEFAULT_WITNESS_CAP least distinct images of the leaves under the group.
 
     Images are sorted mask tuples, compared lexicographically. They are
-    streamed, so at most the cap of them is kept at a time.
+    streamed, so at most the cap of them is kept at a time. Once the cap is
+    full, a leaf is skipped when the least image of each of its members is
+    above the first mask of the worst image kept: every image of that leaf
+    then sorts after it. That image is not empty, since the cap holds more
+    than one distinct image.
     """
     least = []  # ascending
+    low = [min(images) for images in zip(*group)]  # mask -> its least image
     for leaf in leaves:
         members = tuple(iter_bits(leaf))
+        full = len(least) == DEFAULT_WITNESS_CAP
+        if full and members and min(map(low.__getitem__, members)) > least[-1][0]:
+            continue
         for g in group:
             image = tuple(sorted(map(g.__getitem__, members)))
             if len(least) == DEFAULT_WITNESS_CAP and image >= least[-1] or image in least:

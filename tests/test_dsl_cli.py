@@ -343,6 +343,41 @@ class TestCli:
         assert "search, 1 <= n <= 9" in " ".join(main_help.split())
         assert "ground set size, 1 <= n <= 9" in " ".join(search_help.split())
 
+    def test_one_parser_per_process(self):
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_shared_parser_answers_as_a_fresh_one(self, capsys, tmp_path, monkeypatch):
+        # the sequence runs twice, so each argv also meets the parser after
+        # itself: an --forbid list or a default that leaked between calls
+        # would change a later answer
+        fam = tmp_path / "fam.txt"
+        fam.write_text(format_family(level_family(3, [1, 2])))
+        search = ["search", "--n", "3", "--forbid", "@N", "--q", "@chain(2)"]
+        argvs = [
+            [], ["nope"], ["--help"], ["search", "--help"], ["search", "--n", "3"],
+            ["formula", "p5"], ["formula", "p5", "--sweep", "4..6"],
+            ["count", "--family", str(tmp_path / "missing.txt"), "--q", "@N"],
+            ["free", "--family", str(fam), "--forbid", "@N", "--forbid", "@chain(3)"],
+            ["free", "--family", str(fam), "--forbid", "@butterfly", "--pretty"],
+            [*search, "--no-cache"], search, [*search, "--budget", "5", "--pretty"],
+            ["search", "--n", "3", "--forbid", "@W", "--forbid", "@M", "--q", "@chain(2)"],
+        ]
+
+        def answers(cache):
+            monkeypatch.setenv("TURAN_CACHE", str(tmp_path / cache))
+            out = []
+            for argv in argvs + argvs:
+                code = run_command(list(argv))
+                captured = capsys.readouterr()
+                out.append((code, captured.out, captured.err))
+            return out
+
+        shared = answers("shared.jsonl")
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert shared == answers("fresh.jsonl")
+        assert {code for code, _, _ in shared} == {0, 2}
+
     def test_pretty_free(self, capsys, tmp_path):
         fam_file = tmp_path / "fam.txt"
         fam_file.write_text(format_family(level_family(3, [1, 2])))

@@ -527,6 +527,42 @@ def test_budgeted_report_matches_the_recursive_search(n, spec, q_spec, budget):
     assert got == recursive_la_exact(n, forbid(spec), q, budget).to_json()
 
 
+# la_exact subtracts the P2 copies through a removed mask inline and branches
+# with a plain loop; the recursive search calls count_copies and max for both,
+# so a change of bound or of tie rule shows in these full reports.
+def test_n4_p2_reports_of_the_small_catalog_posets_match_the_recursive_search():
+    for p in catalog_posets(4):
+        got = la_exact(4, [p], P2).to_json()
+        assert got["complete"]
+        assert got == recursive_la_exact(4, [p], P2).to_json(), p
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_N5))
+def test_n5_p2_report_matches_the_recursive_search(spec):
+    got = la_exact(5, forbid(spec), P2).to_json()
+    assert got["complete"]
+    assert got == recursive_la_exact(5, forbid(spec), P2).to_json()
+
+
+# (N, #N) at n = 5 as the search reported it while every tied leaf went
+# through every symmetry: a tie-heavy tree of 51,507 nodes whose 25,754
+# leaves all have value 0.
+PINNED_N_Q_N5 = (0, 51507, [
+    [], [0], [0, 1], [0, 1, 2], [0, 1, 2, 4], [0, 1, 2, 4, 8], [0, 1, 2, 4, 8, 16],
+    [0, 1, 2, 4, 16], [0, 1, 2, 4, 24], [0, 1, 2, 8], [0, 1, 2, 8, 16], [0, 1, 2, 8, 20],
+    [0, 1, 2, 12], [0, 1, 2, 12, 16], [0, 1, 2, 12, 20], [0, 1, 2, 12, 20, 24]])
+
+
+def test_n5_tie_heavy_report_pinned():
+    # the witness stream skips a leaf whose least images all start above the
+    # worst witness kept; before that this run took 12 s, now about 1 s
+    start = time.monotonic()
+    rep = la_exact(5, [n_poset()], n_poset())
+    assert time.monotonic() - start < 6
+    assert rep.complete
+    assert (rep.optimum, rep.nodes_explored, [list(w) for w in rep.witnesses]) == PINNED_N_Q_N5
+
+
 @pytest.mark.parametrize("spec", sorted(PINNED_N5))
 def test_n5_dead_sets_match_the_per_member_loop(spec, monkeypatch):
     # every include lists through x once per minimal poset; the union of those
@@ -571,6 +607,18 @@ class TestSymmetry:
         alone = la_exact(5, forbid(spec), P2)
         assert (alone.optimum, alone.witnesses) == (both.optimum, both.witnesses)
         assert alone.complete and alone.nodes_explored > both.nodes_explored
+
+    @pytest.mark.parametrize("forbidden", ([BFLY], [named_poset("fork", 2)]))
+    def test_witness_stream_keeps_the_least_of_all_images(self, forbidden):
+        # the stream skips leaves whose images all sort after the worst kept;
+        # the plain rule sorts every image of every leaf
+        group = _symmetry_group(4, forbidden, P2)
+        rng = random.Random(17)
+        for _ in range(40):
+            leaves = [sum(1 << m for m in rng.sample(range(16), rng.randint(0, 5)))
+                      for _ in range(rng.randint(0, 60))]
+            images = {tuple(sorted(g[m] for m in iter_bits(leaf))) for leaf in leaves for g in group}
+            assert _least_images(leaves, group) == sorted(images)[:DEFAULT_WITNESS_CAP]
 
     def test_witnesses_of_the_antichain_problem(self):
         # With chain(2) forbidden every antichain is optimal: the 16 least antichains
