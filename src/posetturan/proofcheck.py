@@ -71,10 +71,29 @@ def color_family(n: int, family: SetFamily, t: int) -> Coloring:
     above = cached_lattice(n).above
     members = sum(1 << f for f in family.members)
     blue = frozenset(mask for mask in range(1 << n) if (above[mask] & members).bit_count() >= t)
+    bits = _indicator(blue)
+    # g is the bottom of a critical pair with top g | {i} iff g is blue, lacks i, and
+    # bit g + 2^i of the blue indicator is clear
     pairs = sorted(
-        (g, g | 1 << i) for g in blue for i in range(n) if not g >> i & 1 and g | 1 << i not in blue
+        (g, g | 1 << i)
+        for i, lacks in enumerate(_lacking(n))
+        for g in iter_bits(bits & lacks & ~(bits >> (1 << i)))
     )
     return Coloring(n, family, t, blue, tuple(pairs))
+
+
+def _indicator(masks) -> int:
+    """The int whose bit m is set for each mask m in ``masks``."""
+    bits = 0
+    for m in masks:
+        bits |= 1 << m
+    return bits
+
+
+@lru_cache(maxsize=None)
+def _lacking(n):
+    """Per element i of [n], the 2^n-bit indicator of the masks without i."""
+    return tuple(_indicator(m for m in range(1 << n) if not m >> i & 1) for i in range(n))
 
 
 def check_one_critical_pair_per_chain(n: int, coloring: Coloring) -> bool:
@@ -186,19 +205,19 @@ def _zigzag_select(n, seq, dirs, start, m, direction):
     if m >= 5:
         witness = ZigzagWitness("W", tuple(range(start, start + 5)))
     elif direction == -1:
-        # order-reverse via complementation, solve ascending, swap the label
-        full = (1 << n) - 1
-        flipped = _zigzag_select(n, [full ^ s for s in seq], [-d for d in dirs], start, m, 1)
+        # complementing every set reverses the order, so the complements ascend
+        # where the sets descend: solve that case on the directions alone, swap the label
+        flipped = _zigzag_ascending([-d for d in dirs], start, m)
         witness = ZigzagWitness("W" if flipped.which == "M" else "M", flipped.indices)
     else:
-        witness = _zigzag_ascending(seq, dirs, start, m)
+        witness = _zigzag_ascending(dirs, start, m)
     target = w_poset() if witness.which == "W" else m_poset()
     if not _hosts(n, target, [seq[i] for i in witness.indices]):
         raise AssertionError(f"zigzag case analysis produced an invalid {witness.which} selection")
     return witness
 
 
-def _zigzag_ascending(seq, dirs, start, m):
+def _zigzag_ascending(dirs, start, m):
     i = start + 1  # 1-based position of the run start, as in the case analysis
     if m == 4:
         if i >= 2:
@@ -466,10 +485,16 @@ def verify_coloring(seed: int = 0) -> LemmaReport:
 
     def check(n, fam, t):
         col = color_family(n, fam, t)
-        for g in col.blue:  # downset: removing any element stays blue
-            for i in range(n):
-                if g >> i & 1 and (g ^ (1 << i)) not in col.blue:
-                    return f"n={n} t={t}: blue set not a downset at {g}"
+        # down-set: removing any element i of a blue mask g leaves a blue mask. The
+        # blue masks with i, shifted down by 2^i, must land on blue bits; a stray bit
+        # h marks the offending blue mask h | {i}
+        bits = _indicator(col.blue)
+        stray = 0
+        for i, lacks in enumerate(_lacking(n)):
+            stray |= ((bits & ~lacks) >> (1 << i) & ~bits) << (1 << i)
+        if stray:
+            g = (stray & -stray).bit_length() - 1
+            return f"n={n} t={t}: blue set not a downset at {g}"
         if not check_one_critical_pair_per_chain(n, col):
             return f"n={n} t={t} F={list(fam.members)}: chain with two critical pairs"
 

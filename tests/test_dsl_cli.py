@@ -155,6 +155,18 @@ class TestFamilyIo:
             parse_family(text)
 
 
+VERIFY_HELP = """\
+usage: posetturan verify [-h]
+                         [--lemma {chaincount,coloring,erdos-gallai,nfree-components,sublattice,zigzag,all}]
+                         [--seed SEED]
+
+options:
+  -h, --help            show this help message and exit
+  --lemma {chaincount,coloring,erdos-gallai,nfree-components,sublattice,zigzag,all}
+  --seed SEED
+"""
+
+
 class TestCli:
     def run(self, capsys, *argv):
         code = run_command(list(argv))
@@ -325,6 +337,11 @@ class TestCli:
         code, out = self.run(capsys, "verify", "--lemma", "sublattice")
         assert code == 0
         assert json.loads(out)["failures"] == 0
+
+    def test_verify_help_pinned(self, capsys, monkeypatch):
+        # --lemma's choices come from cli.LEMMAS, without importing proofcheck
+        monkeypatch.setenv("COLUMNS", "80")
+        assert self.run(capsys, "verify", "--help") == (0, VERIFY_HELP)
 
     def test_usage_errors(self, capsys):
         assert self.run(capsys, "formula", "p5")[0] == 2

@@ -3,11 +3,23 @@
 No linter ships with the toolchain, so this stdlib ``ast`` scan stands in for
 an unused-import rule. ``__init__.py`` is exempt (its imports are the public
 re-exports), as are ``from __future__`` imports.
+
+The package serves the lemma checker's names lazily; the tests at the end
+check that only ``verify`` loads ``posetturan.proofcheck``.
 """
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import posetturan
+from posetturan import proofcheck
+from posetturan.familyio import format_family
+from posetturan.lattice import level_family
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "posetturan"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -38,3 +50,62 @@ def test_detector_flags_unused_names():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+# Run in a fresh interpreter: which posetturan entry points load the lemma checker
+LAZY_PROBE = """
+import json, sys
+import posetturan
+from posetturan import cli
+loaded = {"import": "posetturan.proofcheck" in sys.modules}
+family = sys.argv[1]
+runs = {
+    "construct": ["construct", "middle-two-levels", "--n", "4"],
+    "count": ["count", "--family", family, "--q", "@chain(2)"],
+    "free": ["free", "--family", family, "--forbid", "@butterfly"],
+    "search": ["search", "--n", "3", "--forbid", "@butterfly", "--q", "@chain(2)", "--no-cache"],
+    "formula": ["formula", "p5", "--n", "5"],
+    "verify": ["verify", "--lemma", "sublattice"],
+}
+for name, argv in runs.items():
+    assert cli.run_command(argv) == 0, name
+    loaded[name] = "posetturan.proofcheck" in sys.modules
+print(json.dumps(loaded), file=sys.stderr)
+"""
+
+
+def test_only_verify_loads_proofcheck(tmp_path):
+    family = tmp_path / "fam.txt"
+    family.write_text(format_family(level_family(3, [1, 2])))
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_PROBE, str(family)],
+        capture_output=True, text=True, timeout=60, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stderr.splitlines()[-1])
+    assert loaded == {
+        "import": False, "construct": False, "count": False, "free": False,
+        "search": False, "formula": False, "verify": True,
+    }
+
+
+LAZY_NAMES = (
+    "Coloring", "check_one_critical_pair_per_chain", "classify_nfree_components",
+    "color_family", "erdos_gallai_check", "p5_component_report", "zigzag_find_WM",
+)
+
+
+@pytest.mark.parametrize("name", LAZY_NAMES)
+def test_lazy_names_are_the_proofcheck_objects(name):
+    namespace = {}
+    exec(f"from posetturan import {name}", namespace)
+    assert namespace[name] is getattr(proofcheck, name)
+    assert getattr(posetturan, name) is getattr(proofcheck, name)
+
+
+def test_other_names_still_raise_attribute_error():
+    for name in ("run_verifiers", "VERIFIERS", "verify_zigzag", "no_such_name"):
+        assert not hasattr(posetturan, name)
+    with pytest.raises(ImportError):
+        exec("from posetturan import run_verifiers", {})

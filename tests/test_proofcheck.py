@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from posetturan import proofcheck
+from posetturan import cli, proofcheck
 from posetturan.cli import run_command
 from posetturan.constructions import middle_two_levels, p5_construction
 from posetturan.embedding import find_embedding
@@ -14,10 +14,13 @@ from posetturan.proofcheck import (
     Coloring,
     LemmaReport,
     NotFreeError,
+    ZigzagWitness,
     _all_zigzags,
     _find_graph_path,
     _hosts,
     _run_suite,
+    _zigzag_ascending,
+    _zigzag_dirs,
     check_one_critical_pair_per_chain,
     classify_nfree_components,
     color_family,
@@ -104,6 +107,33 @@ class TestColoring:
             assert check_one_critical_pair_per_chain(n, col) == brute_one_pair_per_chain(
                 n, col
             )
+
+
+def offending_masks(n, blue):
+    """The blue masks with an element whose removal leaves blue, ascending."""
+    return sorted(g for g in blue if any(g >> i & 1 and g ^ 1 << i not in blue for i in range(n)))
+
+
+class TestVerifyColoringFailures:
+    def test_a_dropped_empty_set_is_reported_at_the_least_offending_mask(self, monkeypatch):
+        # without the empty set every blue singleton offends; the first failure
+        # (n = 3, F = [3], t = 1: blue masks 0, 1, 2) has two of them
+        color_family = proofcheck.color_family
+        offenders = []
+
+        def dropped(n, family, t):
+            col = color_family(n, family, t)
+            blue = col.blue - {0}
+            if offending_masks(n, blue):
+                offenders.append((n, t, offending_masks(n, blue)))
+            return Coloring(n, family, t, blue, col.critical_pairs)
+
+        monkeypatch.setattr(proofcheck, "color_family", dropped)
+        rep = verify_coloring(seed=0)
+        assert rep.instances_checked == 1268
+        assert rep.failures == len(offenders) > 0
+        assert offenders[0] == (3, 1, [1, 2])
+        assert rep.first_failure == "n=3 t=1: blue set not a downset at 1"
 
 
 def hand_coloring(n, pairs):
@@ -288,6 +318,43 @@ class TestHosts:
         assert len(searches) == len(proofcheck._HOSTS) < 2000
 
 
+def recursive_zigzag_select(n, seq, dirs, start, m, direction):
+    """Reference for _zigzag_select: a descending run recurses on the complemented sequence."""
+    if m >= 5:
+        witness = ZigzagWitness("W", tuple(range(start, start + 5)))
+    elif direction == -1:
+        full = (1 << n) - 1
+        flipped = recursive_zigzag_select(
+            n, [full ^ s for s in seq], [-d for d in dirs], start, m, 1
+        )
+        witness = ZigzagWitness("W" if flipped.which == "M" else "M", flipped.indices)
+    else:
+        witness = _zigzag_ascending(dirs, start, m)
+    target = w_poset() if witness.which == "W" else m_poset()
+    assert _hosts(n, target, [seq[i] for i in witness.indices])
+    return witness
+
+
+class TestZigzagSelection:
+    def test_all_n3_sequences_match_the_recursive_selection(self):
+        for seq in _all_zigzags(3):
+            assert zigzag_find_WM(3, seq) == recursive_zigzag_select(3, seq, *_zigzag_dirs(seq))
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_random_sequences_match_the_recursive_selection(self, n):
+        rng = random.Random(100 + n)
+        seen = set()
+        for _ in range(2000):
+            seq = random_zigzag(rng, n)
+            dirs, start, m, direction = _zigzag_dirs(seq)
+            wit = zigzag_find_WM(n, seq)
+            assert wit == recursive_zigzag_select(n, seq, dirs, start, m, direction), seq
+            seen.add((min(m, 5), direction, wit.which))
+        # both run directions, both labels, and every run length are reached
+        assert {(m, d) for m, d, _ in seen if m < 5} == {(m, d) for m in (2, 3, 4) for d in (1, -1)}
+        assert {which for _, _, which in seen} == {"W", "M"}
+
+
 def scan_zigzag(rng, n, length=6):
     """random_zigzag as a scan of all 2^n masks at every step."""
     while True:
@@ -453,6 +520,11 @@ class TestVerifiers:
         rep = verify_sublattice()
         data = rep.to_json()
         assert data["lemma"] == "sublattice" and data["failures"] == 0
+
+
+def test_cli_lemmas_are_the_verifier_names():
+    # cli keeps the names so that building its parser does not import proofcheck
+    assert cli.LEMMAS == tuple(sorted(proofcheck.VERIFIERS))
 
 
 class TestHarness:
