@@ -52,10 +52,13 @@ def _plan(poset: Poset, forced=None):
     by earlier ones.
 
     ``supports[i]`` is empty unless position i has no earlier neighbour. Then
-    it lists, for each later neighbour p that has neighbours before i,
-    ``(up, lower, upper)``: whether order[i] lies below order[p], and p's
-    constraints cut to the positions before i. The image of position i must
-    then be comparable, in that direction, to some member still open to p.
+    it lists, for the later neighbours p that have neighbours before i,
+    ``(up, lower, upper, t)``: whether order[i] lies below order[p], p's
+    constraints cut to the positions before i, and the number t of later
+    neighbours that share these three (twins, such as the two tops of a
+    butterfly). Those t neighbours need t distinct images among the members
+    still open to them, so the image of position i must be comparable, in
+    that direction, to at least t such members.
 
     ``needs[i]`` is (|up-set|, |down-set|) of order[i]: its image needs at
     least that many members above, resp. below it (Ullmann's degree filter).
@@ -78,14 +81,15 @@ def _plan(poset: Poset, forced=None):
     constraints = _constraints(poset, order)
     supports = []
     for i in range(k):
-        sup = []
+        sup = {}  # (up, lower, upper) -> how many later neighbours share it
         if constraints[i] == ((), ()):
             for p in range(i + 1, k):
                 if poset.comparable(order[i], order[p]):
                     lower, upper = (tuple(j for j in js if j < i) for js in constraints[p])
                     if lower or upper:
-                        sup.append((poset.less(order[i], order[p]), lower, upper))
-        supports.append(tuple(sup))
+                        key = (poset.less(order[i], order[p]), lower, upper)
+                        sup[key] = sup.get(key, 0) + 1
+        supports.append(tuple((*key, t) for key, t in sup.items()))
     needs = tuple((len(poset.up_set(a)), len(poset.down_set(a))) for a in order)
     return tuple(order), constraints, tuple(supports), needs
 
@@ -108,7 +112,10 @@ def _search(family: SetFamily, poset: Poset, plan, forced=None, within=None, fou
     Candidates are tried in ascending index order, which makes the witness
     deterministic. The look-ahead through ``supports`` and the degree
     domains only drop candidates that cannot be completed, so they change
-    neither the witness found nor the supports listed. The images of an
+    neither the witness found nor the supports listed. A support with t
+    twins keeps the candidates comparable to at least t members still open
+    to them, by t saturating counter bitsets over those members; with t = 1
+    it is their plain union. The images of an
     element's up-set are distinct allowed members above its image, so a
     member with fewer allowed members above it than ``needs`` asks (or
     below it, likewise) cannot host that element. An unforced search builds
@@ -161,16 +168,27 @@ def _search(family: SetFamily, poset: Poset, plan, forced=None, within=None, fou
             pool &= above[image[j]]
         for j in upper:
             pool &= below[image[j]]
-        for up, p_lower, p_upper in supports[i]:
+        for up, p_lower, p_upper, t in supports[i]:
             dom = free
             for j in p_lower:
                 dom &= above[image[j]]
             for j in p_upper:
                 dom &= below[image[j]]
-            reach = 0
             toward = below if up else above
-            for y in iter_bits(dom):
-                reach |= toward[y]
+            if t == 1:
+                reach = 0
+                for y in iter_bits(dom):
+                    reach |= toward[y]
+            else:
+                # saturating counters: count[s] holds the members comparable,
+                # in that direction, to more than s members of dom
+                count = [0] * t
+                for y in iter_bits(dom):
+                    near = toward[y]
+                    for s in range(t - 1, 0, -1):
+                        count[s] |= count[s - 1] & near
+                    count[0] |= near
+                reach = count[-1]
             pool &= reach
         while pool:
             low = pool & -pool
@@ -342,14 +360,27 @@ def _minimal_posets(forbidden: tuple) -> tuple:
 
 
 def find_any_embedding(family: SetFamily, forbidden):
-    """First (poset, witness) pair among the forbidden list, or None."""
+    """First (poset, witness) pair among the forbidden list, or None.
+
+    Freeness is decided on ``minimal_posets`` first, as ``is_free`` does; if
+    the family is not free, the whole list is scanned in order, so the pair
+    is the one the list's first embedding poset gives. Each poset is searched
+    at most once: the scan reuses the witnesses, and the refusals, of the
+    freeness pass and of its own earlier steps.
+    """
     forbidden = list(forbidden)
-    if is_free(family, forbidden):
+    seen = {}  # poset -> its find_embedding result
+    for p in minimal_posets(forbidden):
+        seen[p] = find_embedding(family, p)
+        if seen[p] is not None:
+            break
+    else:
         return None
     for p in forbidden:
-        w = find_embedding(family, p)
-        if w is not None:
-            return p, w
+        if p not in seen:
+            seen[p] = find_embedding(family, p)
+        if seen[p] is not None:
+            return p, seen[p]
     return None
 
 

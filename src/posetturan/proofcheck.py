@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .embedding import find_any_embedding, find_embedding, is_free
+from .embedding import find_any_embedding, find_embedding, is_free, minimal_posets
 from .lattice import (
     ComparabilityComponents,
     MAX_CHAIN_N,
@@ -187,11 +187,11 @@ def zigzag_find_WM(n: int, seq) -> ZigzagWitness:
     re-verifies the selection with the embedding engine. A 5-chain hosts both
     posets and is reported as W.
     """
-    return _find_WM(n, seq)[0]
+    return ZigzagWitness(*_find_WM(n, seq)[0])
 
 
 def _find_WM(n, seq):
-    """(zigzag_find_WM's witness, the length of the sequence's longest chain run)."""
+    """((which, indices) of zigzag_find_WM, the length of the sequence's longest chain run)."""
     seq = list(seq)
     if len(seq) != 6 or len(set(seq)) != 6:
         raise ValueError("need 6 distinct sets")
@@ -202,38 +202,45 @@ def _find_WM(n, seq):
 
 
 def _zigzag_select(n, seq, dirs, start, m, direction):
+    """(which, indices): the label "W" or "M" and the five selected positions.
+
+    The selection is checked to host its label; a failed check raises
+    AssertionError. A strictly alternating sequence (m == 2) selects the
+    window ``seq[:5]``.
+    """
     if m >= 5:
-        witness = ZigzagWitness("W", tuple(range(start, start + 5)))
+        which, indices = "W", tuple(range(start, start + 5))
     elif direction == -1:
         # complementing every set reverses the order, so the complements ascend
         # where the sets descend: solve that case on the directions alone, swap the label
-        flipped = _zigzag_ascending([-d for d in dirs], start, m)
-        witness = ZigzagWitness("W" if flipped.which == "M" else "M", flipped.indices)
+        which, indices = _zigzag_ascending([-d for d in dirs], start, m)
+        which = "W" if which == "M" else "M"
     else:
-        witness = _zigzag_ascending(dirs, start, m)
-    target = w_poset() if witness.which == "W" else m_poset()
-    if not _hosts(n, target, [seq[i] for i in witness.indices]):
-        raise AssertionError(f"zigzag case analysis produced an invalid {witness.which} selection")
-    return witness
+        which, indices = _zigzag_ascending(dirs, start, m)
+    target = w_poset() if which == "W" else m_poset()
+    if not _hosts(n, target, [seq[i] for i in indices]):
+        raise AssertionError(f"zigzag case analysis produced an invalid {which} selection")
+    return which, indices
 
 
 def _zigzag_ascending(dirs, start, m):
+    """(which, indices) for a longest run of m < 5 sets that ascends."""
     i = start + 1  # 1-based position of the run start, as in the case analysis
     if m == 4:
         if i >= 2:
-            return ZigzagWitness("W", (i - 2, i - 1, i + 1, i, i + 2))
-        return ZigzagWitness("M", (0, 2, 1, 3, 4))
+            return "W", (i - 2, i - 1, i + 1, i, i + 2)
+        return "M", (0, 2, 1, 3, 4)
     if m == 3:
         if i <= 2:
             if dirs[i + 2] == 1:  # edge between A_{i+3} and A_{i+4} ascends
-                return ZigzagWitness("W", (i, i - 1, i + 1, i + 2, i + 3))
-            return ZigzagWitness("W", (i, i - 1, i + 1, i + 3, i + 2))
+                return "W", (i, i - 1, i + 1, i + 2, i + 3)
+            return "W", (i, i - 1, i + 1, i + 3, i + 2)
         if dirs[i - 3] == 1:  # A_{i-2} below A_{i-1}
-            return ZigzagWitness("M", (i - 3, i - 2, i - 1, i + 1, i))
-        return ZigzagWitness("M", (i - 2, i - 3, i - 1, i + 1, i))
+            return "M", (i - 3, i - 2, i - 1, i + 1, i)
+        return "M", (i - 2, i - 3, i - 1, i + 1, i)
     # m == 2: strictly alternating; an ascending first step of the window
     # makes A_1..A_5 an M (three minima), otherwise a W
-    return ZigzagWitness("M" if dirs[0] == 1 else "W", (0, 1, 2, 3, 4))
+    return "M" if dirs[0] == 1 else "W", (0, 1, 2, 3, 4)
 
 
 # (poset size, poset relations, containment order of the selection) -> hosts
@@ -462,10 +469,12 @@ def verify_chaincount(seed: int = 0) -> LemmaReport:
             for _ in range(500):
                 yield n, rng.sample(range(1 << n), rng.randint(1, 6))
 
+    bounds = lru_cache(maxsize=None)(katona_nagy)  # 16 (n, t) pairs per run
+
     def check(n, masks):
         fam = SetFamily(n, masks)
         got = chains_meeting(n, fam)
-        bound = katona_nagy(n, len(fam))
+        bound = bounds(n, len(fam))
         if got < bound:
             return f"n={n} F={list(masks)}: {got} < {bound}"
 
@@ -539,7 +548,7 @@ def _all_zigzags(n, length=6):
 
 
 def verify_zigzag(seed: int = 0) -> LemmaReport:
-    w, m = w_poset(), m_poset()
+    shapes = {"W": w_poset(), "M": m_poset()}
 
     def instances():
         for seq in _all_zigzags(3):
@@ -551,14 +560,14 @@ def verify_zigzag(seed: int = 0) -> LemmaReport:
 
     def check(n, seq):
         try:
-            run = _find_WM(n, seq)[1]
+            (which, _), run = _find_WM(n, seq)
         except AssertionError as exc:
             return f"n={n} seq={seq}: {exc}"
         if run == 2:
+            # the selection was the window seq[:5], checked to host which
             lo, hi = seq[:5], seq[1:]
-            split = (_hosts(n, m, lo) and _hosts(n, w, hi)) or (
-                _hosts(n, w, lo) and _hosts(n, m, hi)
-            )
+            this, other = shapes[which], shapes["M" if which == "W" else "W"]
+            split = _hosts(n, other, hi) or (_hosts(n, other, lo) and _hosts(n, this, hi))
             if not split:
                 return f"n={n} seq={seq}: windows do not split into W and M"
 
@@ -596,9 +605,10 @@ def verify_nfree_components(seed: int = 0) -> LemmaReport:
 
 
 def verify_erdos_gallai(seed: int = 0) -> LemmaReport:
-    p6 = path_hasse_family(6)
+    p6 = minimal_posets(path_hasse_family(6))  # is_free's list, formed once per run
     instances = (
-        (n, fam) for n, fam in _sampled_families(seed, (4, 5, 6), 10) if is_free(fam, p6)
+        (n, fam) for n, fam in _sampled_families(seed, (4, 5, 6), 10)
+        if all(find_embedding(fam, p) is None for p in p6)
     )
 
     def check(n, fam):

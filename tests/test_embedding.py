@@ -1,5 +1,7 @@
+import cProfile
 import gc
 import itertools
+import pstats
 import random
 
 import pytest
@@ -16,6 +18,7 @@ from posetturan.embedding import (
     is_free,
     minimal_posets,
 )
+from posetturan.constructions import middle_two_levels
 from posetturan.lattice import (
     SetFamily,
     chain_count,
@@ -36,6 +39,7 @@ from posetturan.posets import (
     n_poset,
     named_poset,
     path_hasse_family,
+    poset_from_relations,
     poset_isomorphic,
     s_poset,
     w_poset,
@@ -556,3 +560,173 @@ class TestCountCopies:
             count_copies(fam, n_poset())
         with pytest.raises(ValueError, match="supports"):
             count_copies(fam, n_poset(), using=1)
+
+
+def per_neighbour_plan(plan):
+    """``plan`` with each counted support (up, lower, upper, t) written as t
+    one-neighbour supports (up, lower, upper), as ``_plan`` emitted them before
+    twins were counted."""
+    order, constraints, supports, needs = plan
+    supports = tuple(tuple(s[:3] for s in sup for _ in range(s[3])) for sup in supports)
+    return order, constraints, supports, needs
+
+
+def per_neighbour_search(family, poset, plan, forced=None, within=None, found=None):
+    """Reference for _search before counted supports: one look-ahead union per
+    later neighbour, so twins build the same union twice. ``plan`` is a
+    ``per_neighbour_plan``. Returns the witness assignment, or None."""
+    order, constraints, supports, needs = plan
+    k = len(order)
+    allowed = (1 << len(family.members)) - 1 if within is None else within
+    if k > allowed.bit_count() or forced is not None and not allowed >> forced & 1:
+        return None
+    above, below = family.above, family.below
+    domain = [allowed] * k
+    if forced is None:
+        for i, (u, d) in enumerate(needs):
+            domain[i] = sum(1 << y for y in iter_bits(allowed)
+                            if (above[y] & allowed).bit_count() >= u
+                            and (below[y] & allowed).bit_count() >= d)
+    else:
+        u, d = needs[0]
+        if (above[forced] & allowed).bit_count() < u or (below[forced] & allowed).bit_count() < d:
+            return None
+    image = [forced] * k
+
+    def extend(i, free):
+        if i == k:
+            if found is None:
+                return True
+            found.add(allowed ^ free)
+            return False
+        lower, upper = constraints[i]
+        pool = free & domain[i]
+        for j in lower:
+            pool &= above[image[j]]
+        for j in upper:
+            pool &= below[image[j]]
+        for up, p_lower, p_upper in supports[i]:
+            dom = free
+            for j in p_lower:
+                dom &= above[image[j]]
+            for j in p_upper:
+                dom &= below[image[j]]
+            reach = 0
+            for y in iter_bits(dom):
+                reach |= (below if up else above)[y]
+            pool &= reach
+        for y in iter_bits(pool):
+            image[i] = y
+            if extend(i + 1, free ^ 1 << y):
+                return True
+        return False
+
+    start, free = (0, allowed) if forced is None else (1, allowed ^ 1 << forced)
+    if not extend(start, free):
+        return None
+    masks = [0] * k
+    for i, e in enumerate(order):
+        masks[e] = family.members[image[i]]
+    return tuple(masks)
+
+
+# the catalog posets of at most 5 elements hold the butterfly and K_{2,3}
+TWIN_POSETS = catalog_posets(5) + [kst(3, 3), crown(3)]
+
+
+def twin_families():
+    """Random families and unions of levels, n <= 8."""
+    rng = random.Random(29)
+    for _ in range(25):
+        n = rng.randint(2, 6)
+        yield SetFamily(n, rng.sample(range(1 << n), rng.randint(3, min(24, 1 << n))))
+    for n in range(2, 9):
+        yield level_family(n, [n // 2, n // 2 + 1])
+        yield level_family(n, sorted(rng.sample(range(n + 1), rng.randint(2, 3))))
+
+
+class TestCountedSupports:
+    def test_twins_share_one_counted_support(self):
+        # the two tops of a butterfly, placed after both bottoms
+        assert _plan(BFLY)[2] == ((), ((True, (0,), (), 2),), (), ())
+        assert [s[3] for sup in _plan(kst(3, 3))[2] for s in sup] == [3, 3]
+        for p in TWIN_POSETS:
+            for plan in [_plan(p), *embedding._forced_plans(p)]:
+                for sup in plan[2]:
+                    assert len({s[:3] for s in sup}) == len(sup)
+
+    def test_witnesses_refusals_and_copies_match_the_per_neighbour_search(self):
+        for fam in twin_families():
+            whole = (1 << len(fam)) - 1
+            for p in TWIN_POSETS:
+                plan = _plan(p)
+                w = _search(fam, p, plan)
+                assert (w and w.assignment) == per_neighbour_search(fam, p, per_neighbour_plan(plan)), \
+                    (fam.members, p)
+                if p.is_chain() or len(fam) > 30:
+                    continue
+                reference = set()
+                per_neighbour_search(fam, p, per_neighbour_plan(plan), found=reference)
+                assert count_copies(fam, p) == len(reference), (fam.members, p)
+                x = len(fam) // 2
+                forced = set()
+                for fplan in embedding._forced_plans(p):
+                    per_neighbour_search(fam, p, per_neighbour_plan(fplan), x, whole, forced)
+                assert count_copies(fam, p, using=x) == len(forced), (fam.members, p)
+
+    def test_forced_witnesses_match_the_per_neighbour_search(self):
+        rng = random.Random(31)
+        for fam in twin_families():
+            for p in TWIN_POSETS:
+                x = rng.randrange(len(fam))
+                within = rng.getrandbits(len(fam)) | 1 << x
+                for plan in embedding._forced_plans(p):
+                    w = _search(fam, p, plan, forced=x, within=within)
+                    expect = per_neighbour_search(fam, p, per_neighbour_plan(plan), x, within)
+                    assert (w and w.assignment) == expect, (fam.members, p, x, within)
+
+    def test_middle_levels_butterfly_refutation_steps(self):
+        # each bottom of the butterfly on level 6 leaves no second bottom
+        # below two tops above it: 1 root step + C(12, 6) steps
+        fam = middle_two_levels(12)
+        profile = cProfile.Profile()
+        profile.enable()
+        w = find_embedding(fam, BFLY)
+        profile.disable()
+        steps = sum(stat[1] for (path, _, name), stat in pstats.Stats(profile).stats.items()
+                    if name == "extend" and path.endswith("embedding.py"))
+        assert w is None and steps == 925
+
+
+def relabel(p, perm):
+    return poset_from_relations(p.size, [(perm[a], perm[b]) for a, b in p.relations])
+
+
+class TestFindAnyEmbedding:
+    def test_matches_the_two_pass_scan_and_searches_each_poset_once(self, monkeypatch):
+        rng = random.Random(83)
+        posets = catalog_posets(5)
+        searched = []
+
+        def counted(family, poset, within=None):
+            if family is fam:  # not the hosts minimal_posets searches
+                searched.append(poset)
+            return find_embedding(family, poset, within)
+
+        for _ in range(150):
+            n = rng.randint(1, 5)
+            fam = SetFamily(n, rng.sample(range(1 << n), rng.randint(0, min(14, 1 << n))))
+            forbidden = rng.sample(posets, rng.randint(1, 4))
+            forbidden += rng.sample(forbidden, rng.randint(0, len(forbidden)))  # repeats
+            forbidden += [relabel(p, rng.sample(range(p.size), p.size))  # isomorphic copies
+                          for p in rng.sample(forbidden, rng.randint(0, min(2, len(forbidden))))]
+            forbidden += [chain(5), w_poset()]  # above many others: not minimal
+            rng.shuffle(forbidden)
+            scan = None if is_free(fam, forbidden) else next(
+                (p, w) for p in forbidden if (w := find_embedding(fam, p)) is not None)
+            monkeypatch.setattr(embedding, "find_embedding", counted)
+            got = find_any_embedding(fam, forbidden)
+            monkeypatch.undo()
+            assert got == scan
+            assert all(searched.count(p) == 1 for p in searched), forbidden
+            searched.clear()

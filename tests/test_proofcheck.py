@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from posetturan import cli, proofcheck
+from posetturan import cli, embedding, proofcheck
 from posetturan.cli import run_command
 from posetturan.constructions import middle_two_levels, p5_construction
-from posetturan.embedding import find_embedding
+from posetturan.embedding import find_embedding, minimal_posets
+from posetturan.formulas import katona_nagy
 from posetturan.lattice import SetFamily, comparability_components, full_lattice, level_family
 from posetturan.posets import chain, m_poset, n_poset, w_poset
 from posetturan.proofcheck import (
@@ -329,7 +330,7 @@ def recursive_zigzag_select(n, seq, dirs, start, m, direction):
         )
         witness = ZigzagWitness("W" if flipped.which == "M" else "M", flipped.indices)
     else:
-        witness = _zigzag_ascending(dirs, start, m)
+        witness = ZigzagWitness(*_zigzag_ascending(dirs, start, m))
     target = w_poset() if witness.which == "W" else m_poset()
     assert _hosts(n, target, [seq[i] for i in witness.indices])
     return witness
@@ -353,6 +354,60 @@ class TestZigzagSelection:
         # both run directions, both labels, and every run length are reached
         assert {(m, d) for m, d, _ in seen if m < 5} == {(m, d) for m in (2, 3, 4) for d in (1, -1)}
         assert {which for _, _, which in seen} == {"W", "M"}
+
+
+def windows_reference_check(n, seq):
+    """verify_zigzag's check on _find_WM as it was: both window splits asked in full."""
+    try:
+        run = proofcheck._find_WM(n, seq)[1]
+    except AssertionError as exc:
+        return f"n={n} seq={seq}: {exc}"
+    if run == 2:
+        w, m, hosts = w_poset(), m_poset(), proofcheck._hosts
+        lo, hi = seq[:5], seq[1:]
+        if not ((hosts(n, m, lo) and hosts(n, w, hi)) or (hosts(n, w, lo) and hosts(n, m, hi))):
+            return f"n={n} seq={seq}: windows do not split into W and M"
+
+
+def verifier_zigzags():
+    """Every n = 3 sequence, then 2,000 random sequences per n = 4..8."""
+    for seq in _all_zigzags(3):
+        yield 3, seq
+    rng = random.Random(7)
+    for n in range(4, 9):
+        for _ in range(2000):
+            yield n, random_zigzag(rng, n)
+
+
+class TestZigzagCheck:
+    @staticmethod
+    def check_of_verify_zigzag(monkeypatch):
+        monkeypatch.setattr(proofcheck, "_run_suite", lambda lemma, seed, instances, check: check)
+        check = verify_zigzag(0)
+        monkeypatch.undo()
+        return check
+
+    @pytest.mark.parametrize("faulty", (False, True))
+    def test_verdicts_and_messages_match_the_reference(self, faulty, monkeypatch):
+        check = self.check_of_verify_zigzag(monkeypatch)
+        asked = []
+
+        def hosts(n, poset, masks):
+            asked.append((poset, tuple(masks)))
+            got = _hosts(n, poset, masks)
+            # a deterministic fault reaches both failure messages
+            return got != (faulty and sum(masks) % 5 == 0)
+
+        monkeypatch.setattr(proofcheck, "_hosts", hosts)
+        messages = set()
+        for n, seq in verifier_zigzags():
+            got = check(n, seq)
+            assert len(set(asked)) == len(asked), seq  # no window asked twice
+            assert got == windows_reference_check(n, seq)
+            asked.clear()
+            if got is not None:
+                messages.add(got.split(": ")[1][:7])
+        assert messages == ({"zigzag ", "windows"} if faulty else set())
 
 
 def scan_zigzag(rng, n, length=6):
@@ -510,6 +565,31 @@ class TestVerifiers:
     def test_erdos_gallai_other_seeds(self, seed, checked):
         rep = verify_erdos_gallai(seed=seed)
         assert rep.failures == 0 and rep.instances_checked == checked
+
+    def test_chaincount_forms_each_bound_once(self, monkeypatch):
+        pairs = []
+
+        def counted(n, t):
+            pairs.append((n, t))
+            return katona_nagy(n, t)
+
+        monkeypatch.setattr(proofcheck, "katona_nagy", counted)
+        rep = verify_chaincount(seed=0)
+        assert rep.failures == 0 and rep.instances_checked == 3516
+        assert sorted(pairs) == sorted(set(pairs)) and len(pairs) == 16
+
+    def test_erdos_gallai_forms_the_minimal_list_once(self, monkeypatch):
+        lists = []
+
+        def counted(forbidden):
+            lists.append(len(forbidden))
+            return minimal_posets(forbidden)
+
+        monkeypatch.setattr(proofcheck, "minimal_posets", counted)
+        monkeypatch.setattr(embedding, "minimal_posets", counted)  # is_free's
+        rep = verify_erdos_gallai(seed=0)
+        assert rep.failures == 0 and rep.instances_checked == 581
+        assert lists == [16]
 
     def test_run_verifiers_order(self):
         reports = run_verifiers(["sublattice", "coloring"], seed=1)
