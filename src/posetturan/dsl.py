@@ -59,7 +59,7 @@ def _parse_builtin(text: str):
         if len(args) != 1:
             raise DslError("@pathfamily takes one argument")
         try:
-            return list(path_hasse_family(args[0]))
+            return path_hasse_family(args[0])
         except PosetError as exc:
             raise DslError(str(exc)) from None
     try:

@@ -241,8 +241,14 @@ def path_hasse_family(k: int, height_filter: int = None):
     """All posets on k elements whose undirected Hasse diagram is the k-path.
 
     Enumerates the up/down orientation of each path edge, closes transitively,
-    and keeps the first poset of each isomorphism class.
+    and keeps the first poset of each isomorphism class. The posets are built
+    once per (k, height_filter); each call returns a new list of them.
     """
+    return list(_path_hasse_family(k, height_filter))
+
+
+@lru_cache(maxsize=64)
+def _path_hasse_family(k, height_filter):
     if not 2 <= k <= MAX_POSET_SIZE:
         raise PosetError(f"path family supported for 2 <= k <= {MAX_POSET_SIZE}, got {k}")
     path_edges = {(i, i + 1) for i in range(k - 1)}
@@ -262,4 +268,4 @@ def path_hasse_family(k: int, height_filter: int = None):
     found = sorted(found.values(), key=lambda p: (p.height(), p.canonical_relations()))
     if height_filter is not None:
         found = [p for p in found if p.height() == height_filter]
-    return found
+    return tuple(found)

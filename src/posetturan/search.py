@@ -288,11 +288,26 @@ def cache_path() -> str:
 
 
 def _cache_lookup(path, params):
+    import mmap  # only a cached search loads it
+
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        fh = open(path, "rb")
     except FileNotFoundError:
         return None
+    with fh:
+        # Search the file in place through a read-only map. An empty file
+        # (ValueError) or a special file (OSError) cannot be mapped, and is
+        # read instead; both support the same rfind, find and slicing.
+        try:
+            data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        except (ValueError, OSError):
+            return _scan(fh.read(), params)
+        with data:
+            return _scan(data, params)
+
+
+def _scan(data, params):
+    """The last valid report in ``data`` (bytes or a map) for ``params``, or None."""
     # Reports are written with sorted keys, so a line that lacks this exact
     # text cannot hold the request. Searching for it from the end finds the
     # last valid line first, and only the lines around a hit are parsed.

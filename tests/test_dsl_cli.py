@@ -279,6 +279,27 @@ class TestCli:
         assert code == 0 and cached == uncached
         assert path.read_bytes() == data  # a hit appends nothing
 
+    def test_cached_search_starts_from_an_empty_file(self, capsys, tmp_path, monkeypatch):
+        # a 0-byte file cannot be mapped; it is read instead, and the request misses
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b"")
+        monkeypatch.setenv("TURAN_CACHE", str(path))
+        args = ("search", "--n", "3", "--forbid", "@butterfly", "--q", "@chain(2)")
+        code, cold = self.run(capsys, *args)
+        _, uncached = self.run(capsys, *args, "--no-cache")
+        assert code == 0 and cold == uncached
+        assert path.read_bytes() == cold.encode()  # the miss appended its report
+        code, warm = self.run(capsys, *args)
+        assert code == 0 and warm == uncached
+        assert path.read_bytes() == cold.encode()  # and the next request hit it
+
+    def test_cache_that_is_a_directory_is_a_usage_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("TURAN_CACHE", str(tmp_path))
+        code = run_command(["search", "--n", "3", "--forbid", "@butterfly", "--q", "@chain(2)"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
     def test_search_no_cache(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("TURAN_CACHE", str(tmp_path / "c.jsonl"))
         code, out = self.run(

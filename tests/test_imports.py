@@ -5,7 +5,8 @@ an unused-import rule. ``__init__.py`` is exempt (its imports are the public
 re-exports), as are ``from __future__`` imports.
 
 The package serves the lemma checker's names lazily; the tests at the end
-check that only ``verify`` loads ``posetturan.proofcheck``.
+check that only ``verify`` loads ``posetturan.proofcheck``, and that only a
+cached search loads ``mmap``.
 """
 import ast
 import json
@@ -87,6 +88,47 @@ def test_only_verify_loads_proofcheck(tmp_path):
     assert loaded == {
         "import": False, "construct": False, "count": False, "free": False,
         "search": False, "formula": False, "verify": True,
+    }
+
+
+# Run in a fresh interpreter: only a cached search maps the result file
+MMAP_PROBE = """
+import json, sys
+import posetturan.cli as cli
+loaded = {"import": "mmap" in sys.modules}
+family = sys.argv[1]
+search = ["search", "--n", "3", "--forbid", "@butterfly", "--q", "@chain(2)"]
+runs = {
+    "construct": ["construct", "middle-two-levels", "--n", "4"],
+    "count": ["count", "--family", family, "--q", "@chain(2)"],
+    "free": ["free", "--family", family, "--forbid", "@butterfly"],
+    "search --no-cache": search + ["--no-cache"],
+    "formula": ["formula", "p5", "--n", "5"],
+    "verify": ["verify", "--lemma", "sublattice"],
+    "search": search,
+}
+for name, argv in runs.items():
+    assert cli.run_command(argv) == 0, name
+    loaded[name] = "mmap" in sys.modules
+print(json.dumps(loaded), file=sys.stderr)
+"""
+
+
+def test_only_a_cached_search_loads_mmap(tmp_path):
+    family = tmp_path / "fam.txt"
+    family.write_text(format_family(level_family(3, [1, 2])))
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text("{}\n")  # a file that can be mapped
+    proc = subprocess.run(
+        [sys.executable, "-c", MMAP_PROBE, str(family)],
+        capture_output=True, text=True, timeout=60, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent), TURAN_CACHE=str(cache)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stderr.splitlines()[-1])
+    assert loaded == {
+        "import": False, "construct": False, "count": False, "free": False,
+        "search --no-cache": False, "formula": False, "verify": False, "search": True,
     }
 
 

@@ -205,6 +205,29 @@ class TestPathHasseFamily:
             first.setdefault(brute_canonical_relations(p), p.relations)
         assert {p.relations for p in path_hasse_family(k)} == set(first.values())
 
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_built_once_equals_the_enumeration(self, k):
+        # the uncached enumeration: every orientation, the first poset of each class
+        first = {}
+        for bits in range(1 << (k - 1)):
+            rels = [(i, i + 1) if bits >> i & 1 else (i + 1, i) for i in range(k - 1)]
+            p = poset_from_relations(k, rels)
+            first.setdefault(p.canonical_relations(), p)
+        expect = sorted(first.values(), key=lambda p: (p.height(), p.canonical_relations()))
+        assert path_hasse_family(k) == expect
+        for h in range(0, k + 2):
+            assert path_hasse_family(k, height_filter=h) == [p for p in expect if p.height() == h]
+        assert path_hasse_family(k) == expect  # a second call returns the same posets
+
+    def test_a_mutated_result_leaves_the_next_call_unchanged(self):
+        fam = path_hasse_family(5)
+        expect = list(fam)
+        fam.clear()
+        fam2 = path_hasse_family(5, height_filter=2)
+        fam2.append(chain(2))
+        assert path_hasse_family(5) == expect
+        assert len(path_hasse_family(5, height_filter=2)) == 2
+
     def test_k_out_of_range(self):
         with pytest.raises(PosetError):
             path_hasse_family(9)

@@ -864,6 +864,16 @@ class TestCacheLookupAgainstReference:
             assert _cache_lookup(path, params) == reference_cache_lookup(path, params)
 
 
+def test_lookup_in_a_file_that_cannot_be_mapped(tmp_path):
+    # the empty file and a character device are read, and searched by the same code
+    params = _request(3, [BFLY], P2, None)
+    empty = tmp_path / "empty.jsonl"
+    empty.write_bytes(b"")
+    assert _cache_lookup(str(empty), params) is None
+    assert _cache_lookup(os.devnull, params) is None
+    assert _cache_lookup(str(tmp_path / "missing.jsonl"), params) is None
+
+
 WRITER = """
 import sys
 from posetturan.posets import chain, named_poset
