@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .lattice import SetFamily, format_mask, level_family
+from .lattice import MAX_FORMULA_N, SetFamily, format_mask, level_family
 
 
 class FamilyFormatError(ValueError):
@@ -33,6 +33,9 @@ def parse_family(text: str) -> SetFamily:
         n = int(head[2:])
     except ValueError:
         raise FamilyFormatError(f"bad dimension {head[2:]!r}") from None
+    # the plain names of the elements a family can hold; any other token
+    # ("01", "+3", an element outside 1..n, junk) takes _element_bit
+    bits = {str(e): 1 << (e - 1) for e in range(1, min(n, MAX_FORMULA_N) + 1)}
     masks = []
     levels = set()
     for lineno, line in enumerate(lines[1:], start=2):
@@ -51,17 +54,24 @@ def parse_family(text: str) -> SetFamily:
         else:
             mask = 0
             for tok in line.split():
-                try:
-                    el = int(tok)
-                except ValueError:
-                    raise FamilyFormatError(f"line {lineno}: bad element {tok!r}") from None
-                if not 1 <= el <= n:
-                    raise FamilyFormatError(f"line {lineno}: element {el} outside 1..{n}")
-                mask |= 1 << (el - 1)
+                bit = bits.get(tok)
+                if bit is None:
+                    bit = _element_bit(tok, n, lineno)
+                mask |= bit
             masks.append(mask)
     if levels:
         masks.extend(level_family(n, levels).members)
     return SetFamily(n, masks)
+
+
+def _element_bit(tok: str, n: int, lineno: int) -> int:
+    try:
+        el = int(tok)
+    except ValueError:
+        raise FamilyFormatError(f"line {lineno}: bad element {tok!r}") from None
+    if not 1 <= el <= n:
+        raise FamilyFormatError(f"line {lineno}: element {el} outside 1..{n}")
+    return 1 << (el - 1)
 
 
 def _parse_json(text: str) -> SetFamily:

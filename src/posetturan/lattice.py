@@ -10,10 +10,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import repeat
+from operator import and_, lshift, rshift, xor
 
 MAX_SCAN_N = 24      # 2^n-set passes: whole-lattice scans, level listings, hulls
 MAX_CHAIN_N = 8      # chains_meeting: its oracles list the n! full chains; the count walks only below
 MAX_FORMULA_N = 62   # SetFamily mask width, which bounds the cost of each mask operation
+
+
+# Families of at least this many members transpose their slices and AND
+# their comparability rows from chunk tables; smaller ones loop per element,
+# which is faster there (the crossover sweep is in CHANGES.md)
+TABLE_MIN_MEMBERS = 24
+_CHUNK = 6  # widest chunk of [n] in a table: 2^6 entries
 
 
 class DimensionError(ValueError):
@@ -26,6 +35,29 @@ def iter_bits(bits: int):
         low = bits & -bits
         yield low.bit_length() - 1
         bits ^= low
+
+
+def _and_rows(slices, members, flip):
+    """Row i: the AND of slices[e] over the elements e of members[i] ^ flip, less bit i.
+
+    [n] is cut into chunks of at most _CHUNK elements. Each chunk has a table
+    of the AND of its slices for every subset of the chunk, one AND per
+    entry, so a row costs one AND per chunk, not one per element. The rows
+    come lazily, and each runs its chunks' lookups and ANDs in C.
+    """
+    n, m = len(slices), len(members)
+    width = -(-n // -(-n // _CHUNK))  # the chunks' common width, balanced
+    low = (1 << width) - 1
+    rows = None
+    for lo in range(0, n, width):
+        table = [(1 << m) - 1]
+        for s in slices[lo:lo + width]:
+            table += [t & s for t in table]
+        # each row's pattern in this chunk: (members[i] ^ flip) >> lo & low
+        parts = map(and_, map(rshift, map(xor, members, repeat(flip)), repeat(lo)), repeat(low))
+        column = map(table.__getitem__, parts)
+        rows = column if rows is None else map(and_, rows, column)
+    return map(xor, rows, map(lshift, repeat(1), range(m)))
 
 
 def _check_n(n: int, cap: int):
@@ -65,6 +97,19 @@ class SetFamily:
     @cached_property
     def _slices(self):
         """_slices[e]: bitset of the indices of the members that hold element e."""
+        ms, n = self.members, self.n
+        if len(ms) >= TABLE_MIN_MEMBERS:
+            # a bit-matrix transpose: the members as fixed-width binary
+            # numerals, highest first, in one string; digit e of each member,
+            # read at a stride of one numeral, is slice e. struct is imported
+            # here, so import posetturan does not load it
+            import struct
+
+            k = (n > 8) + (n > 16) + (n > 32)
+            width = 8 << k
+            raw = struct.pack(f"<{len(ms)}{'BHIQ'[k]}", *ms)
+            digits = format(int.from_bytes(raw, "little"), f"0{width * len(ms)}b")
+            return tuple(int(digits[width - 1 - e::width], 2) for e in range(n))
         has = [0] * self.n
         for j, a in enumerate(self.members):
             bit = 1 << j
@@ -84,6 +129,9 @@ class SetFamily:
         """
         slices = self._slices
         m = len(self.members)
+        if m >= TABLE_MIN_MEMBERS:
+            # the AND is the supersets of member i, i itself included
+            return tuple(_and_rows(slices, self.members, 0))
         up = []
         for i, a in enumerate(self.members):
             bits = (1 << m) - (2 << i)
@@ -106,6 +154,12 @@ class SetFamily:
         every = (1 << len(self.members)) - 1
         lacks = [every ^ s for s in self._slices]
         full = (1 << self.n) - 1
+        if len(self.members) >= TABLE_MIN_MEMBERS:
+            # the AND is the subsets of member j, j itself included; an &
+            # result keeps the block of its shorter operand, and clearing
+            # bit j can shorten a row a lot, so x & x copies it into a block
+            # of its own size
+            return tuple(x & x for x in _and_rows(lacks, self.members, full))
         down = []
         for j, a in enumerate(self.members):
             bits = (1 << j) - 1
@@ -276,7 +330,25 @@ def interval_family(n: int, lo: int, hi: int) -> SetFamily:
     return SetFamily(n, masks)
 
 
+# _BYTE_NAMES[k][b]: the elements of byte k of a mask whose byte k is b, each
+# followed by a space; grown on first use, at most 8 tables for a member
+_BYTE_NAMES = []
+
+
 def format_mask(mask: int) -> str:
     if mask == 0:
         return "{}"
-    return " ".join(str(i + 1) for i in range(mask.bit_length()) if mask >> i & 1)
+    if mask >> 64:  # past the 8 tables (no member is), or negative
+        return " ".join(str(i + 1) for i in range(mask.bit_length()) if mask >> i & 1)
+    text = ""
+    k = 0
+    while mask:
+        if k == len(_BYTE_NAMES):
+            names = [""]
+            for e in range(8 * k + 1, 8 * k + 9):
+                names += [t + f"{e} " for t in names]
+            _BYTE_NAMES.append(names)
+        text += _BYTE_NAMES[k][mask & 255]
+        mask >>= 8
+        k += 1
+    return text[:-1]

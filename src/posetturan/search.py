@@ -16,7 +16,7 @@ DEFAULT_WITNESS_CAP = 16
 CACHE_ENV_VAR = "TURAN_CACHE"
 DEFAULT_CACHE_FILE = "turan-cache.jsonl"
 
-MAX_EXACT_SEARCH_N = 6  # la_exact: 6-37 s per paper problem at n = 6 (2 vCPUs); 2^128 families at n = 7
+MAX_EXACT_SEARCH_N = 6  # la_exact: 5-34 s per paper problem at n = 6 (2 vCPUs, Python 3.11.7); 2^128 families at n = 7
 MAX_LEVEL_SEARCH_N = 16  # la_levels: 2^(n+1) level tuples
 MAX_LEVEL_GENERIC_N = 10  # la_levels with non-chain P: an embedding search per level union
 MAX_LEVEL_GENERIC_Q_N = 8  # la_levels with non-chain Q: copy listing, 30 s at n = 9 on 2 vCPUs
@@ -133,7 +133,8 @@ def la_exact(n: int, forbidden, q: Poset, budget: int = None) -> SearchReport:
     The witnesses are the DEFAULT_WITNESS_CAP lexicographically least optimal
     families: the images under the group of the leaves that reach the optimum,
     streamed into the least few. n <= 6 is supported: each paper problem
-    takes under 0.2 s at n = 5 and 6-37 s at n = 6. A budget stops the
+    takes under 0.2 s at n = 5 and 5-34 s at n = 6 (2 vCPUs, Python 3.11.7;
+    2.2-15.6 s on a faster host). A budget stops the
     search after exactly that many nodes, with complete=False if a node was
     still pending. A forbidden poset with no elements is refused: every
     family hosts it.

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -19,7 +20,7 @@ from posetturan.familyio import (
     format_family,
     parse_family,
 )
-from posetturan.lattice import MAX_SCAN_N, DimensionError, SetFamily, level_family
+from posetturan.lattice import MAX_SCAN_N, DimensionError, SetFamily, format_mask, level_family
 from posetturan.posets import chain, n_poset, named_poset, poset_isomorphic, s_poset
 
 
@@ -517,17 +518,118 @@ def builtin_specs(draw):
     return f"@{name}({', '.join(map(str, args))})"
 
 
+def reference_parse_family(text):
+    """parse_family as it was before its element table: one int() per token."""
+    text = text.strip()
+    if not text:
+        raise FamilyFormatError("empty family input")
+    if text.startswith("{"):
+        return familyio._parse_json(text)
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not lines:
+        raise FamilyFormatError("family input has only comments")
+    head = lines[0].replace(" ", "")
+    if not head.startswith("n="):
+        raise FamilyFormatError('first line must be "n=<int>"')
+    try:
+        n = int(head[2:])
+    except ValueError:
+        raise FamilyFormatError(f"bad dimension {head[2:]!r}") from None
+    masks = []
+    levels = set()
+    for lineno, line in enumerate(lines[1:], start=2):
+        if line == "{}":
+            masks.append(0)
+        elif line[0] in "Ll":
+            for part in line.replace(" ", "").split("+"):
+                if not part or part[0] not in "Ll":
+                    raise FamilyFormatError(f"line {lineno}: bad level shorthand {line!r}")
+                try:
+                    levels.add(int(part[1:]))
+                except ValueError:
+                    raise FamilyFormatError(
+                        f"line {lineno}: bad level shorthand {line!r}"
+                    ) from None
+        else:
+            mask = 0
+            for tok in line.split():
+                try:
+                    el = int(tok)
+                except ValueError:
+                    raise FamilyFormatError(f"line {lineno}: bad element {tok!r}") from None
+                if not 1 <= el <= n:
+                    raise FamilyFormatError(f"line {lineno}: element {el} outside 1..{n}")
+                mask |= 1 << (el - 1)
+            masks.append(mask)
+    if levels:
+        masks.extend(level_family(n, levels).members)
+    return SetFamily(n, masks)
+
+
+def reference_format_mask(mask):
+    """format_mask as it was before its byte tables: one test per bit."""
+    if mask == 0:
+        return "{}"
+    return " ".join(str(i + 1) for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def parse_outcome(parse, text):
+    """The family parsed, or the type and message of the ValueError raised."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def small_families(draw):
+    n = draw(st.integers(1, 62))
+    full = (1 << n) - 1
+    masks = draw(st.lists(st.integers(0, full) | st.sampled_from((0, full)), max_size=12))
+    return SetFamily(n, masks)
+
+
 class TestParserFuzz:
-    """Every parser input returns or raises a ValueError, within a second."""
+    """Every parser input returns or raises a ValueError, within a second; the
+    family text code gives what the references give."""
 
     @settings(deadline=1000)
     @given(family_texts())
     def test_parse_family(self, text):
+        got = parse_outcome(parse_family, text)
+        assert isinstance(got, (SetFamily, tuple))
+        assert got == parse_outcome(reference_parse_family, text)
+
+    @given(small_families())
+    def test_format_family(self, fam):
+        want = "\n".join([f"n={fam.n}", *map(reference_format_mask, fam.members)]) + "\n"
+        assert format_family(fam) == want
+
+    @pytest.mark.parametrize("mask", (1, 255, 256, (1 << 62) - 1, (1 << 64) - 1, 1 << 64,
+                                      (1 << 100) | 5, -1, -6))
+    def test_format_mask_past_the_tables(self, mask):
+        assert format_mask(mask) == reference_format_mask(mask)
+
+    @pytest.mark.parametrize("line", ("01", "+3", "-0", "\u0663", "1 \u0663 2", "5", "6", "2 01 2",
+                                      "1 x", "3 7 1"))
+    def test_tokens_outside_the_table(self, line):
+        # "\u0663" is the Arabic-Indic digit three, which int() reads as 3
+        text = f"n=5\n{line}\n"
+        got = parse_outcome(parse_family, text)
+        assert got == parse_outcome(reference_parse_family, text)
+
+    def test_a_huge_dimension_allocates_nothing(self):
+        text = "n=1000000000\n5\n"
+        tracemalloc.start()
         try:
-            fam = parse_family(text)
-        except ValueError:
-            return
-        assert isinstance(fam, SetFamily)
+            got = parse_outcome(parse_family, text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == parse_outcome(reference_parse_family, text)
+        assert got[0] is DimensionError
+        assert peak < 1 << 20
 
     @settings(deadline=1000)
     @given(builtin_specs())

@@ -5,8 +5,8 @@ an unused-import rule. ``__init__.py`` is exempt (its imports are the public
 re-exports), as are ``from __future__`` imports.
 
 The package serves the lemma checker's names lazily; the tests at the end
-check that only ``verify`` loads ``posetturan.proofcheck``, and that only a
-cached search loads ``mmap``.
+check that only ``verify`` loads ``posetturan.proofcheck``, that only a
+cached search loads ``mmap``, and that only a large family loads ``struct``.
 """
 import ast
 import json
@@ -130,6 +130,38 @@ def test_only_a_cached_search_loads_mmap(tmp_path):
         "import": False, "construct": False, "count": False, "free": False,
         "search --no-cache": False, "formula": False, "verify": False, "search": True,
     }
+
+
+# Run in a fresh interpreter without site, whose start-up hooks may load
+# struct themselves: only the transpose of a large family loads it
+STRUCT_PROBE = """
+import json, sys
+import posetturan
+from posetturan.familyio import format_family, parse_family
+from posetturan.lattice import TABLE_MIN_MEMBERS, level_family
+loaded = {"import": "struct" in sys.modules}
+small = level_family(4, [1, 2])
+assert len(small) < TABLE_MIN_MEMBERS
+small.above, small.below
+loaded["small"] = "struct" in sys.modules
+before = set(sys.modules)
+large = level_family(12, [6, 7])
+large.above, large.below
+assert parse_family(format_family(large)) == large
+loaded["large"] = sorted(set(sys.modules) - before)
+print(json.dumps(loaded))
+"""
+
+
+def test_only_a_large_family_loads_struct(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", STRUCT_PROBE],
+        capture_output=True, text=True, timeout=60, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert loaded == {"import": False, "small": False, "large": ["_struct", "struct"]}
 
 
 LAZY_NAMES = (

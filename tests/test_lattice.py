@@ -1,7 +1,9 @@
 import itertools
 import math
 import random
+import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from posetturan.constructions import CONSTRUCTIONS
 from posetturan.embedding import count_copies
 from posetturan.lattice import (
+    TABLE_MIN_MEMBERS,
     DimensionError,
     SetFamily,
     chains_meeting,
@@ -264,6 +267,79 @@ def pairwise_below(fam):
     )
 
 
+def loop_slices(fam):
+    """_slices by testing every element of every member."""
+    return tuple(
+        sum(1 << j for j, a in enumerate(fam.members) if a >> e & 1) for e in range(fam.n)
+    )
+
+
+def check_against_pairwise(fam):
+    above, below = pairwise_above(fam), pairwise_below(fam)
+    assert fam._slices == loop_slices(fam)
+    assert fam.above == above
+    assert fam.below == below
+    assert fam.comparable == tuple(up | down for up, down in zip(above, below))
+
+
+def nested_masks(rng, n, m, extremes=()):
+    """m distinct masks of [n], many of them nested: sparse and dense draws,
+    and subsets and supersets of earlier masks."""
+    full = (1 << n) - 1
+    masks = set(extremes)
+    while len(masks) < m:
+        kind = rng.randrange(4)
+        sparse = rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+        if kind == 0 or not masks:
+            masks.add(sparse)
+        elif kind == 1:
+            masks.add(full ^ sparse)
+        else:
+            base = rng.choice(sorted(masks))
+            masks.add(base & rng.getrandbits(n) if kind == 2 else base | sparse)
+    return masks
+
+
+class TestTableRows:
+    """The transpose and the chunk tables against the pairwise definition,
+    on both sides of TABLE_MIN_MEMBERS."""
+
+    # 8, 16 and 32 are the widest n, and 9, 17 and 33 the narrowest, of the
+    # transpose's 8-, 16-, 32- and 64-bit numerals
+    @pytest.mark.parametrize("n", (6, 7, 8, 9, 16, 17, 32, 33, 62))
+    def test_sizes_around_the_threshold(self, n):
+        rng = random.Random(n)
+        full = (1 << n) - 1
+        for m in (TABLE_MIN_MEMBERS - 1, TABLE_MIN_MEMBERS, TABLE_MIN_MEMBERS + 1):
+            for extremes in ((), (0,), (full,), (0, full)):
+                for _ in range(3):
+                    fam = SetFamily(n, nested_masks(rng, n, m, extremes))
+                    assert len(fam) == m
+                    check_against_pairwise(fam)
+
+    def test_empty_family(self):
+        fam = SetFamily(5, [])
+        assert (fam._slices, fam.above, fam.below, fam.comparable) == ((0,) * 5, (), (), ())
+
+    def test_rows_are_stored_in_blocks_of_their_own_size(self):
+        # an & result keeps the block of its shorter operand, so a row of
+        # below, cleared of its own bit, would hold slack; each row is stored
+        # in a block of its own size, which is what getsizeof reports (ints
+        # up to 256 are shared)
+        fam = CONSTRUCTIONS["p5"](12)
+        assert len(fam) >= TABLE_MIN_MEMBERS
+        fam._slices
+        for name in ("above", "below"):
+            tracemalloc.start()
+            try:
+                rows = getattr(fam, name)
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            stored = sys.getsizeof(rows) + sum(sys.getsizeof(row) for row in rows if row > 256)
+            assert stored <= held < stored + 4096, name
+
+
 class TestBitsetComparability:
     def test_iter_bits(self):
         assert list(iter_bits(0)) == []
@@ -312,13 +388,12 @@ class TestBitsetComparability:
     def test_constructions_match_pairwise(self):
         builds = dict(CONSTRUCTIONS, high=lambda n: CONSTRUCTIONS["middle-two-levels"](n, "high"))
         for name, build in builds.items():
-            for n in range(1, 11):
+            for n in range(1, 13):
                 try:
                     fam = build(n)
                 except ValueError:  # below the construction's least n
                     continue
-                assert fam.above == pairwise_above(fam), (name, n)
-                assert fam.below == pairwise_below(fam), (name, n)
+                check_against_pairwise(fam)
 
     def test_wide_family_matches_pairwise(self):
         rng = random.Random(40)
