@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import repeat
+from itertools import compress, count, repeat
 from operator import and_, lshift, rshift, xor
 
 MAX_SCAN_N = 24      # 2^n-set passes: whole-lattice scans, level listings, hulls
@@ -20,7 +20,8 @@ MAX_FORMULA_N = 62   # SetFamily mask width, which bounds the cost of each mask 
 
 # Families of at least this many members transpose their slices and AND
 # their comparability rows from chunk tables; smaller ones loop per element,
-# which is faster there (the crossover sweep is in CHANGES.md)
+# which is faster there (the crossover sweep is in CHANGES.md). From as many
+# bits up, _bit_list reads the set bits of a member bitset off its binary text
 TABLE_MIN_MEMBERS = 24
 _CHUNK = 6  # widest chunk of [n] in a table: 2^6 entries
 
@@ -35,6 +36,20 @@ def iter_bits(bits: int):
         low = bits & -bits
         yield low.bit_length() - 1
         bits ^= low
+
+
+def _bit_list(bits: int) -> list:
+    """list(iter_bits(bits)), read off the binary text from TABLE_MIN_MEMBERS bits up.
+
+    Each iter_bits step rewrites all of ``bits``, so listing m set bits of an
+    m-bit int costs O(m^2) bit work; the text costs O(m). Below the threshold
+    iter_bits is faster.
+    """
+    if bits.bit_length() < TABLE_MIN_MEMBERS:
+        return list(iter_bits(bits))
+    # the digits lowest bit first, as 0/1 bytes that compress reads as flags
+    flags = bin(bits)[:1:-1].encode().translate(bytes.maketrans(b"01", b"\0\1"))
+    return list(compress(count(), flags))
 
 
 def _and_rows(slices, members, flip):
@@ -228,7 +243,7 @@ def chain_count(avail: int, k: int, below) -> int:
     """
     if k < 2:  # the empty chain, or one member
         return avail.bit_count() if k else 1
-    tops = list(iter_bits(avail))
+    tops = _bit_list(avail)
     # dp[i]: chains of the current length (from 2 up) whose top is member i
     dp = {i: (avail & below[i]).bit_count() for i in tops}
     for _ in range(k - 2):

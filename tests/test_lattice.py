@@ -15,6 +15,8 @@ from posetturan.lattice import (
     TABLE_MIN_MEMBERS,
     DimensionError,
     SetFamily,
+    _bit_list,
+    chain_count,
     chains_meeting,
     comparability_components,
     complement_family,
@@ -126,6 +128,20 @@ class TestCountKChains:
     @settings(max_examples=60, deadline=None)
     def test_matches_pair_enumeration(self, fam):
         assert count_k_chains(fam, 2) == len(brute_pairs(fam))
+
+    def test_large_sub_families_match_chain_enumeration(self):
+        # member bitsets on both sides of TABLE_MIN_MEMBERS bits, against every k-subset
+        fam = full_lattice(5)
+        rng = random.Random(23)
+        for width in (12, TABLE_MIN_MEMBERS - 1, TABLE_MIN_MEMBERS, len(fam)) * 3:
+            avail = rng.getrandbits(width) | 1 << width - 1
+            ms = [fam.members[i] for i in iter_bits(avail)]
+            for k in (2, 3, 4):
+                expect = sum(
+                    all(a & b == a for a, b in zip(c, c[1:]))
+                    for c in itertools.combinations(ms, k)
+                )
+                assert chain_count(avail, k, fam.below) == expect, (avail, k)
 
 
 class TestContainmentPairs:
@@ -345,6 +361,21 @@ class TestBitsetComparability:
         assert list(iter_bits(0)) == []
         assert list(iter_bits(0b101001)) == [0, 3, 5]
         assert list(iter_bits(1 << 200 | 2)) == [1, 200]
+
+    def test_bit_list_matches_iter_bits(self):
+        m = 6435  # the middle two levels of 2^[14]
+        cases = [0, 1, (1 << m) - 1, 1 << m - 1, 1 << 200, 1 << TABLE_MIN_MEMBERS - 1]
+        rng = random.Random(17)
+        for width in (4, TABLE_MIN_MEMBERS - 1, TABLE_MIN_MEMBERS, TABLE_MIN_MEMBERS + 1, 100, m):
+            for _ in range(20):
+                sparse = 0
+                for _ in range(rng.randint(1, 4)):
+                    sparse |= 1 << rng.randrange(width)
+                dense = rng.getrandbits(width) | 1 << width - 1
+                cases += [sparse, dense, ((1 << width) - 1) ^ sparse]
+        assert {x.bit_length() < TABLE_MIN_MEMBERS for x in cases} == {True, False}
+        for x in cases:
+            assert _bit_list(x) == list(iter_bits(x)), x
 
     def test_random_families_match_pairwise_definition(self):
         rng = random.Random(31)

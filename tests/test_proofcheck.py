@@ -17,8 +17,10 @@ from posetturan.proofcheck import (
     NotFreeError,
     ZigzagWitness,
     _all_zigzags,
+    _draw_zigzag,
     _find_graph_path,
     _hosts,
+    _order,
     _run_suite,
     _zigzag_ascending,
     _zigzag_dirs,
@@ -298,7 +300,9 @@ class TestHosts:
 
         monkeypatch.setattr(proofcheck, "_hosts", recorded)
         assert verify_zigzag(seed).failures == 0
-        assert len(calls) > 12148
+        # each containment order is judged once, and a judgement asks at least one selection
+        orders = {matrix_order(seq) for _, seq in verifier_zigzags(seed)}
+        assert len(calls) >= len(orders)
         reference = {}
         for n, poset, masks, got in calls:
             key = (poset, frozenset(masks))
@@ -369,45 +373,90 @@ def windows_reference_check(n, seq):
             return f"n={n} seq={seq}: windows do not split into W and M"
 
 
-def verifier_zigzags():
-    """Every n = 3 sequence, then 2,000 random sequences per n = 4..8."""
+def verifier_zigzags(seed=7):
+    """Every n = 3 sequence, then 2,000 random sequences per n = 4..8: verify_zigzag's instances."""
     for seq in _all_zigzags(3):
         yield 3, seq
-    rng = random.Random(7)
+    rng = random.Random(seed)
     for n in range(4, 9):
         for _ in range(2000):
             yield n, random_zigzag(rng, n)
 
 
-class TestZigzagCheck:
-    @staticmethod
-    def check_of_verify_zigzag(monkeypatch):
-        monkeypatch.setattr(proofcheck, "_run_suite", lambda lemma, seed, instances, check: check)
-        check = verify_zigzag(0)
-        monkeypatch.undo()
-        return check
+def matrix_order(seq):
+    """_order from the containment matrix: per pair i < j, by j then i, 1 if seq[i] is
+    inside seq[j], 2 if seq[j] is inside seq[i], 0 if neither, as base-4 digits."""
+    inside = [[a & b == a for b in seq] for a in seq]
+    order = 0
+    for j in range(len(seq)):
+        for i in range(j):
+            order = 4 * order + (1 if inside[i][j] else 2 if inside[j][i] else 0)
+    return order
 
+
+def suite_of_verify_zigzag(seed, monkeypatch):
+    """verify_zigzag's (instances, check), taken before _run_suite runs them."""
+    monkeypatch.setattr(proofcheck, "_run_suite", lambda lemma, seed, instances, check: (instances, check))
+    suite = verify_zigzag(seed)
+    monkeypatch.undo()
+    return suite
+
+
+class TestZigzagCheck:
     @pytest.mark.parametrize("faulty", (False, True))
     def test_verdicts_and_messages_match_the_reference(self, faulty, monkeypatch):
-        check = self.check_of_verify_zigzag(monkeypatch)
+        instances, check = suite_of_verify_zigzag(7, monkeypatch)
         asked = []
 
         def hosts(n, poset, masks):
             asked.append((poset, tuple(masks)))
             got = _hosts(n, poset, masks)
-            # a deterministic fault reaches both failure messages
-            return got != (faulty and sum(masks) % 5 == 0)
+            # a deterministic fault that reaches both failure messages; it depends
+            # only on the containment order, as every verdict of the check must
+            return got != (faulty and matrix_order(masks) % 5 == 0)
 
         monkeypatch.setattr(proofcheck, "_hosts", hosts)
         messages = set()
-        for n, seq in verifier_zigzags():
-            got = check(n, seq)
+        for n, seq, order in instances:
+            got = check(n, seq, order)
             assert len(set(asked)) == len(asked), seq  # no window asked twice
             assert got == windows_reference_check(n, seq)
             asked.clear()
             if got is not None:
                 messages.add(got.split(": ")[1][:7])
         assert messages == ({"zigzag ", "windows"} if faulty else set())
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_memoised_messages_match_the_reference(self, seed, monkeypatch):
+        instances, check = suite_of_verify_zigzag(seed, monkeypatch)
+        streamed = []
+        for n, seq, order in instances:
+            streamed.append((n, seq))
+            assert check(n, seq, order) == windows_reference_check(n, seq)
+        assert streamed == list(verifier_zigzags(seed))
+
+    def judged(self, seed, monkeypatch):
+        """(report, the number of orders verify_zigzag(seed) judges)."""
+        calls = []
+
+        def counted(n, seq):
+            calls.append(seq)
+            return find_WM(n, seq)
+
+        find_WM = proofcheck._find_WM
+        monkeypatch.setattr(proofcheck, "_find_WM", counted)
+        report = verify_zigzag(seed)
+        monkeypatch.undo()
+        return report, len(calls)
+
+    def test_each_order_judged_once(self, monkeypatch):
+        report, judged = self.judged(0, monkeypatch)
+        assert report.failures == 0 and report.instances_checked == 12148
+        assert judged == len({matrix_order(seq) for _, seq in verifier_zigzags(0)}) < 12148 // 2
+
+    def test_no_verdict_kept_between_runs(self, monkeypatch):
+        first, second = self.judged(0, monkeypatch)[1], self.judged(0, monkeypatch)[1]
+        assert first == second > 0
 
 
 def scan_zigzag(rng, n, length=6):
@@ -433,6 +482,14 @@ class TestZigzagSequences:
             fast, slow = random.Random(seed), random.Random(seed)
             for _ in range(50):
                 assert random_zigzag(fast, n) == scan_zigzag(slow, n)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_draws_carry_their_containment_order(self, seed):
+        rng = random.Random(seed)
+        for n in range(3, 9):
+            for _ in range(300):
+                seq, order = _draw_zigzag(rng, n, 6)
+                assert order == _order(seq) == matrix_order(seq), seq
 
     @pytest.mark.parametrize("n", (1, 2))
     def test_too_few_sets_refused(self, n):
