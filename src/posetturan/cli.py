@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from functools import lru_cache
 
 from .constructions import CONSTRUCTIONS
@@ -95,12 +94,6 @@ def _fail(message: str, code: int = USAGE_ERROR):
     return code
 
 
-def _format_value(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
-    return str(value)
-
-
 def _forbidden(specs):
     """The posets of every --forbid spec, concatenated in the order given."""
     return [p for spec in specs for p in parse_poset_dsl(spec)]
@@ -182,11 +175,11 @@ def cmd_formula(args):
             return _fail(f"bad sweep range {args.sweep!r}")
         for n in range(lo, hi + 1):
             value = closed_formula(args.id, n=n, **extras)
-            print(f"{args.id}\t{n}\t{_format_value(value)}")
+            print(f"{args.id}\t{n}\t{value}")  # a Fraction prints as 108/5, or 4 when whole
         return 0
     if args.n is None:
         return _fail("formula needs --n or --sweep")
-    print(_format_value(closed_formula(args.id, n=args.n, **extras)))
+    print(closed_formula(args.id, n=args.n, **extras))
     return 0
 
 

@@ -1,20 +1,20 @@
 """Weak-subposet embedding: freeness decisions and copy counting."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .lattice import SetFamily, chain_count, iter_bits
 from .posets import Poset
 
 
-@dataclass(frozen=True)
-class EmbeddingWitness:
-    """Injective order-preserving assignment from poset elements to family masks."""
+class EmbeddingWitness(namedtuple("EmbeddingWitness", "poset family assignment")):
+    """Injective order-preserving assignment from poset elements to family masks.
 
-    poset: Poset
-    family: SetFamily
-    assignment: tuple  # assignment[e]: mask chosen for poset element e
+    ``assignment[e]`` is the mask chosen for poset element e.
+    """
+
+    __slots__ = ()
 
     def check(self) -> bool:
         masks = self.assignment

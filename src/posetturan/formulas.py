@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
 from .lattice import MAX_FORMULA_N
 
@@ -47,8 +46,10 @@ def sublattice(n: int, a: int, b: int) -> int:
     return num // denom
 
 
-def katona_nagy(n: int, t: int) -> Fraction:
-    """Lower bound on full chains meeting a t-set family, as an exact rational."""
+def katona_nagy(n: int, t: int):
+    """Lower bound on full chains meeting a t-set family, as an exact Fraction."""
+    from fractions import Fraction  # only this formula loads fractions
+
     _check_range(n, 1)
     if t < 0:
         raise ValueError("t must be nonnegative")

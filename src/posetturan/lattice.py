@@ -8,13 +8,13 @@ integers).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from itertools import compress, count, repeat
 from operator import and_, lshift, rshift, xor
 
 MAX_SCAN_N = 24      # 2^n-set passes: whole-lattice scans, level listings, hulls
-MAX_CHAIN_N = 8      # chains_meeting: its oracles list the n! full chains; the count walks only below
+MAX_CHAIN_N = 8      # chains_meeting: its oracles list the n! full chains; the count reads the cached 2^[n]
 MAX_FORMULA_N = 62   # SetFamily mask width, which bounds the cost of each mask operation
 
 
@@ -80,12 +80,12 @@ def _check_n(n: int, cap: int):
         raise DimensionError(f"dimension n={n} outside supported range 1..{cap}")
 
 
-@dataclass(frozen=True)
 class SetFamily:
-    """A duplicate-free collection of subsets of [n]."""
+    """A duplicate-free collection of subsets of [n].
 
-    n: int
-    members: tuple
+    Immutable, with equality and hash over (n, members); the comparability
+    bitsets below are computed on first use and kept in the instance dict.
+    """
 
     def __init__(self, n: int, members):
         _check_n(n, MAX_FORMULA_N)
@@ -94,6 +94,23 @@ class SetFamily:
             raise ValueError(f"mask out of range for n={n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "members", tuple(masks))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.members) == (other.n, other.members)
+
+    def __hash__(self):
+        return hash((self.n, self.members))
+
+    def __repr__(self):
+        return f"SetFamily(n={self.n!r}, members={self.members!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __len__(self):
         return len(self.members)
@@ -195,13 +212,14 @@ class SetFamily:
         return SetFamily(self.n, [self.members[i] for i in indices])
 
 
-@dataclass(frozen=True)
-class ComparabilityComponents:
-    """Partition of a family into connected components of its comparability graph."""
+class ComparabilityComponents(namedtuple("ComparabilityComponents", "family components edge_counts")):
+    """Partition of a family into connected components of its comparability graph.
 
-    family: SetFamily
-    components: tuple       # tuple of tuples of member indices
-    edge_counts: tuple      # containment pairs within each component
+    ``components`` is a tuple of tuples of member indices, and ``edge_counts``
+    the number of containment pairs within each component.
+    """
+
+    __slots__ = ()
 
     @property
     def total_edges(self):
@@ -307,20 +325,23 @@ def chains_meeting(n: int, family: SetFamily) -> int:
     the empty set up to member B, first[B] avoid every member below B:
     first[B] = |B|! - sum over members A below B of first[A] * (|B| - |A|)!.
     Members come in ascending order, so every A is counted before B, and
-    the result is the sum of first[B] * (n - |B|)!.
+    the result is the sum of first[B] * (n - |B|)!. The members below B are
+    read off the cached 2^[n], whose member index is the mask, so the
+    family's own comparability bitsets are not built.
     """
     if n > MAX_CHAIN_N:
         raise DimensionError(f"n={n} too large for full-chain enumeration (cap {MAX_CHAIN_N})")
     if family.n != n:
         raise ValueError("family dimension mismatch")
     fact = [math.factorial(k) for k in range(n + 1)]
-    below = family.below
-    sizes = [a.bit_count() for a in family.members]
-    first = []
-    total = 0
-    for j, size in enumerate(sizes):
-        f = fact[size] - sum(first[i] * fact[size - sizes[i]] for i in iter_bits(below[j]))
-        first.append(f)
+    below = cached_lattice(n).below
+    first = [0] * (1 << n)  # first[B] for the members B seen so far, indexed by mask
+    seen = total = 0        # seen: bitset of those masks
+    for b in family.members:
+        size = b.bit_count()
+        f = fact[size] - sum(first[a] * fact[size - a.bit_count()] for a in iter_bits(below[b] & seen))
+        first[b] = f
+        seen |= 1 << b
         total += f * fact[n - size]
     return total
 

@@ -1,7 +1,6 @@
 """Finite strict partial orders: construction, duality, isomorphism, catalog."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 MAX_POSET_SIZE = 8  # canonical labelling backtracks over up to size! labellings
@@ -11,17 +10,35 @@ class PosetError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class Poset:
     """A finite strict partial order on elements 0..size-1.
 
     ``relations`` is the full transitive closure (irreflexive, antisymmetric).
     Use :func:`poset_from_relations` to build one from arbitrary generators.
+    Immutable, with equality and hash over (size, relations, labels).
     """
 
-    size: int
-    relations: frozenset = field(default_factory=frozenset)
-    labels: tuple = None
+    def __init__(self, size: int, relations: frozenset = frozenset(), labels: tuple = None):
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "relations", relations)
+        object.__setattr__(self, "labels", labels)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.size, self.relations, self.labels) == (other.size, other.relations, other.labels)
+
+    def __hash__(self):
+        return hash((self.size, self.relations, self.labels))
+
+    def __repr__(self):
+        return f"Poset(size={self.size!r}, relations={self.relations!r}, labels={self.labels!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def less(self, a: int, b: int) -> bool:
         return (a, b) in self.relations

@@ -10,8 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
 
 from .embedding import find_any_embedding, find_embedding, is_free, minimal_posets
@@ -42,19 +41,15 @@ class NotFreeError(ValueError):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(namedtuple("Coloring", "n family threshold blue critical_pairs")):
     """Blue/red labels for all of 2^[n] relative to a family and threshold t.
 
-    A mask is blue iff it is strictly contained in at least t family members.
-    Critical pairs are the blue-to-red steps of size one.
+    A mask is blue iff it is strictly contained in at least t family members;
+    ``blue`` is the frozenset of blue masks. Critical pairs are the
+    blue-to-red steps of size one.
     """
 
-    n: int
-    family: SetFamily
-    threshold: int
-    blue: frozenset
-    critical_pairs: tuple
+    __slots__ = ()
 
     def is_blue(self, mask: int) -> bool:
         return mask in self.blue
@@ -115,13 +110,14 @@ def check_one_critical_pair_per_chain(n: int, coloring: Coloring) -> bool:
     return not any((above[gp] | 1 << gp) & bottoms for _, gp in coloring.critical_pairs)
 
 
-@dataclass(frozen=True)
-class ComponentClass:
-    """Classification of one comparability component of an N-free family."""
+class ComponentClass(namedtuple("ComponentClass", "kind members center", defaults=(None,))):
+    """Classification of one comparability component of an N-free family.
 
-    kind: str        # "triangle" or "star"
-    members: tuple   # masks
-    center: int = None  # star center mask (None for triangles)
+    ``kind`` is "triangle" or "star", ``members`` the masks, and ``center``
+    the star's center mask (None for triangles).
+    """
+
+    __slots__ = ()
 
 
 def classify_nfree_components(family: SetFamily):
@@ -147,10 +143,10 @@ def classify_nfree_components(family: SetFamily):
     return out
 
 
-@dataclass(frozen=True)
-class ZigzagWitness:
-    which: str       # "W" or "M"
-    indices: tuple   # five 0-based positions into the input sequence
+class ZigzagWitness(namedtuple("ZigzagWitness", "which indices")):
+    """``which`` is "W" or "M"; ``indices`` five 0-based positions into the input sequence."""
+
+    __slots__ = ()
 
 
 def _zigzag_dirs(seq):
@@ -306,20 +302,21 @@ def _walks(near, starts, length):
         del extend  # extend's closure holds extend: drop it, or each call leaves a cycle
 
 
-@dataclass(frozen=True)
-class ComponentReport:
+class ComponentReport(namedtuple("ComponentReport", (
+    "members",
+    "containments",
+    "hull_size",
+    "max_antichain",
+    "chains_meeting_hull",
+    "threshold",             # c * n! / (5 * C(n-2, floor(n/2)-1)), a Fraction
+    "ratio",                 # chains over threshold, a Fraction; None when c = 0
+    "type_one",              # c <= 100 and hull at least c elements
+    "type_two",              # antichain of at least 5c/6 members
+    "below_threshold",
+))):
     """Diagnostics for one component of a family avoiding 5-element path posets."""
 
-    members: tuple
-    containments: int
-    hull_size: int
-    max_antichain: int
-    chains_meeting_hull: int
-    threshold: Fraction      # c * n! / (5 * C(n-2, floor(n/2)-1))
-    ratio: Fraction          # chains over threshold; None when c = 0
-    type_one: bool           # c <= 100 and hull at least c elements
-    type_two: bool           # antichain of at least 5c/6 members
-    below_threshold: bool
+    __slots__ = ()
 
 
 MAX_COMPONENT_MEMBERS = 20  # _max_antichain: branch and bound over up to 2^m member subsets
@@ -331,6 +328,8 @@ def p5_component_report(n: int, family: SetFamily):
     Reporting only: the underlying theorem is asymptotic, so components below
     the proof's coverage threshold are flagged, not rejected.
     """
+    from fractions import Fraction
+
     hit = find_any_embedding(family, path_hasse_family(5))
     if hit is not None:
         raise NotFreeError("family embeds a 5-element path poset", hit[1])
@@ -392,13 +391,26 @@ def _max_antichain(family: SetFamily) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class LemmaReport:
-    lemma: str
-    instances_checked: int
-    failures: int
-    seed: int = None
-    first_failure: str = None
+    """One verifier's tally; mutable, compared field by field, unhashable."""
+
+    _fields = ("lemma", "instances_checked", "failures", "seed", "first_failure")
+
+    def __init__(self, lemma: str, instances_checked: int, failures: int, seed: int = None,
+                 first_failure: str = None):
+        self.lemma = lemma
+        self.instances_checked = instances_checked
+        self.failures = failures
+        self.seed = seed
+        self.first_failure = first_failure
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return [getattr(self, k) for k in self._fields] == [getattr(other, k) for k in self._fields]
+
+    def __repr__(self):
+        return "LemmaReport(" + ", ".join(f"{k}={getattr(self, k)!r}" for k in self._fields) + ")"
 
     def to_json(self):
         out = {

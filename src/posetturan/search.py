@@ -4,7 +4,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 
 from .embedding import completing_members, count_copies, embedding_using_member, is_free, minimal_posets
@@ -22,13 +22,30 @@ MAX_LEVEL_GENERIC_N = 10  # la_levels with non-chain P: an embedding search per 
 MAX_LEVEL_GENERIC_Q_N = 8  # la_levels with non-chain Q: copy listing, 30 s at n = 9 on 2 vCPUs
 
 
-@dataclass
 class SearchReport:
-    optimum: int
-    witnesses: list            # list of mask tuples, lexicographically least first
-    nodes_explored: int
-    complete: bool
-    params: dict = field(default_factory=dict)
+    """One search result; ``witnesses`` lists mask tuples, lexicographically least first.
+
+    ``params`` defaults to a new empty dict. Reports compare equal field by
+    field, in ``_fields`` order, and are mutable, so unhashable.
+    """
+
+    _fields = ("optimum", "witnesses", "nodes_explored", "complete", "params")
+
+    def __init__(self, optimum: int, witnesses: list, nodes_explored: int, complete: bool,
+                 params: dict = None):
+        self.optimum = optimum
+        self.witnesses = witnesses
+        self.nodes_explored = nodes_explored
+        self.complete = complete
+        self.params = {} if params is None else params
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return [getattr(self, k) for k in self._fields] == [getattr(other, k) for k in self._fields]
+
+    def __repr__(self):
+        return "SearchReport(" + ", ".join(f"{k}={getattr(self, k)!r}" for k in self._fields) + ")"
 
     def witness_families(self, n: int):
         return [SetFamily(n, w) for w in self.witnesses]
@@ -273,10 +290,8 @@ def la_levels(n: int, forbidden, q: Poset) -> SearchReport:
     )
 
 
-@dataclass(frozen=True)
-class WitnessCheck:
-    free: bool
-    copies: int
+class WitnessCheck(namedtuple("WitnessCheck", "free copies")):
+    __slots__ = ()
 
 
 def verify_witness(family: SetFamily, forbidden, q: Poset) -> WitnessCheck:
@@ -328,7 +343,7 @@ def _scan(data, params):
                 continue
             if (
                 isinstance(rec, dict)
-                and rec.keys() == SearchReport.__dataclass_fields__.keys()
+                and rec.keys() == set(SearchReport._fields)
                 and rec["params"] == params
             ):
                 return rec

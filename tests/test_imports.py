@@ -6,7 +6,9 @@ re-exports), as are ``from __future__`` imports.
 
 The package serves the lemma checker's names lazily; the tests at the end
 check that only ``verify`` loads ``posetturan.proofcheck``, that only a
-cached search loads ``mmap``, and that only a large family loads ``struct``.
+cached search loads ``mmap``, that only a large family loads ``struct``, and
+that no module loads ``dataclasses`` (or ``inspect``, which it imports) and
+only a formula that makes a Fraction loads ``fractions``.
 """
 import ast
 import json
@@ -162,6 +164,55 @@ def test_only_a_large_family_loads_struct(tmp_path):
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
     assert loaded == {"import": False, "small": False, "large": ["_struct", "struct"]}
+
+
+# Run in a fresh interpreter without site, whose start-up hooks may load these
+# modules themselves: which of them each entry point loads
+HEAVY_PROBE = """
+import io, json, sys
+from contextlib import redirect_stdout
+HEAVY = ("dataclasses", "inspect", "fractions")
+def loaded():
+    return [name for name in HEAVY if name in sys.modules]
+out = {}
+import posetturan
+out["import posetturan"] = loaded()
+from posetturan import cli
+out["import posetturan.cli"] = loaded()
+family = sys.argv[1]
+runs = {
+    "construct": ["construct", "middle-two-levels", "--n", "4"],
+    "count": ["count", "--family", family, "--q", "@chain(2)"],
+    "free": ["free", "--family", family, "--forbid", "@butterfly"],
+    "search --no-cache": ["search", "--n", "3", "--forbid", "@butterfly", "--q", "@chain(2)", "--no-cache"],
+    "verify zigzag": ["verify", "--lemma", "zigzag", "--seed", "0"],
+    "formula katona_nagy": ["formula", "katona_nagy", "--n", "5", "--t", "3"],
+}
+for name, argv in runs.items():
+    text = io.StringIO()
+    with redirect_stdout(text):
+        assert cli.run_command(argv) == 0, name
+    out[name] = loaded()
+out["katona_nagy stdout"] = text.getvalue()
+print(json.dumps(out))
+"""
+
+
+def test_no_module_loads_dataclasses_and_only_a_fraction_loads_fractions(tmp_path):
+    family = tmp_path / "fam.txt"
+    family.write_text(format_family(level_family(3, [1, 2])))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", HEAVY_PROBE, str(family)],
+        capture_output=True, text=True, timeout=60, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == {
+        "import posetturan": [], "import posetturan.cli": [], "construct": [], "count": [],
+        "free": [], "search --no-cache": [], "verify zigzag": [],
+        "formula katona_nagy": ["fractions"], "katona_nagy stdout": "108/5\n",
+    }
 
 
 LAZY_NAMES = (

@@ -219,6 +219,12 @@ class TestChainsMeeting:
         with pytest.raises(DimensionError):
             chains_meeting(9, SetFamily(9, [1]))
 
+    def test_reads_the_cached_lattice_not_the_family(self):
+        # the members below each member come from cached_lattice(n).below
+        fam = level_family(8, [3, 4, 5])
+        assert chains_meeting(8, fam) == math.factorial(8)
+        assert "below" not in fam.__dict__ and "_slices" not in fam.__dict__
+
     @given(families)
     @settings(max_examples=40, deadline=None)
     def test_matches_permutation_enumeration(self, fam):

@@ -193,7 +193,7 @@ def reference_cache_lookup(path, params):
                 continue
             if (
                 isinstance(rec, dict)
-                and rec.keys() == SearchReport.__dataclass_fields__.keys()
+                and rec.keys() == {"optimum", "witnesses", "nodes_explored", "complete", "params"}
                 and rec["params"] == params
             ):
                 entry = rec
