@@ -100,7 +100,7 @@ def _forced_plans(poset: Poset):
     return tuple(_plan(poset, e) for e in poset.orbit_representatives())
 
 
-# The supports count_copies may store: 80-200 bytes each for 64..1000 members.
+# The supports copy_supports may store: 80-200 bytes each for 64..1000 members.
 MAX_COPY_SUPPORTS = 2_000_000
 
 
@@ -115,14 +115,13 @@ def _search(family: SetFamily, poset: Poset, plan, forced=None, within=None, fou
     neither the witness found nor the supports listed. A support with t
     twins keeps the candidates comparable to at least t members still open
     to them, by t saturating counter bitsets over those members; with t = 1
-    it is their plain union. The images of an
-    element's up-set are distinct allowed members above its image, so a
-    member with fewer allowed members above it than ``needs`` asks (or
-    below it, likewise) cannot host that element. An unforced search builds
-    the domain of each distinct need with a component of at least 2 once. A
-    forced search only checks the forced member: it is one of the many short
-    listing runs of the search bound, on at most 2^n members, where building
-    the domains cost more than they saved.
+    it is their plain union. The images of an element's up-set are distinct
+    allowed members above its image, so a member with fewer allowed members
+    above it than ``needs`` asks (or below it, likewise) cannot host that
+    element. An unforced search builds the domain of each distinct need with
+    a component of at least 2 once. A forced search only checks the forced
+    member: the exact search forces members only at its root, with one
+    member selected, where domains save nothing.
     ``found``, if given, is a set, and the search lists instead: each complete
     image adds its support (its member-index bitset) and the search goes on,
     until the set holds more than MAX_COPY_SUPPORTS supports.
@@ -392,32 +391,26 @@ def is_free(family: SetFamily, forbidden) -> bool:
     return all(find_embedding(family, p) is None for p in minimal_posets(forbidden))
 
 
-def count_copies(family: SetFamily, q: Poset, within=None, using=None) -> int:
+def copy_supports(family: SetFamily, q: Poset, within=None) -> set:
+    """The supports (member-index bitsets) of the copies of Q inside ``within``,
+    listed by one unforced search; refused past MAX_COPY_SUPPORTS of them."""
+    found = set()
+    _search(family, q, _plan(q), within=within, found=found)
+    if len(found) > MAX_COPY_SUPPORTS:
+        raise ValueError(f"copy counting stores at most {MAX_COPY_SUPPORTS} supports")
+    return found
+
+
+def count_copies(family: SetFamily, q: Poset, within=None) -> int:
     """Number of |Q|-element subfamilies that host Q using all their members.
 
-    A chain Q counts chains; any other Q lists its distinct supports with the
-    embedding search. Only subfamilies inside ``within`` (a bitset of member
-    indices) count, and with ``using`` (a member index) only those holding it.
+    A chain Q counts chains; any other Q counts its ``copy_supports``. Only
+    subfamilies inside ``within`` (a bitset of member indices) count.
     """
     if within is None:
         within = (1 << len(family)) - 1
-    if using is not None and q.is_chain():
-        if not within >> using & 1:
-            return 0
-        if q.size == 2:
-            return (within & family.comparable[using]).bit_count()
-        down, up = within & family.below[using], within & family.above[using]
-        # a chain through it is a chain below it, then it, then a chain above it
-        return sum(chain_count(down, a, family.below) * chain_count(up, q.size - 1 - a, family.below)
-                   for a in range(q.size))
     if q.size == 1:  # every member is a copy; skips building the comparability bitsets
         return within.bit_count()
     if q.is_chain():
         return chain_count(within, q.size, family.below)
-    # force a member at each orbit representative: automorphisms cover the rest
-    found = set()
-    for plan in [_plan(q)] if using is None else _forced_plans(q):
-        _search(family, q, plan, using, within, found)
-    if len(found) > MAX_COPY_SUPPORTS:
-        raise ValueError(f"copy counting stores at most {MAX_COPY_SUPPORTS} supports")
-    return len(found)
+    return len(copy_supports(family, q, within))

@@ -7,7 +7,7 @@ import os
 from collections import namedtuple
 from functools import lru_cache
 
-from .embedding import completing_members, count_copies, embedding_using_member, is_free, minimal_posets
+from .embedding import completing_members, copy_supports, count_copies, embedding_using_member, is_free, minimal_posets
 from .lattice import SetFamily, cached_lattice, iter_bits, level_family
 from .formulas import chain_count_in_levels
 from .posets import Poset, dual_poset
@@ -119,11 +119,12 @@ def la_exact(n: int, forbidden, q: Poset, budget: int = None) -> SearchReport:
 
     Branch-and-bound over the masks of 2^[n], one loop over an explicit stack
     of nodes. A node holds the included masks (chosen), chosen plus the
-    undecided masks (avail), the copies of Q in avail (the bound), H, the
-    symmetries of the problem (``_symmetry_group``) that fix chosen and avail
-    setwise, and gone, the masks it removes from avail when it is popped. Each
-    node branches into an include child and an exclude child; the exclude
-    child is pushed first, so the include subtree is explored first.
+    undecided masks (avail), the bitset of the copies of Q inside avail
+    (alive), H, the symmetries of the problem (``_symmetry_group``) that fix
+    chosen and avail setwise, and gone, the masks it removes from avail when
+    it is popped. Each node branches into an include child and an exclude
+    child; the exclude child is pushed first, so the include subtree is
+    explored first.
 
     - Dynamic branching: the node branches on the undecided mask with the most
       members of avail comparable to it, the least such mask on ties.
@@ -141,11 +142,12 @@ def la_exact(n: int, forbidden, q: Poset, budget: int = None) -> SearchReport:
       Programming 126, 2011): the exclude child's gone is the whole H-orbit
       of x, since some element of H maps any family that meets the orbit onto
       one that holds x, with the same value.
-    - Bound: a node is cut only when its bound is below the best value found,
-      so every optimal family keeps an image in the tree. The bound is
-      counted once at the root, and each mask of gone subtracts the copies
-      through it that remain (``count_copies`` with ``using``; for P2, the
-      members of avail comparable to it) before the cut.
+    - Bound: a node is cut only when its bound, the bit count of alive, is
+      below the best value found, so every optimal family keeps an image in
+      the tree. The root numbers the copies of Q in 2^[n] (``copy_supports``),
+      and keep[y] is the bitset of those without mask y: each y of gone is
+      dropped by alive &= keep[y], as in bit-parallel max-clique search (San
+      Segundo, Rodriguez-Losada and Jimenez, Comput. Oper. Res. 38, 2011).
 
     The witnesses are the DEFAULT_WITNESS_CAP lexicographically least optimal
     families: the images under the group of the leaves that reach the optimum,
@@ -167,19 +169,24 @@ def la_exact(n: int, forbidden, q: Poset, budget: int = None) -> SearchReport:
     full = (1 << (1 << n)) - 1
     alone = sum(1 << y for y in range(1 << n)
                 if any(embedding_using_member(universe, p, y, 1 << y) is not None for p in minimal))
-    stack = [(0, full, count_copies(universe, q, full), group, alone)]
-    # the copies of P2 through y among avail are the members of avail comparable to y
-    p2 = q.is_chain() and q.size == 2
+    supports = copy_supports(universe, q)
+    every = (1 << len(supports)) - 1
+    keep = [every] * (1 << n)
+    for i, s in enumerate(supports):
+        for y in iter_bits(s):
+            keep[y] ^= 1 << i
+    stack = [(0, full, every, group, alone)]
     nodes, best, leaves, complete = 0, -1, [], True
     while stack:
         if nodes == budget:
             complete = False
             break
-        chosen, avail, bound, h, gone = stack.pop()
+        chosen, avail, alive, h, gone = stack.pop()
         nodes += 1
-        for y in iter_bits(gone):  # every mask of gone is in avail
-            bound -= (avail & near[y]).bit_count() if p2 else count_copies(universe, q, avail, y)
-            avail ^= 1 << y
+        avail ^= gone  # every mask of gone is in avail
+        for y in iter_bits(gone):
+            alive &= keep[y]
+        bound = alive.bit_count()
         if bound < best:
             continue
         free = avail & ~chosen
@@ -203,8 +210,8 @@ def la_exact(n: int, forbidden, q: Poset, budget: int = None) -> SearchReport:
         for g in h:
             orbit |= 1 << g[x]
         # the include child is pushed last, so its subtree is explored first
-        stack.append((chosen, avail, bound, h, orbit))
-        stack.append((included, avail, bound, stabiliser, dead))
+        stack.append((chosen, avail, alive, h, orbit))
+        stack.append((included, avail, alive, stabiliser, dead))
     return SearchReport(
         optimum=best,
         witnesses=_least_images(leaves, group),

@@ -470,6 +470,15 @@ class TestBadFamilyFiles:
         assert "Traceback" not in proc.stderr and proc.stderr.startswith("error:")
         assert "supports" in proc.stderr
 
+    def test_search_past_the_support_cap_exits_2(self):
+        # the search lists the 985 copies of N in 2^[4] at its root
+        cap = "import posetturan.embedding as e\ne.MAX_COPY_SUPPORTS = 900"
+        proc = run_cli_process("search", "--no-cache", "--n", "4", "--forbid", "@butterfly",
+                               "--q", "@N", setup=cap)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr and proc.stderr.startswith("error:")
+        assert "supports" in proc.stderr
+
     def test_directory_exits_2(self, tmp_path):
         proc = run_cli_process("count", "--family", str(tmp_path), "--q", "@chain(2)")
         assert proc.returncode == 2 and proc.stdout == ""

@@ -11,6 +11,7 @@ from posetturan.embedding import (
     _plan,
     _search,
     completing_members,
+    copy_supports,
     count_copies,
     embedding_using_member,
     find_any_embedding,
@@ -116,6 +117,32 @@ def reference_count_copies(family, q, within=None):
         find_embedding(family, q, sum(1 << i for i in combo)) is not None
         for combo in itertools.combinations(iter_bits(within), q.size)
     )
+
+
+def reference_count_through(family, q, within, y):
+    """The copies of Q inside ``within`` (None: the whole family) that hold
+    member y, as the exact search once counted them for each removed mask.
+
+    A chain is split at y into a chain below it and a chain above it; any
+    other Q is listed with y forced at each orbit representative of Q, and
+    refused past MAX_COPY_SUPPORTS supports.
+    """
+    if within is None:
+        within = (1 << len(family)) - 1
+    if q.is_chain():
+        if not within >> y & 1:
+            return 0
+        if q.size == 2:
+            return (within & family.comparable[y]).bit_count()
+        down, up = within & family.below[y], within & family.above[y]
+        return sum(chain_count(down, a, family.below) * chain_count(up, q.size - 1 - a, family.below)
+                   for a in range(q.size))
+    found = set()
+    for plan in embedding._forced_plans(q):
+        _search(family, q, plan, y, within, found)
+    if len(found) > embedding.MAX_COPY_SUPPORTS:
+        raise ValueError(f"copy counting stores at most {embedding.MAX_COPY_SUPPORTS} supports")
+    return len(found)
 
 
 def brute_images(fam, poset):
@@ -527,7 +554,8 @@ class TestCountCopies:
     def test_matches_the_subset_counter(self):
         # every catalog poset of <= 5 elements on random families, with and
         # without a selection; the copies through y are the copies lost by
-        # removing y, and none when y is not selected
+        # removing y, and none when y is not selected, both as the reference
+        # counts them and as the listed supports that hold y
         rng = random.Random(71)
         posets = catalog_posets(5)
         cases = 0
@@ -540,26 +568,38 @@ class TestCountCopies:
                 for sel in (None, within):
                     ref = reference_count_copies(fam, q, sel)
                     assert count_copies(fam, q, sel) == ref, (fam.members, q, sel)
+                    supports = copy_supports(fam, q, sel)
+                    assert len(supports) == ref, (fam.members, q, sel)
                     base = full if sel is None else sel
                     for y in range(len(fam)):
                         expect = ref - reference_count_copies(fam, q, base & ~(1 << y))
-                        got = count_copies(fam, q, sel, using=y)
+                        got = reference_count_through(fam, q, sel, y)
                         assert got == expect, (fam.members, q, sel, y)
+                        held = sum(s >> y & 1 for s in supports)
+                        assert held == expect, (fam.members, q, sel, y)
                         cases += 1
         assert cases > 8000
 
     def test_listing_refuses_past_the_support_cap(self, monkeypatch):
         fam = full_lattice(3)
         copies = count_copies(fam, n_poset())
-        through = count_copies(fam, n_poset(), using=1)
+        through = reference_count_through(fam, n_poset(), None, 1)
         assert copies > through > 1
         monkeypatch.setattr(embedding, "MAX_COPY_SUPPORTS", copies)
         assert count_copies(fam, n_poset()) == copies
+        assert len(copy_supports(fam, n_poset())) == copies
         monkeypatch.setattr(embedding, "MAX_COPY_SUPPORTS", through - 1)
         with pytest.raises(ValueError, match="supports"):
             count_copies(fam, n_poset())
         with pytest.raises(ValueError, match="supports"):
-            count_copies(fam, n_poset(), using=1)
+            copy_supports(fam, n_poset())
+        with pytest.raises(ValueError, match="supports"):
+            reference_count_through(fam, n_poset(), None, 1)
+        # a chain is listed under the same cap, but counted without listing
+        monkeypatch.setattr(embedding, "MAX_COPY_SUPPORTS", 17)
+        assert count_copies(fam, chain(3)) == 18
+        with pytest.raises(ValueError, match="supports"):
+            copy_supports(fam, chain(3))
 
 
 def per_neighbour_plan(plan):
@@ -667,12 +707,13 @@ class TestCountedSupports:
                     continue
                 reference = set()
                 per_neighbour_search(fam, p, per_neighbour_plan(plan), found=reference)
+                assert copy_supports(fam, p) == reference, (fam.members, p)
                 assert count_copies(fam, p) == len(reference), (fam.members, p)
                 x = len(fam) // 2
                 forced = set()
                 for fplan in embedding._forced_plans(p):
                     per_neighbour_search(fam, p, per_neighbour_plan(fplan), x, whole, forced)
-                assert count_copies(fam, p, using=x) == len(forced), (fam.members, p)
+                assert reference_count_through(fam, p, None, x) == len(forced), (fam.members, p)
 
     def test_forced_witnesses_match_the_per_neighbour_search(self):
         rng = random.Random(31)

@@ -50,6 +50,7 @@ from test_embedding import (
     catalog_posets,
     propagation_reference,
     reference_count_copies,
+    reference_count_through,
     using_member_reference,
 )
 
@@ -116,7 +117,8 @@ def recursive_la_exact(n, forbidden, q, budget=None):
 
     The include child recurses before the exclude child, and each child drops
     its removed masks from avail, and their copies from the bound, before it
-    is entered.
+    is entered. The bound is counted, not kept as a bitset of copies: each
+    removed mask subtracts ``reference_count_through``.
     """
     forbidden = list(forbidden)
     universe = cached_lattice(n)
@@ -128,7 +130,7 @@ def recursive_la_exact(n, forbidden, q, budget=None):
 
     def drop(avail, bound, masks):
         for y in iter_bits(masks):
-            bound -= count_copies(universe, q, avail, y)
+            bound -= reference_count_through(universe, q, avail, y)
             avail ^= 1 << y
         return avail, bound
 
@@ -359,6 +361,25 @@ PINNED_OTHER_Q_N4 = {
 }
 
 
+# The same for two searches at n = 5 whose Q is not P2, as the search reported
+# before it kept the copies inside avail as a bitset.
+PINNED_OTHER_Q_N5 = {
+    ("@butterfly", "@N"): (120, 4005, [
+        [3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 17, 18, 19, 20, 21, 22, 24, 25, 26, 28]]),
+    ("@kst(2,3)", "@chain(3)"): (31, 9589, [
+        [0, 3, 5, 6, 7, 9, 10, 12, 17, 18, 20, 25, 26, 28, 31],
+        [0, 3, 5, 6, 9, 10, 11, 12, 17, 18, 21, 22, 24, 28, 31],
+        [0, 3, 5, 6, 9, 10, 12, 13, 17, 19, 20, 22, 24, 26, 31],
+        [0, 3, 5, 6, 9, 10, 12, 14, 18, 19, 20, 21, 24, 25, 31],
+        [0, 3, 5, 6, 9, 10, 13, 14, 17, 18, 19, 20, 24, 28, 31],
+        [0, 3, 5, 6, 9, 11, 12, 14, 17, 18, 20, 21, 24, 26, 31],
+        [0, 3, 5, 6, 10, 11, 12, 13, 17, 18, 20, 22, 24, 25, 31],
+        [0, 3, 5, 7, 9, 10, 12, 14, 17, 18, 20, 22, 24, 25, 31],
+        [0, 3, 6, 7, 9, 10, 12, 13, 17, 18, 20, 21, 24, 26, 31],
+        [0, 5, 6, 7, 9, 10, 11, 12, 17, 18, 19, 20, 24, 28, 31]]),
+}
+
+
 # The same for the five paper problems at n = 5, run with the benchmark's
 # budget of 20,000 nodes, which each search now finishes within.
 PINNED_N5 = {
@@ -412,6 +433,18 @@ def test_n4_other_q_search_tree_pinned(spec, q_spec):
     assert rep["complete"]
     for w in witnesses:
         chk = verify_witness(SetFamily(4, w), forbid(spec), q)
+        assert chk.free and chk.copies == optimum
+
+
+@pytest.mark.parametrize("spec, q_spec", sorted(PINNED_OTHER_Q_N5))
+def test_n5_other_q_search_pinned(spec, q_spec):
+    optimum, nodes, witnesses = PINNED_OTHER_Q_N5[spec, q_spec]
+    q = parse_single_poset(q_spec)
+    rep = la_exact(5, forbid(spec), q).to_json()
+    assert rep == {"optimum": optimum, "witnesses": witnesses, "nodes_explored": nodes,
+                   "complete": True, "params": _request(5, forbid(spec), q, None)}
+    for w in witnesses:
+        chk = verify_witness(SetFamily(5, w), forbid(spec), q)
         assert chk.free and chk.copies == optimum
 
 
@@ -527,9 +560,9 @@ def test_budgeted_report_matches_the_recursive_search(n, spec, q_spec, budget):
     assert got == recursive_la_exact(n, forbid(spec), q, budget).to_json()
 
 
-# la_exact subtracts the P2 copies through a removed mask inline and branches
-# with a plain loop; the recursive search calls count_copies and max for both,
-# so a change of bound or of tie rule shows in these full reports.
+# la_exact keeps the copies inside avail as a bitset and branches with a plain
+# loop; the recursive search counts the copies through each removed mask and
+# calls max, so a change of bound or of tie rule shows in these full reports.
 def test_n4_p2_reports_of_the_small_catalog_posets_match_the_recursive_search():
     for p in catalog_posets(4):
         got = la_exact(4, [p], P2).to_json()
