@@ -216,6 +216,8 @@ def run_command(argv=None) -> int:
         # DslError and FamilyFormatError are ValueErrors; OSError covers
         # unreadable family files (missing, a directory, no permission)
         return _fail(str(exc))
+    except MemoryError:
+        return _fail("out of memory")
 
 
 def main():

@@ -100,66 +100,61 @@ def _forced_plans(poset: Poset):
     return tuple(_plan(poset, e) for e in poset.orbit_representatives())
 
 
-# The supports copy_supports may store: 80-200 bytes each for 64..1000 members.
+# The supports copy_supports may store: about 160 bytes each for N, whatever the family's size.
 MAX_COPY_SUPPORTS = 2_000_000
 
 
 def _search(family: SetFamily, poset: Poset, plan, forced=None, within=None, found=None):
     """Backtracking over ``plan`` with bitset domains.
 
-    ``forced`` is the member index assigned to the plan's first element.
-    ``within``, if given, is the bitset of member indices the images may use.
+    ``forced`` is the member index assigned to the plan's first element: it
+    narrows the first domain to that member. ``within``, if given, is the
+    bitset of member indices the images may use.
     Candidates are tried in ascending index order, which makes the witness
     deterministic. The look-ahead through ``supports`` and the degree
     domains only drop candidates that cannot be completed, so they change
     neither the witness found nor the supports listed. A support with t
     twins keeps the candidates comparable to at least t members still open
-    to them, by t saturating counter bitsets over those members; with t = 1
-    it is their plain union. The images of an element's up-set are distinct
-    allowed members above its image, so a member with fewer allowed members
-    above it than ``needs`` asks (or below it, likewise) cannot host that
-    element. An unforced search builds the domain of each distinct need with
-    a component of at least 2 once. A forced search only checks the forced
-    member: the exact search forces members only at its root, with one
-    member selected, where domains save nothing.
+    to them, by t saturating counter bitsets over those members. The images
+    of an element's up-set are distinct allowed members above its image, so a
+    member with fewer allowed members above it than ``needs`` asks (or below
+    it, likewise) cannot host that element. The domain of each distinct need
+    with a component of at least 2 is built once.
     ``found``, if given, is a set, and the search lists instead: each complete
-    image adds its support (its member-index bitset) and the search goes on,
-    until the set holds more than MAX_COPY_SUPPORTS supports.
+    image adds its support (its member indices as a sorted tuple) and the
+    search goes on, until the set holds more than MAX_COPY_SUPPORTS supports.
     """
     order, constraints, supports, needs = plan
     k = len(order)
     allowed = (1 << len(family.members)) - 1 if within is None else within
-    if k > allowed.bit_count() or forced is not None and not allowed >> forced & 1:
+    if k > allowed.bit_count():
         return None
     above, below = family.above, family.below
     domain = [allowed] * k
-    if forced is None:
-        fits = {}  # (u, d): the allowed members with at least u allowed members above, d below
-        for i, (u, d) in enumerate(needs):
-            if (u > 1 or d > 1) and (u, d) not in fits:
-                bits = 0
-                rest = allowed
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    y = low.bit_length() - 1
-                    if ((not u or (above[y] & allowed).bit_count() >= u)
-                            and (not d or (below[y] & allowed).bit_count() >= d)):
-                        bits |= low
-                fits[u, d] = bits
-            domain[i] = fits.get((u, d), allowed)
-    else:
-        u, d = needs[0]
-        if (above[forced] & allowed).bit_count() < u or (below[forced] & allowed).bit_count() < d:
-            return None
-    image = [forced] * k  # image[i]: member index of order[i]; image[0] may be forced
+    fits = {}  # (u, d): the allowed members with at least u allowed members above, d below
+    for i, (u, d) in enumerate(needs):
+        if (u > 1 or d > 1) and (u, d) not in fits:
+            bits = 0
+            rest = allowed
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                y = low.bit_length() - 1
+                if ((not u or (above[y] & allowed).bit_count() >= u)
+                        and (not d or (below[y] & allowed).bit_count() >= d)):
+                    bits |= low
+            fits[u, d] = bits
+        domain[i] = fits.get((u, d), allowed)
+    if forced is not None:
+        domain[0] &= 1 << forced
+    image = [0] * k  # image[i]: member index of order[i]
 
     def extend(i, free):
         # free: bitset of the allowed members not yet used
         if i == k:
             if found is None:
                 return True
-            found.add(allowed ^ free)
+            found.add(tuple(sorted(image)))
             return len(found) > MAX_COPY_SUPPORTS  # past the cap: stop listing
         lower, upper = constraints[i]
         pool = free & domain[i]
@@ -174,21 +169,15 @@ def _search(family: SetFamily, poset: Poset, plan, forced=None, within=None, fou
             for j in p_upper:
                 dom &= below[image[j]]
             toward = below if up else above
-            if t == 1:
-                reach = 0
-                for y in iter_bits(dom):
-                    reach |= toward[y]
-            else:
-                # saturating counters: count[s] holds the members comparable,
-                # in that direction, to more than s members of dom
-                count = [0] * t
-                for y in iter_bits(dom):
-                    near = toward[y]
-                    for s in range(t - 1, 0, -1):
-                        count[s] |= count[s - 1] & near
-                    count[0] |= near
-                reach = count[-1]
-            pool &= reach
+            # saturating counters: count[s] holds the members comparable,
+            # in that direction, to more than s members of dom
+            count = [0] * t
+            for y in iter_bits(dom):
+                near = toward[y]
+                for s in range(t - 1, 0, -1):
+                    count[s] |= count[s - 1] & near
+                count[0] |= near
+            pool &= count[-1]
         while pool:
             low = pool & -pool
             pool ^= low
@@ -197,8 +186,7 @@ def _search(family: SetFamily, poset: Poset, plan, forced=None, within=None, fou
                 return True
         return False
 
-    start, free = (0, allowed) if forced is None else (1, allowed ^ 1 << forced)
-    hit = extend(start, free)
+    hit = extend(0, allowed)
     del extend  # extend's closure holds extend: drop it, or each call leaves a cycle
     if not hit:
         return None
@@ -392,8 +380,9 @@ def is_free(family: SetFamily, forbidden) -> bool:
 
 
 def copy_supports(family: SetFamily, q: Poset, within=None) -> set:
-    """The supports (member-index bitsets) of the copies of Q inside ``within``,
-    listed by one unforced search; refused past MAX_COPY_SUPPORTS of them."""
+    """The supports (sorted member-index tuples) of the copies of Q inside
+    ``within``, listed by one unforced search; refused past MAX_COPY_SUPPORTS
+    of them."""
     found = set()
     _search(family, q, _plan(q), within=within, found=found)
     if len(found) > MAX_COPY_SUPPORTS:

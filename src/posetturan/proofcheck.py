@@ -238,7 +238,7 @@ def _zigzag_ascending(dirs, start, m):
     return "M" if dirs[0] == 1 else "W", (0, 1, 2, 3, 4)
 
 
-# (poset size, poset relations, containment order of the selection) -> hosts
+# (poset size, poset relations, selection size, containment order of the selection) -> hosts
 _HOSTS = {}
 
 
@@ -246,15 +246,9 @@ def _hosts(n, poset, masks) -> bool:
     """Whether the distinct subsets ``masks`` of [n] host the poset.
 
     The answer depends only on which mask contains which, so the engine runs
-    once per poset and containment order. The order is one int of the k^2 bits
-    ``a & b == a`` over ordered pairs of positions; its leading bit (the first
-    mask against itself) is always set, so the int also fixes k.
+    once per poset, selection size and containment order (``_order``).
     """
-    order = 0
-    for a in masks:
-        for b in masks:
-            order = order << 1 | (a & b == a)
-    key = (poset.size, poset.relations, order)
+    key = (poset.size, poset.relations, len(masks), _order(masks))
     hit = _HOSTS.get(key)
     if hit is None:
         within = sum(1 << m for m in masks)

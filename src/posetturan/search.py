@@ -173,7 +173,7 @@ def la_exact(n: int, forbidden, q: Poset, budget: int = None) -> SearchReport:
     every = (1 << len(supports)) - 1
     keep = [every] * (1 << n)
     for i, s in enumerate(supports):
-        for y in iter_bits(s):
+        for y in s:
             keep[y] ^= 1 << i
     stack = [(0, full, every, group, alone)]
     nodes, best, leaves, complete = 0, -1, [], True

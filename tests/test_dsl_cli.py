@@ -458,6 +458,12 @@ class TestBadFamilyFiles:
         assert proc.returncode == 2 and proc.stdout == ""
         assert "Traceback" not in proc.stderr and proc.stderr.startswith("error:")
 
+    def test_out_of_memory_exits_2(self):
+        # C(24, 12) = 2,704,156 members need more than 200 MB of address space
+        limit = "import resource\nresource.setrlimit(resource.RLIMIT_AS, (200_000_000, 200_000_000))"
+        proc = run_cli_process("construct", "middle-two-levels", "--n", "24", setup=limit)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: out of memory\n")
+
     def test_count_past_the_support_cap_exits_2(self, tmp_path):
         # 1,260 copies of N; a cap of 1,000 supports makes the listing refuse
         fam_file = tmp_path / "fam.txt"

@@ -3,6 +3,7 @@ import gc
 import itertools
 import pstats
 import random
+import tracemalloc
 
 import pytest
 
@@ -571,11 +572,14 @@ class TestCountCopies:
                     supports = copy_supports(fam, q, sel)
                     assert len(supports) == ref, (fam.members, q, sel)
                     base = full if sel is None else sel
+                    # each support is the sorted tuple of q.size distinct selected members
+                    assert all(list(s) == sorted(set(s)) and len(s) == q.size
+                               and all(base >> y & 1 for y in s) for s in supports)
                     for y in range(len(fam)):
                         expect = ref - reference_count_copies(fam, q, base & ~(1 << y))
                         got = reference_count_through(fam, q, sel, y)
                         assert got == expect, (fam.members, q, sel, y)
-                        held = sum(s >> y & 1 for s in supports)
+                        held = sum(y in s for s in supports)
                         assert held == expect, (fam.members, q, sel, y)
                         cases += 1
         assert cases > 8000
@@ -600,6 +604,23 @@ class TestCountCopies:
         assert count_copies(fam, chain(3)) == 18
         with pytest.raises(ValueError, match="supports"):
             copy_supports(fam, chain(3))
+
+    def test_a_stored_copy_does_not_grow_with_the_family(self):
+        # the 11,304 copies of N in the 300 highest-index members of the middle
+        # two levels of 2^[14]: a support is a tuple of 4 member indices, about
+        # 160 traced bytes, where a bitset over the 6,435 members takes 930
+        fam = middle_two_levels(14)
+        q = n_poset()
+        within = ((1 << 300) - 1) << (len(fam) - 300)
+        fam.above, fam.below, _plan(q)  # built before tracing starts
+        tracemalloc.start()
+        try:
+            supports = copy_supports(fam, q, within)
+            traced = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(supports) == 11304
+        assert traced / len(supports) < 300
 
 
 def per_neighbour_plan(plan):
@@ -707,7 +728,8 @@ class TestCountedSupports:
                     continue
                 reference = set()
                 per_neighbour_search(fam, p, per_neighbour_plan(plan), found=reference)
-                assert copy_supports(fam, p) == reference, (fam.members, p)
+                assert copy_supports(fam, p) == {tuple(iter_bits(s)) for s in reference}, \
+                    (fam.members, p)
                 assert count_copies(fam, p) == len(reference), (fam.members, p)
                 x = len(fam) // 2
                 forced = set()
