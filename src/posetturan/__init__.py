@@ -41,11 +41,7 @@ from .constructions import (
     p5_construction,
     p6_construction,
 )
-from .formulas import (
-    chain_count_in_levels,
-    closed_formula,
-    la_chain_levels_max,
-)
+from .formulas import chain_count_in_levels, closed_formula
 from .search import SearchReport, cached_la_exact, la_exact, la_levels, verify_witness
 from .dsl import parse_poset_dsl, parse_single_poset, poset_to_dsl
 from .familyio import format_family, parse_family, read_family

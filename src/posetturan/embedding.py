@@ -229,8 +229,9 @@ def _through_plans(poset: Poset):
     """Listing plans for ``completing_members``, one per pair (e, f).
 
     e is an orbit representative (the element the candidate plays) and f any
-    other element (the element x plays). Each plan is (order, constraints,
-    toward, ready, need_up, need_down):
+    other element (the element x plays) with no smaller twin (same up- and
+    down-sets) but e: swapping twins fixes e and maps their plans onto each
+    other. Each plan is (order, constraints, toward, ready, need_up, need_down):
 
     - ``order`` lists the elements other than e, starting at f; each next one
       has the most comparabilities to those placed, e's neighbours first on
@@ -242,10 +243,11 @@ def _through_plans(poset: Poset):
     - ``need_up`` (``need_down``) counts the elements other than e above
       (below) f, Ullmann's degree filter for x.
     """
+    roles = [(poset.up_set(a), poset.down_set(a)) for a in range(poset.size)]
     plans = []
     for e in poset.orbit_representatives():
         for f in range(poset.size):
-            if f == e:
+            if f == e or any(g != e and roles[g] == roles[f] for g in range(f)):
                 continue
             order = [f]
             rest = set(range(poset.size)) - {e, f}
@@ -258,7 +260,7 @@ def _through_plans(poset: Poset):
             toward = tuple(poset.less(a, e) - poset.less(e, a) for a in order)
             ready = max([i + 1 for i, t in enumerate(toward) if t], default=1)
             plans.append((tuple(order), constraints, toward, ready,
-                          len(poset.up_set(f) - {e}), len(poset.down_set(f) - {e})))
+                          len(roles[f][0] - {e}), len(roles[f][1] - {e})))
     return tuple(plans)
 
 

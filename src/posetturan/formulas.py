@@ -6,9 +6,6 @@ import math
 
 from .lattice import MAX_FORMULA_N
 
-MAX_TUPLE_SCAN_N = 20  # la_chain_levels_max: C(n+1, k-1) level tuples, 0.06 s at n = 20, k = 6
-MAX_TUPLE_SCAN_K = 6   # with a chain_count_in_levels sum over C(k-1, ell) subsets per tuple
-
 
 def butterfly_p2(n: int) -> int:
     """Maximum 2-chain count of a butterfly-free family (n >= 5)."""
@@ -105,24 +102,6 @@ def chain_count_in_levels(n: int, ell: int, levels) -> int:
             ways //= math.factorial(hi - lo)
         total += ways
     return total
-
-
-def la_chain_levels_max(n: int, k: int, ell: int):
-    """Maximum of chain_count_in_levels over all (k-1)-tuples, with all argmaxes."""
-    if not k > ell >= 1:
-        raise ValueError("need k > ell >= 1")
-    if n > MAX_TUPLE_SCAN_N or k > MAX_TUPLE_SCAN_K:
-        raise ValueError(f"tuple scan infeasible beyond n={MAX_TUPLE_SCAN_N}, k={MAX_TUPLE_SCAN_K}")
-    best = -1
-    argmax = []
-    for tup in itertools.combinations(range(n + 1), k - 1):
-        val = chain_count_in_levels(n, ell, tup)
-        if val > best:
-            best = val
-            argmax = [tup]
-        elif val == best:
-            argmax.append(tup)
-    return best, argmax
 
 
 def balanced_parts(n: int, tup) -> bool:

@@ -17,9 +17,9 @@ CACHE_ENV_VAR = "TURAN_CACHE"
 DEFAULT_CACHE_FILE = "turan-cache.jsonl"
 
 MAX_EXACT_SEARCH_N = 6  # la_exact: 5-34 s per paper problem at n = 6 (2 vCPUs, Python 3.11.7); 2^128 families at n = 7
-MAX_LEVEL_SEARCH_N = 16  # la_levels: 2^(n+1) level tuples
-MAX_LEVEL_GENERIC_N = 10  # la_levels with non-chain P: an embedding search per level union
-MAX_LEVEL_GENERIC_Q_N = 8  # la_levels with non-chain Q: copy listing, 30 s at n = 9 on 2 vCPUs
+MAX_LEVEL_SEARCH_N = 16  # la_levels: up to 2^(n+1) level tuples, 7.5 s at n = 16 with nothing forbidden
+MAX_LEVEL_GENERIC_N = 12  # la_levels with non-chain P at n = 12: paper posets 0.2-0.4 s, diamond(4) 7 s
+MAX_LEVEL_GENERIC_Q_N = 8  # la_levels with non-chain Q: a copy listing per free tuple, 104 s for (chain(5), #N) at n = 8
 
 
 class SearchReport:
@@ -249,43 +249,50 @@ def _least_images(leaves, group) -> list:
 
 
 def la_levels(n: int, forbidden, q: Poset) -> SearchReport:
-    """Best Q-copy count over unions of full levels that avoid the forbidden posets."""
+    """Best Q-copy count over unions of full levels that avoid the forbidden posets.
+
+    The level tuples are walked by size, as in Apriori's candidate walk
+    (Agrawal and Srikant, VLDB 1994): freeness of a level union is monotone,
+    so a tuple is visited (``nodes_explored``) only when each subtuple of one
+    level fewer is free. A forbidden k-chain rules out every tuple of k
+    levels untested; a non-chain minimal P meets at most |P| levels, so
+    ``is_free`` tests it only on tuples of at most |P| levels. A forbidden
+    poset with no elements is refused; an empty Q has one copy.
+    """
     forbidden = list(forbidden)
     if n > MAX_LEVEL_SEARCH_N:
         raise ValueError(f"level search supports n <= {MAX_LEVEL_SEARCH_N}")
-    chains_only = all(p.is_chain() for p in forbidden)
-    if not chains_only and n > MAX_LEVEL_GENERIC_N:
-        raise ValueError(
-            f"level search with non-chain forbidden posets supports n <= {MAX_LEVEL_GENERIC_N}"
-        )
+    if any(p.size == 0 for p in forbidden):
+        raise ValueError("a forbidden poset must have at least one element")
+    minimal = minimal_posets(forbidden)
+    generic = [p for p in minimal if not p.is_chain()]
+    if generic and n > MAX_LEVEL_GENERIC_N:
+        raise ValueError(f"level search with non-chain forbidden posets supports n <= {MAX_LEVEL_GENERIC_N}")
     if not q.is_chain() and n > MAX_LEVEL_GENERIC_Q_N:
         raise ValueError(f"level search with a non-chain Q supports n <= {MAX_LEVEL_GENERIC_Q_N}")
-    min_chain = min((p.size for p in forbidden if p.is_chain()), default=None)
-    best = -1
-    best_levels = []
-    nodes = 0
-    for r in range(n + 2):
-        for tup in itertools.combinations(range(n + 1), r):
-            nodes += 1
-            if min_chain is not None and len(tup) >= min_chain:
+    shortest = min((p.size for p in minimal if p.is_chain()), default=n + 2)
+    best, best_levels, nodes = -1, [], 0
+    layer = [()]  # the visited tuples of one size, ascending
+    while layer:
+        nodes += len(layer)
+        kept = set()  # the free tuples of the layer
+        for tup in layer:
+            hosts = [p for p in generic if p.size >= len(tup)]
+            if len(tup) >= shortest or hosts and not is_free(level_family(n, tup), hosts):
                 continue
-            if not chains_only:
-                fam = level_family(n, tup)
-                if not is_free(fam, [p for p in forbidden if not p.is_chain()]):
-                    continue
-            if q.is_chain():
-                copies = chain_count_in_levels(n, q.size, tup)
-            else:
-                copies = count_copies(level_family(n, tup), q)
+            kept.add(tup)
+            copies = (count_copies(level_family(n, tup), q) if not q.is_chain()
+                      else chain_count_in_levels(n, q.size, tup) if q.size else 1)
             if copies > best:
-                best = copies
-                best_levels = [tup]
-            elif copies == best:
+                best, best_levels = copies, []
+            if copies == best:
                 best_levels.append(tup)
-    witnesses = sorted(tuple(level_family(n, t).members) for t in best_levels)
+        layer = [tup + (j,) for tup in layer if tup in kept
+                 for j in range(tup[-1] + 1 if tup else 0, n + 1)
+                 if all(tup[:i] + tup[i + 1:] + (j,) in kept for i in range(len(tup)))]
     return SearchReport(
         optimum=best,
-        witnesses=witnesses[:DEFAULT_WITNESS_CAP],
+        witnesses=sorted(tuple(level_family(n, t).members) for t in best_levels)[:DEFAULT_WITNESS_CAP],
         nodes_explored=nodes,
         complete=True,
         params={

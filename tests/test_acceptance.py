@@ -20,7 +20,6 @@ from posetturan.formulas import (
     balanced_parts,
     butterfly_p2,
     chain_count_in_levels,
-    la_chain_levels_max,
     n_free,
     p5,
     p6_lower,
@@ -42,7 +41,7 @@ from posetturan.proofcheck import (
     verify_sublattice,
     verify_zigzag,
 )
-from posetturan.search import la_exact, verify_witness
+from posetturan.search import la_exact, la_levels, verify_witness
 
 BFLY = named_poset("butterfly")
 P2 = chain(2)
@@ -168,10 +167,10 @@ def test_criterion_8_level_formula_cross_check():
                     checks.append(
                         chain_count_in_levels(n, ell, tup) == count_k_chains(fam, ell)
                     )
-    best, argmax = la_chain_levels_max(4, 3, 2)
-    checks.append(best == 12)
-    checks.append(any(balanced_parts(4, tup) for tup in argmax))
-    checks.append(all(chain_count_in_levels(4, 2, tup) == 12 for tup in argmax))
+    rep = la_levels(4, [chain(3)], chain(2))
+    checks.append(rep.optimum == 12)
+    checks.append(any(balanced_parts(4, tup) for tup in rep.params["levels"]))
+    checks.append(all(chain_count_in_levels(4, 2, tup) == 12 for tup in rep.params["levels"]))
     _run(8, "level-union chain formula vs enumeration, n <= 8", checks)
 
 

@@ -349,12 +349,17 @@ class TestCompletingMembers:
                     fam.n, chosen, x, free, p)
 
     def test_plans_cover_every_role_of_x(self):
-        # e ranges over the orbit representatives and f over every other element
+        # e ranges over the orbit representatives and f over every other
+        # element but one with a smaller twin (same up- and down-sets) other than e
         for p in catalog_posets(5):
             roles = [(*set(range(p.size)) - set(order), order[0])
                      for order, *_ in embedding._through_plans(p)]
-            assert roles == [(e, f) for e in p.orbit_representatives()
-                             for f in range(p.size) if f != e], p
+            twin = [(p.up_set(a), p.down_set(a)) for a in range(p.size)]
+            assert roles == [(e, f) for e in p.orbit_representatives() for f in range(p.size)
+                             if f != e and all(g == e or twin[g] != twin[f] for g in range(f))], p
+        # butterfly: bottoms 0, 1 and tops 2, 3; x plays 1 or 3 only beside its twin
+        assert [(*set(range(4)) - set(order), order[0])
+                for order, *_ in embedding._through_plans(BFLY)] == [(0, 1), (0, 2), (2, 0), (2, 3)]
 
 
 class TestMinimalPosets:

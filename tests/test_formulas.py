@@ -5,14 +5,11 @@ from fractions import Fraction
 import pytest
 
 from posetturan.formulas import (
-    MAX_TUPLE_SCAN_K,
-    MAX_TUPLE_SCAN_N,
     balanced_parts,
     butterfly_p2,
     chain_count_in_levels,
     closed_formula,
     katona_nagy,
-    la_chain_levels_max,
     n_free,
     p5,
     p6_lower,
@@ -25,6 +22,8 @@ from posetturan.lattice import (
     interval_family,
     level_family,
 )
+from posetturan.posets import chain
+from posetturan.search import la_levels
 
 
 class TestClosedForms:
@@ -144,41 +143,31 @@ class TestChainCountInLevels:
 
 
 class TestLaChainLevelsMax:
+    """The best (k-1)-tuple for counting l-chains, asked of the level search:
+    la_levels(n, [chain(k)], chain(l)) walks the tuples of fewer than k levels."""
+
     def test_n4_k3_ell2(self):
-        best, argmax = la_chain_levels_max(4, 3, 2)
-        assert best == 12
-        assert (1, 2) in argmax and (2, 3) in argmax
+        rep = la_levels(4, [chain(3)], chain(2))
+        assert rep.optimum == 12
+        assert [1, 2] in rep.params["levels"] and [2, 3] in rep.params["levels"]
 
     def test_n6_k3_ell2(self):
-        best, argmax = la_chain_levels_max(6, 3, 2)
-        assert best == 90
-        assert (2, 4) in argmax
+        rep = la_levels(6, [chain(3)], chain(2))
+        assert rep.optimum == 90
+        assert [2, 4] in rep.params["levels"]
 
     def test_argmax_values_agree(self):
-        best, argmax = la_chain_levels_max(7, 4, 2)
-        for tup in argmax:
-            assert chain_count_in_levels(7, 2, tup) == best
+        rep = la_levels(7, [chain(4)], chain(2))
+        for tup in rep.params["levels"]:
+            assert len(tup) == 3 and chain_count_in_levels(7, 2, tup) == rep.optimum
 
     def test_balanced_argmax_exists(self):
         # counting maximal (k-1)-chains, some argmax tuple always has balanced gaps
         for n in range(2, 11):
             for k in (2, 3, 4):
-                best, argmax = la_chain_levels_max(n, k, k - 1)
-                assert any(balanced_parts(n, tup) for tup in argmax)
-
-    def test_bad_params(self):
-        with pytest.raises(ValueError):
-            la_chain_levels_max(4, 2, 2)
-        with pytest.raises(ValueError):
-            la_chain_levels_max(25, 3, 2)
-
-    def test_tuple_scan_caps(self):
-        best, argmax = la_chain_levels_max(MAX_TUPLE_SCAN_N, MAX_TUPLE_SCAN_K, 5)
-        assert best == chain_count_in_levels(MAX_TUPLE_SCAN_N, 5, argmax[0])
-        with pytest.raises(ValueError, match="n=20, k=6"):
-            la_chain_levels_max(MAX_TUPLE_SCAN_N + 1, 3, 2)
-        with pytest.raises(ValueError, match="n=20, k=6"):
-            la_chain_levels_max(10, MAX_TUPLE_SCAN_K + 1, 2)
+                levels = la_levels(n, [chain(k)], chain(k - 1)).params["levels"]
+                assert len(levels) <= 6  # every argmax tuple is listed
+                assert any(balanced_parts(n, tup) for tup in levels)
 
 
 class TestBalancedParts:

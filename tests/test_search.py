@@ -32,9 +32,11 @@ from posetturan.lattice import (
     iter_bits,
     level_family,
 )
-from posetturan.posets import chain, kst, n_poset, named_poset, poset_from_relations
+from posetturan.formulas import chain_count_in_levels
+from posetturan.posets import Poset, chain, kst, n_poset, named_poset, poset_from_relations
 from posetturan.search import (
     DEFAULT_WITNESS_CAP,
+    MAX_LEVEL_GENERIC_N,
     SearchReport,
     _cache_lookup,
     _least_images,
@@ -670,6 +672,40 @@ class TestSymmetry:
         assert rep.witnesses == sorted(antichains)[:DEFAULT_WITNESS_CAP]
 
 
+def reference_la_levels(n, forbidden, q):
+    """la_levels as one loop over all 2^(n+1) level tuples: a tuple of at
+    least the shortest forbidden chain's length is skipped, and any other is
+    tested against the non-chain forbidden posets.
+
+    Returns (optimum, witnesses, levels) as la_levels reports them.
+    """
+    forbidden = list(forbidden)
+    chains_only = all(p.is_chain() for p in forbidden)
+    min_chain = min((p.size for p in forbidden if p.is_chain()), default=None)
+    best = -1
+    best_levels = []
+    for r in range(n + 2):
+        for tup in itertools.combinations(range(n + 1), r):
+            if min_chain is not None and len(tup) >= min_chain:
+                continue
+            if not chains_only:
+                fam = level_family(n, tup)
+                if not is_free(fam, [p for p in forbidden if not p.is_chain()]):
+                    continue
+            if q.is_chain():
+                copies = chain_count_in_levels(n, q.size, tup)
+            else:
+                copies = count_copies(level_family(n, tup), q)
+            if copies > best:
+                best = copies
+                best_levels = [tup]
+            elif copies == best:
+                best_levels.append(tup)
+    witnesses = sorted(tuple(level_family(n, t).members) for t in best_levels)
+    levels = [list(t) for t in sorted(best_levels)[:DEFAULT_WITNESS_CAP]]
+    return best, witnesses[:DEFAULT_WITNESS_CAP], levels
+
+
 class TestLaLevels:
     def test_chain3_forbidden(self):
         rep = la_levels(6, [chain(3)], P2)
@@ -696,11 +732,48 @@ class TestLaLevels:
         for forbidden in ([BFLY], [chain(3)], [n_poset()]):
             assert la_levels(4, forbidden, P2).optimum <= la_exact(4, forbidden, P2).optimum
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_the_tuple_loop(self, n):
+        for p in catalog_posets(5):
+            for q in (P2, chain(3), n_poset()):
+                rep = la_levels(n, [p], q)
+                assert (rep.optimum, rep.witnesses, rep.params["levels"]) == reference_la_levels(n, [p], q), (
+                    n, p, q)
+                assert rep.complete and rep.params["forbidden"] == [p.canonical_key()]
+
+    def test_visits_only_tuples_whose_smaller_subtuples_are_free(self):
+        # of the 2,048 tuples at n = 10; a forbidden 3-chain rules out the
+        # C(11, 3) tuples of 3 levels untested, and the walk stops there
+        assert la_levels(10, [n_poset()], P2).nodes_explored == 76
+        assert la_levels(10, [BFLY], P2).nodes_explored == 92
+        assert la_levels(10, [chain(3)], P2).nodes_explored == 1 + 11 + 55 + 165
+
+    def test_empty_forbidden_poset_is_refused_as_la_exact_refuses_it(self):
+        for n in (1, 2, 3):
+            for forbidden in ([Poset(0)], [BFLY, Poset(0)]):
+                with pytest.raises(ValueError, match="at least one element") as exact:
+                    la_exact(n, forbidden, P2)
+                with pytest.raises(ValueError) as levels:
+                    la_levels(n, forbidden, P2)
+                assert str(levels.value) == str(exact.value)
+
+    def test_empty_q_has_one_copy_as_in_la_exact(self):
+        for n in (1, 2, 3):
+            for forbidden in ([BFLY], [chain(3)], [n_poset(), chain(2)], []):
+                rep = la_levels(n, forbidden, Poset(0))
+                if forbidden:
+                    assert rep.optimum == la_exact(n, forbidden, Poset(0)).optimum == 1
+                assert rep.optimum == count_copies(cached_lattice(n), Poset(0)) == 1
+
     def test_caps(self):
+        # results (i) and (iii) at the non-chain cap: ceil(n/2) C(n, n/2) and C(n, n/2)
+        assert MAX_LEVEL_GENERIC_N == 12
+        assert la_levels(12, [BFLY], P2).optimum == 6 * 924
+        assert la_levels(12, [n_poset()], P2).optimum == 924
         with pytest.raises(ValueError):
             la_levels(17, [chain(3)], P2)
         with pytest.raises(ValueError):
-            la_levels(12, [BFLY], P2)
+            la_levels(13, [BFLY], P2)
         with pytest.raises(ValueError):
             la_levels(9, [chain(4)], BFLY)
 
