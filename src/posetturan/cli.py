@@ -11,12 +11,10 @@ import json
 import sys
 from functools import lru_cache
 
+# only the modules build_parser reads; each cmd_* imports the others it runs
 from .constructions import CONSTRUCTIONS
-from .dsl import parse_poset_dsl, parse_single_poset
-from .embedding import count_copies, find_any_embedding
-from .familyio import format_family, read_family
 from .formulas import FORMULAS, closed_formula
-from .search import MAX_EXACT_SEARCH_N, cached_la_exact, la_exact
+from .lattice import MAX_EXACT_SEARCH_N
 
 USAGE_ERROR = 2
 
@@ -96,10 +94,14 @@ def _fail(message: str, code: int = USAGE_ERROR):
 
 def _forbidden(specs):
     """The posets of every --forbid spec, concatenated in the order given."""
+    from .dsl import parse_poset_dsl
+
     return [p for spec in specs for p in parse_poset_dsl(spec)]
 
 
 def cmd_construct(args):
+    from .familyio import format_family
+
     func = CONSTRUCTIONS[args.name]
     if args.name == "middle-two-levels":
         fam = func(args.n, args.variant)
@@ -110,6 +112,10 @@ def cmd_construct(args):
 
 
 def cmd_count(args):
+    from .dsl import parse_single_poset
+    from .embedding import count_copies
+    from .familyio import read_family
+
     fam = read_family(args.family)
     q = parse_single_poset(args.q)
     print(count_copies(fam, q))
@@ -117,6 +123,9 @@ def cmd_count(args):
 
 
 def cmd_free(args):
+    from .embedding import find_any_embedding
+    from .familyio import read_family
+
     fam = read_family(args.family)
     forbidden = _forbidden(args.forbid)
     hit = find_any_embedding(fam, forbidden)
@@ -140,6 +149,9 @@ def cmd_free(args):
 
 
 def cmd_search(args):
+    from .dsl import parse_single_poset
+    from .search import cached_la_exact, la_exact
+
     forbidden = _forbidden(args.forbid)
     q = parse_single_poset(args.q)
     if args.no_cache:

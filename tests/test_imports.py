@@ -1,16 +1,17 @@
 """Every name a module of the package imports is used in that module.
 
 No linter ships with the toolchain, so this stdlib ``ast`` scan stands in for
-an unused-import rule. ``__init__.py`` is exempt (its imports are the public
-re-exports), as are ``from __future__`` imports.
+an unused-import rule; ``from __future__`` imports are exempt.
 
-The package serves the lemma checker's names lazily; the tests at the end
-check that only ``verify`` loads ``posetturan.proofcheck``, that only a
-cached search loads ``mmap``, that only a large family loads ``struct``, and
-that no module loads ``dataclasses`` (or ``inspect``, which it imports) and
-only a formula that makes a Fraction loads ``fractions``.
+The package serves every public name lazily; the tests at the end check which
+``posetturan`` modules each entry point loads, that every public name is its
+home module's object, that only ``verify`` loads ``posetturan.proofcheck``,
+that only a cached search loads ``mmap``, that only a large family loads
+``struct``, and that no module loads ``dataclasses`` (or ``inspect``, which it
+imports) and only a formula that makes a Fraction loads ``fractions``.
 """
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -25,7 +26,7 @@ from posetturan.familyio import format_family
 from posetturan.lattice import level_family
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "posetturan"
-MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
 
 
 def unused_imports(source):
@@ -53,6 +54,97 @@ def test_detector_flags_unused_names():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+# Run in a fresh interpreter without site: the posetturan modules that
+# import posetturan, import posetturan.cli and then one command load
+MODULE_PROBE = """
+import io, json, sys
+from contextlib import redirect_stdout
+def loaded():
+    return sorted(name[11:] for name in sys.modules if name.startswith("posetturan."))
+out = {}
+import posetturan
+out["import posetturan"] = loaded()
+from posetturan import cli
+out["import posetturan.cli"] = loaded()
+with redirect_stdout(io.StringIO()):
+    assert cli.run_command(sys.argv[1:]) == 0
+out["command"] = loaded()
+print(json.dumps(out))
+"""
+
+CLI_MODULES = ["cli", "constructions", "formulas", "lattice"]
+
+
+@pytest.mark.parametrize("argv, adds", [
+    (["construct", "middle-two-levels", "--n", "4"], ["familyio"]),
+    (["formula", "p5", "--n", "5"], []),
+    (["count", "--family", "fam.txt", "--q", "@chain(2)"], ["dsl", "embedding", "familyio", "posets"]),
+    (["free", "--family", "fam.txt", "--forbid", "@butterfly"], ["dsl", "embedding", "familyio", "posets"]),
+    (["search", "--n", "3", "--forbid", "@butterfly", "--q", "@chain(2)", "--no-cache"],
+     ["dsl", "embedding", "posets", "search"]),
+    (["verify", "--lemma", "sublattice"], ["embedding", "posets", "proofcheck"]),
+], ids=["construct", "formula", "count", "free", "search", "verify"])
+def test_each_entry_point_loads_only_the_modules_it_runs(tmp_path, argv, adds):
+    (tmp_path / "fam.txt").write_text(format_family(level_family(3, [1, 2])))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", MODULE_PROBE, *argv],
+        capture_output=True, text=True, timeout=60, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "import posetturan": [],
+        "import posetturan.cli": CLI_MODULES,
+        "command": sorted(CLI_MODULES + adds),
+    }
+
+
+# The names import posetturan bound before the package served them lazily,
+# by home module; each module also under its own name
+EAGER_EXPORTS = {
+    "lattice": (
+        "ComparabilityComponents", "SetFamily", "chains_meeting", "comparability_components",
+        "complement_family", "containment_pairs", "convex_hull", "count_k_chains",
+        "full_lattice", "interval_family", "level_family",
+    ),
+    "posets": (
+        "Poset", "PosetError", "dual_poset", "named_poset", "path_hasse_family",
+        "poset_from_relations", "poset_isomorphic",
+    ),
+    "embedding": ("EmbeddingWitness", "count_copies", "find_embedding", "is_free"),
+    "constructions": ("middle_two_levels", "n_free_construction", "p5_construction", "p6_construction"),
+    "formulas": ("chain_count_in_levels", "closed_formula"),
+    "search": ("SearchReport", "cached_la_exact", "la_exact", "la_levels", "verify_witness"),
+    "dsl": ("parse_poset_dsl", "parse_single_poset", "poset_to_dsl"),
+    "familyio": ("format_family", "parse_family", "read_family"),
+}
+
+
+def test_every_eager_name_is_its_home_modules_object():
+    star = {}
+    exec("from posetturan import *", star)
+    listed = dir(posetturan)
+    assert posetturan.__version__ == "0.1.0" and "__version__" in listed
+    for home, names in EAGER_EXPORTS.items():
+        module = importlib.import_module(f"posetturan.{home}")
+        assert getattr(posetturan, home) is module and star[home] is module
+        assert home in listed
+        for name in names:
+            assert getattr(posetturan, name) is getattr(module, name), name
+            assert star[name] is getattr(module, name), name
+            assert name in listed
+
+
+def test_dir_and_star_import_list_the_same_names():
+    star = {}
+    exec("from posetturan import *", star)
+    public = {name for name in dir(posetturan) if not name.startswith("_")}
+    expected = {*EAGER_EXPORTS, *(n for names in EAGER_EXPORTS.values() for n in names), *LAZY_NAMES}
+    # cli and proofcheck are bound once something imports them, as the tests do
+    assert public - {"cli", "proofcheck"} == expected
+    assert set(star) - {"__builtins__"} == expected
 
 
 # Run in a fresh interpreter: which posetturan entry points load the lemma checker
@@ -232,5 +324,8 @@ def test_lazy_names_are_the_proofcheck_objects(name):
 def test_other_names_still_raise_attribute_error():
     for name in ("run_verifiers", "VERIFIERS", "verify_zigzag", "no_such_name"):
         assert not hasattr(posetturan, name)
+    with pytest.raises(AttributeError) as err:
+        posetturan.no_such_name
+    assert str(err.value) == "module 'posetturan' has no attribute 'no_such_name'"
     with pytest.raises(ImportError):
         exec("from posetturan import run_verifiers", {})
