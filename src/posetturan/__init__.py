@@ -3,9 +3,12 @@
 Every public name is served lazily from one table, ``_HOMES``, which maps it
 to the submodule that defines it. The module ``__getattr__`` below (PEP 562)
 imports that submodule the first time the name is read, keeps the object in
-the package namespace and returns it; ``__dir__`` and ``__all__`` list the
-same table. So ``import posetturan`` loads no submodule, and each CLI
-command loads only the modules it runs (see ``posetturan.cli``).
+the package namespace and returns it. ``__dir__`` and ``__all__`` list the
+same table, less the lemma checker's names (``Coloring``, ``color_family``
+and the rest of ``posetturan.proofcheck``): those are served but not listed,
+so ``from posetturan import *`` leaves ``proofcheck`` unloaded.
+``import posetturan`` loads no submodule, and each CLI command loads only
+the modules it runs (see ``posetturan.cli``).
 """
 
 __version__ = "0.1.0"
@@ -40,7 +43,7 @@ _HOMES = {
     for name in names.split()
 }
 
-__all__ = list(_HOMES)
+__all__ = [name for name, home in _HOMES.items() if home != "proofcheck"]
 
 
 def __getattr__(name):
@@ -57,4 +60,4 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted({*globals(), *_HOMES})
+    return sorted({*globals(), *__all__})

@@ -16,7 +16,13 @@ from operator import and_, lshift, rshift, xor
 MAX_SCAN_N = 24      # 2^n-set passes: whole-lattice scans, level listings, hulls
 MAX_CHAIN_N = 8      # chains_meeting: its oracles list the n! full chains; the count reads the cached 2^[n]
 MAX_FORMULA_N = 62   # SetFamily mask width, which bounds the cost of each mask operation
+
+# The search caps, kept here with the others so that the CLI's parser reads
+# MAX_EXACT_SEARCH_N without loading posetturan.search
 MAX_EXACT_SEARCH_N = 6  # search.la_exact: 5-34 s per paper problem at n = 6 (2 vCPUs, Python 3.11.7); 2^128 families at n = 7
+MAX_LEVEL_SEARCH_N = 16  # search.la_levels: up to 2^(n+1) level tuples, 7.5 s at n = 16 with nothing forbidden
+MAX_LEVEL_GENERIC_N = 12  # search.la_levels with non-chain P at n = 12: paper posets 0.2-0.4 s, diamond(4) 7 s
+MAX_LEVEL_GENERIC_Q_N = 8  # search.la_levels with non-chain Q: a copy listing per free tuple, 104 s for (chain(5), #N) at n = 8
 
 
 # Families of at least this many members transpose their slices and AND
@@ -255,25 +261,6 @@ def full_lattice(n: int) -> SetFamily:
 cached_lattice = lru_cache(maxsize=None)(full_lattice)
 
 
-def _bit_planes(values: dict, length: int) -> list:
-    """planes[b]: bitset of the keys of ``values`` whose value has bit b set.
-
-    ``values`` maps ascending indices below ``length`` to ints. Written as
-    numerals of the width of the largest, highest index first and zeros
-    for the indices it lacks, they make one binary text; digit b of each
-    numeral, read at a stride of one numeral, is plane b.
-    """
-    width = max(values.values()).bit_length()
-    parts = []
-    end = length
-    for i in reversed(values):
-        parts.append("0" * (width * (end - i - 1)) + format(values[i], f"0{width}b"))
-        end = i
-    parts.append("0" * (width * end))
-    text = "".join(parts)
-    return [int(text[width - 1 - b::width], 2) for b in range(width)]
-
-
 def chain_count(avail: int, k: int, below) -> int:
     """Number of k-chains among the members whose bits are set in ``avail``.
 
@@ -284,19 +271,8 @@ def chain_count(avail: int, k: int, below) -> int:
     tops = _bit_list(avail)
     # dp[i]: chains of the current length (from 2 up) whose top is member i
     dp = {i: (avail & below[i]).bit_count() for i in tops}
-    # A round walks the members below each top: one step per 2-chain. From
-    # TABLE_MIN_MEMBERS tops up, when the 2-chains outnumber the ANDs with
-    # the bit planes of dp (one per plane per top), it ANDs each top's row
-    # with the planes instead (the sweep is in CHANGES.md)
-    steps = sum(dp.values()) if len(tops) >= TABLE_MIN_MEMBERS else 0
     for _ in range(k - 2):
-        if steps and steps > len(tops) * max(dp.values()).bit_length():
-            # the sum of dp[j] over the j below i is the sum over b of 2^b
-            # times the number of them in plane b
-            planes = _bit_planes(dp, avail.bit_length())
-            dp = {i: sum((below[i] & p).bit_count() << b for b, p in enumerate(planes)) for i in tops}
-        else:
-            dp = {i: sum(dp[j] for j in iter_bits(avail & below[i])) for i in tops}
+        dp = {i: sum(dp[j] for j in iter_bits(avail & below[i])) for i in tops}
     return sum(dp.values())
 
 

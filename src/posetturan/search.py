@@ -8,17 +8,22 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .embedding import completing_members, copy_supports, count_copies, embedding_using_member, is_free, minimal_posets
-from .lattice import MAX_EXACT_SEARCH_N, SetFamily, cached_lattice, iter_bits, level_family
+from .lattice import (
+    MAX_EXACT_SEARCH_N,
+    MAX_LEVEL_GENERIC_N,
+    MAX_LEVEL_GENERIC_Q_N,
+    MAX_LEVEL_SEARCH_N,
+    SetFamily,
+    cached_lattice,
+    iter_bits,
+    level_family,
+)
 from .formulas import chain_count_in_levels
 from .posets import Poset, dual_poset
 
 DEFAULT_WITNESS_CAP = 16
 CACHE_ENV_VAR = "TURAN_CACHE"
 DEFAULT_CACHE_FILE = "turan-cache.jsonl"
-
-MAX_LEVEL_SEARCH_N = 16  # la_levels: up to 2^(n+1) level tuples, 7.5 s at n = 16 with nothing forbidden
-MAX_LEVEL_GENERIC_N = 12  # la_levels with non-chain P at n = 12: paper posets 0.2-0.4 s, diamond(4) 7 s
-MAX_LEVEL_GENERIC_Q_N = 8  # la_levels with non-chain Q: a copy listing per free tuple, 104 s for (chain(5), #N) at n = 8
 
 
 class SearchReport:

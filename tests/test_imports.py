@@ -137,14 +137,31 @@ def test_every_eager_name_is_its_home_modules_object():
             assert name in listed
 
 
-def test_dir_and_star_import_list_the_same_names():
-    star = {}
-    exec("from posetturan import *", star)
-    public = {name for name in dir(posetturan) if not name.startswith("_")}
-    expected = {*EAGER_EXPORTS, *(n for names in EAGER_EXPORTS.values() for n in names), *LAZY_NAMES}
-    # cli and proofcheck are bound once something imports them, as the tests do
-    assert public - {"cli", "proofcheck"} == expected
-    assert set(star) - {"__builtins__"} == expected
+# Run in a fresh interpreter without site: the public names dir() and the
+# star import list, and whether the star import loads the lemma checker
+NAMES_PROBE = """
+import json, sys
+import posetturan
+listed = [name for name in dir(posetturan) if not name.startswith("_")]
+star = {}
+exec("from posetturan import *", star)
+print(json.dumps({
+    "dir": listed,
+    "star": sorted(set(star) - {"__builtins__"}),
+    "proofcheck": "posetturan.proofcheck" in sys.modules,
+}))
+"""
+
+
+def test_dir_and_star_import_list_the_eager_names():
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", NAMES_PROBE],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = sorted({*EAGER_EXPORTS, *(n for names in EAGER_EXPORTS.values() for n in names)})
+    assert json.loads(proc.stdout) == {"dir": expected, "star": expected, "proofcheck": False}
 
 
 # Run in a fresh interpreter: which posetturan entry points load the lemma checker

@@ -16,7 +16,6 @@ from posetturan.lattice import (
     DimensionError,
     SetFamily,
     _bit_list,
-    _bit_planes,
     chain_count,
     chains_meeting,
     comparability_components,
@@ -143,43 +142,6 @@ class TestCountKChains:
                     for c in itertools.combinations(ms, k)
                 )
                 assert chain_count(avail, k, fam.below) == expect, (avail, k)
-
-
-def walk_chain_count(avail, k, below):
-    """The k-chains in ``avail``, each round walking the members below each top."""
-    dp = {i: (avail & below[i]).bit_count() for i in iter_bits(avail)}
-    for _ in range(k - 2):
-        dp = {i: sum(dp[j] for j in iter_bits(avail & below[i])) for i in dp}
-    return sum(dp.values())
-
-
-class TestChainCountBitPlanes:
-    def test_bit_planes(self):
-        # 5 = 101, 2 = 010, 7 = 111 at indices 1, 4, 6 of 9
-        assert _bit_planes({1: 5, 4: 2, 6: 7}, 9) == [0b1000010, 0b1010000, 0b1000010]
-        assert _bit_planes({0: 1}, 1) == [1]
-
-    def test_random_families_match_the_walk(self):
-        # dense and sparse families and subfamilies, either side of TABLE_MIN_MEMBERS
-        rng = random.Random(31)
-        for _ in range(120):
-            n = rng.randint(1, 8)
-            density = rng.random()
-            fam = SetFamily(n, [x for x in range(1 << n) if rng.random() < density])
-            avail = (1 << len(fam)) - 1
-            if rng.random() < 0.5:
-                avail = rng.getrandbits(len(fam))
-            for k in (3, 4, 5):
-                assert chain_count(avail, k, fam.below) == walk_chain_count(avail, k, fam.below)
-
-    @pytest.mark.parametrize("n, levels", [
-        (6, range(7)), (8, [2, 3, 4]), (8, [0, 4, 8]), (8, [3, 4]), (10, [3, 5, 7]),
-    ])
-    def test_level_families_match_the_walk(self, n, levels):
-        fam = level_family(n, levels)
-        avail = (1 << len(fam)) - 1
-        for k in (3, 4, 5):
-            assert chain_count(avail, k, fam.below) == walk_chain_count(avail, k, fam.below)
 
 
 class TestContainmentPairs:
