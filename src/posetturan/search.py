@@ -208,11 +208,14 @@ def la_exact(n: int, forbidden, q: Poset, budget: int = None) -> SearchReport:
         dead = 0  # the undecided masks that would complete a forbidden poset with x
         for p in minimal:
             dead |= completing_members(universe, p, x, included, (free ^ 1 << x) & ~dead)
-        dead_masks = tuple(iter_bits(dead))
-        stabiliser = [g for g in h if g[x] == x and all(dead >> g[d] & 1 for d in dead_masks)]
-        orbit = 0
-        for g in h:
-            orbit |= 1 << g[x]
+        if len(h) == 1:  # only the identity, which fixes everything
+            stabiliser, orbit = h, 1 << x
+        else:
+            dead_masks = tuple(iter_bits(dead))
+            stabiliser = [g for g in h if g[x] == x and all(dead >> g[d] & 1 for d in dead_masks)]
+            orbit = 0
+            for g in h:
+                orbit |= 1 << g[x]
         # the include child is pushed last, so its subtree is explored first
         stack.append((chosen, avail, alive, h, orbit))
         stack.append((included, avail, alive, stabiliser, dead))
@@ -321,52 +324,140 @@ def cache_path() -> str:
     return os.environ.get(CACHE_ENV_VAR, DEFAULT_CACHE_FILE)
 
 
+# A request's params text is '"params": ' and the sorted-key JSON of its
+# params. It begins with _HEAD and ends with _TAIL, since the budget, and the
+# search and witness cap, are the first and last of the sorted keys; neither
+# text appears anywhere else in it, since JSON escapes each quote in a string.
+_KEY = b'"params": '
+_HEAD = _KEY + b'{"budget": '
+_TAIL = b'"search": "orbital", "witness_cap": %d}' % DEFAULT_WITNESS_CAP
+
+# The index of the result file looked up last: (path, device, inode) and the
+# (end, last line, lines) of _extend. It is replaced whole, never changed.
+_index = None
+
+
 def _cache_lookup(path, params):
+    """The last valid report line for ``params`` in the result file at ``path``, or None.
+
+    A candidate is a line, ended by \\n, \\r or \\r\\n or by the end of
+    the file, that holds '"params": ' followed by the sorted-key JSON of
+    ``params``. Candidates are tried last first, and the first that is UTF-8
+    JSON with the five report keys and equal params is the answer.
+
+    The lines are found through one index per process, of the path looked up
+    last: each params text maps to the starts of the complete lines that hold
+    it. The first lookup of a file builds it; a later one reads only the bytes
+    appended since, and the unterminated last line, if any. Another file at
+    the path (device or inode), a file shorter than the bytes indexed, or one
+    whose last indexed line reads differently is indexed again from byte 0.
+    So a rewrite in place that keeps that line, at its offset, is taken for an
+    append. A file that cannot be mapped (an empty file, a special file) is
+    read and indexed alike, and leaves no index.
+    """
     import mmap  # only a cached search loads it
 
+    global _index
     try:
         fh = open(path, "rb")
     except FileNotFoundError:
         return None
     with fh:
-        # Search the file in place through a read-only map. An empty file
-        # (ValueError) or a special file (OSError) cannot be mapped, and is
-        # read instead; both support the same rfind, find and slicing.
         try:
             data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-        except (ValueError, OSError):
-            return _scan(fh.read(), params)
+        except (ValueError, OSError):  # empty (ValueError) or special (OSError)
+            _index = None
+            data = fh.read()
+            return _find(data, _extend(data, None), params)
         with data:
-            return _scan(data, params)
+            st = os.fstat(fh.fileno())
+            file = (path, st.st_dev, st.st_ino)
+            old = _index
+            index = _extend(data, old[1:] if old is not None and old[0] == file else None)
+            _index = (file, *index)
+            return _find(data, index, params)
 
 
-def _scan(data, params):
-    """The last valid report in ``data`` (bytes or a map) for ``params``, or None."""
-    # Reports are written with sorted keys, so a line that lacks this exact
-    # text cannot hold the request. Searching for it from the end finds the
-    # last valid line first, and only the lines around a hit are parsed.
-    needle = ('"params": ' + json.dumps(params, sort_keys=True)).encode()
-    end = len(data)
-    while (hit := data.rfind(needle, 0, end)) >= 0:
-        # The needle holds no line break. Cut out the text between the \n
-        # around the hit; splitlines also ends lines at \r, as text mode does.
-        start = data.rfind(b"\n", 0, hit) + 1
-        stop = data.find(b"\n", hit, end)
-        for line in reversed(data[start:end if stop < 0 else stop].splitlines()):
-            if needle not in line:
-                continue
-            try:
-                rec = json.loads(line.decode("utf-8"))
-            except ValueError:  # not UTF-8, or not JSON
-                continue
-            if (
-                isinstance(rec, dict)
-                and rec.keys() == set(SearchReport._fields)
-                and rec["params"] == params
-            ):
-                return rec
-        end = start
+def _extend(data, index):
+    """The index (end, last line, lines) of the complete lines of ``data``.
+
+    ``end`` is just past the last line end, ``last`` is the last complete
+    line with its line end, and ``lines`` maps each params text to the
+    ascending starts of the lines before ``end`` that hold it. ``index`` is
+    an earlier index of the same file, or None; when ``data`` still holds its
+    last line at its place, only the bytes past its end are read.
+    """
+    end, last, lines = index or (0, b"", {})
+    if data[end - len(last):end] != last:  # also when data ends before it
+        end, last, lines = 0, b"", {}
+    nl = data.rfind(b"\n", end)
+    stop = max(nl, data.rfind(b"\r", max(nl, end))) + 1
+    if stop <= end:  # no line was completed
+        return end, last, lines
+    found = _params_lines(data, end, stop)
+    if found:
+        lines = dict(lines)
+        for text, starts in found.items():
+            lines[text] = lines.get(text, ()) + tuple(starts)
+    cut = stop - 2 if stop >= 2 and data[stop - 2:stop] == b"\r\n" else stop - 1
+    nl = data.rfind(b"\n", 0, cut)
+    first = max(nl, data.rfind(b"\r", max(nl, 0), cut)) + 1
+    return stop, data[first:stop], lines
+
+
+def _params_lines(data, start, stop):
+    """params text -> ascending starts of the lines that hold it, in data[start:stop].
+
+    ``start`` is a line start and data[stop - 1] ends a line. Each params
+    text is found from its end, _TAIL, and is what lies between it and the
+    last _HEAD before it on its line. No two params texts overlap, so each
+    search resumes where the last one ended, and the bytes are read about
+    twice however the lines end.
+    """
+    found = {}
+    pos = first = start  # where the searches resume; the start of the line at pos
+    while (hit := data.find(_TAIL, pos, stop)) >= 0:
+        nl = data.rfind(b"\n", pos, hit)
+        cut = max(nl, data.rfind(b"\r", max(nl, pos), hit))
+        if cut >= 0:
+            first = cut + 1
+        head = data.rfind(_HEAD, max(first, pos), hit)
+        pos = hit + len(_TAIL)
+        if head >= 0:
+            starts = found.setdefault(data[head:pos], [])
+            if not starts or starts[-1] != first:
+                starts.append(first)
+    return found
+
+
+def _find(data, index, params):
+    """The last valid report for ``params`` in ``data``, through its index."""
+    needle = _KEY + json.dumps(params, sort_keys=True).encode()
+    assert needle.startswith(_HEAD) and needle.endswith(_TAIL), "not a request's params"
+    for line in _candidates(data, index, needle):
+        try:
+            rec = json.loads(line.decode("utf-8"))
+        except ValueError:  # not UTF-8, or not JSON
+            continue
+        if (
+            isinstance(rec, dict)
+            and rec.keys() == set(SearchReport._fields)
+            and rec["params"] == params
+        ):
+            return rec
     return None
+
+
+def _candidates(data, index, needle):
+    """The lines of ``data`` that hold ``needle``, a params text, last first."""
+    end, _, lines = index
+    tail = data[end:]  # the unterminated last line, if any
+    if needle in tail:
+        yield tail
+    for first in reversed(lines.get(needle, ())):
+        nl = data.find(b"\n", first, end)
+        cr = data.find(b"\r", first, end if nl < 0 else nl)
+        yield data[first:cr if cr >= 0 else nl]
 
 
 def cached_la_exact(n, forbidden, q, budget=None, path=None) -> SearchReport:
@@ -374,7 +465,10 @@ def cached_la_exact(n, forbidden, q, budget=None, path=None) -> SearchReport:
 
     Each line is a report exactly as ``search`` prints it, keyed on its
     params; the last line whose params equal the request is returned, so a
-    hit reports what la_exact would.
+    hit reports what la_exact would. A lookup goes through the per-process
+    index of ``_cache_lookup``. A miss appends the report in one write, after
+    a line end when the file's last line has none, so a cut-off line cannot
+    swallow it.
     """
     forbidden = list(forbidden)
     _check_request(n, forbidden, budget)
@@ -384,6 +478,15 @@ def cached_la_exact(n, forbidden, q, budget=None, path=None) -> SearchReport:
     if rec is not None:
         return SearchReport(**{**rec, "witnesses": [tuple(w) for w in rec["witnesses"]]})
     report = la_exact(n, forbidden, q, budget=budget)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(report.to_json(), sort_keys=True) + "\n")
+    text = json.dumps(report.to_json(), sort_keys=True) + "\n"
+    with open(path, "a+b") as fh:
+        # A last line left without its line end would run into the record, so
+        # the same write ends it. Writers take turns, so that none reads
+        # another's line, half written, as such a line.
+        if hasattr(os, "lockf"):  # POSIX; the lock goes with the file's close
+            os.lockf(fh.fileno(), os.F_LOCK, 0)
+        fh.seek(max(fh.seek(0, os.SEEK_END) - 1, 0))
+        if fh.read(1) not in (b"", b"\n", b"\r"):
+            text = "\n" + text
+        fh.write(text.encode())
     return report

@@ -980,6 +980,161 @@ def test_lookup_in_a_file_that_cannot_be_mapped(tmp_path):
     assert _cache_lookup(str(tmp_path / "missing.jsonl"), params) is None
 
 
+def _joined(lines, unterminated):
+    text = "".join(piece + end for piece, end in lines)
+    return text[: -len(lines[-1][1])] if unterminated and lines else text
+
+
+LOOKUP_TEXT = st.builds(
+    _joined,
+    st.lists(st.tuples(st.sampled_from(LOOKUP_PIECES), st.sampled_from(("\n", "\r", "\r\n"))),
+             max_size=4),
+    st.booleans(),
+)
+CACHE_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("append"), LOOKUP_TEXT),
+    st.tuples(st.just("append in two"), LOOKUP_TEXT, st.integers(0, 400)),
+    st.tuples(st.just("rename over"), LOOKUP_TEXT),
+    st.tuples(st.just("delete and re-create"), LOOKUP_TEXT),
+    st.tuples(st.just("delete"),),
+    st.tuples(st.just("truncate and rewrite"), st.integers(0, 2000), LOOKUP_TEXT),
+), max_size=8)
+
+
+class TestCacheIndexAcrossChanges:
+    """One process looks a file up while it grows, is replaced, deleted or cut.
+
+    The per-process index carries over from step to step; after each step a
+    lookup of each budget's request must equal the line-by-line text lookup.
+    """
+
+    @staticmethod
+    def _check(path):
+        for budget in LOOKUP_BUDGETS:
+            params = _request(3, [BFLY], P2, budget)
+            assert _cache_lookup(path, params) == reference_cache_lookup(path, params), budget
+
+    @staticmethod
+    def _append(path, text):
+        with open(path, "ab") as fh:
+            fh.write(text.encode("utf-8"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(CACHE_STEPS)
+    @example([("append", STALE + "\n"), ("append", REAL + "\n")])                   # appends
+    # a line completed
+    @example([("append", STALE + "\n" + REAL[:40]), ("append", REAL[40:] + "\n")])
+    @example([("append", STALE + "\r"), ("append", "\n"), ("append", REAL)])
+    @example([("append", REAL + "\n"), ("truncate and rewrite", 0, STALE + "\n")])  # shorter
+    @example([("append", REAL + "\n"), ("rename over", REAL + "\n" + STALE + "\n")])
+    @example([("append", STALE + "\n"), ("delete and re-create", STALE + "\n" + REAL + "\n")])
+    @example([("append", REAL + "\n"), ("truncate and rewrite", 0, ""), ("append", STALE + "\n")])
+    # another file, whose last line sits where the old one's did
+    @example([("append", "x" * len(REAL) + "\n[1, 2]\n"), ("rename over", REAL + "\n[1, 2]\n")])
+    def test_lookups_follow_the_file(self, steps):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cache.jsonl")
+            self._check(path)
+            for step in steps:
+                kind = step[0]
+                if kind == "append":
+                    self._append(path, step[1])
+                elif kind == "append in two":
+                    self._append(path, step[1][:step[2]])
+                    self._check(path)
+                    self._append(path, step[1][step[2]:])
+                elif kind == "rename over":
+                    with open(path + ".new", "wb") as fh:
+                        fh.write(step[1].encode("utf-8"))
+                    os.replace(path + ".new", path)
+                elif kind == "delete and re-create":
+                    if os.path.exists(path):
+                        os.remove(path)
+                    self._append(path, step[1])
+                elif kind == "delete":
+                    if os.path.exists(path):
+                        os.remove(path)
+                else:  # cut at a character, in place, and write after it
+                    with open(path, "a+b") as fh:
+                        fh.seek(0)
+                        keep = fh.read().decode("utf-8")[:step[1]].encode("utf-8")
+                        fh.truncate(len(keep))
+                        fh.write(step[2].encode("utf-8"))
+                self._check(path)
+
+
+def test_an_unchanged_file_is_not_searched_again(tmp_path, monkeypatch):
+    path = str(tmp_path / "cache.jsonl")
+    (tmp_path / "cache.jsonl").write_text(STALE + "\n" + REAL + "\n")
+    searched = []
+    search_lines = posetturan.search._params_lines
+
+    def params_lines(data, start, stop):
+        searched.append((start, stop))
+        return search_lines(data, start, stop)
+
+    monkeypatch.setattr(posetturan.search, "_params_lines", params_lines)
+    params = _request(3, [BFLY], P2, None)
+    size = os.path.getsize(path)
+    for _ in range(3):
+        assert _cache_lookup(path, params) == json.loads(REAL)
+    assert _cache_lookup(path, _request(3, [BFLY], P2, 5)) is None
+    assert searched == [(0, size)]  # built once
+    with open(path, "a") as fh:
+        fh.write(STALE + "\n")
+    assert _cache_lookup(path, params) == json.loads(STALE)
+    assert searched == [(0, size), (size, os.path.getsize(path))]  # then only what was appended
+
+
+def test_a_report_after_an_unterminated_line_starts_its_own_line(tmp_path, monkeypatch):
+    # the cut-off line used to swallow the report appended after it, so every
+    # later request for it missed and searched again
+    path = tmp_path / "cache.jsonl"
+    path.write_text('{"complete": tr')
+    runs = []
+
+    def counted(*args, **kwargs):
+        runs.append(args)
+        return la_exact(*args, **kwargs)
+
+    monkeypatch.setattr(posetturan.search, "la_exact", counted)
+    reports = [cached_la_exact(3, [BFLY], P2, path=str(path)) for _ in range(3)]
+    assert len(runs) == 1
+    assert reports[0] == reports[1] == reports[2]
+    record = json.dumps(reports[0].to_json(), sort_keys=True)
+    assert path.read_text() == '{"complete": tr\n' + record + "\n"
+
+
+HALF_WRITER = """
+import os, sys, time
+path, line = sys.argv[1], sys.argv[2]
+with open(path, "a+b") as fh:
+    os.lockf(fh.fileno(), os.F_LOCK, 0)
+    fh.write(line[:40].encode())
+    fh.flush()
+    print("half written", flush=True)
+    time.sleep(0.5)
+    fh.write(line[40:].encode())
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "lockf"), reason="appends are locked on POSIX only")
+def test_a_report_waits_for_the_line_another_writer_holds(tmp_path):
+    # Another writer holds the lock over a line it writes in two parts. The
+    # report must not take the half line for a cut-off one and split it.
+    path = tmp_path / "cache.jsonl"
+    line = json.dumps({"filler": "x" * 200}) + "\n"
+    writer = subprocess.Popen([sys.executable, "-c", HALF_WRITER, str(path), line],
+                              stdout=subprocess.PIPE, text=True)
+    try:
+        assert writer.stdout.readline() == "half written\n"
+        report = cached_la_exact(3, [BFLY], P2, path=str(path))
+    finally:
+        writer.communicate(timeout=60)
+    assert writer.returncode == 0
+    assert path.read_text() == line + json.dumps(report.to_json(), sort_keys=True) + "\n"
+
+
 WRITER = """
 import sys
 from posetturan.posets import chain, named_poset
