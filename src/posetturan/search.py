@@ -208,14 +208,11 @@ def la_exact(n: int, forbidden, q: Poset, budget: int = None) -> SearchReport:
         dead = 0  # the undecided masks that would complete a forbidden poset with x
         for p in minimal:
             dead |= completing_members(universe, p, x, included, (free ^ 1 << x) & ~dead)
-        if len(h) == 1:  # only the identity, which fixes everything
-            stabiliser, orbit = h, 1 << x
-        else:
-            dead_masks = tuple(iter_bits(dead))
-            stabiliser = [g for g in h if g[x] == x and all(dead >> g[d] & 1 for d in dead_masks)]
-            orbit = 0
-            for g in h:
-                orbit |= 1 << g[x]
+        dead_masks = tuple(iter_bits(dead))
+        stabiliser = [g for g in h if g[x] == x and all(dead >> g[d] & 1 for d in dead_masks)]
+        orbit = 0
+        for g in h:
+            orbit |= 1 << g[x]
         # the include child is pushed last, so its subtree is explored first
         stack.append((chosen, avail, alive, h, orbit))
         stack.append((included, avail, alive, stabiliser, dead))
@@ -332,8 +329,15 @@ _KEY = b'"params": '
 _HEAD = _KEY + b'{"budget": '
 _TAIL = b'"search": "orbital", "witness_cap": %d}' % DEFAULT_WITNESS_CAP
 
-# The index of the result file looked up last: (path, device, inode) and the
-# (end, last line, lines) of _extend. It is replaced whole, never changed.
+# A lookup that finds no answer in the indexed lines indexes the lines before
+# them, in blocks of whole lines from this many bytes up, each twice the last.
+_BLOCK = 1 << 16
+# A later lookup compares this many bytes at each end of the indexed span.
+_GUARD = 1 << 12
+
+# The index of the result file looked up last: (path, device, inode), the
+# span (lo, end) and the params text -> line starts map of _extend, and the
+# _guard bytes of the span. It is replaced whole, never changed.
 _index = None
 
 
@@ -346,12 +350,15 @@ def _cache_lookup(path, params):
     JSON with the five report keys and equal params is the answer.
 
     The lines are found through one index per process, of the path looked up
-    last: each params text maps to the starts of the complete lines that hold
-    it. The first lookup of a file builds it; a later one reads only the bytes
-    appended since, and the unterminated last line, if any. Another file at
-    the path (device or inode), a file shorter than the bytes indexed, or one
-    whose last indexed line reads differently is indexed again from byte 0.
-    So a rewrite in place that keeps that line, at its offset, is taken for an
+    last: for a span of complete lines, each params text maps to the starts
+    of the lines that hold it. A lookup tries the unterminated last line, then
+    the indexed lines, and then indexes the lines before the span a block at
+    a time, only until it has its answer; so a record among the last lines is
+    found without reading the rest, and a miss reads the file once. A later
+    lookup reads only the bytes appended since. Another file at the path
+    (device or inode), or one that no longer reads the same in the first and
+    last 4 KiB of the span and the line end before it, starts a new index. So
+    a rewrite in place that keeps those bytes at their offsets is taken for an
     append. A file that cannot be mapped (an empty file, a special file) is
     read and indexed alike, and leaves no index.
     """
@@ -368,41 +375,48 @@ def _cache_lookup(path, params):
         except (ValueError, OSError):  # empty (ValueError) or special (OSError)
             _index = None
             data = fh.read()
-            return _find(data, _extend(data, None), params)
+            return _find(data, _extend(data, None), params)[0]
         with data:
             st = os.fstat(fh.fileno())
             file = (path, st.st_dev, st.st_ino)
             old = _index
-            index = _extend(data, old[1:] if old is not None and old[0] == file else None)
-            _index = (file, *index)
-            return _find(data, index, params)
+            same = old is not None and old[0] == file and _guard(data, old[1], old[2]) == old[4]
+            rec, (lo, end, lines) = _find(data, _extend(data, old[1:4] if same else None), params)
+            _index = (file, lo, end, lines, _guard(data, lo, end))
+            return rec
+
+
+def _guard(data, lo, end):
+    """The line end before the span data[lo:end], and its first and last _GUARD bytes."""
+    return data[max(lo - 1, 0):min(lo + _GUARD, end)], data[max(lo, end - _GUARD):end]
 
 
 def _extend(data, index):
-    """The index (end, last line, lines) of the complete lines of ``data``.
+    """The index (lo, end, lines) of ``data``, taken up to its last line end.
 
-    ``end`` is just past the last line end, ``last`` is the last complete
-    line with its line end, and ``lines`` maps each params text to the
-    ascending starts of the lines before ``end`` that hold it. ``index`` is
-    an earlier index of the same file, or None; when ``data`` still holds its
-    last line at its place, only the bytes past its end are read.
+    data[lo:end] is whole lines, ``end`` is just past the last line end of
+    ``data``, and ``lines`` maps each params text to the ascending starts of
+    the lines in the span that hold it. ``index`` is an earlier index of the
+    same file, whose bytes still read the same; only the lines past its end
+    are read. With no ``index`` the span is empty.
     """
-    end, last, lines = index or (0, b"", {})
-    if data[end - len(last):end] != last:  # also when data ends before it
-        end, last, lines = 0, b"", {}
+    lo, end, lines = index or (0, 0, {})
     nl = data.rfind(b"\n", end)
     stop = max(nl, data.rfind(b"\r", max(nl, end))) + 1
+    if index is None:
+        return stop, stop, lines
     if stop <= end:  # no line was completed
-        return end, last, lines
-    found = _params_lines(data, end, stop)
-    if found:
-        lines = dict(lines)
-        for text, starts in found.items():
-            lines[text] = lines.get(text, ()) + tuple(starts)
-    cut = stop - 2 if stop >= 2 and data[stop - 2:stop] == b"\r\n" else stop - 1
-    nl = data.rfind(b"\n", 0, cut)
-    first = max(nl, data.rfind(b"\r", max(nl, 0), cut)) + 1
-    return stop, data[first:stop], lines
+        return index
+    return lo, stop, _joined(lines, _params_lines(data, end, stop), before=False)
+
+
+def _joined(lines, found, before):
+    """A copy of ``lines`` with the line starts ``found`` just ``before`` (or after) the span."""
+    lines = dict(lines)
+    for text, starts in found.items():
+        have = lines.get(text, ())
+        lines[text] = (*starts, *have) if before else (*have, *starts)
+    return lines
 
 
 def _params_lines(data, start, stop):
@@ -431,33 +445,43 @@ def _params_lines(data, start, stop):
 
 
 def _find(data, index, params):
-    """The last valid report for ``params`` in ``data``, through its index."""
+    """The last valid report for ``params`` in ``data`` or None, and the index it leaves.
+
+    The unterminated last line is tried first, then the lines of the span
+    that hold the params text, last first. While none is valid and the span
+    does not start at byte 0, the whole lines of the block before it are
+    indexed, and those that hold the text are tried, last first.
+    """
     needle = _KEY + json.dumps(params, sort_keys=True).encode()
     assert needle.startswith(_HEAD) and needle.endswith(_TAIL), "not a request's params"
-    for line in _candidates(data, index, needle):
-        try:
-            rec = json.loads(line.decode("utf-8"))
-        except ValueError:  # not UTF-8, or not JSON
-            continue
-        if (
-            isinstance(rec, dict)
-            and rec.keys() == set(SearchReport._fields)
-            and rec["params"] == params
-        ):
-            return rec
-    return None
-
-
-def _candidates(data, index, needle):
-    """The lines of ``data`` that hold ``needle``, a params text, last first."""
-    end, _, lines = index
+    lo, end, lines = index
     tail = data[end:]  # the unterminated last line, if any
-    if needle in tail:
-        yield tail
-    for first in reversed(lines.get(needle, ())):
-        nl = data.find(b"\n", first, end)
-        cr = data.find(b"\r", first, end if nl < 0 else nl)
-        yield data[first:cr if cr >= 0 else nl]
+    if needle in tail and (rec := _record(tail, params)) is not None:
+        return rec, index
+    starts, block = lines.get(needle, ()), _BLOCK
+    while True:
+        for first in reversed(starts):
+            nl = data.find(b"\n", first, end)
+            cr = data.find(b"\r", first, end if nl < 0 else nl)
+            if (rec := _record(data[first:cr if cr >= 0 else nl], params)) is not None:
+                return rec, (lo, end, lines)
+        if lo == 0:
+            return None, (lo, end, lines)
+        start = data.rfind(b"\n", 0, max(lo - block, 0)) + 1
+        found = _params_lines(data, start, lo)
+        lines = _joined(lines, found, before=True)
+        starts, lo, block = found.get(needle, ()), start, 2 * block
+
+
+def _record(line, params):
+    """The report on ``line`` if it is UTF-8 JSON with the five report keys and ``params``."""
+    try:
+        rec = json.loads(line.decode("utf-8"))
+    except ValueError:  # not UTF-8, or not JSON
+        return None
+    if isinstance(rec, dict) and rec.keys() == set(SearchReport._fields) and rec["params"] == params:
+        return rec
+    return None
 
 
 def cached_la_exact(n, forbidden, q, budget=None, path=None) -> SearchReport:

@@ -8,6 +8,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -1001,11 +1002,17 @@ CACHE_STEPS = st.lists(st.one_of(
 ), max_size=8)
 
 
+# REAL and STALE padded to one width, so that either can replace the other in place
+WIDTH = max(len(REAL), len(STALE)) + 1
+
+
 class TestCacheIndexAcrossChanges:
     """One process looks a file up while it grows, is replaced, deleted or cut.
 
     The per-process index carries over from step to step; after each step a
     lookup of each budget's request must equal the line-by-line text lookup.
+    Small blocks make the lookups index the files backward a few lines at a
+    time.
     """
 
     @staticmethod
@@ -1020,19 +1027,24 @@ class TestCacheIndexAcrossChanges:
             fh.write(text.encode("utf-8"))
 
     @settings(max_examples=200, deadline=None)
-    @given(CACHE_STEPS)
-    @example([("append", STALE + "\n"), ("append", REAL + "\n")])                   # appends
+    @given(CACHE_STEPS, st.sampled_from((1, 300, posetturan.search._BLOCK)))
+    @example([("append", STALE + "\n"), ("append", REAL + "\n")], 1)                   # appends
     # a line completed
-    @example([("append", STALE + "\n" + REAL[:40]), ("append", REAL[40:] + "\n")])
-    @example([("append", STALE + "\r"), ("append", "\n"), ("append", REAL)])
-    @example([("append", REAL + "\n"), ("truncate and rewrite", 0, STALE + "\n")])  # shorter
-    @example([("append", REAL + "\n"), ("rename over", REAL + "\n" + STALE + "\n")])
-    @example([("append", STALE + "\n"), ("delete and re-create", STALE + "\n" + REAL + "\n")])
-    @example([("append", REAL + "\n"), ("truncate and rewrite", 0, ""), ("append", STALE + "\n")])
+    @example([("append", STALE + "\n" + REAL[:40]), ("append", REAL[40:] + "\n")], 1)
+    @example([("append", STALE + "\r"), ("append", "\n"), ("append", REAL)], 1)
+    @example([("append", REAL + "\n"), ("truncate and rewrite", 0, STALE + "\n")], 1)  # shorter
+    @example([("append", REAL + "\n"), ("rename over", REAL + "\n" + STALE + "\n")], 1)
+    @example([("append", STALE + "\n"), ("delete and re-create", STALE + "\n" + REAL + "\n")], 1)
+    @example([("append", REAL + "\n"), ("truncate and rewrite", 0, ""), ("append", STALE + "\n")], 1)
     # another file, whose last line sits where the old one's did
-    @example([("append", "x" * len(REAL) + "\n[1, 2]\n"), ("rename over", REAL + "\n[1, 2]\n")])
-    def test_lookups_follow_the_file(self, steps):
-        with tempfile.TemporaryDirectory() as tmp:
+    @example([("append", "x" * len(REAL) + "\n[1, 2]\n"), ("rename over", REAL + "\n[1, 2]\n")], 1)
+    # a rewrite in place that keeps the empty last line at its offset, and moves the record
+    @example([("append", REAL.ljust(WIDTH) + "\n\n"),
+              ("truncate and rewrite", 0, "\n" + STALE.ljust(WIDTH - 1) + "\n\n")], 1)
+    @example([("append", STALE + "\n" + REAL + "\n"), ("append", REAL + "\n")], 1)
+    def test_lookups_follow_the_file(self, steps, block):
+        with mock.patch.object(posetturan.search, "_BLOCK", block), \
+                tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "cache.jsonl")
             self._check(path)
             for step in steps:
@@ -1084,6 +1096,55 @@ def test_an_unchanged_file_is_not_searched_again(tmp_path, monkeypatch):
         fh.write(STALE + "\n")
     assert _cache_lookup(path, params) == json.loads(STALE)
     assert searched == [(0, size), (size, os.path.getsize(path))]  # then only what was appended
+
+
+def test_a_lookup_reads_back_only_as_far_as_its_answer(tmp_path, monkeypatch):
+    # a record on the last line is found in the last block; a miss indexes the
+    # rest, a block twice as long each time, and no lookup reads it again
+    path = tmp_path / "cache.jsonl"
+    path.write_text("".join(piece + "\n" for piece in LOOKUP_PIECES[:12] + [REAL]))
+    size = os.path.getsize(path)
+    searched = []
+    search_lines = posetturan.search._params_lines
+
+    def params_lines(data, start, stop):
+        searched.append((start, stop))
+        return search_lines(data, start, stop)
+
+    monkeypatch.setattr(posetturan.search, "_params_lines", params_lines)
+    monkeypatch.setattr(posetturan.search, "_BLOCK", 200)
+    params = _request(3, [BFLY], P2, None)
+    assert _cache_lookup(str(path), params) == json.loads(REAL)
+    assert searched == [(size - len(REAL) - 1, size)]
+    miss = _request(3, [BFLY], P2, 5)
+    for _ in range(2):
+        assert _cache_lookup(str(path), miss) == reference_cache_lookup(str(path), miss) is None
+    assert searched[-1][0] == 0 and len(searched) > 2
+    for (start, stop), (next_start, next_stop) in zip(searched, searched[1:]):
+        assert next_stop == start and stop - start < next_stop - next_start
+    for budget in LOOKUP_BUDGETS:
+        params = _request(3, [BFLY], P2, budget)
+        assert _cache_lookup(str(path), params) == reference_cache_lookup(str(path), params)
+    assert searched[-1][0] == 0  # nothing was read again
+
+
+def test_a_rewrite_in_place_before_the_last_bytes_starts_a_new_index(tmp_path, monkeypatch):
+    # Each rewrite keeps the size and the last bytes of the file; one changes
+    # the line end before the indexed lines, the other their first bytes.
+    monkeypatch.setattr(posetturan.search, "_BLOCK", 1)
+    monkeypatch.setattr(posetturan.search, "_GUARD", 16)
+    params = _request(3, [BFLY], P2, None)
+    path = tmp_path / "cache.jsonl"
+    filler = "[1, 2]\n" * 8
+    for before, after in [
+        ("[1, 2]\n" + REAL + "\n", "[1, 2]x" + REAL + "\n"),
+        (REAL.ljust(WIDTH) + "\n" + filler, "\n" + STALE.ljust(WIDTH - 1) + "\n" + filler),
+    ]:
+        path.write_text(before)
+        assert _cache_lookup(str(path), params) == json.loads(REAL)
+        with open(path, "r+") as fh:
+            fh.write(after)
+        assert _cache_lookup(str(path), params) == reference_cache_lookup(str(path), params)
 
 
 def test_a_report_after_an_unterminated_line_starts_its_own_line(tmp_path, monkeypatch):
