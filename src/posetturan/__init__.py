@@ -20,8 +20,7 @@ _HOMES = {
     for module, names in {
         "lattice": (
             "lattice ComparabilityComponents SetFamily chains_meeting comparability_components"
-            " complement_family containment_pairs convex_hull count_k_chains full_lattice"
-            " interval_family level_family"
+            " containment_pairs convex_hull count_k_chains interval_family level_family"
         ),
         "posets": (
             "posets Poset PosetError dual_poset named_poset path_hasse_family"

@@ -381,27 +381,24 @@ def is_free(family: SetFamily, forbidden) -> bool:
     return all(find_embedding(family, p) is None for p in minimal_posets(forbidden))
 
 
-def copy_supports(family: SetFamily, q: Poset, within=None) -> set:
-    """The supports (sorted member-index tuples) of the copies of Q inside
-    ``within``, listed by one unforced search; refused past MAX_COPY_SUPPORTS
-    of them."""
+def copy_supports(family: SetFamily, q: Poset) -> set:
+    """The supports (sorted member-index tuples) of the copies of Q in the
+    family, listed by one unforced search; refused past MAX_COPY_SUPPORTS of
+    them."""
     found = set()
-    _search(family, q, _plan(q), within=within, found=found)
+    _search(family, q, _plan(q), found=found)
     if len(found) > MAX_COPY_SUPPORTS:
         raise ValueError(f"copy counting stores at most {MAX_COPY_SUPPORTS} supports")
     return found
 
 
-def count_copies(family: SetFamily, q: Poset, within=None) -> int:
+def count_copies(family: SetFamily, q: Poset) -> int:
     """Number of |Q|-element subfamilies that host Q using all their members.
 
-    A chain Q counts chains; any other Q counts its ``copy_supports``. Only
-    subfamilies inside ``within`` (a bitset of member indices) count.
+    A chain Q counts chains; any other Q counts its ``copy_supports``.
     """
-    if within is None:
-        within = (1 << len(family)) - 1
     if q.size == 1:  # every member is a copy; skips building the comparability bitsets
-        return within.bit_count()
+        return len(family)
     if q.is_chain():
-        return chain_count(within, q.size, family.below)
-    return len(copy_supports(family, q, within))
+        return chain_count((1 << len(family)) - 1, q.size, family.below)
+    return len(copy_supports(family, q))

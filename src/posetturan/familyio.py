@@ -3,7 +3,7 @@
 Text format: first line ``n=<int>``; each subsequent line is either a
 whitespace-separated element list ("1 3 4"), "{}" for the empty set, or a
 level shorthand "L<k>" / "L<k>+L<j>". The JSON alternative is
-``{"n": int, "masks": [int, ...]}``.
+``{"n": int, "masks": [int, ...]}``, where true and false are not ints.
 """
 from __future__ import annotations
 
@@ -82,7 +82,8 @@ def _parse_json(text: str) -> SetFamily:
     if not isinstance(data, dict) or "n" not in data or "masks" not in data:
         raise FamilyFormatError('JSON family needs keys "n" and "masks"')
     n, masks = data["n"], data["masks"]
-    if not (isinstance(n, int) and isinstance(masks, list) and all(isinstance(m, int) for m in masks)):
+    # type() is int, not isinstance: JSON true and false load as bools, which are ints
+    if not (type(n) is int and isinstance(masks, list) and all(type(m) is int for m in masks)):
         raise FamilyFormatError('JSON family needs an integer "n" and a list of integer "masks"')
     return SetFamily(n, masks)
 

@@ -102,9 +102,3 @@ def chain_count_in_levels(n: int, ell: int, levels) -> int:
             ways //= math.factorial(hi - lo)
         total += ways
     return total
-
-
-def balanced_parts(n: int, tup) -> bool:
-    """True iff the gaps i1, i2-i1, ..., n-i_{k-1} pairwise differ by at most one."""
-    parts = [tup[0]] + [b - a for a, b in zip(tup, tup[1:])] + [n - tup[-1]]
-    return max(parts) - min(parts) <= 1

@@ -252,13 +252,11 @@ def level_family(n: int, ks) -> SetFamily:
     return SetFamily(n, masks)
 
 
-def full_lattice(n: int) -> SetFamily:
+@lru_cache(maxsize=None)
+def cached_lattice(n: int) -> SetFamily:
+    """2^[n], built once per n; member index = mask, so a bitset of masks selects a subfamily."""
     _check_n(n, MAX_SCAN_N)
     return SetFamily(n, range(1 << n))
-
-
-# 2^[n] built once per n; member index = mask, so a bitset of masks selects a subfamily
-cached_lattice = lru_cache(maxsize=None)(full_lattice)
 
 
 def chain_count(avail: int, k: int, below) -> int:
@@ -325,8 +323,8 @@ def comparability_components(family: SetFamily) -> ComparabilityComponents:
     return ComparabilityComponents(family, tuple(comps), tuple(edges))
 
 
-def chains_meeting(n: int, family: SetFamily) -> int:
-    """Number of the n! full chains containing at least one member of the family.
+def chains_meeting(family: SetFamily) -> int:
+    """Number of the n! full chains of 2^[n], n = family.n, containing at least one member.
 
     Counts each chain at its first (least) member. Of the |B|! chains from
     the empty set up to member B, first[B] avoid every member below B:
@@ -336,10 +334,9 @@ def chains_meeting(n: int, family: SetFamily) -> int:
     read off the cached 2^[n], whose member index is the mask, so the
     family's own comparability bitsets are not built.
     """
+    n = family.n
     if n > MAX_CHAIN_N:
         raise DimensionError(f"n={n} too large for full-chain enumeration (cap {MAX_CHAIN_N})")
-    if family.n != n:
-        raise ValueError("family dimension mismatch")
     fact = [math.factorial(k) for k in range(n + 1)]
     below = cached_lattice(n).below
     first = [0] * (1 << n)  # first[B] for the members B seen so far, indexed by mask
@@ -351,11 +348,6 @@ def chains_meeting(n: int, family: SetFamily) -> int:
         seen |= 1 << b
         total += f * fact[n - size]
     return total
-
-
-def complement_family(family: SetFamily) -> SetFamily:
-    full = (1 << family.n) - 1
-    return SetFamily(family.n, [full ^ m for m in family.members])
 
 
 def interval_family(n: int, lo: int, hi: int) -> SetFamily:

@@ -254,18 +254,18 @@ def named_poset(name: str, *params: int) -> Poset:
     return func(*params)
 
 
-def path_hasse_family(k: int, height_filter: int = None):
+def path_hasse_family(k: int):
     """All posets on k elements whose undirected Hasse diagram is the k-path.
 
     Enumerates the up/down orientation of each path edge, closes transitively,
-    and keeps the first poset of each isomorphism class. The posets are built
-    once per (k, height_filter); each call returns a new list of them.
+    and keeps the first poset of each isomorphism class, ordered by height.
+    The posets are built once per k; each call returns a new list of them.
     """
-    return list(_path_hasse_family(k, height_filter))
+    return list(_path_hasse_family(k))
 
 
 @lru_cache(maxsize=64)
-def _path_hasse_family(k, height_filter):
+def _path_hasse_family(k):
     if not 2 <= k <= MAX_POSET_SIZE:
         raise PosetError(f"path family supported for 2 <= k <= {MAX_POSET_SIZE}, got {k}")
     path_edges = {(i, i + 1) for i in range(k - 1)}
@@ -282,7 +282,4 @@ def _path_hasse_family(k, height_filter):
         if hasse != path_edges:  # cannot happen for paths; asserted anyway
             raise PosetError("orientation closure collapsed a Hasse edge")
         found.setdefault(p.canonical_relations(), p)
-    found = sorted(found.values(), key=lambda p: (p.height(), p.canonical_relations()))
-    if height_filter is not None:
-        found = [p for p in found if p.height() == height_filter]
-    return tuple(found)
+    return tuple(sorted(found.values(), key=lambda p: (p.height(), p.canonical_relations())))

@@ -51,17 +51,14 @@ class Coloring(namedtuple("Coloring", "n family threshold blue critical_pairs"))
 
     __slots__ = ()
 
-    def is_blue(self, mask: int) -> bool:
-        return mask in self.blue
 
-
-def color_family(n: int, family: SetFamily, t: int) -> Coloring:
+def color_family(family: SetFamily, t: int) -> Coloring:
+    """The coloring of 2^[n], n = family.n, by the family with threshold t."""
+    n = family.n
     if n > MAX_COLOR_N:
         raise ValueError(f"coloring labels all 2^n masks; n <= {MAX_COLOR_N} required")
     if t < 1:
         raise ValueError("threshold must be at least 1")
-    if family.n != n:
-        raise ValueError("family dimension mismatch")
     above = cached_lattice(n).above
     members = sum(1 << f for f in family.members)
     blue = frozenset(mask for mask in range(1 << n) if (above[mask] & members).bit_count() >= t)
@@ -90,8 +87,8 @@ def _lacking(n):
     return tuple(_indicator(m for m in range(1 << n) if not m >> i & 1) for i in range(n))
 
 
-def check_one_critical_pair_per_chain(n: int, coloring: Coloring) -> bool:
-    """True iff every full chain contains at most one critical pair.
+def check_one_critical_pair_per_chain(coloring: Coloring) -> bool:
+    """True iff every full chain of 2^[n], n = coloring.n, contains at most one critical pair.
 
     Two critical pairs can share a full chain only if all four sets nest, so it
     suffices to test whether any pair's red top fits inside another pair's blue
@@ -99,10 +96,9 @@ def check_one_critical_pair_per_chain(n: int, coloring: Coloring) -> bool:
     chains are never materialized; tests cross-check against a permutation
     enumeration at small n.)
     """
+    n = coloring.n
     if n > MAX_COLOR_N:
         raise ValueError(f"critical-pair chain check requires n <= {MAX_COLOR_N}")
-    if coloring.n != n:
-        raise ValueError("coloring dimension mismatch")
     above = cached_lattice(n).above
     bottoms = 0
     for g, _ in coloring.critical_pairs:
@@ -316,8 +312,8 @@ class ComponentReport(namedtuple("ComponentReport", (
 MAX_COMPONENT_MEMBERS = 20  # _max_antichain: branch and bound over up to 2^m member subsets
 
 
-def p5_component_report(n: int, family: SetFamily):
-    """Per-component chain-coverage diagnostics for a P5-path-free family.
+def p5_component_report(family: SetFamily):
+    """Per-component chain-coverage diagnostics for a P5-path-free family in 2^[n], n = family.n.
 
     Reporting only: the underlying theorem is asymptotic, so components below
     the proof's coverage threshold are flagged, not rejected.
@@ -327,6 +323,7 @@ def p5_component_report(n: int, family: SetFamily):
     hit = find_any_embedding(family, path_hasse_family(5))
     if hit is not None:
         raise NotFreeError("family embeds a 5-element path poset", hit[1])
+    n = family.n
     if n > MAX_CHAIN_N:
         raise ValueError(f"component report needs n <= {MAX_CHAIN_N} for the chain oracle")
     denom = 5 * math.comb(n - 2, n // 2 - 1)
@@ -337,7 +334,7 @@ def p5_component_report(n: int, family: SetFamily):
             raise ValueError("component too large for exact antichain computation")
         c = count_k_chains(sub, 2)
         hull = convex_hull(sub)
-        meets = chains_meeting(n, hull)
+        meets = chains_meeting(hull)
         threshold = Fraction(c * math.factorial(n), denom)
         ratio = Fraction(meets) / threshold if c else None
         anti = _max_antichain(sub)
@@ -457,7 +454,7 @@ def verify_sublattice() -> LemmaReport:
 
     def check(n, lo, hi):
         expect = sublattice(n, lo.bit_count(), hi.bit_count())
-        got = chains_meeting(n, interval_family(n, lo, hi))
+        got = chains_meeting(interval_family(n, lo, hi))
         if got != expect:
             return f"n={n} interval [{lo},{hi}]: {got} != {expect}"
 
@@ -478,7 +475,7 @@ def verify_chaincount(seed: int = 0) -> LemmaReport:
 
     def check(n, masks):
         fam = SetFamily(n, masks)
-        got = chains_meeting(n, fam)
+        got = chains_meeting(fam)
         bound = bounds(n, len(fam))
         if got < bound:
             return f"n={n} F={list(masks)}: {got} < {bound}"
@@ -498,7 +495,7 @@ def verify_coloring(seed: int = 0) -> LemmaReport:
                 yield n, fam, rng.randint(1, 3)
 
     def check(n, fam, t):
-        col = color_family(n, fam, t)
+        col = color_family(fam, t)
         # down-set: removing any element i of a blue mask g leaves a blue mask. The
         # blue masks with i, shifted down by 2^i, must land on blue bits; a stray bit
         # h marks the offending blue mask h | {i}
@@ -509,7 +506,7 @@ def verify_coloring(seed: int = 0) -> LemmaReport:
         if stray:
             g = (stray & -stray).bit_length() - 1
             return f"n={n} t={t}: blue set not a downset at {g}"
-        if not check_one_critical_pair_per_chain(n, col):
+        if not check_one_critical_pair_per_chain(col):
             return f"n={n} t={t} F={list(fam.members)}: chain with two critical pairs"
 
     return _run_suite("coloring", seed, instances(), check)

@@ -51,9 +51,6 @@ class SearchReport:
     def __repr__(self):
         return "SearchReport(" + ", ".join(f"{k}={getattr(self, k)!r}" for k in self._fields) + ")"
 
-    def witness_families(self, n: int):
-        return [SetFamily(n, w) for w in self.witnesses]
-
     def to_json(self) -> dict:
         return {
             "optimum": self.optimum,
@@ -318,7 +315,8 @@ def verify_witness(family: SetFamily, forbidden, q: Poset) -> WitnessCheck:
 
 
 def cache_path() -> str:
-    return os.environ.get(CACHE_ENV_VAR, DEFAULT_CACHE_FILE)
+    """The result file: $TURAN_CACHE, or DEFAULT_CACHE_FILE when that is unset or empty."""
+    return os.environ.get(CACHE_ENV_VAR) or DEFAULT_CACHE_FILE
 
 
 # A request's params text is '"params": ' and the sorted-key JSON of its

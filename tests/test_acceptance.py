@@ -17,7 +17,6 @@ from posetturan.constructions import (
 )
 from posetturan.embedding import is_free
 from posetturan.formulas import (
-    balanced_parts,
     butterfly_p2,
     chain_count_in_levels,
     n_free,
@@ -42,6 +41,7 @@ from posetturan.proofcheck import (
     verify_zigzag,
 )
 from posetturan.search import la_exact, la_levels, verify_witness
+from test_formulas import balanced_parts
 
 BFLY = named_poset("butterfly")
 P2 = chain(2)
@@ -148,9 +148,9 @@ def test_criterion_7_zigzag_and_path_families():
     rep = verify_zigzag(seed=0)
     checks = [rep.failures == 0, rep.instances_checked >= 10000]
     checks.append(len(path_hasse_family(4)) == 4)
-    h2 = path_hasse_family(4, height_filter=2)
+    h2 = [p for p in path_hasse_family(4) if p.height() == 2]
     checks.append(len(h2) == 1 and poset_isomorphic(h2[0], n_poset()))
-    h2 = path_hasse_family(5, height_filter=2)
+    h2 = [p for p in path_hasse_family(5) if p.height() == 2]
     checks.append(len(h2) == 2)
     checks.append(any(poset_isomorphic(p, w_poset()) for p in h2))
     checks.append(any(poset_isomorphic(p, m_poset()) for p in h2))
@@ -188,7 +188,7 @@ def test_criterion_9_lower_bound_witnesses_and_diagnostics():
         checks.append(chk.free and chk.copies == p5(n))
         chk = verify_witness(p6_construction(n), [w_poset(), m_poset()], P2)
         checks.append(chk.free and chk.copies == p6_lower(n))
-    reports = p5_component_report(6, p5_construction(6))
+    reports = p5_component_report(p5_construction(6))
     checks.append(len(reports) == math.comb(4, 2))
     checks.append(all(r.ratio >= 1 and not r.below_threshold for r in reports))
     _run(9, "lower-bound witness certificates and component diagnostics", checks)

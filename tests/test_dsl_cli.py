@@ -116,6 +116,15 @@ class TestFamilyIo:
         fam = SetFamily(3, [1, 6])
         assert parse_family(json.dumps({"n": 3, "masks": [1, 6]})) == fam
 
+    @pytest.mark.parametrize("text", (
+        '{"n": true, "masks": [false, true]}',
+        '{"n": 2, "masks": [1, true]}',
+    ))
+    def test_json_booleans_are_not_integers(self, text):
+        # JSON true and false load as Python bools, which are ints
+        with pytest.raises(FamilyFormatError, match="integer"):
+            parse_family(text)
+
     def test_errors(self):
         with pytest.raises(FamilyFormatError):
             parse_family("")
@@ -301,6 +310,17 @@ class TestCli:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
+    def test_empty_cache_variable_means_the_default_file(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("TURAN_CACHE", "")
+        monkeypatch.chdir(tmp_path)
+        args = ("search", "--n", "2", "--forbid", "@chain(2)", "--q", "@chain(1)")
+        code, cold = self.run(capsys, *args)
+        _, uncached = self.run(capsys, *args, "--no-cache")
+        assert code == 0 and cold == uncached
+        assert (tmp_path / "turan-cache.jsonl").read_text() == cold
+        code, warm = self.run(capsys, *args)
+        assert code == 0 and warm == uncached
+
     def test_search_no_cache(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("TURAN_CACHE", str(tmp_path / "c.jsonl"))
         code, out = self.run(
@@ -444,8 +464,10 @@ class TestBadFamilyFiles:
     @pytest.mark.parametrize("text", (
         '{"n": null, "masks": [1]}',
         '{"n": 3, "masks": 5}',
+        '{"n": true, "masks": [1]}',
+        '{"n": 2, "masks": [false, true]}',
         "# comment\n# another comment\n",
-    ), ids=("json-null-n", "json-int-masks", "comments-only"))
+    ), ids=("json-null-n", "json-int-masks", "json-bool-n", "json-bool-masks", "comments-only"))
     def test_malformed_file_exits_2(self, tmp_path, text):
         fam_file = tmp_path / "fam.txt"
         fam_file.write_text(text)

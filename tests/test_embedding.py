@@ -23,11 +23,10 @@ from posetturan.embedding import (
 from posetturan.constructions import middle_two_levels
 from posetturan.lattice import (
     SetFamily,
+    cached_lattice,
     chain_count,
     comparability_components,
-    complement_family,
     count_k_chains,
-    full_lattice,
     iter_bits,
     level_family,
 )
@@ -202,11 +201,11 @@ def using_member_reference(fam, poset, member_index, within=None):
 class TestCompiledPlans:
     # witnesses found before the plans were compiled; find_embedding must keep them
     PINNED = [
-        (full_lattice(4), BFLY, (0, 1, 3, 5)),
-        (full_lattice(4), n_poset(), (1, 0, 3, 2)),
-        (full_lattice(4), w_poset(), (2, 0, 3, 1, 5)),
-        (full_lattice(4), s_poset(), (4, 0, 1, 3, 2)),
-        (full_lattice(4), crown(3), (0, 1, 2, 3, 5, 7)),
+        (cached_lattice(4), BFLY, (0, 1, 3, 5)),
+        (cached_lattice(4), n_poset(), (1, 0, 3, 2)),
+        (cached_lattice(4), w_poset(), (2, 0, 3, 1, 5)),
+        (cached_lattice(4), s_poset(), (4, 0, 1, 3, 2)),
+        (cached_lattice(4), crown(3), (0, 1, 2, 3, 5, 7)),
         (level_family(5, [1, 2, 3]), w_poset(), (5, 1, 3, 2, 6)),
         (level_family(5, [1, 2, 3]), crown(3), (1, 2, 3, 7, 11, 19)),
         (level_family(5, [1, 2, 3]), chain(4), None),
@@ -267,7 +266,7 @@ class TestCompiledPlans:
                 assert (w and w.assignment) == least, (fam.members, p)
 
     def test_find_embedding_matches_reference_on_lattices(self):
-        for fam in (full_lattice(4), level_family(5, [1, 2, 3]), level_family(5, [2, 3])):
+        for fam in (cached_lattice(4), level_family(5, [1, 2, 3]), level_family(5, [2, 3])):
             for p in catalog_posets(5):
                 w = find_embedding(fam, p)
                 assert (w and w.assignment) == reference_embedding(fam, p), (fam.members, p)
@@ -323,7 +322,7 @@ class TestCompletingMembers:
             masks = rng.sample(range(1 << n), rng.randint(2, min(10, 1 << n)))
             chosen = sum(1 << m for m in masks[2:rng.randint(2, len(masks))])
             candidates = sum(1 << m for m in masks[1:]) & ~chosen
-            yield full_lattice(n), chosen, masks[0], candidates
+            yield cached_lattice(n), chosen, masks[0], candidates
 
     def test_matches_brute_force(self):
         posets = catalog_posets(5)
@@ -423,29 +422,11 @@ class TestWithin:
                 if w is not None:
                     assert w.family is fam and w.check()
 
-    def test_count_copies_within_matches_restricted_family(self):
-        posets = catalog_posets(5)
-        for fam, within, sub in self.cases(67, 40):
-            for q in posets:
-                assert count_copies(fam, q, within) == count_copies(sub, q), (
-                    fam.members, within, q)
-
-    def test_count_copies_within_matches_brute_force(self):
-        lattice = full_lattice(3)
-        for within in (0b10010111, 0b11101001, 0b01111110):
-            sub = lattice.restrict(iter_bits(within))
-            for q in (n_poset(), kst(1, 2), chain(3)):
-                expect = sum(
-                    brute_embeds(SetFamily(3, combo), q)
-                    for combo in itertools.combinations(sub.members, q.size)
-                )
-                assert count_copies(lattice, q, within) == expect
-
 
 def test_searches_leave_no_garbage():
     # A recursive closure refers to itself; unless the search drops it, each
     # call leaves a reference cycle for the collector.
-    fam, small = full_lattice(4), SetFamily(3, range(7))
+    fam, small = cached_lattice(4), SetFamily(3, range(7))
     components = comparability_components(small)
     searches = {
         "embedding_using_member": lambda x: embedding_using_member(fam, BFLY, x),
@@ -532,7 +513,7 @@ class TestCountCopies:
 
     def test_full_lattice_n2_3chains(self):
         # the 3-chains of 2^[2] are {} < {i} < {1,2} for i = 1, 2
-        assert count_copies(full_lattice(2), chain(3)) == 2
+        assert count_copies(cached_lattice(2), chain(3)) == 2
 
     def test_larger_poset_than_family(self):
         assert count_copies(SetFamily(3, [0, 7]), w_poset()) == 0
@@ -552,10 +533,10 @@ class TestCountCopies:
         for _ in range(25):
             n = rng.randint(2, 5)
             fam = SetFamily(n, rng.sample(range(1 << n), rng.randint(0, min(10, 1 << n))))
+            full = (1 << n) - 1
+            complement = SetFamily(n, [full ^ m for m in fam.members])
             for q in posets:
-                assert count_copies(fam, q) == count_copies(
-                    complement_family(fam), dual_poset(q)
-                )
+                assert count_copies(fam, q) == count_copies(complement, dual_poset(q))
 
     def test_matches_the_subset_counter(self):
         # every catalog poset of <= 5 elements on random families, with and
@@ -573,8 +554,11 @@ class TestCountCopies:
             for q in posets:
                 for sel in (None, within):
                     ref = reference_count_copies(fam, q, sel)
-                    assert count_copies(fam, q, sel) == ref, (fam.members, q, sel)
-                    supports = copy_supports(fam, q, sel)
+                    # the selection as a family; its index j is fam's idx[j]
+                    idx = range(len(fam)) if sel is None else list(iter_bits(sel))
+                    sub = fam.restrict(idx)
+                    assert count_copies(sub, q) == ref, (fam.members, q, sel)
+                    supports = {tuple(idx[j] for j in s) for s in copy_supports(sub, q)}
                     assert len(supports) == ref, (fam.members, q, sel)
                     base = full if sel is None else sel
                     # each support is the sorted tuple of q.size distinct selected members
@@ -590,7 +574,7 @@ class TestCountCopies:
         assert cases > 8000
 
     def test_listing_refuses_past_the_support_cap(self, monkeypatch):
-        fam = full_lattice(3)
+        fam = cached_lattice(3)
         copies = count_copies(fam, n_poset())
         through = reference_count_through(fam, n_poset(), None, 1)
         assert copies > through > 1
@@ -616,11 +600,11 @@ class TestCountCopies:
         # 160 traced bytes, where a bitset over the 6,435 members takes 930
         fam = middle_two_levels(14)
         q = n_poset()
-        within = ((1 << 300) - 1) << (len(fam) - 300)
-        fam.above, fam.below, _plan(q)  # built before tracing starts
+        sub = fam.restrict(range(len(fam) - 300, len(fam)))
+        sub.above, sub.below, _plan(q)  # built before tracing starts
         tracemalloc.start()
         try:
-            supports = copy_supports(fam, q, within)
+            supports = copy_supports(sub, q)
             traced = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from posetturan.formulas import (
-    balanced_parts,
     butterfly_p2,
     chain_count_in_levels,
     closed_formula,
@@ -24,6 +23,12 @@ from posetturan.lattice import (
 )
 from posetturan.posets import chain
 from posetturan.search import la_levels
+
+
+def balanced_parts(n, tup):
+    """True iff the gaps i1, i2-i1, ..., n-i_{k-1} pairwise differ by at most one."""
+    parts = [tup[0]] + [b - a for a, b in zip(tup, tup[1:])] + [n - tup[-1]]
+    return max(parts) - min(parts) <= 1
 
 
 class TestClosedForms:
@@ -81,7 +86,7 @@ class TestSublattice:
                 if lo != hi and lo & hi == lo:
                     fam = interval_family(n, lo, hi)
                     expect = sublattice(n, lo.bit_count(), hi.bit_count())
-                    assert chains_meeting(n, fam) == expect
+                    assert chains_meeting(fam) == expect
 
 
 class TestKatonaNagy:
@@ -90,7 +95,7 @@ class TestKatonaNagy:
         for n in range(2, 8):
             mid = (1 << (n // 2)) - 1
             fam = SetFamily(n, [mid])
-            assert chains_meeting(n, fam) == katona_nagy(n, 1)
+            assert chains_meeting(fam) == katona_nagy(n, 1)
 
     def test_exact_rational(self):
         val = katona_nagy(5, 2)
@@ -105,7 +110,7 @@ class TestKatonaNagy:
             n = rng.randint(2, 6)
             t = rng.randint(1, 5)
             fam = SetFamily(n, rng.sample(range(1 << n), min(t, 1 << n)))
-            assert chains_meeting(n, fam) >= katona_nagy(n, len(fam))
+            assert chains_meeting(fam) >= katona_nagy(n, len(fam))
 
     def test_bad_t(self):
         with pytest.raises(ValueError):

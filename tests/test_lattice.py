@@ -16,14 +16,13 @@ from posetturan.lattice import (
     DimensionError,
     SetFamily,
     _bit_list,
+    cached_lattice,
     chain_count,
     chains_meeting,
     comparability_components,
-    complement_family,
     containment_pairs,
     convex_hull,
     count_k_chains,
-    full_lattice,
     interval_family,
     iter_bits,
     level_family,
@@ -102,7 +101,7 @@ class TestLevelFamily:
 
 class TestCountKChains:
     def test_full_lattice_n2(self):
-        assert count_k_chains(full_lattice(2), 2) == 5
+        assert count_k_chains(cached_lattice(2), 2) == 5
 
     def test_remark1_family(self):
         fam = SetFamily(3, [0, 1, 2, 4, 7])
@@ -117,12 +116,12 @@ class TestCountKChains:
 
     def test_bad_k(self):
         with pytest.raises(ValueError):
-            count_k_chains(full_lattice(2), 0)
+            count_k_chains(cached_lattice(2), 0)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_full_lattice_pairs_closed_form(self, n):
         # pairs A strictly inside B: choose B's extra elements, 3^n - 2^n total
-        assert count_k_chains(full_lattice(n), 2) == 3**n - 2**n
+        assert count_k_chains(cached_lattice(n), 2) == 3**n - 2**n
 
     @given(families)
     @settings(max_examples=60, deadline=None)
@@ -131,7 +130,7 @@ class TestCountKChains:
 
     def test_large_sub_families_match_chain_enumeration(self):
         # member bitsets on both sides of TABLE_MIN_MEMBERS bits, against every k-subset
-        fam = full_lattice(5)
+        fam = cached_lattice(5)
         rng = random.Random(23)
         for width in (12, TABLE_MIN_MEMBERS - 1, TABLE_MIN_MEMBERS, len(fam)) * 3:
             avail = rng.getrandbits(width) | 1 << width - 1
@@ -203,39 +202,39 @@ class TestComparabilityComponents:
 
 class TestChainsMeeting:
     def test_single_set(self):
-        assert chains_meeting(4, SetFamily(4, [1])) == 6
+        assert chains_meeting(SetFamily(4, [1])) == 6
 
     def test_empty_set_member(self):
-        assert chains_meeting(4, SetFamily(4, [0])) == 24
+        assert chains_meeting(SetFamily(4, [0])) == 24
 
     def test_interval(self):
-        assert chains_meeting(4, interval_family(4, 1, 7)) == 12
+        assert chains_meeting(interval_family(4, 1, 7)) == 12
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_whole_lattice(self, n):
-        assert chains_meeting(n, full_lattice(n)) == math.factorial(n)
+        assert chains_meeting(cached_lattice(n)) == math.factorial(n)
 
     def test_cap(self):
         with pytest.raises(DimensionError):
-            chains_meeting(9, SetFamily(9, [1]))
+            chains_meeting(SetFamily(9, [1]))
 
     def test_reads_the_cached_lattice_not_the_family(self):
         # the members below each member come from cached_lattice(n).below
         fam = level_family(8, [3, 4, 5])
-        assert chains_meeting(8, fam) == math.factorial(8)
+        assert chains_meeting(fam) == math.factorial(8)
         assert "below" not in fam.__dict__ and "_slices" not in fam.__dict__
 
     @given(families)
     @settings(max_examples=40, deadline=None)
     def test_matches_permutation_enumeration(self, fam):
-        assert chains_meeting(fam.n, fam) == brute_chains_meeting(fam.n, fam)
+        assert chains_meeting(fam) == brute_chains_meeting(fam.n, fam)
 
     def test_matches_the_walk_on_random_families(self):
         rng = random.Random(23)
         for _ in range(3000):
             n = rng.randint(1, 8)
             fam = SetFamily(n, rng.sample(range(1 << n), rng.randint(0, min(40, 1 << n))))
-            assert chains_meeting(n, fam) == walk_chains_meeting(n, fam), fam.members
+            assert chains_meeting(fam) == walk_chains_meeting(n, fam), fam.members
 
     def test_matches_the_walk_on_every_interval(self):
         for n in range(1, 7):
@@ -243,25 +242,10 @@ class TestChainsMeeting:
                 lo = hi
                 while True:  # every lo inside hi, down to the empty set
                     fam = interval_family(n, lo, hi)
-                    assert chains_meeting(n, fam) == walk_chains_meeting(n, fam), (n, lo, hi)
+                    assert chains_meeting(fam) == walk_chains_meeting(n, fam), (n, lo, hi)
                     if not lo:
                         break
                     lo = (lo - 1) & hi
-
-
-class TestComplementFamily:
-    def test_empty_to_full(self):
-        assert complement_family(SetFamily(3, [0])).members == (7,)
-
-    def test_level_swap(self):
-        assert complement_family(level_family(5, [2])) == level_family(5, [3])
-
-    @given(families)
-    @settings(max_examples=60, deadline=None)
-    def test_involution_and_chain_preservation(self, fam):
-        assert complement_family(complement_family(fam)) == fam
-        for k in (2, 3):
-            assert count_k_chains(complement_family(fam), k) == count_k_chains(fam, k)
 
 
 class TestSetFamily:

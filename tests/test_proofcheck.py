@@ -9,7 +9,7 @@ from posetturan.cli import run_command
 from posetturan.constructions import middle_two_levels, p5_construction
 from posetturan.embedding import find_embedding, minimal_posets
 from posetturan.formulas import katona_nagy
-from posetturan.lattice import SetFamily, comparability_components, full_lattice, level_family
+from posetturan.lattice import SetFamily, cached_lattice, comparability_components, level_family
 from posetturan.posets import chain, m_poset, n_poset, w_poset
 from posetturan.proofcheck import (
     Coloring,
@@ -71,33 +71,29 @@ class TestColoring:
                 (g, g | 1 << i) for g in blue for i in range(n)
                 if not g >> i & 1 and g | 1 << i not in blue
             )
-            col = color_family(n, fam, t)
+            col = color_family(fam, t)
             assert col.blue == blue and col.critical_pairs == tuple(pairs)
 
-    def test_dimension_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            color_family(4, full_lattice(3), 1)
-
     def test_middle_levels_t2(self):
-        col = color_family(4, middle_two_levels(4), 2)
+        col = color_family(middle_two_levels(4), 2)
         assert all(m.bit_count() <= 2 for m in col.blue)
         assert len(col.critical_pairs) == 12
 
     def test_full_lattice_t1(self):
-        col = color_family(3, full_lattice(3), 1)
+        col = color_family(cached_lattice(3), 1)
         assert col.critical_pairs == ((3, 7), (5, 7), (6, 7))
 
     def test_blue_is_strict_containment(self):
-        col = color_family(3, SetFamily(3, [3]), 1)
+        col = color_family(SetFamily(3, [3]), 1)
         assert col.blue == frozenset({0, 1, 2})
 
     def test_threshold_raises(self):
         with pytest.raises(ValueError):
-            color_family(3, full_lattice(3), 0)
+            color_family(cached_lattice(3), 0)
 
     def test_one_pair_per_chain_examples(self):
-        col = color_family(4, middle_two_levels(4), 2)
-        assert check_one_critical_pair_per_chain(4, col)
+        col = color_family(middle_two_levels(4), 2)
+        assert check_one_critical_pair_per_chain(col)
 
     def test_matches_permutation_oracle(self):
         import random
@@ -106,8 +102,8 @@ class TestColoring:
         for _ in range(60):
             n = rng.randint(2, 5)
             fam = SetFamily(n, rng.sample(range(1 << n), rng.randint(1, min(10, 1 << n))))
-            col = color_family(n, fam, rng.randint(1, 3))
-            assert check_one_critical_pair_per_chain(n, col) == brute_one_pair_per_chain(
+            col = color_family(fam, rng.randint(1, 3))
+            assert check_one_critical_pair_per_chain(col) == brute_one_pair_per_chain(
                 n, col
             )
 
@@ -124,8 +120,9 @@ class TestVerifyColoringFailures:
         color_family = proofcheck.color_family
         offenders = []
 
-        def dropped(n, family, t):
-            col = color_family(n, family, t)
+        def dropped(family, t):
+            n = family.n
+            col = color_family(family, t)
             blue = col.blue - {0}
             if offending_masks(n, blue):
                 offenders.append((n, t, offending_masks(n, blue)))
@@ -158,7 +155,7 @@ class TestCriticalPairCheck:
     ])
     def test_examples(self, pairs, ok):
         col = hand_coloring(3, pairs)
-        assert check_one_critical_pair_per_chain(3, col) is ok
+        assert check_one_critical_pair_per_chain(col) is ok
         assert brute_one_pair_per_chain(3, col) is ok
 
     def test_random_pair_lists_match_permutation_oracle(self):
@@ -169,15 +166,13 @@ class TestCriticalPairCheck:
             steps = [(g, g | 1 << i) for g in range(1 << n) for i in range(n) if not g >> i & 1]
             col = hand_coloring(n, rng.sample(steps, rng.randint(0, min(4, len(steps)))))
             expect = brute_one_pair_per_chain(n, col)
-            assert check_one_critical_pair_per_chain(n, col) is expect
+            assert check_one_critical_pair_per_chain(col) is expect
             seen.add(expect)
         assert seen == {True, False}
 
     def test_dimension_checks(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            check_one_critical_pair_per_chain(4, hand_coloring(3, [(0, 1)]))
         with pytest.raises(ValueError, match="n <= 12"):
-            check_one_critical_pair_per_chain(13, hand_coloring(13, [(0, 1)]))
+            check_one_critical_pair_per_chain(hand_coloring(13, [(0, 1)]))
 
 
 class TestNFreeComponents:
@@ -562,7 +557,7 @@ class TestErdosGallai:
 
 class TestP5ComponentReport:
     def test_p5_construction_n6(self):
-        reports = p5_component_report(6, p5_construction(6))
+        reports = p5_component_report(p5_construction(6))
         assert len(reports) == 6
         for rep in reports:
             assert rep.containments == 5
@@ -577,18 +572,18 @@ class TestP5ComponentReport:
 
     def test_refuses_non_free(self):
         with pytest.raises(NotFreeError):
-            p5_component_report(3, SetFamily(3, [0, 1, 3, 7, 5]))
+            p5_component_report(SetFamily(3, [0, 1, 3, 7, 5]))
 
     def test_chain_oracle_cap(self):
-        reports = p5_component_report(8, p5_construction(8))
+        reports = p5_component_report(p5_construction(8))
         assert len(reports) == 20
         # each hull is an interval from a 3-set to a 5-set: 8! / C(6, 3) chains meet it
         assert all(rep.containments == 5 and rep.chains_meeting_hull == 2016 for rep in reports)
         with pytest.raises(ValueError, match="n <= 8 for the chain oracle"):
-            p5_component_report(9, p5_construction(9))
+            p5_component_report(p5_construction(9))
 
     def test_singleton_component(self):
-        (rep,) = p5_component_report(4, SetFamily(4, [3]))
+        (rep,) = p5_component_report(SetFamily(4, [3]))
         assert rep.containments == 0 and rep.ratio is None
         assert rep.max_antichain == 1
 

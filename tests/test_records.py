@@ -105,8 +105,8 @@ def _samples():
             WitnessCheck(True, 0), WitnessCheck(False, 0), WitnessCheck(1, 0),
         ]),
         (Coloring, COLORING, True, [
-            color_family(4, level_family(4, [2]), 1), color_family(4, level_family(4, [2]), 2),
-            color_family(4, level_family(4, [1, 2]), 1),
+            color_family(level_family(4, [2]), 1), color_family(level_family(4, [2]), 2),
+            color_family(level_family(4, [1, 2]), 1),
         ]),
         (ComponentClass, COMPONENT_CLASS, True, [
             *classify_nfree_components(nfree), *classify_nfree_components(FAM),
@@ -118,7 +118,7 @@ def _samples():
             ZigzagWitness("M", (0, 1, 2, 3, 4)),
         ]),
         (ComponentReport, COMPONENT_REPORT, True, [
-            *p5_component_report(5, p5_construction(5)),
+            *p5_component_report(p5_construction(5)),
             ComponentReport((1,), 0, 1, 1, 24, Fraction(0), None, True, False, False),
         ]),
     ]

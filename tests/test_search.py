@@ -166,7 +166,7 @@ def recursive_la_exact(n, forbidden, q, budget=None):
     full = (1 << (1 << n)) - 1
     alone = sum(1 << y for y in range(1 << n)
                 if any(embedding_using_member(universe, p, y, 1 << y) is not None for p in minimal))
-    avail, bound = drop(full, count_copies(universe, q, full), alone)
+    avail, bound = drop(full, count_copies(universe, q), alone)
     rec(0, avail, bound, group)
     del rec
     return SearchReport(
@@ -228,8 +228,8 @@ class TestLaExact:
 
     def test_witnesses_are_valid(self):
         rep = la_exact(3, [BFLY], P2)
-        for fam in rep.witness_families(3):
-            chk = verify_witness(fam, [BFLY], P2)
+        for w in rep.witnesses:
+            chk = verify_witness(SetFamily(3, w), [BFLY], P2)
             assert chk.free and chk.copies == rep.optimum
 
     @pytest.mark.parametrize("n", (2, 3))
@@ -258,8 +258,8 @@ class TestLaExact:
         # butterfly-free optimum for counting 3-chains at n=3
         rep = la_exact(3, [BFLY], chain(3))
         assert rep.complete
-        for fam in rep.witness_families(3):
-            assert verify_witness(fam, [BFLY], chain(3)).copies == rep.optimum
+        for w in rep.witnesses:
+            assert verify_witness(SetFamily(3, w), [BFLY], chain(3)).copies == rep.optimum
 
     def test_report_json_roundtrip(self):
         rep = la_exact(3, [n_poset()], P2)
@@ -725,8 +725,8 @@ class TestLaLevels:
 
     def test_witnesses_free(self):
         rep = la_levels(6, [BFLY], P2)
-        for fam in rep.witness_families(6):
-            assert is_free(fam, [BFLY])
+        for w in rep.witnesses:
+            assert is_free(SetFamily(6, w), [BFLY])
 
     def test_level_vs_exact_lower(self):
         # level-restricted optimum never beats the unrestricted one
