@@ -32,7 +32,7 @@ _HOMES = {
         ),
         "formulas": "formulas chain_count_in_levels closed_formula",
         "search": "search SearchReport cached_la_exact la_exact la_levels verify_witness",
-        "dsl": "dsl parse_poset_dsl parse_single_poset poset_to_dsl",
+        "dsl": "dsl parse_poset_dsl parse_single_poset",
         "familyio": "familyio format_family parse_family read_family",
         "proofcheck": (
             "Coloring check_one_critical_pair_per_chain classify_nfree_components color_family"

@@ -34,7 +34,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="emit an extremal family to stdout")
     p.add_argument("name", choices=sorted(CONSTRUCTIONS))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--variant", choices=("low", "high"), default="low")
 
     p = sub.add_parser("count", help="count copies of Q in a family")
     p.add_argument("--family", required=True, metavar="FILE")
@@ -102,12 +101,7 @@ def _forbidden(specs):
 def cmd_construct(args):
     from .familyio import format_family
 
-    func = CONSTRUCTIONS[args.name]
-    if args.name == "middle-two-levels":
-        fam = func(args.n, args.variant)
-    else:
-        fam = func(args.n)
-    sys.stdout.write(format_family(fam))
+    sys.stdout.write(format_family(CONSTRUCTIONS[args.name](args.n)))
     return 0
 
 
@@ -183,10 +177,13 @@ def cmd_formula(args):
     if args.sweep:
         try:
             lo, hi = (int(x) for x in args.sweep.split("..", 1))
+            if lo > hi:
+                raise ValueError("empty sweep range")
         except ValueError:
             return _fail(f"bad sweep range {args.sweep!r}")
-        for n in range(lo, hi + 1):
-            value = closed_formula(args.id, n=n, **extras)
+        # every row is evaluated before any prints, so a refused n prints nothing
+        rows = [(n, closed_formula(args.id, n=n, **extras)) for n in range(lo, hi + 1)]
+        for n, value in rows:
             print(f"{args.id}\t{n}\t{value}")  # a Fraction prints as 108/5, or 4 when whole
         return 0
     if args.n is None:

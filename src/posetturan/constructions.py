@@ -4,21 +4,14 @@ from __future__ import annotations
 from .lattice import MAX_SCAN_N, SetFamily, level_family
 
 
-def middle_two_levels(n: int, variant: str = "low") -> SetFamily:
-    """Two consecutive middle levels; for odd n both variants coincide.
+def middle_two_levels(n: int) -> SetFamily:
+    """Levels floor(n/2) and floor(n/2)+1.
 
-    variant "low": levels floor(n/2), floor(n/2)+1.
-    variant "high": levels ceil(n/2)-1, ceil(n/2).
+    Butterfly-free, with ceil(n/2) C(n, floor(n/2)) containments.
     """
     if n < 2:
         raise ValueError("middle_two_levels needs n >= 2")
-    if variant == "low":
-        lo = n // 2
-    elif variant == "high":
-        lo = (n + 1) // 2 - 1
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return level_family(n, [lo, lo + 1])
+    return level_family(n, [n // 2, n // 2 + 1])
 
 
 def n_free_construction(n: int) -> SetFamily:

@@ -3,8 +3,8 @@
 Either a builtin reference "@name" / "@name(args)" with names chain, Kst,
 fork, crown, diamond, butterfly, N, W, M, S, pathfamily, or an inline block of
 relations: identifiers joined by "<", statements separated by ";" or
-newlines, e.g. "a<b; c<b; c<d". Unknown identifiers are declared implicitly;
-a bare identifier declares an isolated element.
+newlines, e.g. "a<b; c<b; c<d". Identifiers number the elements 0, 1, ... in
+order of first appearance and are not kept; a bare one is an isolated element.
 """
 from __future__ import annotations
 
@@ -91,20 +91,8 @@ def _parse_relations(text: str) -> Poset:
             relations.extend(zip(ids, ids[1:]))
     if not elements:
         raise DslError("no elements declared")
-    labels = sorted(elements, key=elements.get)
     try:
-        return poset_from_relations(len(elements), relations, labels)
+        return poset_from_relations(len(elements), relations)
     except PosetError as exc:
         raise DslError(str(exc)) from None
 
-
-def poset_to_dsl(p: Poset) -> str:
-    """Inline-relation form using cover pairs; round-trips up to isomorphism."""
-    names = p.labels or tuple(f"e{i}" for i in range(p.size))
-    stmts = [f"{names[a]}<{names[b]}" for a, b in sorted(p.hasse_edges())]
-    isolated = [
-        names[i]
-        for i in range(p.size)
-        if not any(i in edge for edge in p.relations)
-    ]
-    return "; ".join(list(isolated) + stmts) if (stmts or isolated) else names[0]

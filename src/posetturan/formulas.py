@@ -48,8 +48,8 @@ def katona_nagy(n: int, t: int):
     from fractions import Fraction  # only this formula loads fractions
 
     _check_range(n, 1)
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not 0 <= t <= 1 << n:  # a family of 2^[n] has at most 2^n sets
+        raise ValueError(f"need 0 <= t <= 2^n, got t={t}, n={n}")
     return Fraction(t * n - t * (t - 1), n) * (
         math.factorial(n // 2) * math.factorial(-(-n // 2))
     )

@@ -15,24 +15,23 @@ class Poset:
 
     ``relations`` is the full transitive closure (irreflexive, antisymmetric).
     Use :func:`poset_from_relations` to build one from arbitrary generators.
-    Immutable, with equality and hash over (size, relations, labels).
+    Immutable; a poset is its order: equality and hash are over (size, relations).
     """
 
-    def __init__(self, size: int, relations: frozenset = frozenset(), labels: tuple = None):
+    def __init__(self, size: int, relations: frozenset = frozenset()):
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "relations", relations)
-        object.__setattr__(self, "labels", labels)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.size, self.relations, self.labels) == (other.size, other.relations, other.labels)
+        return (self.size, self.relations) == (other.size, other.relations)
 
     def __hash__(self):
-        return hash((self.size, self.relations, self.labels))
+        return hash((self.size, self.relations))
 
     def __repr__(self):
-        return f"Poset(size={self.size!r}, relations={self.relations!r}, labels={self.labels!r})"
+        return f"Poset(size={self.size!r}, relations={self.relations!r})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -128,7 +127,7 @@ def _check_size(m: int):
         raise PosetError(f"poset size {m} outside supported range 0..{MAX_POSET_SIZE}")
 
 
-def poset_from_relations(m: int, relations, labels=None) -> Poset:
+def poset_from_relations(m: int, relations) -> Poset:
     """Transitive closure of the given (lo, hi) pairs; rejects cycles."""
     _check_size(m)
     less = [[False] * m for _ in range(m)]
@@ -150,11 +149,11 @@ def poset_from_relations(m: int, relations, labels=None) -> Poset:
     closure = frozenset(
         (i, j) for i in range(m) for j in range(m) if less[i][j]
     )
-    return Poset(m, closure, tuple(labels) if labels else None)
+    return Poset(m, closure)
 
 
 def dual_poset(p: Poset) -> Poset:
-    return Poset(p.size, frozenset((b, a) for a, b in p.relations), p.labels)
+    return Poset(p.size, frozenset((b, a) for a, b in p.relations))
 
 
 def poset_isomorphic(p: Poset, q: Poset) -> bool:
@@ -205,13 +204,13 @@ def diamond(r: int = 2) -> Poset:
 @lru_cache(maxsize=None)
 def n_poset() -> Poset:
     # elements p1, p2, q1, q2 = 0, 1, 2, 3
-    return poset_from_relations(4, [(0, 2), (1, 2), (1, 3)], "p1 p2 q1 q2".split())
+    return poset_from_relations(4, [(0, 2), (1, 2), (1, 3)])
 
 
 @lru_cache(maxsize=None)
 def w_poset() -> Poset:
     # elements a, b, c, d, e = 0..4 with b < a, b < c, d < c, d < e
-    return poset_from_relations(5, [(1, 0), (1, 2), (3, 2), (3, 4)], "a b c d e".split())
+    return poset_from_relations(5, [(1, 0), (1, 2), (3, 2), (3, 4)])
 
 
 @lru_cache(maxsize=None)
@@ -221,7 +220,7 @@ def m_poset() -> Poset:
 
 def s_poset() -> Poset:
     # elements a, b1, b2, b3, c = 0..4 with b1 < a, b1 < b2 < b3, c < b3
-    return poset_from_relations(5, [(1, 0), (1, 2), (2, 3), (4, 3)], "a b1 b2 b3 c".split())
+    return poset_from_relations(5, [(1, 0), (1, 2), (2, 3), (4, 3)])
 
 
 _CATALOG = {

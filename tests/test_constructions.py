@@ -28,12 +28,8 @@ class TestMiddleTwoLevels:
         assert len(fam) == 20
         assert count_k_chains(fam, 2) == 30
 
-    def test_even_variants_differ(self):
-        assert middle_two_levels(4, "low") == level_family(4, [2, 3])
-        assert middle_two_levels(4, "high") == level_family(4, [1, 2])
-
-    def test_odd_variants_coincide(self):
-        assert middle_two_levels(7, "low") == middle_two_levels(7, "high")
+    def test_levels_floor_half_and_one_more(self):
+        assert middle_two_levels(4) == level_family(4, [2, 3])
         assert middle_two_levels(7) == level_family(7, [3, 4])
 
     def test_too_small(self):
@@ -42,9 +38,8 @@ class TestMiddleTwoLevels:
 
     @pytest.mark.parametrize("n", range(2, 15))
     def test_chain_count_formula(self, n):
-        for variant in ("low", "high"):
-            expect = -(-n // 2) * math.comb(n, n // 2)
-            assert count_k_chains(middle_two_levels(n, variant), 2) == expect
+        expect = -(-n // 2) * math.comb(n, n // 2)
+        assert count_k_chains(middle_two_levels(n), 2) == expect
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_butterfly_free(self, n):

@@ -116,6 +116,13 @@ class TestKatonaNagy:
         with pytest.raises(ValueError):
             katona_nagy(4, -1)
 
+    @pytest.mark.parametrize("n", [1, 4, 62])
+    def test_t_at_most_the_sets_of_2n(self, n):
+        # no family of 2^[n] has more than 2^n sets
+        assert katona_nagy(n, 1 << n) is not None
+        with pytest.raises(ValueError, match="t <= 2\\^n"):
+            katona_nagy(n, (1 << n) + 1)
+
 
 def brute_chain_count(n, ell, levels):
     fam = level_family(n, levels)

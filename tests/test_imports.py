@@ -116,7 +116,7 @@ EAGER_EXPORTS = {
     "constructions": ("middle_two_levels", "n_free_construction", "p5_construction", "p6_construction"),
     "formulas": ("chain_count_in_levels", "closed_formula"),
     "search": ("SearchReport", "cached_la_exact", "la_exact", "la_levels", "verify_witness"),
-    "dsl": ("parse_poset_dsl", "parse_single_poset", "poset_to_dsl"),
+    "dsl": ("parse_poset_dsl", "parse_single_poset"),
     "familyio": ("format_family", "parse_family", "read_family"),
 }
 

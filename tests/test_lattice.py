@@ -407,7 +407,8 @@ class TestBitsetComparability:
         assert count_k_chains(fam, 3) == 5
 
     def test_constructions_match_pairwise(self):
-        builds = dict(CONSTRUCTIONS, high=lambda n: CONSTRUCTIONS["middle-two-levels"](n, "high"))
+        # with the middle two levels one step down, levels ceil(n/2) - 1 and ceil(n/2)
+        builds = dict(CONSTRUCTIONS, lower=lambda n: level_family(n, [(n + 1) // 2 - 1, (n + 1) // 2]))
         for name, build in builds.items():
             for n in range(1, 13):
                 try:

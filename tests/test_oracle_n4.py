@@ -1,0 +1,69 @@
+"""The exact search at n = 4 against ``oracle_n4``, which shares no code with it.
+
+Tier-1 runs the five paper problems with Q = P2 and a spread of other Q;
+``python tests/oracle_n4.py`` runs all 112 catalog cases.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from oracle_n4 import QS, la_n4, supports
+from posetturan.posets import chain, kst, m_poset, n_poset, named_poset, path_hasse_family, w_poset
+from posetturan.search import la_exact
+
+TESTS = Path(__file__).resolve().parent
+BFLY = named_poset("butterfly")
+
+# (forbidden list, Q, the number of optimal families of 2^[4], where pinned)
+CASES = {
+    "N": ([n_poset()], "P2", 30),
+    "butterfly": ([BFLY], "P2", 6),
+    "chain(3)": ([chain(3)], "P2", 3),
+    "W,M": ([w_poset(), m_poset()], "P2", None),
+    "pathfamily(5)": (path_hasse_family(5), "P2", None),
+    "kst(2,3)#P3": ([kst(2, 3)], "P3", 6),
+    "butterfly#N": ([BFLY], "N", 8),
+    "diamond#K12": ([named_poset("diamond")], "K12", None),
+    "N#N": ([n_poset()], "N", None),
+    "chain(4)#P3": ([chain(4)], "P3", None),
+}
+
+
+@pytest.mark.parametrize("forbidden, q, optimal_families", CASES.values(), ids=CASES)
+def test_la_exact_matches_the_oracle(forbidden, q, optimal_families):
+    value, families = la_n4(forbidden, QS[q])
+    assert la_exact(4, forbidden, QS[q]).optimum == value
+    if optimal_families is not None:
+        assert families == optimal_families
+
+
+def test_supports_of_small_posets():
+    # a 2-chain is a strict containment pair of 2^[4]: 3^4 - 2^4 of them
+    assert len(supports(chain(2))) == 65
+    assert len(supports(chain(1))) == 16
+    # the only copy of chain(5) in 2^[4] is a full chain: 4! of them
+    assert len(supports(chain(5))) == 24
+
+
+# Run in a fresh interpreter without site: the posetturan modules that
+# importing the oracle loads
+ORACLE_PROBE = """
+import json, sys
+import oracle_n4
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("posetturan"))))
+"""
+
+
+def test_oracle_loads_no_search_code():
+    src = TESTS.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", ORACLE_PROBE],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(TESTS), str(src)])),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["posetturan", "posetturan.posets"]

@@ -7,7 +7,7 @@ import pytest
 from posetturan import cli, embedding, proofcheck
 from posetturan.cli import run_command
 from posetturan.constructions import middle_two_levels, p5_construction
-from posetturan.embedding import find_embedding, minimal_posets
+from posetturan.embedding import find_embedding, is_free, minimal_posets
 from posetturan.formulas import katona_nagy
 from posetturan.lattice import SetFamily, cached_lattice, comparability_components, level_family
 from posetturan.posets import chain, m_poset, n_poset, w_poset
@@ -194,6 +194,35 @@ class TestNFreeComponents:
         with pytest.raises(NotFreeError) as exc:
             classify_nfree_components(SetFamily(3, [0, 1, 2, 4, 7]))
         assert exc.value.witness.check()
+
+    def test_hosts_n_matches_the_engine_and_brute_force(self):
+        # N: p1 < q1, p2 < q1, p2 < q2, over four distinct members
+        def brute(fam):
+            lt = [[a != b and a & b == a for b in fam.members] for a in fam.members]
+            return any(lt[p1][q1] and lt[p2][q1] and lt[p2][q2]
+                       for p1, p2, q1, q2 in itertools.permutations(range(len(fam)), 4))
+
+        rng = random.Random(5)
+        families = [SetFamily(3, [m for m in range(8) if bits >> m & 1]) for bits in range(256)]
+        for _ in range(600):
+            n = rng.randint(4, 6)
+            families.append(SetFamily(n, rng.sample(range(1 << n), rng.randint(1, 8))))
+        for fam in families:
+            hosts = proofcheck._hosts_n(fam)
+            assert hosts == brute(fam) == (not is_free(fam, [n_poset()])), fam.members
+
+    def test_verifier_searches_each_instance_once(self, monkeypatch):
+        # the classifier's search is the only one; freeness is read off the bitsets
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return find_embedding(*args, **kwargs)
+
+        monkeypatch.setattr(embedding, "find_embedding", counted)
+        report = proofcheck.verify_nfree_components(0)
+        assert (report.instances_checked, report.failures) == (656, 0)
+        assert len(calls) == 656
 
 
 class TestZigzag:

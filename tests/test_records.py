@@ -40,7 +40,7 @@ def twin(name, spec, frozen=True):
     )
 
 
-POSET = twin("Poset", ["size", ("relations", field(default_factory=frozenset)), ("labels", None)])
+POSET = twin("Poset", ["size", ("relations", field(default_factory=frozenset))])
 SET_FAMILY = twin("SetFamily", ["n", "members"])
 SEARCH_REPORT = twin(
     "SearchReport",
@@ -78,7 +78,7 @@ def _samples():
     return [
         (Poset, POSET, True, [
             Poset(2), Poset(2, frozenset({(0, 1)})), Poset(2, frozenset({(1, 0)})),
-            Poset(2, frozenset({(0, 1)}), ("a", "b")), chain(3), BFLY, named_poset("N"),
+            chain(3), BFLY, named_poset("N"),
             Poset(2, frozenset({(0, 1)})),
         ]),
         (SetFamily, SET_FAMILY, True, [
@@ -179,9 +179,9 @@ def test_defaults():
 
 def test_other_classes_compare_unequal():
     p, fam = Poset(1), SetFamily(1, [0])
-    assert p.__eq__((1, frozenset(), None)) is NotImplemented
+    assert p.__eq__((1, frozenset())) is NotImplemented
     assert fam.__eq__((1, (0,))) is NotImplemented
-    assert p != (1, frozenset(), None) and fam != (1, (0,)) and p != fam
+    assert p != (1, frozenset()) and fam != (1, (0,)) and p != fam
     rep = SearchReport(1, [], 0, True)
     assert rep != SEARCH_REPORT(1, [], 0, True)
     assert LemmaReport("x", 0, 0) != LEMMA_REPORT("x", 0, 0)
