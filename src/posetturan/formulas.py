@@ -44,13 +44,16 @@ def sublattice(n: int, a: int, b: int) -> int:
 
 
 def katona_nagy(n: int, t: int):
-    """Lower bound on full chains meeting a t-set family, as an exact Fraction."""
+    """Lower bound on full chains meeting a t-set family, as an exact Fraction.
+
+    The bound is 0 from t = n + 1 on, where t n - t (t - 1) would be 0 or negative.
+    """
     from fractions import Fraction  # only this formula loads fractions
 
     _check_range(n, 1)
     if not 0 <= t <= 1 << n:  # a family of 2^[n] has at most 2^n sets
         raise ValueError(f"need 0 <= t <= 2^n, got t={t}, n={n}")
-    return Fraction(t * n - t * (t - 1), n) * (
+    return Fraction(max(t * n - t * (t - 1), 0), n) * (
         math.factorial(n // 2) * math.factorial(-(-n // 2))
     )
 

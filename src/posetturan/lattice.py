@@ -219,18 +219,13 @@ class SetFamily:
         return SetFamily(self.n, [self.members[i] for i in indices])
 
 
-class ComparabilityComponents(namedtuple("ComparabilityComponents", "family components edge_counts")):
+class ComparabilityComponents(namedtuple("ComparabilityComponents", "family components")):
     """Partition of a family into connected components of its comparability graph.
 
-    ``components`` is a tuple of tuples of member indices, and ``edge_counts``
-    the number of containment pairs within each component.
+    ``components`` is a tuple of tuples of member indices.
     """
 
     __slots__ = ()
-
-    @property
-    def total_edges(self):
-        return sum(self.edge_counts)
 
 
 def level_family(n: int, ks) -> SetFamily:
@@ -304,10 +299,9 @@ def convex_hull(family: SetFamily) -> SetFamily:
 
 
 def comparability_components(family: SetFamily) -> ComparabilityComponents:
-    above, adj = family.above, family.comparable
+    adj = family.comparable
     unseen = (1 << len(family)) - 1
     comps = []
-    edges = []
     while unseen:
         # grow the component of the least unseen member breadth-first
         comp = frontier = unseen & -unseen
@@ -319,8 +313,7 @@ def comparability_components(family: SetFamily) -> ComparabilityComponents:
             comp |= frontier
         unseen &= ~comp
         comps.append(tuple(iter_bits(comp)))
-        edges.append(sum((above[i] & comp).bit_count() for i in comps[-1]))
-    return ComparabilityComponents(family, tuple(comps), tuple(edges))
+    return ComparabilityComponents(family, tuple(comps))
 
 
 def chains_meeting(family: SetFamily) -> int:

@@ -253,12 +253,16 @@ def _hosts(n, poset, masks) -> bool:
 
 
 def erdos_gallai_check(components: ComparabilityComponents) -> bool:
-    """Edge bound |E| <= 2|V| for comparability graphs with no 6-vertex path."""
+    """Edge bound |E| <= 2|V| for comparability graphs with no 6-vertex path.
+
+    The edges are the containment pairs of the family, counted from its
+    ``above`` bitsets.
+    """
     path = _find_graph_path(components, 6)
     if path is not None:
         raise NotFreeError("comparability graph contains a 6-vertex path", path)
-    total_vertices = len(components.family)
-    return components.total_edges <= 2 * total_vertices
+    family = components.family
+    return sum(map(int.bit_count, family.above)) <= 2 * len(family)
 
 
 def _find_graph_path(components: ComparabilityComponents, length: int):
@@ -382,50 +386,31 @@ def _max_antichain(family: SetFamily) -> int:
 # ---------------------------------------------------------------------------
 
 
-class LemmaReport:
-    """One verifier's tally; mutable, compared field by field, unhashable."""
+class LemmaReport(namedtuple("LemmaReport", "lemma instances_checked failures seed first_failure",
+                             defaults=(None, None))):
+    """One verifier's tally: the instances it checked, how many failed and the first failure message."""
 
-    _fields = ("lemma", "instances_checked", "failures", "seed", "first_failure")
-
-    def __init__(self, lemma: str, instances_checked: int, failures: int, seed: int = None,
-                 first_failure: str = None):
-        self.lemma = lemma
-        self.instances_checked = instances_checked
-        self.failures = failures
-        self.seed = seed
-        self.first_failure = first_failure
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return [getattr(self, k) for k in self._fields] == [getattr(other, k) for k in self._fields]
-
-    def __repr__(self):
-        return "LemmaReport(" + ", ".join(f"{k}={getattr(self, k)!r}" for k in self._fields) + ")"
+    __slots__ = ()
 
     def to_json(self):
-        out = {
-            "lemma": self.lemma,
-            "instances_checked": self.instances_checked,
-            "failures": self.failures,
-            "seed": self.seed,
-        }
-        if self.first_failure:
-            out["first_failure"] = self.first_failure
+        out = self._asdict()
+        if not self.first_failure:
+            del out["first_failure"]
         return out
 
 
 def _run_suite(lemma, seed, instances, check) -> LemmaReport:
     """Run ``check(*instance)`` on every instance; it returns None or a failure message."""
-    report = LemmaReport(lemma, 0, 0, seed=seed)
+    checked = failures = 0
+    first = None
     for instance in instances:
-        report.instances_checked += 1
+        checked += 1
         message = check(*instance)
         if message is not None:
-            report.failures += 1
-            if report.first_failure is None:
-                report.first_failure = message
-    return report
+            failures += 1
+            if first is None:
+                first = message
+    return LemmaReport(lemma, checked, failures, seed, first)
 
 
 def _families_of_3():
@@ -695,7 +680,3 @@ VERIFIERS = {
     "nfree-components": verify_nfree_components,
     "erdos-gallai": verify_erdos_gallai,
 }
-
-
-def run_verifiers(names, seed: int = 0):
-    return [VERIFIERS[name](seed) for name in names]

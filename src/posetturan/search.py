@@ -26,39 +26,20 @@ CACHE_ENV_VAR = "TURAN_CACHE"
 DEFAULT_CACHE_FILE = "turan-cache.jsonl"
 
 
-class SearchReport:
+class SearchReport(namedtuple("SearchReport", "optimum witnesses nodes_explored complete params")):
     """One search result; ``witnesses`` lists mask tuples, lexicographically least first.
 
-    ``params`` defaults to a new empty dict. Reports compare equal field by
-    field, in ``_fields`` order, and are mutable, so unhashable.
+    ``params`` defaults to a new empty dict. A report is frozen, but its
+    witness list makes it unhashable.
     """
 
-    _fields = ("optimum", "witnesses", "nodes_explored", "complete", "params")
+    __slots__ = ()
 
-    def __init__(self, optimum: int, witnesses: list, nodes_explored: int, complete: bool,
-                 params: dict = None):
-        self.optimum = optimum
-        self.witnesses = witnesses
-        self.nodes_explored = nodes_explored
-        self.complete = complete
-        self.params = {} if params is None else params
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return [getattr(self, k) for k in self._fields] == [getattr(other, k) for k in self._fields]
-
-    def __repr__(self):
-        return "SearchReport(" + ", ".join(f"{k}={getattr(self, k)!r}" for k in self._fields) + ")"
+    def __new__(cls, optimum, witnesses, nodes_explored, complete, params=None):
+        return super().__new__(cls, optimum, witnesses, nodes_explored, complete, {} if params is None else params)
 
     def to_json(self) -> dict:
-        return {
-            "optimum": self.optimum,
-            "witnesses": [list(w) for w in self.witnesses],
-            "nodes_explored": self.nodes_explored,
-            "complete": self.complete,
-            "params": self.params,
-        }
+        return {**self._asdict(), "witnesses": [list(w) for w in self.witnesses]}
 
 
 def _check_request(n: int, forbidden, budget):

@@ -96,7 +96,7 @@ class TestP5Construction:
         assert len(comps.components) == math.comb(n - 2, n // 2 - 1)
         assert all(len(c) == 4 for c in comps.components)
         # 4 cover pairs plus the diagonal in each 2-cube block
-        assert set(comps.edge_counts) == {5}
+        assert all(count_k_chains(fam.restrict(c), 2) == 5 for c in comps.components)
 
     @pytest.mark.parametrize("n", range(4, 10))
     def test_free_of_all_5_paths(self, n):

@@ -116,6 +116,12 @@ class TestKatonaNagy:
         with pytest.raises(ValueError):
             katona_nagy(4, -1)
 
+    def test_never_negative(self):
+        # t n - t (t - 1) is negative past t = n + 1; the bound is 0 there
+        assert katona_nagy(4, 16) == 0
+        for n in range(1, 7):
+            assert all(katona_nagy(n, t) >= 0 for t in range((1 << n) + 1))
+
     @pytest.mark.parametrize("n", [1, 4, 62])
     def test_t_at_most_the_sets_of_2n(self, n):
         # no family of 2^[n] has more than 2^n sets

@@ -30,7 +30,6 @@ from posetturan.proofcheck import (
     erdos_gallai_check,
     p5_component_report,
     random_zigzag,
-    run_verifiers,
     verify_chaincount,
     verify_coloring,
     verify_erdos_gallai,
@@ -672,10 +671,18 @@ class TestVerifiers:
         assert rep.failures == 0 and rep.instances_checked == 581
         assert lists == [16]
 
-    def test_run_verifiers_order(self):
-        reports = run_verifiers(["sublattice", "coloring"], seed=1)
-        assert [r.lemma for r in reports] == ["sublattice", "coloring"]
-        assert all(r.failures == 0 for r in reports)
+    def test_verify_all_order(self, monkeypatch, capsys):
+        # verify --lemma all calls each verifier once, in name order, with the seed
+        calls = []
+
+        def fake(name):
+            return lambda seed: calls.append((name, seed)) or LemmaReport(name, 1, 0, seed)
+
+        for name in cli.LEMMAS:
+            monkeypatch.setitem(proofcheck.VERIFIERS, name, fake(name))
+        assert run_command(["verify", "--lemma", "all", "--seed", "1"]) == 0
+        assert calls == [(name, 1) for name in sorted(proofcheck.VERIFIERS)]
+        assert len(capsys.readouterr().out.splitlines()) == len(calls)
 
     def test_report_json(self):
         rep = verify_sublattice()
