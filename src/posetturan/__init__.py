@@ -19,8 +19,8 @@ _HOMES = {
     name: module
     for module, names in {
         "lattice": (
-            "lattice ComparabilityComponents SetFamily chains_meeting comparability_components"
-            " containment_pairs convex_hull count_k_chains interval_family level_family"
+            "lattice SetFamily chains_meeting comparability_components containment_pairs"
+            " convex_hull count_k_chains interval_family level_family"
         ),
         "posets": (
             "posets Poset PosetError dual_poset named_poset path_hasse_family"

@@ -122,14 +122,13 @@ def cmd_free(args):
 
     fam = read_family(args.family)
     forbidden = _forbidden(args.forbid)
-    hit = find_any_embedding(fam, forbidden)
-    if hit is None:
+    witness = find_any_embedding(fam, forbidden)
+    if witness is None:
         out = {"free": True}
     else:
-        poset, witness = hit
         out = {
             "free": False,
-            "poset": poset.canonical_key(),
+            "poset": witness.poset.canonical_key(),
             "witness": list(witness.assignment),
         }
     if args.pretty:

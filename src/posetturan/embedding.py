@@ -349,13 +349,13 @@ def _minimal_posets(forbidden: tuple) -> tuple:
 
 
 def find_any_embedding(family: SetFamily, forbidden):
-    """First (poset, witness) pair among the forbidden list, or None.
+    """The witness of the forbidden list's first poset that embeds, or None.
 
     Freeness is decided on ``minimal_posets`` first, as ``is_free`` does; if
-    the family is not free, the whole list is scanned in order, so the pair
-    is the one the list's first embedding poset gives. Each poset is searched
-    at most once: the scan reuses the witnesses, and the refusals, of the
-    freeness pass and of its own earlier steps.
+    the family is not free, the whole list is scanned in order, so the witness
+    is that of the list's first embedding poset, which is its ``poset``. Each
+    poset is searched at most once: the scan reuses the witnesses, and the
+    refusals, of the freeness pass and of its own earlier steps.
     """
     forbidden = list(forbidden)
     seen = {}  # poset -> its find_embedding result
@@ -369,7 +369,7 @@ def find_any_embedding(family: SetFamily, forbidden):
         if p not in seen:
             seen[p] = find_embedding(family, p)
         if seen[p] is not None:
-            return p, seen[p]
+            return seen[p]
     return None
 
 

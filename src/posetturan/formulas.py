@@ -8,7 +8,8 @@ from .lattice import MAX_FORMULA_N
 
 
 def butterfly_p2(n: int) -> int:
-    """Maximum 2-chain count of a butterfly-free family (n >= 5)."""
+    """2-chain count of the butterfly-free middle two levels; the maximum
+    from n = 5 on (result (i)), and below it at n = 2..4."""
     _check_range(n, 2)
     return -(-n // 2) * math.comb(n, n // 2)
 
@@ -26,7 +27,8 @@ def p6_lower(n: int) -> int:
 
 
 def n_free(n: int) -> int:
-    """Maximum 2-chain count of an N-free family (n >= 3)."""
+    """2-chain count of the N-free empty set plus middle level; the maximum
+    from n = 3 on (result (iii)), and below it at n = 2."""
     _check_range(n, 1)
     return math.comb(n, n // 2)
 

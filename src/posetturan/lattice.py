@@ -8,7 +8,6 @@ integers).
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from functools import cached_property, lru_cache
 from itertools import compress, count, repeat
 from operator import and_, lshift, rshift, xor
@@ -219,15 +218,6 @@ class SetFamily:
         return SetFamily(self.n, [self.members[i] for i in indices])
 
 
-class ComparabilityComponents(namedtuple("ComparabilityComponents", "family components")):
-    """Partition of a family into connected components of its comparability graph.
-
-    ``components`` is a tuple of tuples of member indices.
-    """
-
-    __slots__ = ()
-
-
 def level_family(n: int, ks) -> SetFamily:
     """All subsets of [n] whose size lies in ks."""
     _check_n(n, MAX_SCAN_N)
@@ -298,7 +288,8 @@ def convex_hull(family: SetFamily) -> SetFamily:
     return SetFamily(family.n, hull)
 
 
-def comparability_components(family: SetFamily) -> ComparabilityComponents:
+def comparability_components(family: SetFamily) -> tuple:
+    """The components of the comparability graph, as tuples of member indices."""
     adj = family.comparable
     unseen = (1 << len(family)) - 1
     comps = []
@@ -313,7 +304,7 @@ def comparability_components(family: SetFamily) -> ComparabilityComponents:
             comp |= frontier
         unseen &= ~comp
         comps.append(tuple(iter_bits(comp)))
-    return ComparabilityComponents(family, tuple(comps))
+    return tuple(comps)
 
 
 def chains_meeting(family: SetFamily) -> int:

@@ -15,7 +15,6 @@ from functools import lru_cache
 
 from .embedding import find_any_embedding, find_embedding, minimal_posets
 from .lattice import (
-    ComparabilityComponents,
     MAX_CHAIN_N,
     SetFamily,
     cached_lattice,
@@ -100,9 +99,7 @@ def check_one_critical_pair_per_chain(coloring: Coloring) -> bool:
     if n > MAX_COLOR_N:
         raise ValueError(f"critical-pair chain check requires n <= {MAX_COLOR_N}")
     above = cached_lattice(n).above
-    bottoms = 0
-    for g, _ in coloring.critical_pairs:
-        bottoms |= 1 << g
+    bottoms = _indicator(g for g, _ in coloring.critical_pairs)
     return not any((above[gp] | 1 << gp) & bottoms for _, gp in coloring.critical_pairs)
 
 
@@ -118,12 +115,12 @@ class ComponentClass(namedtuple("ComponentClass", "kind members center", default
 
 def classify_nfree_components(family: SetFamily):
     """Tag each comparability component of an N-free family as triangle or star."""
-    hit = find_any_embedding(family, [n_poset()])
-    if hit is not None:
-        raise NotFreeError("family is not N-free", hit[1])
+    witness = find_any_embedding(family, [n_poset()])
+    if witness is not None:
+        raise NotFreeError("family is not N-free", witness)
     below, comparable, ms = family.below, family.comparable, family.members
     out = []
-    for comp in comparability_components(family).components:
+    for comp in comparability_components(family):
         bits = sum(1 << i for i in comp)
         masks = tuple(ms[i] for i in comp)
         if chain_count(bits, 3, below) > 0:
@@ -252,24 +249,22 @@ def _hosts(n, poset, masks) -> bool:
     return hit
 
 
-def erdos_gallai_check(components: ComparabilityComponents) -> bool:
+def erdos_gallai_check(family: SetFamily) -> bool:
     """Edge bound |E| <= 2|V| for comparability graphs with no 6-vertex path.
 
     The edges are the containment pairs of the family, counted from its
     ``above`` bitsets.
     """
-    path = _find_graph_path(components, 6)
+    path = _find_graph_path(family, 6)
     if path is not None:
         raise NotFreeError("comparability graph contains a 6-vertex path", path)
-    family = components.family
     return sum(map(int.bit_count, family.above)) <= 2 * len(family)
 
 
-def _find_graph_path(components: ComparabilityComponents, length: int):
-    fam = components.family
-    starts = (v for comp in components.components if len(comp) >= length for v in comp)
-    for path in _walks(fam.comparable, starts, length):
-        return tuple(fam.members[i] for i in path)
+def _find_graph_path(family: SetFamily, length: int):
+    starts = (v for comp in comparability_components(family) if len(comp) >= length for v in comp)
+    for path in _walks(family.comparable, starts, length):
+        return tuple(family.members[i] for i in path)
     return None
 
 
@@ -324,15 +319,15 @@ def p5_component_report(family: SetFamily):
     """
     from fractions import Fraction
 
-    hit = find_any_embedding(family, path_hasse_family(5))
-    if hit is not None:
-        raise NotFreeError("family embeds a 5-element path poset", hit[1])
+    witness = find_any_embedding(family, path_hasse_family(5))
+    if witness is not None:
+        raise NotFreeError("family embeds a 5-element path poset", witness)
     n = family.n
     if n > MAX_CHAIN_N:
         raise ValueError(f"component report needs n <= {MAX_CHAIN_N} for the chain oracle")
     denom = 5 * math.comb(n - 2, n // 2 - 1)
     reports = []
-    for comp in comparability_components(family).components:
+    for comp in comparability_components(family):
         sub = family.restrict(comp)
         if len(sub) > MAX_COMPONENT_MEMBERS:
             raise ValueError("component too large for exact antichain computation")
@@ -503,13 +498,9 @@ def _comparable_masks(n):
     return tuple(tuple(iter_bits(near)) for near in cached_lattice(n).comparable)
 
 
-def random_zigzag(rng, n, length=6):
-    """A uniform-ish random sequence of distinct, consecutively comparable sets."""
-    return _draw_zigzag(rng, n, length)[0]
-
-
 def _draw_zigzag(rng, n, length):
-    """(seq, order): a random_zigzag sequence and its containment order (see _order)."""
+    """(seq, order): a uniform-ish random sequence of ``length`` distinct,
+    consecutively comparable subsets of [n], and its containment order (see _order)."""
     if not 1 <= length <= 1 << n:
         raise ValueError(f"no sequence of {length} distinct subsets of [{n}]")
     near = _comparable_masks(n)
@@ -663,7 +654,7 @@ def verify_erdos_gallai(seed: int = 0) -> LemmaReport:
 
     def check(n, fam):
         try:
-            ok = erdos_gallai_check(comparability_components(fam))
+            ok = erdos_gallai_check(fam)
         except NotFreeError:
             return f"n={n} F={list(fam.members)}: path found in a P6-free family"
         if not ok:

@@ -295,18 +295,13 @@ def verify_witness(family: SetFamily, forbidden, q: Poset) -> WitnessCheck:
     return WitnessCheck(is_free(family, forbidden), count_copies(family, q))
 
 
-def cache_path() -> str:
-    """The result file: $TURAN_CACHE, or DEFAULT_CACHE_FILE when that is unset or empty."""
-    return os.environ.get(CACHE_ENV_VAR) or DEFAULT_CACHE_FILE
-
-
 # A request's params text is '"params": ' and the sorted-key JSON of its
-# params. It begins with _HEAD and ends with _TAIL, since the budget, and the
-# search and witness cap, are the first and last of the sorted keys; neither
+# params. It begins with _HEAD and ends with _TAIL, the budget and the witness
+# cap being its first and last keys (the search tag is only _request's); neither
 # text appears anywhere else in it, since JSON escapes each quote in a string.
 _KEY = b'"params": '
 _HEAD = _KEY + b'{"budget": '
-_TAIL = b'"search": "orbital", "witness_cap": %d}' % DEFAULT_WITNESS_CAP
+_TAIL = b', "witness_cap": %d}' % DEFAULT_WITNESS_CAP
 
 # A lookup that finds no answer in the indexed lines indexes the lines before
 # them, in blocks of whole lines from this many bytes up, each twice the last.
@@ -475,7 +470,7 @@ def cached_la_exact(n, forbidden, q, budget=None, path=None) -> SearchReport:
     """
     forbidden = list(forbidden)
     _check_request(n, forbidden, budget)
-    path = path or cache_path()
+    path = path or os.environ.get(CACHE_ENV_VAR) or DEFAULT_CACHE_FILE
     params = _request(n, forbidden, q, budget)
     rec = _cache_lookup(path, params)
     if rec is not None:

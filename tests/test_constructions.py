@@ -93,10 +93,10 @@ class TestP5Construction:
     def test_block_structure(self, n):
         fam = p5_construction(n)
         comps = comparability_components(fam)
-        assert len(comps.components) == math.comb(n - 2, n // 2 - 1)
-        assert all(len(c) == 4 for c in comps.components)
+        assert len(comps) == math.comb(n - 2, n // 2 - 1)
+        assert all(len(c) == 4 for c in comps)
         # 4 cover pairs plus the diagonal in each 2-cube block
-        assert all(count_k_chains(fam.restrict(c), 2) == 5 for c in comps.components)
+        assert all(count_k_chains(fam.restrict(c), 2) == 5 for c in comps)
 
     @pytest.mark.parametrize("n", range(4, 10))
     def test_free_of_all_5_paths(self, n):

@@ -25,7 +25,6 @@ from posetturan.lattice import (
     SetFamily,
     cached_lattice,
     chain_count,
-    comparability_components,
     count_k_chains,
     iter_bits,
     level_family,
@@ -394,8 +393,7 @@ class TestMinimalPosets:
             n = rng.randint(1, 5)
             fam = SetFamily(n, rng.sample(range(1 << n), rng.randint(0, min(14, 1 << n))))
             forbidden = rng.choice(lists + [rng.sample(posets, rng.randint(1, 4))])
-            scan = next(((p, w) for p in forbidden
-                         if (w := find_embedding(fam, p)) is not None), None)
+            scan = next((w for p in forbidden if (w := find_embedding(fam, p)) is not None), None)
             assert is_free(fam, forbidden) == (scan is None)
             assert find_any_embedding(fam, forbidden) == scan
 
@@ -427,14 +425,13 @@ def test_searches_leave_no_garbage():
     # A recursive closure refers to itself; unless the search drops it, each
     # call leaves a reference cycle for the collector.
     fam, small = cached_lattice(4), SetFamily(3, range(7))
-    components = comparability_components(small)
     searches = {
         "embedding_using_member": lambda x: embedding_using_member(fam, BFLY, x),
         "completing_members": lambda x: completing_members(fam, BFLY, x, 1 << x | 0b1111, 1 << 15),
         "find_embedding": lambda x: find_embedding(fam, BFLY),
         "count_copies": lambda x: count_copies(fam, n_poset()),
         "la_exact": lambda x: la_exact(2, [BFLY], chain(2)),
-        "_find_graph_path": lambda x: _find_graph_path(components, 6),
+        "_find_graph_path": lambda x: _find_graph_path(small, 6),
         "_max_antichain": lambda x: _max_antichain(small),
         "_all_zigzags": lambda x: next(_all_zigzags(3)),
         "height": lambda x: s_poset().height(),
@@ -775,7 +772,7 @@ class TestFindAnyEmbedding:
             forbidden += [chain(5), w_poset()]  # above many others: not minimal
             rng.shuffle(forbidden)
             scan = None if is_free(fam, forbidden) else next(
-                (p, w) for p in forbidden if (w := find_embedding(fam, p)) is not None)
+                w for p in forbidden if (w := find_embedding(fam, p)) is not None)
             monkeypatch.setattr(embedding, "find_embedding", counted)
             got = find_any_embedding(fam, forbidden)
             monkeypatch.undo()

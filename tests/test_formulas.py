@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,8 +22,8 @@ from posetturan.lattice import (
     interval_family,
     level_family,
 )
-from posetturan.posets import chain
-from posetturan.search import la_levels
+from posetturan.posets import chain, named_poset
+from posetturan.search import la_exact, la_levels
 
 
 def balanced_parts(n, tup):
@@ -50,6 +51,15 @@ class TestClosedForms:
         assert n_free(3) == 3
         assert n_free(4) == 6
         assert n_free(5) == 10
+
+    @pytest.mark.parametrize("formula, forbidden", [(butterfly_p2, "butterfly"), (n_free, "N")])
+    def test_maximum_from_the_stated_n_on(self, formula, forbidden):
+        # the docstring says from which n on the construction's count is the
+        # maximum; below that n, down to 2, la_exact finds more
+        first = int(re.search(r"maximum\s+from\s+n\s+=\s+(\d+)\s+on", formula.__doc__).group(1))
+        for n in range(2, 6):
+            best = la_exact(n, [named_poset(forbidden)], chain(2)).optimum
+            assert formula(n) == best if n >= first else formula(n) < best, n
 
     def test_range_check(self):
         with pytest.raises(ValueError):

@@ -105,8 +105,8 @@ def test_each_entry_point_loads_only_the_modules_it_runs(tmp_path, argv, adds):
 # its own name
 EAGER_EXPORTS = {
     "lattice": (
-        "ComparabilityComponents", "SetFamily", "chains_meeting", "comparability_components",
-        "containment_pairs", "convex_hull", "count_k_chains", "interval_family", "level_family",
+        "SetFamily", "chains_meeting", "comparability_components", "containment_pairs",
+        "convex_hull", "count_k_chains", "interval_family", "level_family",
     ),
     "posets": (
         "Poset", "PosetError", "dual_poset", "named_poset", "path_hasse_family",

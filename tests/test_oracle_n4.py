@@ -1,7 +1,8 @@
 """The exact search at n = 4 against ``oracle_n4``, which shares no code with it.
 
-Tier-1 runs the five paper problems with Q = P2 and a spread of other Q;
-``python tests/oracle_n4.py`` runs all 112 catalog cases.
+Tier-1 runs the five paper problems with Q = P2 and a spread of other Q,
+and checks the n = 4 rows of the table ``results/la_small.jsonl`` against the
+same oracle values; ``python tests/oracle_n4.py`` runs all 112 catalog cases.
 """
 import json
 import os
@@ -13,7 +14,8 @@ import pytest
 
 from oracle_n4 import QS, la_n4, supports
 from posetturan.posets import chain, kst, m_poset, n_poset, named_poset, path_hasse_family, w_poset
-from posetturan.search import la_exact
+from posetturan.search import _request, la_exact
+from test_results import table_rows
 
 TESTS = Path(__file__).resolve().parent
 BFLY = named_poset("butterfly")
@@ -33,12 +35,28 @@ CASES = {
 }
 
 
+def _key(params):
+    return json.dumps(params, sort_keys=True)
+
+
+# the table's n = 4 rows by their params; each is one of the cases above
+TABLE_N4 = {_key(row["params"]): row for row in table_rows() if row["params"]["n"] == 4}
+
+
 @pytest.mark.parametrize("forbidden, q, optimal_families", CASES.values(), ids=CASES)
 def test_la_exact_matches_the_oracle(forbidden, q, optimal_families):
     value, families = la_n4(forbidden, QS[q])
     assert la_exact(4, forbidden, QS[q]).optimum == value
+    row = TABLE_N4.get(_key(_request(4, forbidden, QS[q], None)))
+    if row is not None:
+        assert row["optimum"] == value
     if optimal_families is not None:
         assert families == optimal_families
+
+
+def test_each_n4_row_of_the_table_is_a_case():
+    cases = {_key(_request(4, forbidden, QS[q], None)) for forbidden, q, _ in CASES.values()}
+    assert len(TABLE_N4) == 5 and set(TABLE_N4) <= cases
 
 
 def test_supports_of_small_posets():

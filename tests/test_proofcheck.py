@@ -29,7 +29,6 @@ from posetturan.proofcheck import (
     color_family,
     erdos_gallai_check,
     p5_component_report,
-    random_zigzag,
     verify_chaincount,
     verify_coloring,
     verify_erdos_gallai,
@@ -303,7 +302,7 @@ class TestHosts:
         for n in range(3, 9):
             for _ in range(150):
                 if rng.random() < 0.5:
-                    masks = random_zigzag(rng, n)[:5]
+                    masks = _draw_zigzag(rng, n, 6)[0][:5]
                 else:
                     masks = rng.sample(range(1 << n), 5)
                 for poset in posets:
@@ -373,7 +372,7 @@ class TestZigzagSelection:
         rng = random.Random(100 + n)
         seen = set()
         for _ in range(2000):
-            seq = random_zigzag(rng, n)
+            seq = _draw_zigzag(rng, n, 6)[0]
             dirs, start, m, direction = _zigzag_dirs(seq)
             wit = zigzag_find_WM(n, seq)
             assert wit == recursive_zigzag_select(n, seq, dirs, start, m, direction), seq
@@ -403,7 +402,7 @@ def verifier_zigzags(seed=7):
     rng = random.Random(seed)
     for n in range(4, 9):
         for _ in range(2000):
-            yield n, random_zigzag(rng, n)
+            yield n, _draw_zigzag(rng, n, 6)[0]
 
 
 def matrix_order(seq):
@@ -483,7 +482,7 @@ class TestZigzagCheck:
 
 
 def scan_zigzag(rng, n, length=6):
-    """random_zigzag as a scan of all 2^n masks at every step."""
+    """_draw_zigzag's sequence as a scan of all 2^n masks at every step."""
     while True:
         seq = [rng.randrange(1 << n)]
         for _ in range(length - 1):
@@ -504,7 +503,7 @@ class TestZigzagSequences:
         for n in range(4, 9):
             fast, slow = random.Random(seed), random.Random(seed)
             for _ in range(50):
-                assert random_zigzag(fast, n) == scan_zigzag(slow, n)
+                assert _draw_zigzag(fast, n, 6)[0] == scan_zigzag(slow, n)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_draws_carry_their_containment_order(self, seed):
@@ -518,16 +517,16 @@ class TestZigzagSequences:
     def test_too_few_sets_refused(self, n):
         # 2^[n] has fewer than six sets, so no six-sequence exists
         with pytest.raises(ValueError, match="distinct subsets"):
-            random_zigzag(random.Random(0), n)
+            _draw_zigzag(random.Random(0), n, 6)
 
     def test_lengths_up_to_the_lattice_size(self):
         rng = random.Random(3)
         for n, length in ((1, 2), (2, 4), (3, 8)):
-            seq = random_zigzag(rng, n, length)
+            seq = _draw_zigzag(rng, n, length)[0]
             assert len(set(seq)) == length
             assert all(a & b in (a, b) for a, b in zip(seq, seq[1:]))
         with pytest.raises(ValueError):
-            random_zigzag(rng, 3, 0)
+            _draw_zigzag(rng, 3, 0)
 
     def test_all_zigzags_match_scan(self):
         scanned = [
@@ -537,11 +536,10 @@ class TestZigzagSequences:
         assert list(_all_zigzags(3)) == [list(seq) for seq in scanned]
 
 
-def scan_graph_path(components, length):
+def scan_graph_path(fam, length):
     """_find_graph_path as a scan of member permutations, from the same starts in turn."""
-    fam = components.family
     ms = fam.members
-    for comp in components.components:
+    for comp in comparability_components(fam):
         if len(comp) < length:
             continue
         for v in comp:
@@ -559,10 +557,9 @@ class TestGraphPath:
         for _ in range(200):
             n = rng.randint(1, 4)
             fam = SetFamily(n, rng.sample(range(1 << n), rng.randint(1, min(10, 1 << n))))
-            components = comparability_components(fam)
             for length in range(2, 7):
-                path = _find_graph_path(components, length)
-                assert path == scan_graph_path(components, length)
+                path = _find_graph_path(fam, length)
+                assert path == scan_graph_path(fam, length)
                 if path is not None:
                     found.add(length)
         assert found == set(range(2, 7))  # the scan is not vacuous
@@ -570,17 +567,14 @@ class TestGraphPath:
 
 class TestErdosGallai:
     def test_p5_construction_bound(self):
-        comps = comparability_components(p5_construction(6))
-        assert erdos_gallai_check(comps)
+        assert erdos_gallai_check(p5_construction(6))
 
     def test_antichain_trivial(self):
-        comps = comparability_components(level_family(4, [2]))
-        assert erdos_gallai_check(comps)
+        assert erdos_gallai_check(level_family(4, [2]))
 
     def test_path_detected(self):
-        comps = comparability_components(SetFamily(3, [0, 1, 3, 7, 5, 4]))
         with pytest.raises(NotFreeError):
-            erdos_gallai_check(comps)
+            erdos_gallai_check(SetFamily(3, [0, 1, 3, 7, 5, 4]))
 
 
 class TestP5ComponentReport:

@@ -15,7 +15,7 @@ import pytest
 
 from posetturan.constructions import n_free_construction, p5_construction
 from posetturan.embedding import EmbeddingWitness, find_embedding
-from posetturan.lattice import ComparabilityComponents, SetFamily, comparability_components, level_family
+from posetturan.lattice import SetFamily, level_family
 from posetturan.posets import Poset, chain, named_poset
 from posetturan.proofcheck import (
     Coloring,
@@ -50,7 +50,6 @@ LEMMA_REPORT = twin(
     "LemmaReport",
     ["lemma", "instances_checked", "failures", ("seed", None), ("first_failure", None)],
 )
-COMPONENTS = twin("ComparabilityComponents", ["family", "components"])
 EMBEDDING_WITNESS = twin("EmbeddingWitness", ["poset", "family", "assignment"])
 WITNESS_CHECK = twin("WitnessCheck", ["free", "copies"])
 COLORING = twin("Coloring", ["n", "family", "threshold", "blue", "critical_pairs"])
@@ -89,10 +88,6 @@ def _samples():
         (LemmaReport, LEMMA_REPORT, [
             LemmaReport("zigzag", 3, 0), LemmaReport("zigzag", 3, 0, seed=7),
             LemmaReport("zigzag", 3, 1, 7, "first"), LemmaReport("zigzag", 3, 0),
-        ]),
-        (ComparabilityComponents, COMPONENTS, [
-            comparability_components(FAM), comparability_components(level_family(3, [0, 2])),
-            comparability_components(SetFamily(3, [7, 3, 1])),
         ]),
         (EmbeddingWitness, EMBEDDING_WITNESS, [
             find_embedding(FAM, chain(2)), find_embedding(FAM, chain(3)),

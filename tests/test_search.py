@@ -864,6 +864,21 @@ class TestCache:
         assert rep.optimum == 7 and rep.params["search"] == "orbital"
         assert len(path.read_text().splitlines()) == 2
 
+    def test_a_new_search_tag_is_written_in_request_alone(self, tmp_path, monkeypatch):
+        # the lookup anchors on the params' first and last keys, not on the
+        # tag, so a search that only _request tags anew still hits its lines
+        request = posetturan.search._request
+        monkeypatch.setattr(posetturan.search, "_request",
+                            lambda *args: {**request(*args), "search": "orbital-next"})
+        path = tmp_path / "cache.jsonl"
+        first = cached_la_exact(3, [BFLY], P2, path=str(path))
+        assert first.params["search"] == "orbital-next"
+        monkeypatch.setattr(posetturan.search, "la_exact", mock.Mock(side_effect=AssertionError))
+        for _ in range(2):
+            again = cached_la_exact(3, [BFLY], P2, path=str(path))
+            assert again.to_json() == first.to_json()
+        assert path.read_text() == json.dumps(first.to_json(), sort_keys=True) + "\n"
+
     def test_records_of_the_earlier_schema_ignored(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         old = {
