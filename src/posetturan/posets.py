@@ -1,6 +1,7 @@
 """Finite strict partial orders: construction, duality, isomorphism, catalog."""
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 
 MAX_POSET_SIZE = 8  # canonical labelling backtracks over up to size! labellings
@@ -10,7 +11,7 @@ class PosetError(ValueError):
     pass
 
 
-class Poset:
+class Poset(namedtuple("Poset", "size relations", defaults=(frozenset(),))):
     """A finite strict partial order on elements 0..size-1.
 
     ``relations`` is the full transitive closure (irreflexive, antisymmetric).
@@ -18,26 +19,7 @@ class Poset:
     Immutable; a poset is its order: equality and hash are over (size, relations).
     """
 
-    def __init__(self, size: int, relations: frozenset = frozenset()):
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "relations", relations)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.size, self.relations) == (other.size, other.relations)
-
-    def __hash__(self):
-        return hash((self.size, self.relations))
-
-    def __repr__(self):
-        return f"Poset(size={self.size!r}, relations={self.relations!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+    __slots__ = ()
 
     def less(self, a: int, b: int) -> bool:
         return (a, b) in self.relations

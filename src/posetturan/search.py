@@ -4,6 +4,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import re
 from collections import namedtuple
 from functools import lru_cache
 
@@ -303,15 +304,14 @@ _KEY = b'"params": '
 _HEAD = _KEY + b'{"budget": '
 _TAIL = b', "witness_cap": %d}' % DEFAULT_WITNESS_CAP
 
-# A lookup that finds no answer in the indexed lines indexes the lines before
-# them, in blocks of whole lines from this many bytes up, each twice the last.
-_BLOCK = 1 << 16
-# A later lookup compares this many bytes at each end of the indexed span.
+# A later lookup compares this many bytes at each end of the indexed bytes.
 _GUARD = 1 << 12
+# A line from a given start, without its line end.
+_LINE = re.compile(rb"[^\r\n]*")
 
 # The index of the result file looked up last: (path, device, inode), the
-# span (lo, end) and the params text -> line starts map of _extend, and the
-# _guard bytes of the span. It is replaced whole, never changed.
+# number of bytes indexed, the params text -> lines map of _params_lines, and
+# the _guard bytes of the indexed bytes.
 _index = None
 
 
@@ -324,77 +324,60 @@ def _cache_lookup(path, params):
     JSON with the five report keys and equal params is the answer.
 
     The lines are found through one index per process, of the path looked up
-    last: for a span of complete lines, each params text maps to the starts
-    of the lines that hold it. A lookup tries the unterminated last line, then
-    the indexed lines, and then indexes the lines before the span a block at
-    a time, only until it has its answer; so a record among the last lines is
-    found without reading the rest, and a miss reads the file once. A later
-    lookup reads only the bytes appended since. Another file at the path
-    (device or inode), or one that no longer reads the same in the first and
-    last 4 KiB of the span and the line end before it, starts a new index. So
+    last: each params text maps to the complete lines that hold it. The
+    first lookup of a file reads it whole and indexes it; a later lookup
+    reads only the bytes appended since and indexes the lines they complete.
+    A lookup tries the unterminated last line, then the indexed lines. Another
+    file at the path (device or inode), or one that no longer reads the same
+    in the first and last 4 KiB of the indexed bytes, is read whole again; so
     a rewrite in place that keeps those bytes at their offsets is taken for an
-    append. A file that cannot be mapped (an empty file, a special file) is
-    read and indexed alike, and leaves no index.
+    append. The file is read, not mapped, so a lookup answers from the bytes
+    it read even when the file is cut short meanwhile. A file that cannot seek
+    (a pipe) leaves no index.
     """
-    import mmap  # only a cached search loads it
-
     global _index
+    needle = _KEY + json.dumps(params, sort_keys=True).encode()
+    assert needle.startswith(_HEAD) and needle.endswith(_TAIL), "not a request's params"
     try:
         fh = open(path, "rb")
     except FileNotFoundError:
         return None
     with fh:
-        try:
-            data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-        except (ValueError, OSError):  # empty (ValueError) or special (OSError)
-            _index = None
-            data = fh.read()
-            return _find(data, _extend(data, None), params)[0]
-        with data:
-            st = os.fstat(fh.fileno())
-            file = (path, st.st_dev, st.st_ino)
-            old = _index
-            same = old is not None and old[0] == file and _guard(data, old[1], old[2]) == old[4]
-            rec, (lo, end, lines) = _find(data, _extend(data, old[1:4] if same else None), params)
-            _index = (file, lo, end, lines, _guard(data, lo, end))
+        st = os.fstat(fh.fileno())
+        file = (path, st.st_dev, st.st_ino)
+        old = _index
+        end, lines = 0, {}
+        if old is not None and old[0] == file:
+            if _guard(fh, old[1]) == old[3]:
+                end, lines = old[1], old[2]
+            fh.seek(end)
+        data = fh.read()
+        nl = data.rfind(b"\n")
+        stop = max(nl, data.rfind(b"\r", max(nl, 0))) + 1  # just past the last line end
+        found = _params_lines(data, 0, stop) if stop else {}
+        guard = _guard(fh, end + stop) if fh.seekable() else None
+    for text, new in found.items():
+        lines.setdefault(text, []).extend(new)
+    _index = None if guard is None else (file, end + stop, lines, guard)
+    tail = data[stop:]  # the unterminated last line, if any
+    if needle in tail and (rec := _record(tail, params)) is not None:
+        return rec
+    for line in reversed(lines.get(needle, ())):
+        if (rec := _record(line, params)) is not None:
             return rec
+    return None
 
 
-def _guard(data, lo, end):
-    """The line end before the span data[lo:end], and its first and last _GUARD bytes."""
-    return data[max(lo - 1, 0):min(lo + _GUARD, end)], data[max(lo, end - _GUARD):end]
-
-
-def _extend(data, index):
-    """The index (lo, end, lines) of ``data``, taken up to its last line end.
-
-    data[lo:end] is whole lines, ``end`` is just past the last line end of
-    ``data``, and ``lines`` maps each params text to the ascending starts of
-    the lines in the span that hold it. ``index`` is an earlier index of the
-    same file, whose bytes still read the same; only the lines past its end
-    are read. With no ``index`` the span is empty.
-    """
-    lo, end, lines = index or (0, 0, {})
-    nl = data.rfind(b"\n", end)
-    stop = max(nl, data.rfind(b"\r", max(nl, end))) + 1
-    if index is None:
-        return stop, stop, lines
-    if stop <= end:  # no line was completed
-        return index
-    return lo, stop, _joined(lines, _params_lines(data, end, stop), before=False)
-
-
-def _joined(lines, found, before):
-    """A copy of ``lines`` with the line starts ``found`` just ``before`` (or after) the span."""
-    lines = dict(lines)
-    for text, starts in found.items():
-        have = lines.get(text, ())
-        lines[text] = (*starts, *have) if before else (*have, *starts)
-    return lines
+def _guard(fh, end):
+    """The first and last _GUARD bytes of the first ``end`` bytes of the open file ``fh``."""
+    fh.seek(0)
+    head = fh.read(min(end, _GUARD))
+    fh.seek(max(end - _GUARD, 0))
+    return head, fh.read(min(end, _GUARD))
 
 
 def _params_lines(data, start, stop):
-    """params text -> ascending starts of the lines that hold it, in data[start:stop].
+    """params text -> the lines in data[start:stop] that hold it, in order, without their ends.
 
     ``start`` is a line start and data[stop - 1] ends a line. Each params
     text is found from its end, _TAIL, and is what lies between it and the
@@ -415,36 +398,7 @@ def _params_lines(data, start, stop):
             starts = found.setdefault(data[head:pos], [])
             if not starts or starts[-1] != first:
                 starts.append(first)
-    return found
-
-
-def _find(data, index, params):
-    """The last valid report for ``params`` in ``data`` or None, and the index it leaves.
-
-    The unterminated last line is tried first, then the lines of the span
-    that hold the params text, last first. While none is valid and the span
-    does not start at byte 0, the whole lines of the block before it are
-    indexed, and those that hold the text are tried, last first.
-    """
-    needle = _KEY + json.dumps(params, sort_keys=True).encode()
-    assert needle.startswith(_HEAD) and needle.endswith(_TAIL), "not a request's params"
-    lo, end, lines = index
-    tail = data[end:]  # the unterminated last line, if any
-    if needle in tail and (rec := _record(tail, params)) is not None:
-        return rec, index
-    starts, block = lines.get(needle, ()), _BLOCK
-    while True:
-        for first in reversed(starts):
-            nl = data.find(b"\n", first, end)
-            cr = data.find(b"\r", first, end if nl < 0 else nl)
-            if (rec := _record(data[first:cr if cr >= 0 else nl], params)) is not None:
-                return rec, (lo, end, lines)
-        if lo == 0:
-            return None, (lo, end, lines)
-        start = data.rfind(b"\n", 0, max(lo - block, 0)) + 1
-        found = _params_lines(data, start, lo)
-        lines = _joined(lines, found, before=True)
-        starts, lo, block = found.get(needle, ()), start, 2 * block
+    return {text: [_LINE.match(data, first)[0] for first in starts] for text, starts in found.items()}
 
 
 def _record(line, params):
@@ -464,7 +418,8 @@ def cached_la_exact(n, forbidden, q, budget=None, path=None) -> SearchReport:
     Each line is a report exactly as ``search`` prints it, keyed on its
     params; the last line whose params equal the request is returned, so a
     hit reports what la_exact would. A lookup goes through the per-process
-    index of ``_cache_lookup``. A miss appends the report in one write, after
+    index of ``_cache_lookup``, which reads the whole file once and then only
+    the bytes appended since. A miss appends the report in one write, after
     a line end when the file's last line has none, so a cut-off line cannot
     swallow it.
     """

@@ -6,7 +6,7 @@ an unused-import rule; ``from __future__`` imports are exempt.
 The package serves every public name lazily; the tests at the end check which
 ``posetturan`` modules each entry point loads, that every public name is its
 home module's object, that only ``verify`` loads ``posetturan.proofcheck``,
-that only a cached search loads ``mmap``, that only a large family loads
+that no command loads ``mmap``, that only a large family loads
 ``struct``, and that no module loads ``dataclasses`` (or ``inspect``, which it
 imports) and only a formula that makes a Fraction loads ``fractions``.
 """
@@ -201,7 +201,7 @@ def test_only_verify_loads_proofcheck(tmp_path):
     }
 
 
-# Run in a fresh interpreter: only a cached search maps the result file
+# Run in a fresh interpreter: no command maps a file, the result cache included
 MMAP_PROBE = """
 import json, sys
 import posetturan.cli as cli
@@ -216,6 +216,7 @@ runs = {
     "formula": ["formula", "p5", "--n", "5"],
     "verify": ["verify", "--lemma", "sublattice"],
     "search": search,
+    "search hit": search,
 }
 for name, argv in runs.items():
     assert cli.run_command(argv) == 0, name
@@ -224,11 +225,11 @@ print(json.dumps(loaded), file=sys.stderr)
 """
 
 
-def test_only_a_cached_search_loads_mmap(tmp_path):
+def test_no_command_loads_mmap(tmp_path):
     family = tmp_path / "fam.txt"
     family.write_text(format_family(level_family(3, [1, 2])))
     cache = tmp_path / "cache.jsonl"
-    cache.write_text("{}\n")  # a file that can be mapped
+    cache.write_text("{}\n")  # the first search misses and appends, the second hits
     proc = subprocess.run(
         [sys.executable, "-c", MMAP_PROBE, str(family)],
         capture_output=True, text=True, timeout=60, cwd=tmp_path,
@@ -238,8 +239,10 @@ def test_only_a_cached_search_loads_mmap(tmp_path):
     loaded = json.loads(proc.stderr.splitlines()[-1])
     assert loaded == {
         "import": False, "construct": False, "count": False, "free": False,
-        "search --no-cache": False, "formula": False, "verify": False, "search": True,
+        "search --no-cache": False, "formula": False, "verify": False, "search": False,
+        "search hit": False,
     }
+    assert len(cache.read_text().splitlines()) == 2  # the second search was a hit
 
 
 # Run in a fresh interpreter without site, whose start-up hooks may load

@@ -172,13 +172,14 @@ def test_defaults():
 
 def test_other_classes_compare_unequal():
     p, fam = Poset(1), SetFamily(1, [0])
-    assert p.__eq__((1, frozenset())) is NotImplemented
     assert fam.__eq__((1, (0,))) is NotImplemented
-    assert p != (1, frozenset()) and fam != (1, (0,)) and p != fam
+    assert fam != (1, (0,)) and p != fam
+    assert p != POSET(1)
     rep = SearchReport(1, [], 0, True)
     assert rep != SEARCH_REPORT(1, [], 0, True)
     assert LemmaReport("x", 0, 0) != LEMMA_REPORT("x", 0, 0)
-    # the reports, as namedtuples, equal the plain tuple of their fields
+    # the namedtuple records equal the plain tuple of their fields
+    assert p == (1, frozenset())
     assert rep == (1, [], 0, True, {}) and LemmaReport("x", 0, 0) == ("x", 0, 0, None, None)
 
 

@@ -5,14 +5,16 @@ printed and appended with TURAN_CACHE pointing at the file. SPECS gives, in
 line order, the search options that wrote each row. Every row must be the
 report of exactly that request, complete, and each of its witnesses must be
 free with ``optimum`` copies of Q, which proves the lower bound of the value.
-``test_oracle_n4.py`` checks the n = 4 rows against the oracle.
+``search --no-cache`` must print each row again, byte for byte, which rechecks
+the upper bounds too. ``test_oracle_n4.py`` checks the n = 4 rows against the
+oracle.
 """
 import json
 from pathlib import Path
 
 import pytest
 
-from posetturan.cli import _forbidden, build_parser
+from posetturan.cli import _forbidden, build_parser, run_command
 from posetturan.dsl import parse_single_poset
 from posetturan.lattice import SetFamily
 from posetturan.search import _request, verify_witness
@@ -64,3 +66,10 @@ def test_row_is_the_complete_report_of_its_request(spec, row):
         family = SetFamily(n, masks)
         assert list(family.members) == masks
         assert verify_witness(family, forbidden, q) == (True, row["optimum"])
+
+
+@pytest.mark.parametrize("spec, line", zip(SPECS, TABLE.read_bytes().splitlines(keepends=True)),
+                         ids=[" ".join(s) for s in SPECS])
+def test_search_without_the_cache_prints_the_row(spec, line, capsys):
+    assert run_command(["search", "--no-cache", *spec]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == line
