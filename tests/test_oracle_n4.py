@@ -32,6 +32,8 @@ CASES = {
     "diamond#K12": ([named_poset("diamond")], "K12", None),
     "N#N": ([n_poset()], "N", None),
     "chain(4)#P3": ([chain(4)], "P3", None),
+    "chain(3)#K12": ([chain(3)], "K12", 1),
+    "butterfly#P3": ([BFLY], "P3", 1),
 }
 
 
@@ -56,7 +58,7 @@ def test_la_exact_matches_the_oracle(forbidden, q, optimal_families):
 
 def test_each_n4_row_of_the_table_is_a_case():
     cases = {_key(_request(4, forbidden, QS[q], None)) for forbidden, q, _ in CASES.values()}
-    assert len(TABLE_N4) == 5 and set(TABLE_N4) <= cases
+    assert len(TABLE_N4) == 8 and set(TABLE_N4) <= cases
 
 
 def test_supports_of_small_posets():

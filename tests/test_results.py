@@ -7,9 +7,17 @@ report of exactly that request, complete, and each of its witnesses must be
 free with ``optimum`` copies of Q, which proves the lower bound of the value.
 ``search --no-cache`` must print each row again, byte for byte, which rechecks
 the upper bounds too. ``test_oracle_n4.py`` checks the n = 4 rows against the
-oracle.
+oracle, and the other tests read a pinned report through ``table_report``.
+
+A change of search tree may move a row's ``nodes_explored`` and search tag,
+nothing else: DIGESTS pins the rest of each row. Run as a script, this module
+writes the table again, each search of SPECS into a fresh file:
+
+    PYTHONPATH=src python tests/test_results.py
 """
+import hashlib
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -17,7 +25,7 @@ import pytest
 from posetturan.cli import _forbidden, build_parser, run_command
 from posetturan.dsl import parse_single_poset
 from posetturan.lattice import SetFamily
-from posetturan.search import _request, verify_witness
+from posetturan.search import CACHE_ENV_VAR, _request, verify_witness
 
 TABLE = Path(__file__).resolve().parent.parent / "results" / "la_small.jsonl"
 
@@ -34,6 +42,17 @@ SPECS = [
     ["--n", "5", "--forbid", "@butterfly", "--q", "@chain(3)"],
     ["--n", "5", "--forbid", "@butterfly", "--q", "@N"],
     ["--n", "5", "--forbid", "@pathfamily(6)", "--q", "@chain(2)"],
+    ["--n", "4", "--forbid", "@N", "--q", "@N"],
+    ["--n", "4", "--forbid", "@chain(3)", "--q", "@kst(1,2)"],
+    ["--n", "4", "--forbid", "@butterfly", "--q", "@chain(3)"],
+    ["--n", "5", "--forbid", "@N", "--q", "@N"],
+]
+# digest(row) of each row, in line order
+DIGESTS = [
+    "145ab7f2ea5b80ef", "70eb84968659c33a", "053c7997b128f8fd", "76bb9b8f8c5e3252", "4c11afc6fa3b909c",
+    "ed15012de1ca9a40", "2f46bef3534771ac", "5bbf16f1e7259f0a", "767b53d2cd6713f3", "91391e0bf82e04f4",
+    "61104a7056b75f87", "f3f61ddc943115cf", "1e28f92bf87c7a5b", "f353becec23c0cd3",
+    "11de8bc4700844cb", "66716948c9b8099c", "436e86037ddd158f", "6ca93af046de79b4",
 ]
 
 
@@ -48,6 +67,19 @@ def table_rows():
     """The table's rows: the reports, parsed, in line order."""
     with open(TABLE, encoding="utf-8") as fh:
         return [json.loads(line) for line in fh]
+
+
+def table_report(n, forbidden, q):
+    """The table's row for the unbudgeted search of La(n, forbidden, #Q)."""
+    params = _request(n, forbidden, q, None)
+    (row,) = [row for row in table_rows() if row["params"] == params]
+    return row
+
+
+def digest(row):
+    """A short hash of the row without ``nodes_explored`` and the search tag."""
+    kept = {**row, "params": {**row["params"], "search": None}, "nodes_explored": None}
+    return hashlib.sha256(json.dumps(kept, sort_keys=True).encode("utf-8")).hexdigest()[:16]
 
 
 def test_one_row_per_spec_each_as_the_cli_prints_it():
@@ -73,3 +105,23 @@ def test_row_is_the_complete_report_of_its_request(spec, row):
 def test_search_without_the_cache_prints_the_row(spec, line, capsys):
     assert run_command(["search", "--no-cache", *spec]) == 0
     assert capsys.readouterr().out.encode("utf-8") == line
+
+
+def test_rows_keep_their_values():
+    # a regenerated table may move only the node counts and the search tags
+    assert [digest(row) for row in table_rows()] == DIGESTS
+
+
+def write_table():
+    """Run each search of SPECS into a fresh cache file, then make it the table."""
+    fresh = TABLE.with_name(TABLE.name + ".new")
+    fresh.unlink(missing_ok=True)
+    os.environ[CACHE_ENV_VAR] = str(fresh)
+    for spec in SPECS:
+        if run_command(["search", *spec]) != 0:
+            raise SystemExit(f"search {' '.join(spec)} failed")
+    os.replace(fresh, TABLE)
+
+
+if __name__ == "__main__":
+    write_table()

@@ -57,6 +57,7 @@ from test_embedding import (
     reference_count_through,
     using_member_reference,
 )
+from test_results import table_report
 
 BFLY = named_poset("butterfly")
 P2 = chain(2)
@@ -325,94 +326,14 @@ class TestChainCount:
                     assert count_k_chains(SetFamily(n, masks), k) == expect
 
 
-# Optimum, node count and witnesses of the four n = 4 benchmark searches. The
-# optima and witnesses are the ones the search reported before orbital
-# branching; the witnesses are the 16 least optimal families.
-PINNED_N4 = {
-    "@butterfly": (14, 167, [
-        [1, 2, 3, 5, 6, 9, 10, 12, 13, 14], [1, 3, 4, 5, 6, 9, 10, 11, 12, 14],
-        [1, 3, 5, 6, 7, 8, 9, 10, 12, 14], [2, 3, 4, 5, 6, 9, 10, 11, 12, 13],
-        [2, 3, 5, 6, 7, 8, 9, 10, 12, 13], [3, 4, 5, 6, 7, 8, 9, 10, 11, 12]]),
-    "@N": (6, 143, [
-        [0, 3, 5, 6, 9, 10, 12], [1, 2, 5, 6, 13, 14], [1, 2, 5, 10, 13, 14],
-        [1, 2, 6, 9, 13, 14], [1, 2, 9, 10, 13, 14], [1, 3, 4, 6, 11, 14],
-        [1, 3, 4, 11, 12, 14], [1, 3, 5, 6, 9, 10, 12, 14], [1, 3, 7, 8, 10, 14],
-        [1, 3, 7, 8, 12, 14], [1, 4, 6, 9, 11, 14], [1, 4, 9, 11, 12, 14],
-        [1, 5, 7, 8, 10, 14], [1, 5, 7, 8, 12, 14], [2, 3, 4, 5, 11, 13],
-        [2, 3, 4, 11, 12, 13]]),
-    "@chain(3)": (12, 127, [
-        [1, 2, 3, 4, 5, 6, 8, 9, 10, 12], [1, 2, 4, 7, 8, 11, 13, 14],
-        [3, 5, 6, 7, 9, 10, 11, 12, 13, 14]]),
-    "@pathfamily(5)": (10, 223, [
-        [1, 2, 5, 6, 9, 10, 13, 14], [1, 3, 4, 6, 9, 11, 12, 14],
-        [1, 3, 5, 7, 8, 10, 12, 14], [2, 3, 4, 5, 10, 11, 12, 13],
-        [2, 3, 6, 7, 8, 9, 12, 13], [4, 5, 6, 7, 8, 9, 10, 11]]),
-}
-
-
-# The same for three searches whose Q is not P2, as the search reported while
-# it recounted their bound at the nodes that needed it: (forbidden, Q) ->
-# (optimum, nodes, witnesses).
-PINNED_OTHER_Q_N4 = {
-    ("@N", "@N"): (0, 449, [
-        [], [0], [0, 1], [0, 1, 2], [0, 1, 2, 4], [0, 1, 2, 4, 8], [0, 1, 2, 8],
-        [0, 1, 2, 12], [0, 1, 3], [0, 1, 4], [0, 1, 4, 8], [0, 1, 4, 10], [0, 1, 5],
-        [0, 1, 6], [0, 1, 6, 8], [0, 1, 6, 10]]),
-    ("@chain(3)", "@kst(1,2)"): (15, 101, [
-        [0, 3, 5, 6, 9, 10, 12]]),
-    ("@butterfly", "@chain(3)"): (6, 145, [
-        [0, 3, 5, 6, 9, 10, 12, 15]]),
-}
-
-
-# The same for two searches at n = 5 whose Q is not P2, as the search reported
-# before it kept the copies inside avail as a bitset.
-PINNED_OTHER_Q_N5 = {
-    ("@butterfly", "@N"): (120, 4005, [
-        [3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 17, 18, 19, 20, 21, 22, 24, 25, 26, 28]]),
-    ("@kst(2,3)", "@chain(3)"): (31, 9589, [
-        [0, 3, 5, 6, 7, 9, 10, 12, 17, 18, 20, 25, 26, 28, 31],
-        [0, 3, 5, 6, 9, 10, 11, 12, 17, 18, 21, 22, 24, 28, 31],
-        [0, 3, 5, 6, 9, 10, 12, 13, 17, 19, 20, 22, 24, 26, 31],
-        [0, 3, 5, 6, 9, 10, 12, 14, 18, 19, 20, 21, 24, 25, 31],
-        [0, 3, 5, 6, 9, 10, 13, 14, 17, 18, 19, 20, 24, 28, 31],
-        [0, 3, 5, 6, 9, 11, 12, 14, 17, 18, 20, 21, 24, 26, 31],
-        [0, 3, 5, 6, 10, 11, 12, 13, 17, 18, 20, 22, 24, 25, 31],
-        [0, 3, 5, 7, 9, 10, 12, 14, 17, 18, 20, 22, 24, 25, 31],
-        [0, 3, 6, 7, 9, 10, 12, 13, 17, 18, 20, 21, 24, 26, 31],
-        [0, 5, 6, 7, 9, 10, 11, 12, 17, 18, 19, 20, 24, 28, 31]]),
-}
-
-
-# The same for the five paper problems at n = 5, run with the benchmark's
-# budget of 20,000 nodes, which each search now finishes within.
-PINNED_N5 = {
-    "@N": (10, 2385, [
-        [0, 3, 5, 6, 9, 10, 12, 17, 18, 20, 24], [0, 7, 11, 13, 14, 19, 21, 22, 25, 26, 28],
-        [1, 3, 5, 6, 9, 10, 12, 17, 18, 20, 24, 30], [1, 7, 11, 13, 14, 19, 21, 22, 25, 26, 28, 30],
-        [2, 3, 5, 6, 9, 10, 12, 17, 18, 20, 24, 29], [2, 7, 11, 13, 14, 19, 21, 22, 25, 26, 28, 29],
-        [3, 4, 5, 6, 9, 10, 12, 17, 18, 20, 24, 27], [3, 5, 6, 8, 9, 10, 12, 17, 18, 20, 23, 24],
-        [3, 5, 6, 9, 10, 12, 15, 16, 17, 18, 20, 24], [3, 5, 6, 9, 10, 12, 17, 18, 20, 24, 31],
-        [4, 7, 11, 13, 14, 19, 21, 22, 25, 26, 27, 28], [7, 8, 11, 13, 14, 19, 21, 22, 23, 25, 26, 28],
-        [7, 11, 13, 14, 15, 16, 19, 21, 22, 25, 26, 28], [7, 11, 13, 14, 19, 21, 22, 25, 26, 28, 31]]),
-    "@butterfly": (30, 4059, [
-        [3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 17, 18, 19, 20, 21, 22, 24, 25, 26, 28]]),
-    "@chain(3)": (30, 953, [
-        [1, 2, 4, 7, 8, 11, 13, 14, 16, 19, 21, 22, 25, 26, 28],
-        [3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 17, 18, 19, 20, 21, 22, 24, 25, 26, 28],
-        [3, 5, 6, 9, 10, 12, 15, 17, 18, 20, 23, 24, 27, 29, 30]]),
-    "@W @M": (21, 3065, [
-        [0, 3, 5, 6, 9, 10, 12, 17, 18, 20, 24, 31], [0, 7, 11, 13, 14, 19, 21, 22, 25, 26, 28, 31]]),
-    "@pathfamily(5)": (15, 3937, [
-        [1, 2, 4, 9, 10, 12, 17, 18, 20, 25, 26, 28], [1, 2, 5, 6, 8, 12, 17, 18, 21, 22, 24, 28],
-        [1, 2, 5, 6, 9, 10, 13, 14, 16, 20, 24, 28], [1, 3, 4, 6, 8, 10, 17, 19, 20, 22, 24, 26],
-        [1, 3, 4, 6, 9, 11, 12, 14, 16, 18, 24, 26], [1, 3, 5, 7, 8, 10, 12, 14, 16, 18, 20, 22],
-        [2, 3, 4, 5, 8, 9, 18, 19, 20, 21, 24, 25], [2, 3, 4, 5, 10, 11, 12, 13, 16, 17, 24, 25],
-        [2, 3, 6, 7, 8, 9, 12, 13, 16, 17, 20, 21], [3, 5, 6, 11, 13, 14, 19, 21, 22, 27, 29, 30],
-        [3, 7, 9, 10, 13, 14, 19, 23, 25, 26, 29, 30], [3, 7, 11, 15, 17, 18, 21, 22, 25, 26, 29, 30],
-        [4, 5, 6, 7, 8, 9, 10, 11, 16, 17, 18, 19], [5, 7, 9, 11, 12, 14, 21, 23, 25, 27, 28, 30],
-        [5, 7, 13, 15, 17, 19, 20, 22, 25, 27, 28, 30], [6, 7, 10, 11, 12, 13, 22, 23, 26, 27, 28, 29]]),
-}
+# The five paper problems, each with Q = P2, and the four of them that the
+# benchmark searches at n = 4; test_results.table_report gives their reports.
+PAPER_SPECS = ("@N", "@W @M", "@butterfly", "@chain(3)", "@pathfamily(5)")
+BENCH_N4 = ("@N", "@butterfly", "@chain(3)", "@pathfamily(5)")
+# the n = 5 rows of the table whose group has complementation: all but
+# (K_{2,3}, #P3), whose group is S_5 alone
+DUAL_CLOSED_N5 = [*((spec, "@chain(2)") for spec in PAPER_SPECS), ("@pathfamily(6)", "@chain(2)"),
+                  ("@butterfly", "@chain(3)"), ("@butterfly", "@N"), ("@N", "@N")]
 
 
 def forbid(spec):
@@ -420,54 +341,19 @@ def forbid(spec):
     return [p for part in spec.split() for p in parse_poset_dsl(part)]
 
 
-@pytest.mark.parametrize("spec", sorted(PINNED_N4))
-def test_n4_search_tree_pinned(spec):
-    optimum, nodes, witnesses = PINNED_N4[spec]
-    rep = la_exact(4, forbid(spec), P2).to_json()
-    assert (rep["optimum"], rep["nodes_explored"], rep["witnesses"]) == (optimum, nodes, witnesses)
-    assert rep["complete"]
-
-
-@pytest.mark.parametrize("spec, q_spec", sorted(PINNED_OTHER_Q_N4))
-def test_n4_other_q_search_tree_pinned(spec, q_spec):
-    optimum, nodes, witnesses = PINNED_OTHER_Q_N4[spec, q_spec]
-    q = parse_single_poset(q_spec)
-    rep = la_exact(4, forbid(spec), q).to_json()
-    assert (rep["optimum"], rep["nodes_explored"], rep["witnesses"]) == (optimum, nodes, witnesses)
-    assert rep["complete"]
-    for w in witnesses:
-        chk = verify_witness(SetFamily(4, w), forbid(spec), q)
-        assert chk.free and chk.copies == optimum
-
-
-@pytest.mark.parametrize("spec, q_spec", sorted(PINNED_OTHER_Q_N5))
-def test_n5_other_q_search_pinned(spec, q_spec):
-    optimum, nodes, witnesses = PINNED_OTHER_Q_N5[spec, q_spec]
-    q = parse_single_poset(q_spec)
-    rep = la_exact(5, forbid(spec), q).to_json()
-    assert rep == {"optimum": optimum, "witnesses": witnesses, "nodes_explored": nodes,
-                   "complete": True, "params": _request(5, forbid(spec), q, None)}
-    for w in witnesses:
-        chk = verify_witness(SetFamily(5, w), forbid(spec), q)
-        assert chk.free and chk.copies == optimum
-
-
-@pytest.mark.parametrize("spec", sorted(PINNED_N5))
+@pytest.mark.parametrize("spec", PAPER_SPECS)
 def test_n5_budgeted_search_pinned(spec):
-    optimum, nodes, witnesses = PINNED_N5[spec]
+    # the benchmark's budget of 20,000 nodes, which each search finishes within
     rep = la_exact(5, forbid(spec), P2, budget=20000).to_json()
-    assert (rep["optimum"], rep["nodes_explored"], rep["witnesses"]) == (optimum, nodes, witnesses)
-    assert rep["complete"]
-    for w in witnesses:
-        chk = verify_witness(SetFamily(5, w), forbid(spec), P2)
-        assert chk.free and chk.copies == optimum
+    row = table_report(5, forbid(spec), P2)
+    assert rep == {**row, "params": {**row["params"], "budget": 20000}}
 
 
 def test_n5_optima_are_the_paper_values():
     paper = {"@N": formulas.n_free, "@butterfly": formulas.butterfly_p2,
              "@W @M": formulas.p6_lower, "@pathfamily(5)": formulas.p5}
     for spec, formula in paper.items():
-        assert PINNED_N5[spec][0] == formula(5), spec
+        assert table_report(5, forbid(spec), P2)["optimum"] == formula(5), spec
 
 
 # La(4, p, #Q) for every catalog poset p, by canonical key: (Q = P2, Q = P3),
@@ -512,9 +398,9 @@ class TestSameTreeAsReference:
                 assert rep.complete
                 assert rep.optimum == reference_la_exact(n, [p], q), (n, p, q)
 
-    @pytest.mark.parametrize("spec", sorted(PINNED_N4))
+    @pytest.mark.parametrize("spec", BENCH_N4)
     def test_bench_posets_n4(self, spec):
-        got = la_exact(4, forbid(spec), P2).optimum
+        got = table_report(4, forbid(spec), P2)["optimum"]
         assert got == reference_la_exact(4, forbid(spec), P2)
 
     def test_catalog_posets_n4(self):
@@ -548,11 +434,13 @@ class TestSameTreeAsReference:
 
 def budgeted_cases():
     """(n, spec, Q spec, budget) for the budgeted comparison with the recursive search."""
-    runs = [(spec, "@chain(2)", PINNED_N4[spec][1]) for spec in sorted(PINNED_N4)]
-    runs.append(("@N", "@N", PINNED_OTHER_Q_N4["@N", "@N"][1]))
-    cases = [(4, spec, q_spec, budget) for spec, q_spec, full in runs
-             for budget in sorted({1, 2, 3, 5, 10, 30, 100, full - 1, full, full + 1})]
-    return cases + [(5, "@N", "@chain(2)", budget) for budget in (1, 17, 200, PINNED_N5["@N"][1])]
+    cases = []
+    for spec, q_spec in [(spec, "@chain(2)") for spec in BENCH_N4] + [("@N", "@N")]:
+        full = table_report(4, forbid(spec), parse_single_poset(q_spec))["nodes_explored"]
+        cases += [(4, spec, q_spec, budget)
+                  for budget in sorted({1, 2, 3, 5, 10, 30, 100, full - 1, full, full + 1})]
+    full = table_report(5, forbid("@N"), P2)["nodes_explored"]
+    return cases + [(5, "@N", "@chain(2)", budget) for budget in (1, 17, 200, full)]
 
 
 @pytest.mark.parametrize("n, spec, q_spec, budget", budgeted_cases())
@@ -574,33 +462,22 @@ def test_n4_p2_reports_of_the_small_catalog_posets_match_the_recursive_search():
         assert got == recursive_la_exact(4, [p], P2).to_json(), p
 
 
-@pytest.mark.parametrize("spec", sorted(PINNED_N5))
+@pytest.mark.parametrize("spec", PAPER_SPECS)
 def test_n5_p2_report_matches_the_recursive_search(spec):
-    got = la_exact(5, forbid(spec), P2).to_json()
-    assert got["complete"]
-    assert got == recursive_la_exact(5, forbid(spec), P2).to_json()
-
-
-# (N, #N) at n = 5 as the search reported it while every tied leaf went
-# through every symmetry: a tie-heavy tree of 51,507 nodes whose 25,754
-# leaves all have value 0.
-PINNED_N_Q_N5 = (0, 51507, [
-    [], [0], [0, 1], [0, 1, 2], [0, 1, 2, 4], [0, 1, 2, 4, 8], [0, 1, 2, 4, 8, 16],
-    [0, 1, 2, 4, 16], [0, 1, 2, 4, 24], [0, 1, 2, 8], [0, 1, 2, 8, 16], [0, 1, 2, 8, 20],
-    [0, 1, 2, 12], [0, 1, 2, 12, 16], [0, 1, 2, 12, 20], [0, 1, 2, 12, 20, 24]])
+    assert table_report(5, forbid(spec), P2) == recursive_la_exact(5, forbid(spec), P2).to_json()
 
 
 def test_n5_tie_heavy_report_pinned():
-    # the witness stream skips a leaf whose least images all start above the
-    # worst witness kept; before that this run took 12 s, now about 1 s
+    # (N, #N) at n = 5: all 25,754 leaves tie at 0, and only the witness
+    # stream's skip of a leaf whose least images all start above the worst
+    # witness kept brings the run under the gate (about 1 s; 12 s without)
     start = time.monotonic()
     rep = la_exact(5, [n_poset()], n_poset())
     assert time.monotonic() - start < 6
-    assert rep.complete
-    assert (rep.optimum, rep.nodes_explored, [list(w) for w in rep.witnesses]) == PINNED_N_Q_N5
+    assert rep.to_json() == table_report(5, [n_poset()], n_poset())
 
 
-@pytest.mark.parametrize("spec", sorted(PINNED_N5))
+@pytest.mark.parametrize("spec", PAPER_SPECS)
 def test_n5_dead_sets_match_the_per_member_loop(spec, monkeypatch):
     # every include lists through x once per minimal poset; the union of those
     # listings is what one forced search per free mask and poset finds
@@ -613,7 +490,7 @@ def test_n5_dead_sets_match_the_per_member_loop(spec, monkeypatch):
         return found
 
     monkeypatch.setattr(posetturan.search, "completing_members", listed)
-    assert la_exact(5, forbidden, P2).nodes_explored == PINNED_N5[spec][1]
+    assert la_exact(5, forbidden, P2).nodes_explored == table_report(5, forbidden, P2)["nodes_explored"]
     k = len(minimal_posets(forbidden))
     assert calls and len(calls) % k == 0
     for start in range(0, len(calls), k):
@@ -635,15 +512,17 @@ class TestSymmetry:
         assert len(_symmetry_group(4, [BFLY], fork)) == 24
         assert len(_symmetry_group(6, [chain(3)], P2)) == 1440
 
-    @pytest.mark.parametrize("spec", sorted(PINNED_N5))
-    def test_permutations_alone_give_the_same_report(self, spec, monkeypatch):
-        # every paper problem is dual-closed, so la_exact uses S_n x Z2 on its own
-        assert len(_symmetry_group(5, forbid(spec), P2)) == 240
-        both = la_exact(5, forbid(spec), P2)
+    @pytest.mark.parametrize("spec, q_spec", DUAL_CLOSED_N5, ids=[
+        spec if q_spec == "@chain(2)" else f"{spec}-{q_spec}" for spec, q_spec in DUAL_CLOSED_N5])
+    def test_permutations_alone_give_the_same_report(self, spec, q_spec, monkeypatch):
+        # each of these rows is dual-closed, so la_exact used S_n x Z2 for it
+        forbidden, q = forbid(spec), parse_single_poset(q_spec)
+        assert len(_symmetry_group(5, forbidden, q)) == 240
+        both = table_report(5, forbidden, q)
         monkeypatch.setattr(posetturan.search, "_symmetry_group", lambda n, f, q: _permutation_tables(n))
-        alone = la_exact(5, forbid(spec), P2)
-        assert (alone.optimum, alone.witnesses) == (both.optimum, both.witnesses)
-        assert alone.complete and alone.nodes_explored > both.nodes_explored
+        alone = la_exact(5, forbidden, q).to_json()
+        assert (alone["optimum"], alone["witnesses"]) == (both["optimum"], both["witnesses"])
+        assert alone["complete"] and alone["nodes_explored"] > both["nodes_explored"]
 
     @pytest.mark.parametrize("forbidden", ([BFLY], [named_poset("fork", 2)]))
     def test_witness_stream_keeps_the_least_of_all_images(self, forbidden):
@@ -862,7 +741,7 @@ class TestCache:
                "params": params}
         path.write_text(json.dumps(old, sort_keys=True) + "\n")
         rep = cached_la_exact(3, [BFLY], P2, path=str(path))
-        assert rep.optimum == 7 and rep.params["search"] == "orbital"
+        assert rep.optimum == 7 and rep.params == _request(3, [BFLY], P2, None)
         assert len(path.read_text().splitlines()) == 2
 
     def test_a_new_search_tag_is_written_in_request_alone(self, tmp_path, monkeypatch):
