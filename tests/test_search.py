@@ -341,6 +341,33 @@ def forbid(spec):
     return [p for part in spec.split() for p in parse_poset_dsl(part)]
 
 
+@pytest.mark.parametrize("spec", BENCH_N4)
+def test_n4_search_tree_pinned(spec):
+    # the library's report, which the table pins as the CLI prints it
+    assert la_exact(4, forbid(spec), P2).to_json() == table_report(4, forbid(spec), P2)
+
+
+def check_other_q_report(n, spec, q_spec):
+    """la_exact's report equals the table row, and each witness is a Q-count optimum."""
+    q = parse_single_poset(q_spec)
+    rep = la_exact(n, forbid(spec), q).to_json()
+    assert rep == table_report(n, forbid(spec), q)
+    for w in rep["witnesses"]:
+        chk = verify_witness(SetFamily(n, w), forbid(spec), q)
+        assert chk.free and chk.copies == rep["optimum"]
+
+
+@pytest.mark.parametrize("spec, q_spec", [("@N", "@N"), ("@butterfly", "@chain(3)"),
+                                          ("@chain(3)", "@kst(1,2)")])
+def test_n4_other_q_search_tree_pinned(spec, q_spec):
+    check_other_q_report(4, spec, q_spec)
+
+
+@pytest.mark.parametrize("spec, q_spec", [("@butterfly", "@N"), ("@kst(2,3)", "@chain(3)")])
+def test_n5_other_q_search_pinned(spec, q_spec):
+    check_other_q_report(5, spec, q_spec)
+
+
 @pytest.mark.parametrize("spec", PAPER_SPECS)
 def test_n5_budgeted_search_pinned(spec):
     # the benchmark's budget of 20,000 nodes, which each search finishes within
