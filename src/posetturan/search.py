@@ -103,11 +103,12 @@ def la_exact(n: int, forbidden, q: Poset, budget: int = None) -> SearchReport:
     Branch-and-bound over the masks of 2^[n], one loop over an explicit stack
     of nodes. A node holds the included masks (chosen), chosen plus the
     undecided masks (avail), the bitset of the copies of Q inside avail
-    (alive), H, the symmetries of the problem (``_symmetry_group``) that fix
-    chosen and avail setwise, and gone, the masks it removes from avail when
-    it is popped. Each node branches into an include child and an exclude
-    child; the exclude child is pushed first, so the include subtree is
-    explored first.
+    (alive), H, the pointwise stabiliser of chosen in ``_symmetry_group``,
+    and gone, the masks it removes from avail when it is popped. It pushes
+    its exclude child, then its include child, which is popped first.
+    H maps avail onto itself: a g in H that fixes x maps each copy of a
+    ``minimal_posets`` member through x and y to one through x and g(y), as
+    that list is closed under duality when the forbidden list is.
 
     - Dynamic branching: the node branches on the undecided mask with the most
       members of avail comparable to it, the least such mask on ties.
@@ -187,14 +188,12 @@ def la_exact(n: int, forbidden, q: Poset, budget: int = None) -> SearchReport:
         dead = 0  # the undecided masks that would complete a forbidden poset with x
         for p in minimal:
             dead |= completing_members(universe, p, x, included, (free ^ 1 << x) & ~dead)
-        dead_masks = tuple(iter_bits(dead))
-        stabiliser = [g for g in h if g[x] == x and all(dead >> g[d] & 1 for d in dead_masks)]
         orbit = 0
         for g in h:
             orbit |= 1 << g[x]
         # the include child is pushed last, so its subtree is explored first
         stack.append((chosen, avail, alive, h, orbit))
-        stack.append((included, avail, alive, stabiliser, dead))
+        stack.append((included, avail, alive, [g for g in h if g[x] == x], dead))
     return SearchReport(
         optimum=best,
         witnesses=_least_images(leaves, group),

@@ -7,20 +7,23 @@ over the masks 0..15. A poset is read only through its ``size`` and
 module imports, so a fault in the embedding engine, the lattice bitsets or
 the search cannot reach its answers.
 
-Run as a script, it checks the 112 cases of the 28 catalog posets of at
-most 5 elements times Q in {P2, P3, K_{1,2}, N} against ``la_exact``, and
-exits 1 on a mismatch (about 17 s on 2 vCPUs, Python 3.11.7):
+Run as a script, it checks against ``la_exact`` the 112 cases of the 28
+catalog posets of at most 5 elements times Q in {P2, P3, K_{1,2}, N}, then
+RANDOM_CASES forbidden lists and Q drawn by ``random_case`` from a fixed
+seed, and exits 1 on a mismatch (about 50 s on 2 vCPUs, Python 3.11.7):
 
     PYTHONPATH=src python tests/oracle_n4.py
 """
 import itertools
+import random
 import sys
 from functools import lru_cache
 
-from posetturan.posets import chain, kst, n_poset
+from posetturan.posets import chain, dual_poset, kst, n_poset
 
 MASKS = range(16)  # the sets of 2^[4]
 QS = {"P2": chain(2), "P3": chain(3), "K12": kst(1, 2), "N": n_poset()}
+RANDOM_CASES = 240
 
 
 @lru_cache(maxsize=None)
@@ -82,20 +85,44 @@ def la_n4(forbidden, q):
     return tuple(best)
 
 
+def random_case(rng, catalog):
+    """(a forbidden list, Q) drawn with ``rng`` from the catalog posets.
+
+    The list holds 2-3 posets of at most 5 elements. 30 % of the lists get
+    the dual of each member that is not self-dual, so that they are closed
+    under duality, mixed lists included. Q has 2-4 elements and need not be
+    self-dual.
+    """
+    forbidden = rng.sample([p for p in catalog if p.size <= 5], rng.randint(2, 3))
+    if rng.random() < 0.3:
+        forbidden += [dual_poset(p) for p in forbidden
+                      if dual_poset(p).canonical_key() != p.canonical_key()]
+    return forbidden, rng.choice([q for q in catalog if 2 <= q.size <= 4])
+
+
 def main():
     # the comparison, unlike the oracle, reads the search and the test catalog
-    from posetturan.search import la_exact
+    from posetturan.search import _symmetry_group, la_exact
     from test_embedding import catalog_posets
 
-    cases = [(p, name, q) for p in catalog_posets(5) for name, q in QS.items()]
+    catalog, rng = catalog_posets(5), random.Random(0)
+    batches = {
+        "catalog cases": [([p], q) for p in catalog for q in QS.values()],
+        "random lists": [random_case(rng, catalog) for _ in range(RANDOM_CASES)],
+    }
     bad = 0
-    for p, name, q in cases:
-        want, _ = la_n4([p], q)
-        got = la_exact(4, [p], q).optimum
-        if got != want:
-            bad += 1
-            print(f"mismatch: {p.canonical_key()} #{name}: oracle {want}, la_exact {got}")
-    print(f"{len(cases)} cases, {bad} mismatches")
+    for name, cases in batches.items():
+        wrong = complemented = 0
+        for forbidden, q in cases:
+            complemented += len(_symmetry_group(4, forbidden, q)) > 24
+            want, _ = la_n4(forbidden, q)
+            got = la_exact(4, forbidden, q).optimum
+            if got != want:
+                wrong += 1
+                keys = [p.canonical_key() for p in forbidden]
+                print(f"mismatch: {keys} #{q.canonical_key()}: oracle {want}, la_exact {got}")
+        print(f"{len(cases)} {name}, {complemented} with complementation, {wrong} mismatches")
+        bad += wrong
     return 1 if bad else 0
 
 

@@ -1,8 +1,10 @@
 """The exact search at n = 4 against ``oracle_n4``, which shares no code with it.
 
-Tier-1 runs the five paper problems with Q = P2 and a spread of other Q,
-and checks the n = 4 rows of the table ``results/la_small.jsonl`` against the
-same oracle values; ``python tests/oracle_n4.py`` runs all 112 catalog cases.
+Tier-1 runs the five paper problems with Q = P2, a spread of other Q and a
+few random forbidden lists, and checks the n = 4 rows of the table
+``results/la_small.jsonl`` against the same oracle values;
+``python tests/oracle_n4.py`` runs all 112 catalog cases and a fixed batch of
+random lists.
 """
 import json
 import os
@@ -11,10 +13,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracle_n4 import QS, la_n4, supports
+from oracle_n4 import QS, la_n4, random_case, supports
 from posetturan.posets import chain, kst, m_poset, n_poset, named_poset, path_hasse_family, w_poset
 from posetturan.search import _request, la_exact
+from test_embedding import catalog_posets
 from test_results import table_rows
 
 TESTS = Path(__file__).resolve().parent
@@ -34,7 +39,11 @@ CASES = {
     "chain(4)#P3": ([chain(4)], "P3", None),
     "chain(3)#K12": ([chain(3)], "K12", 1),
     "butterfly#P3": ([BFLY], "P3", 1),
+    # duality-closed lists: a mixed one, and one with a Q that is not self-dual
+    "K12,K21,butterfly": ([kst(1, 2), kst(2, 1), BFLY], "P2", None),
+    "W,M#K12": ([w_poset(), m_poset()], "K12", None),
 }
+CATALOG = catalog_posets(5)
 
 
 def _key(params):
@@ -54,6 +63,13 @@ def test_la_exact_matches_the_oracle(forbidden, q, optimal_families):
         assert row["optimum"] == value
     if optimal_families is not None:
         assert families == optimal_families
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_la_exact_matches_the_oracle_on_random_lists(rng):
+    forbidden, q = random_case(rng, CATALOG)
+    assert la_exact(4, forbidden, q).optimum == la_n4(forbidden, q)[0]
 
 
 def test_each_n4_row_of_the_table_is_a_case():

@@ -8,6 +8,7 @@ import sys
 import tempfile
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -35,7 +36,18 @@ from posetturan.lattice import (
     level_family,
 )
 from posetturan.formulas import chain_count_in_levels
-from posetturan.posets import Poset, chain, kst, n_poset, named_poset, poset_from_relations
+from posetturan.posets import (
+    Poset,
+    chain,
+    dual_poset,
+    kst,
+    m_poset,
+    n_poset,
+    named_poset,
+    path_hasse_family,
+    poset_from_relations,
+    w_poset,
+)
 from posetturan.search import (
     DEFAULT_WITNESS_CAP,
     MAX_LEVEL_GENERIC_N,
@@ -123,7 +135,9 @@ def recursive_la_exact(n, forbidden, q, budget=None):
     The include child recurses before the exclude child, and each child drops
     its removed masks from avail, and their copies from the bound, before it
     is entered. The bound is counted, not kept as a bitset of copies: each
-    removed mask subtracts ``reference_count_through``.
+    removed mask subtracts ``reference_count_through``. The include child
+    keeps the symmetries that fix x and map its removed masks onto
+    themselves; la_exact keeps those that fix x, which is the same list.
     """
     forbidden = list(forbidden)
     universe = cached_lattice(n)
@@ -336,6 +350,20 @@ DUAL_CLOSED_N5 = [*((spec, "@chain(2)") for spec in PAPER_SPECS), ("@pathfamily(
                   ("@butterfly", "@chain(3)"), ("@butterfly", "@N"), ("@N", "@N")]
 
 
+def canonical_keys(posets):
+    return [p.canonical_key() for p in posets]
+
+
+def dual_closed_lists(most):
+    """The lists [p, p^d, q, q^d, ...] of up to ``most`` classes {p, p^d} of
+    catalog posets with at most 5 elements, one list per set of classes."""
+    classes = {}
+    for p in catalog_posets(5):
+        classes.setdefault(frozenset(canonical_keys([p, dual_poset(p)])), [p, dual_poset(p)])
+    return [[p for pair in combo for p in pair]
+            for k in range(1, most + 1) for combo in itertools.combinations(classes.values(), k)]
+
+
 def forbid(spec):
     """The forbidden list of space-separated DSL specs."""
     return [p for part in spec.split() for p in parse_poset_dsl(part)]
@@ -538,6 +566,28 @@ class TestSymmetry:
         assert len(_symmetry_group(4, [BFLY], P2)) == 48
         assert len(_symmetry_group(4, [BFLY], fork)) == 24
         assert len(_symmetry_group(6, [chain(3)], P2)) == 1440
+
+    def test_minimal_posets_of_a_dual_closed_list_are_dual_closed(self):
+        # la_exact's include child keeps every symmetry that fixes x, so
+        # complementation must map each copy of a minimal poset through x and
+        # y to one through x and its image of y
+        for forbidden in dual_closed_lists(3) + [[w_poset(), m_poset()], path_hasse_family(5),
+                                                 path_hasse_family(6)]:
+            assert Counter(canonical_keys(forbidden)) == Counter(canonical_keys(map(dual_poset, forbidden)))
+            minimal = minimal_posets(forbidden)
+            assert set(canonical_keys(minimal)) == set(canonical_keys(map(dual_poset, minimal))), forbidden
+
+    def test_complementation_exactly_for_dual_closed_lists_and_self_dual_q(self):
+        qs = [q for q in catalog_posets(4) if q.size >= 2]
+        for closed in dual_closed_lists(2):
+            # without the dual of its first poset, the list is closed only if
+            # that poset is self-dual
+            lopsided = [p for i, p in enumerate(closed) if i != 1]
+            assert (closed[0].canonical_key() == closed[1].canonical_key()
+                    or len(_symmetry_group(3, lopsided, P2)) == 6)
+            for q in qs:
+                self_dual = q.canonical_key() == dual_poset(q).canonical_key()
+                assert len(_symmetry_group(3, closed, q)) == (12 if self_dual else 6), (closed, q)
 
     @pytest.mark.parametrize("spec, q_spec", DUAL_CLOSED_N5, ids=[
         spec if q_spec == "@chain(2)" else f"{spec}-{q_spec}" for spec, q_spec in DUAL_CLOSED_N5])
