@@ -39,17 +39,13 @@ def _constraints(poset: Poset, order) -> tuple:
 
 
 @lru_cache(maxsize=256)
-def _plan(poset: Poset, forced=None):
+def _plan(poset: Poset):
     """Compiled assignment order for the backtracking search.
 
     Returns (order, constraints, supports, needs): ``order`` lists the poset
-    elements in the order they are assigned, and ``constraints[i] = (lower,
-    upper)`` holds the earlier positions whose elements lie below, resp.
-    above, ``order[i]``. Without a forced element the order is decreasing
-    (in + out) degree, ties by index. With one, it starts at the forced
-    element and then takes the element with the most comparabilities to those
-    already placed (ties by degree, then index), so each new image is pinned
-    by earlier ones.
+    elements in the order they are assigned, decreasing (in + out) degree,
+    ties by index, and ``constraints[i] = (lower, upper)`` holds the earlier
+    positions whose elements lie below, resp. above, ``order[i]``.
 
     ``supports[i]`` is empty unless position i has no earlier neighbour. Then
     it lists, for the later neighbours p that have neighbours before i,
@@ -67,16 +63,7 @@ def _plan(poset: Poset, forced=None):
     for a, b in poset.relations:
         deg[a] += 1
         deg[b] += 1
-    if forced is None:
-        order = sorted(range(poset.size), key=lambda e: (-deg[e], e))
-    else:
-        order = [forced]
-        rest = set(range(poset.size)) - {forced}
-        while rest:
-            links = {e: sum(poset.comparable(e, f) for f in order) for e in rest}
-            e = min(rest, key=lambda e: (-links[e], -deg[e], e))
-            order.append(e)
-            rest.remove(e)
+    order = sorted(range(poset.size), key=lambda e: (-deg[e], e))
     k = len(order)
     constraints = _constraints(poset, order)
     supports = []
@@ -94,22 +81,16 @@ def _plan(poset: Poset, forced=None):
     return tuple(order), constraints, tuple(supports), needs
 
 
-@lru_cache(maxsize=256)
-def _forced_plans(poset: Poset):
-    """The plan forced at e, per orbit representative e."""
-    return tuple(_plan(poset, e) for e in poset.orbit_representatives())
-
-
 # The supports copy_supports may store: about 160 bytes each for N, whatever the family's size.
 MAX_COPY_SUPPORTS = 2_000_000
 
 
-def _search(family: SetFamily, poset: Poset, plan, forced=None, within=None, found=None):
+def _search(family: SetFamily, poset: Poset, plan, pin=None, within=None, found=None):
     """Backtracking over ``plan`` with bitset domains.
 
-    ``forced`` is the member index assigned to the plan's first element: it
-    narrows the first domain to that member. ``within``, if given, is the
-    bitset of member indices the images may use.
+    ``pin``, if given, is (i, m): position i of the plan takes member index m,
+    so its domain narrows to that member. ``within``, if given, is the bitset
+    of member indices the images may use.
     Candidates are tried in ascending index order, which makes the witness
     deterministic. The look-ahead through ``supports`` and the degree
     domains only drop candidates that cannot be completed, so they change
@@ -145,8 +126,9 @@ def _search(family: SetFamily, poset: Poset, plan, forced=None, within=None, fou
                     bits |= low
             fits[u, d] = bits
         domain[i] = fits.get((u, d), allowed)
-    if forced is not None:
-        domain[0] &= 1 << forced
+    if pin is not None:
+        i, m = pin
+        domain[i] &= 1 << m
     image = [0] * k  # image[i]: member index of order[i]
 
     def extend(i, free):
@@ -213,12 +195,14 @@ def embedding_using_member(family: SetFamily, poset: Poset, member_index: int, w
     """A witness whose image includes the given family member, or None.
 
     ``within``, if given, is a bitset of member indices (containing
-    ``member_index``) to which the witness's image is restricted. One search
-    per automorphism orbit suffices: composing a witness with an automorphism
-    moves the forced member onto any element of the orbit.
+    ``member_index``) to which the witness's image is restricted. The member
+    is pinned at the position of each orbit representative in turn: composing
+    a witness with an automorphism moves the member onto any element of the
+    orbit.
     """
-    for plan in _forced_plans(poset):
-        w = _search(family, poset, plan, forced=member_index, within=within)
+    plan = _plan(poset)
+    for e in poset.orbit_representatives():
+        w = _search(family, poset, plan, (plan[0].index(e), member_index), within)
         if w is not None:
             return w
     return None

@@ -167,7 +167,7 @@ def la_exact(n: int, forbidden, q: Poset, budget: int = None) -> SearchReport:
             break
         chosen, avail, alive, h, gone = stack.pop()
         nodes += 1
-        avail ^= gone  # every mask of gone is in avail
+        avail &= ~gone
         for y in iter_bits(gone):
             alive &= keep[y]
         bound = alive.bit_count()

@@ -123,8 +123,8 @@ def reference_count_through(family, q, within, y):
     member y, as the exact search once counted them for each removed mask.
 
     A chain is split at y into a chain below it and a chain above it; any
-    other Q is listed with y forced at each orbit representative of Q, and
-    refused past MAX_COPY_SUPPORTS supports.
+    other Q is listed with y pinned at the position of each orbit
+    representative of Q, and refused past MAX_COPY_SUPPORTS supports.
     """
     if within is None:
         within = (1 << len(family)) - 1
@@ -137,8 +137,9 @@ def reference_count_through(family, q, within, y):
         return sum(chain_count(down, a, family.below) * chain_count(up, q.size - 1 - a, family.below)
                    for a in range(q.size))
     found = set()
-    for plan in embedding._forced_plans(q):
-        _search(family, q, plan, y, within, found)
+    plan = _plan(q)
+    for e in q.orbit_representatives():
+        _search(family, q, plan, (plan[0].index(e), y), within, found)
     if len(found) > embedding.MAX_COPY_SUPPORTS:
         raise ValueError(f"copy counting stores at most {embedding.MAX_COPY_SUPPORTS} supports")
     return len(found)
@@ -189,9 +190,11 @@ def reference_embedding(fam, poset):
 
 
 def using_member_reference(fam, poset, member_index, within=None):
-    """embedding_using_member without the degree filter: every orbit is searched."""
-    for e in poset.orbit_representatives():
-        w = _search(fam, poset, _plan(poset, e), forced=member_index, within=within)
+    """embedding_using_member without the orbits: the member is pinned at every
+    element's position in turn."""
+    plan = _plan(poset)
+    for i in range(poset.size):
+        w = _search(fam, poset, plan, (i, member_index), within)
         if w is not None:
             return w
     return None
@@ -235,6 +238,32 @@ class TestCompiledPlans:
                         if w is not None:
                             assert w.check() and mask in w.assignment
                             assert ok_masks.issuperset(w.assignment)
+
+    def test_a_pin_at_any_position_matches_brute_force(self):
+        # every element e, not only the orbit representatives, and every
+        # member m: the pinned search finds a witness with e -> m exactly when
+        # one exists inside within, and, as the unpinned search does, the one
+        # whose member indices, read in plan order, are lexicographically least
+        rng = random.Random(19)
+        posets = catalog_posets(5)
+        for _ in range(12):
+            n = rng.randint(2, 4)
+            fam = SetFamily(n, rng.sample(range(1 << n), rng.randint(1, min(7, 1 << n))))
+            index = {mask: i for i, mask in enumerate(fam.members)}
+            for p in posets:
+                plan = _plan(p)
+                order = plan[0]
+                images = brute_images(fam, p)
+                for m, mask in enumerate(fam.members):
+                    within = rng.getrandbits(len(fam))
+                    for restrict in (None, within):
+                        ok = [img for img in images if restrict is None
+                              or all(restrict >> index[x] & 1 for x in img)]
+                        for e in range(p.size):
+                            least = min((img for img in ok if img[e] == mask),
+                                        key=lambda img: [index[img[a]] for a in order], default=None)
+                            w = _search(fam, p, plan, (order.index(e), m), restrict)
+                            assert (w and w.assignment) == least, (fam.members, p, e, m, restrict)
 
     def test_find_embedding_matches_reference_backtracker(self):
         rng = random.Random(41)
@@ -618,27 +647,23 @@ def per_neighbour_plan(plan):
     return order, constraints, supports, needs
 
 
-def per_neighbour_search(family, poset, plan, forced=None, within=None, found=None):
+def per_neighbour_search(family, poset, plan, pin=None, within=None, found=None):
     """Reference for _search before counted supports: one look-ahead union per
     later neighbour, so twins build the same union twice. ``plan`` is a
     ``per_neighbour_plan``. Returns the witness assignment, or None."""
     order, constraints, supports, needs = plan
     k = len(order)
     allowed = (1 << len(family.members)) - 1 if within is None else within
-    if k > allowed.bit_count() or forced is not None and not allowed >> forced & 1:
+    if k > allowed.bit_count():
         return None
     above, below = family.above, family.below
-    domain = [allowed] * k
-    if forced is None:
-        for i, (u, d) in enumerate(needs):
-            domain[i] = sum(1 << y for y in iter_bits(allowed)
-                            if (above[y] & allowed).bit_count() >= u
-                            and (below[y] & allowed).bit_count() >= d)
-    else:
-        u, d = needs[0]
-        if (above[forced] & allowed).bit_count() < u or (below[forced] & allowed).bit_count() < d:
-            return None
-    image = [forced] * k
+    domain = [sum(1 << y for y in iter_bits(allowed)
+                  if (above[y] & allowed).bit_count() >= u and (below[y] & allowed).bit_count() >= d)
+              for u, d in needs]
+    if pin is not None:
+        i, m = pin
+        domain[i] &= 1 << m
+    image = [0] * k
 
     def extend(i, free):
         if i == k:
@@ -668,8 +693,7 @@ def per_neighbour_search(family, poset, plan, forced=None, within=None, found=No
                 return True
         return False
 
-    start, free = (0, allowed) if forced is None else (1, allowed ^ 1 << forced)
-    if not extend(start, free):
+    if not extend(0, allowed):
         return None
     masks = [0] * k
     for i, e in enumerate(order):
@@ -698,9 +722,8 @@ class TestCountedSupports:
         assert _plan(BFLY)[2] == ((), ((True, (0,), (), 2),), (), ())
         assert [s[3] for sup in _plan(kst(3, 3))[2] for s in sup] == [3, 3]
         for p in TWIN_POSETS:
-            for plan in [_plan(p), *embedding._forced_plans(p)]:
-                for sup in plan[2]:
-                    assert len({s[:3] for s in sup}) == len(sup)
+            for sup in _plan(p)[2]:
+                assert len({s[:3] for s in sup}) == len(sup)
 
     def test_witnesses_refusals_and_copies_match_the_per_neighbour_search(self):
         for fam in twin_families():
@@ -718,10 +741,11 @@ class TestCountedSupports:
                     (fam.members, p)
                 assert count_copies(fam, p) == len(reference), (fam.members, p)
                 x = len(fam) // 2
-                forced = set()
-                for fplan in embedding._forced_plans(p):
-                    per_neighbour_search(fam, p, per_neighbour_plan(fplan), x, whole, forced)
-                assert reference_count_through(fam, p, None, x) == len(forced), (fam.members, p)
+                through = set()
+                for e in p.orbit_representatives():
+                    per_neighbour_search(fam, p, per_neighbour_plan(plan), (plan[0].index(e), x),
+                                         whole, through)
+                assert reference_count_through(fam, p, None, x) == len(through), (fam.members, p)
 
     def test_forced_witnesses_match_the_per_neighbour_search(self):
         rng = random.Random(31)
@@ -729,10 +753,11 @@ class TestCountedSupports:
             for p in TWIN_POSETS:
                 x = rng.randrange(len(fam))
                 within = rng.getrandbits(len(fam)) | 1 << x
-                for plan in embedding._forced_plans(p):
-                    w = _search(fam, p, plan, forced=x, within=within)
-                    expect = per_neighbour_search(fam, p, per_neighbour_plan(plan), x, within)
-                    assert (w and w.assignment) == expect, (fam.members, p, x, within)
+                plan = _plan(p)
+                for i in range(p.size):
+                    w = _search(fam, p, plan, (i, x), within)
+                    expect = per_neighbour_search(fam, p, per_neighbour_plan(plan), (i, x), within)
+                    assert (w and w.assignment) == expect, (fam.members, p, i, x, within)
 
     def test_middle_levels_butterfly_refutation_steps(self):
         # each bottom of the butterfly on level 6 leaves no second bottom

@@ -98,7 +98,7 @@ def reference_la_exact(n, forbidden, q):
     incremental P2 bound and the degree filter: the differential reference.
 
     It branches on the masks in a static order, middle levels first, checks
-    each inclusion with a forced embedding search that tries every orbit, and
+    each inclusion with a pinned embedding search that tries every element, and
     recounts the bound of every excluding child over all of avail.
     """
     forbidden = list(forbidden)
