@@ -381,8 +381,6 @@ def count_copies(family: SetFamily, q: Poset) -> int:
 
     A chain Q counts chains; any other Q counts its ``copy_supports``.
     """
-    if q.size == 1:  # every member is a copy; skips building the comparability bitsets
-        return len(family)
     if q.is_chain():
-        return chain_count((1 << len(family)) - 1, q.size, family.below)
+        return chain_count((1 << len(family)) - 1, q.size, family._below_rows())
     return len(copy_supports(family, q))

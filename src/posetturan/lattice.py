@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
-from itertools import compress, count, repeat
+from itertools import compress, repeat
 from operator import and_, lshift, rshift, xor
 
 MAX_SCAN_N = 24      # 2^n-set passes: whole-lattice scans, level listings, hulls
@@ -26,8 +26,7 @@ MAX_LEVEL_GENERIC_Q_N = 8  # search.la_levels with non-chain Q: a copy listing p
 
 # Families of at least this many members transpose their slices and AND
 # their comparability rows from chunk tables; smaller ones loop per element,
-# which is faster there (the crossover sweep is in CHANGES.md). From as many
-# bits up, _bit_list reads the set bits of a member bitset off its binary text
+# which is faster there (the crossover sweep is in CHANGES.md)
 TABLE_MIN_MEMBERS = 24
 _CHUNK = 6  # widest chunk of [n] in a table: 2^6 entries
 
@@ -42,20 +41,6 @@ def iter_bits(bits: int):
         low = bits & -bits
         yield low.bit_length() - 1
         bits ^= low
-
-
-def _bit_list(bits: int) -> list:
-    """list(iter_bits(bits)), read off the binary text from TABLE_MIN_MEMBERS bits up.
-
-    Each iter_bits step rewrites all of ``bits``, so listing m set bits of an
-    m-bit int costs O(m^2) bit work; the text costs O(m). Below the threshold
-    iter_bits is faster.
-    """
-    if bits.bit_length() < TABLE_MIN_MEMBERS:
-        return list(iter_bits(bits))
-    # the digits lowest bit first, as 0/1 bytes that compress reads as flags
-    flags = bin(bits)[:1:-1].encode().translate(bytes.maketrans(b"01", b"\0\1"))
-    return list(compress(count(), flags))
 
 
 def _and_rows(slices, members, flip):
@@ -180,25 +165,22 @@ class SetFamily:
             up.append(bits)
         return tuple(up)
 
-    @cached_property
-    def below(self):
-        """below[j]: bitset of the indices i with members[i] a proper subset of members[j].
+    def _below_rows(self):
+        """below's rows in member order, each made when it is read and not kept.
 
-        A subset comes earlier, so below[j] is the earlier indices that hold
-        no element outside members[j]: the bits before j, ANDed with the
-        complement (within the m member bits) of the slice of each element
-        that members[j] lacks. ``above`` is not built.
+        Row j is the bitset of the indices i with members[i] a proper subset
+        of members[j]. A subset comes earlier, so row j is the earlier
+        indices that hold no element outside members[j]: the bits before j,
+        ANDed with the complement (within the m member bits) of the slice of
+        each element that members[j] lacks. ``above`` is not built.
         """
         every = (1 << len(self.members)) - 1
         lacks = [every ^ s for s in self._slices]
         full = (1 << self.n) - 1
         if len(self.members) >= TABLE_MIN_MEMBERS:
-            # the AND is the subsets of member j, j itself included; an &
-            # result keeps the block of its shorter operand, and clearing
-            # bit j can shorten a row a lot, so x & x copies it into a block
-            # of its own size
-            return tuple(x & x for x in _and_rows(lacks, self.members, full))
-        down = []
+            # the AND is the subsets of member j, j itself included
+            yield from _and_rows(lacks, self.members, full)
+            return
         for j, a in enumerate(self.members):
             bits = (1 << j) - 1
             out = full ^ a
@@ -206,8 +188,18 @@ class SetFamily:
                 low = out & -out
                 bits &= lacks[low.bit_length() - 1]
                 out ^= low
-            down.append(bits)
-        return tuple(down)
+            yield bits
+
+    @cached_property
+    def below(self):
+        """below[j]: bitset of the indices i with members[i] a proper subset of members[j]."""
+        rows = self._below_rows()
+        if len(self.members) >= TABLE_MIN_MEMBERS:
+            # an & result keeps the block of its shorter operand, and clearing bit
+            # j can shorten a row a lot, so x & x copies it into a block of its own size
+            return tuple(x & x for x in rows)
+        # a list sizes the tuple once; tuples grown from rows raised the lemma checks' peak RSS
+        return tuple(list(rows))
 
     @cached_property
     def comparable(self):
@@ -244,19 +236,31 @@ def cached_lattice(n: int) -> SetFamily:
     return SetFamily(n, range(1 << n))
 
 
-def chain_count(avail: int, k: int, below) -> int:
+def chain_count(avail: int, k: int, rows) -> int:
     """Number of k-chains among the members whose bits are set in ``avail``.
 
-    ``below[i]`` is the bitset of the members strictly below member i.
+    ``rows`` gives, in member order, the bitset of the members strictly
+    below each member (``SetFamily.below`` or its rows as they are made).
+    It is read once, in order, and not past the top member of ``avail``.
     """
     if k < 2:  # the empty chain, or one member
         return avail.bit_count() if k else 1
-    tops = _bit_list(avail)
-    # dp[i]: chains of the current length (from 2 up) whose top is member i
-    dp = {i: (avail & below[i]).bit_count() for i in tops}
-    for _ in range(k - 2):
-        dp = {i: sum(dp[j] for j in iter_bits(avail & below[i])) for i in tops}
-    return sum(dp.values())
+    # the rows of the members of avail: avail's digits, lowest first, as 0/1 flags
+    picks = bin(avail)[:1:-1].encode().translate(bytes.maketrans(b"01", b"\0\1"))
+    if k == 2:
+        return sum(map(int.bit_count, map(and_, repeat(avail), compress(rows, picks))))
+    # tops[l][i]: the chains of l + 2 members of avail whose top is member i;
+    # the members below i come earlier, so theirs are in by then
+    tops = [{} for _ in range(k - 2)]
+    total = 0
+    for i, row in compress(enumerate(rows), picks):
+        down = list(iter_bits(avail & row))
+        c = len(down)
+        for t in tops:
+            t[i] = c
+            c = sum(map(t.__getitem__, down))
+        total += c
+    return total
 
 
 def count_k_chains(family: SetFamily, k: int) -> int:
@@ -264,11 +268,9 @@ def count_k_chains(family: SetFamily, k: int) -> int:
     if k < 1:
         raise ValueError("chain length must be at least 1")
     m = len(family)
-    if k == 1:
-        return m
     if k > m:
         return 0
-    return chain_count((1 << m) - 1, k, family.below)
+    return chain_count((1 << m) - 1, k, family._below_rows())
 
 
 def containment_pairs(family: SetFamily):

@@ -15,7 +15,6 @@ from posetturan.lattice import (
     TABLE_MIN_MEMBERS,
     DimensionError,
     SetFamily,
-    _bit_list,
     cached_lattice,
     chain_count,
     chains_meeting,
@@ -129,18 +128,20 @@ class TestCountKChains:
         assert count_k_chains(fam, 2) == len(brute_pairs(fam))
 
     def test_large_sub_families_match_chain_enumeration(self):
-        # member bitsets on both sides of TABLE_MIN_MEMBERS bits, against every k-subset
+        # member bitsets on both sides of TABLE_MIN_MEMBERS bits, against every
+        # k-subset; the rows as a tuple and as a generator, read once
         fam = cached_lattice(5)
         rng = random.Random(23)
         for width in (12, TABLE_MIN_MEMBERS - 1, TABLE_MIN_MEMBERS, len(fam)) * 3:
             avail = rng.getrandbits(width) | 1 << width - 1
             ms = [fam.members[i] for i in iter_bits(avail)]
-            for k in (2, 3, 4):
+            for k in range(6):
                 expect = sum(
                     all(a & b == a for a, b in zip(c, c[1:]))
                     for c in itertools.combinations(ms, k)
                 )
                 assert chain_count(avail, k, fam.below) == expect, (avail, k)
+                assert chain_count(avail, k, fam._below_rows()) == expect, (avail, k)
 
 
 class TestContainmentPairs:
@@ -349,21 +350,6 @@ class TestBitsetComparability:
         assert list(iter_bits(0b101001)) == [0, 3, 5]
         assert list(iter_bits(1 << 200 | 2)) == [1, 200]
 
-    def test_bit_list_matches_iter_bits(self):
-        m = 6435  # the middle two levels of 2^[14]
-        cases = [0, 1, (1 << m) - 1, 1 << m - 1, 1 << 200, 1 << TABLE_MIN_MEMBERS - 1]
-        rng = random.Random(17)
-        for width in (4, TABLE_MIN_MEMBERS - 1, TABLE_MIN_MEMBERS, TABLE_MIN_MEMBERS + 1, 100, m):
-            for _ in range(20):
-                sparse = 0
-                for _ in range(rng.randint(1, 4)):
-                    sparse |= 1 << rng.randrange(width)
-                dense = rng.getrandbits(width) | 1 << width - 1
-                cases += [sparse, dense, ((1 << width) - 1) ^ sparse]
-        assert {x.bit_length() < TABLE_MIN_MEMBERS for x in cases} == {True, False}
-        for x in cases:
-            assert _bit_list(x) == list(iter_bits(x)), x
-
     def test_random_families_match_pairwise_definition(self):
         rng = random.Random(31)
         for _ in range(200):
@@ -422,6 +408,22 @@ class TestBitsetComparability:
         assert fam.below == pairwise_below(fam)
 
     def test_counting_two_chains_builds_no_above(self):
-        fam = CONSTRUCTIONS["middle-two-levels"](12)
-        assert count_copies(fam, chain(2)) == 7 * math.comb(12, 7)
-        assert "above" not in fam.__dict__
+        # and keeps no below: a chain count reads below's rows as they are made
+        for k, expect in ((2, 7 * math.comb(12, 7)), (3, 0)):
+            copies, chains = CONSTRUCTIONS["middle-two-levels"](12), CONSTRUCTIONS["middle-two-levels"](12)
+            assert count_copies(copies, chain(k)) == count_k_chains(chains, k) == expect
+            for fam in (copies, chains):
+                assert "above" not in fam.__dict__ and "below" not in fam.__dict__
+
+    def test_counting_two_chains_streams_its_rows(self):
+        # the rows are made one at a time: the kept below of the middle two
+        # levels of 2^[14] would take about 2.2 MB
+        fam = CONSTRUCTIONS["middle-two-levels"](14)
+        fam._slices
+        tracemalloc.start()
+        try:
+            assert count_k_chains(fam, 2) == 7 * math.comb(14, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
