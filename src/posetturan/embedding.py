@@ -4,7 +4,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .lattice import SetFamily, chain_count, iter_bits
+from .lattice import TABLE_MIN_MEMBERS, SetFamily, chain_count, iter_bits
 from .posets import Poset
 
 
@@ -42,7 +42,7 @@ def _constraints(poset: Poset, order) -> tuple:
 def _plan(poset: Poset):
     """Compiled assignment order for the backtracking search.
 
-    Returns (order, constraints, supports, needs): ``order`` lists the poset
+    Returns (order, constraints, supports, needs, reads): ``order`` lists the poset
     elements in the order they are assigned, decreasing (in + out) degree,
     ties by index, and ``constraints[i] = (lower, upper)`` holds the earlier
     positions whose elements lie below, resp. above, ``order[i]``.
@@ -58,6 +58,8 @@ def _plan(poset: Poset):
 
     ``needs[i]`` is (|up-set|, |down-set|) of order[i]: its image needs at
     least that many members above, resp. below it (Ullmann's degree filter).
+    ``reads[i]`` is (up, down): whether later constraints read the members
+    above, resp. below, the image of position i.
     """
     deg = [0] * poset.size
     for a, b in poset.relations:
@@ -78,7 +80,9 @@ def _plan(poset: Poset):
                         sup[key] = sup.get(key, 0) + 1
         supports.append(tuple((*key, t) for key, t in sup.items()))
     needs = tuple((len(poset.up_set(a)), len(poset.down_set(a))) for a in order)
-    return tuple(order), constraints, tuple(supports), needs
+    reads = tuple((any(i in lower for lower, _ in constraints), any(i in upper for _, upper in constraints))
+                  for i in range(k))
+    return tuple(order), constraints, tuple(supports), needs, reads
 
 
 # The supports copy_supports may store: about 160 bytes each for N, whatever the family's size.
@@ -104,32 +108,44 @@ def _search(family: SetFamily, poset: Poset, plan, pin=None, within=None, found=
     ``found``, if given, is a set, and the search lists instead: each complete
     image adds its support (its member indices as a sorted tuple) and the
     search goes on, until the set holds more than MAX_COPY_SUPPORTS supports.
+    A family of TABLE_MIN_MEMBERS members or more builds no ``above`` or
+    ``below``: a placed image's rows are made at placement, in the directions
+    ``reads`` marks, and the other reads make their rows and keep none.
     """
-    order, constraints, supports, needs = plan
+    order, constraints, supports, needs, reads = plan
     k = len(order)
-    allowed = (1 << len(family.members)) - 1 if within is None else within
+    m = len(family.members)
+    allowed = (1 << m) - 1 if within is None else within
     if k > allowed.bit_count():
         return None
-    above, below = family.above, family.below
+    small = m < TABLE_MIN_MEMBERS
+    above, below = (family.above, family.below) if small else (family._up_tables, family._down_tables)
     domain = [allowed] * k
     fits = {}  # (u, d): the allowed members with at least u allowed members above, d below
     for i, (u, d) in enumerate(needs):
         if (u > 1 or d > 1) and (u, d) not in fits:
-            bits = 0
-            rest = allowed
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                y = low.bit_length() - 1
-                if ((not u or (above[y] & allowed).bit_count() >= u)
-                        and (not d or (below[y] & allowed).bit_count() >= d)):
-                    bits |= low
-            fits[u, d] = bits
+            if within is None and not small:
+                # from the cached counts, in time linear in m
+                ups, downs = family._degrees
+                fits[u, d] = int("".join(["01"[a >= u and b >= d] for a, b in zip(ups, downs)][::-1]), 2)
+            else:
+                bits = 0
+                rest = allowed
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    y = low.bit_length() - 1
+                    if ((not u or (above[y] & allowed).bit_count() >= u)
+                            and (not d or (below[y] & allowed).bit_count() >= d)):
+                        bits |= low
+                fits[u, d] = bits
         domain[i] = fits.get((u, d), allowed)
     if pin is not None:
-        i, m = pin
-        domain[i] &= 1 << m
+        i, x = pin
+        domain[i] &= 1 << x
     image = [0] * k  # image[i]: member index of order[i]
+    up_rows = [0] * k  # up_rows[i], down_rows[i]: the rows of image[i], made if reads[i] asks
+    down_rows = [0] * k
 
     def extend(i, free):
         # free: bitset of the allowed members not yet used
@@ -141,15 +157,15 @@ def _search(family: SetFamily, poset: Poset, plan, pin=None, within=None, found=
         lower, upper = constraints[i]
         pool = free & domain[i]
         for j in lower:
-            pool &= above[image[j]]
+            pool &= up_rows[j]
         for j in upper:
-            pool &= below[image[j]]
+            pool &= down_rows[j]
         for up, p_lower, p_upper, t in supports[i]:
             dom = free
             for j in p_lower:
-                dom &= above[image[j]]
+                dom &= up_rows[j]
             for j in p_upper:
-                dom &= below[image[j]]
+                dom &= down_rows[j]
             toward = below if up else above
             # saturating counters: count[s] holds the members comparable,
             # in that direction, to more than s members of dom
@@ -160,10 +176,15 @@ def _search(family: SetFamily, poset: Poset, plan, pin=None, within=None, found=
                     count[s] |= count[s - 1] & near
                 count[0] |= near
             pool &= count[-1]
+        read_up, read_down = reads[i]
         while pool:
             low = pool & -pool
             pool ^= low
-            image[i] = low.bit_length() - 1
+            y = image[i] = low.bit_length() - 1
+            if read_up:
+                up_rows[i] = above[y]
+            if read_down:
+                down_rows[i] = below[y]
             if extend(i + 1, free ^ low):
                 return True
         return False

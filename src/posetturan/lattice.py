@@ -25,8 +25,9 @@ MAX_LEVEL_GENERIC_Q_N = 8  # search.la_levels with non-chain Q: a copy listing p
 
 
 # Families of at least this many members transpose their slices and AND
-# their comparability rows from chunk tables; smaller ones loop per element,
-# which is faster there (the crossover sweep is in CHANGES.md)
+# their comparability rows from chunk tables, where a search makes each row
+# it reads; smaller ones loop per element and lend the search their stored
+# rows, which is faster there (the crossover sweep is in CHANGES.md)
 TABLE_MIN_MEMBERS = 24
 _CHUNK = 6  # widest chunk of [n] in a table: 2^6 entries
 
@@ -43,27 +44,46 @@ def iter_bits(bits: int):
         bits ^= low
 
 
-def _and_rows(slices, members, flip):
-    """Row i: the AND of slices[e] over the elements e of members[i] ^ flip, less bit i.
+class _TableRows:
+    """Row i: the AND of the slices over the elements of members[i] ^ flip, less bit i.
 
     [n] is cut into chunks of at most _CHUNK elements. Each chunk has a table
     of the AND of its slices for every subset of the chunk, one AND per
-    entry, so a row costs one AND per chunk, not one per element. The rows
-    come lazily, and each runs its chunks' lookups and ANDs in C.
+    entry, so a row costs one AND per chunk, not one per element. Indexing
+    makes one row, iterating makes all lazily, each in C; neither keeps any.
     """
-    n, m = len(slices), len(members)
-    width = -(-n // -(-n // _CHUNK))  # the chunks' common width, balanced
-    low = (1 << width) - 1
-    rows = None
-    for lo in range(0, n, width):
-        table = [(1 << m) - 1]
-        for s in slices[lo:lo + width]:
-            table += [t & s for t in table]
-        # each row's pattern in this chunk: (members[i] ^ flip) >> lo & low
-        parts = map(and_, map(rshift, map(xor, members, repeat(flip)), repeat(lo)), repeat(low))
-        column = map(table.__getitem__, parts)
-        rows = column if rows is None else map(and_, rows, column)
-    return map(xor, rows, map(lshift, repeat(1), range(m)))
+
+    __slots__ = ("members", "flip", "width", "tables")
+
+    def __init__(self, slices, members, flip):
+        n, m = len(slices), len(members)
+        self.members, self.flip = members, flip
+        self.width = width = -(-n // -(-n // _CHUNK))  # the chunks' common width, balanced
+        self.tables = []
+        for lo in range(0, n, width):
+            table = [(1 << m) - 1]
+            for s in slices[lo:lo + width]:
+                table += [t & s for t in table]
+            self.tables.append(table)
+
+    def __getitem__(self, i):
+        pattern, width = self.members[i] ^ self.flip, self.width
+        low = (1 << width) - 1
+        bits = self.tables[0][pattern & low]
+        for table in self.tables[1:]:
+            pattern >>= width
+            bits &= table[pattern & low]
+        return bits ^ 1 << i
+
+    def __iter__(self):
+        members, flip, width = self.members, self.flip, self.width
+        low, rows = (1 << width) - 1, None
+        for c, table in enumerate(self.tables):
+            # each row's pattern in chunk c: (members[i] ^ flip) >> c * width & low
+            parts = map(and_, map(rshift, map(xor, members, repeat(flip)), repeat(c * width)), repeat(low))
+            column = map(table.__getitem__, parts)
+            rows = column if rows is None else map(and_, rows, column)
+        return map(xor, rows, map(lshift, repeat(1), range(len(members))))
 
 
 def _check_n(n: int, cap: int):
@@ -143,6 +163,17 @@ class SetFamily:
         return tuple(has)
 
     @cached_property
+    def _up_tables(self):
+        """above's rows from chunk tables of the slices."""
+        return _TableRows(self._slices, self.members, 0)
+
+    @cached_property
+    def _down_tables(self):
+        """below's rows from chunk tables of the slices' complements within the m member bits."""
+        every = (1 << len(self.members)) - 1
+        return _TableRows([every ^ s for s in self._slices], self.members, (1 << self.n) - 1)
+
+    @cached_property
     def above(self):
         """above[i]: bitset of the indices j with members[i] a proper subset of members[j].
 
@@ -154,7 +185,7 @@ class SetFamily:
         m = len(self.members)
         if m >= TABLE_MIN_MEMBERS:
             # the AND is the supersets of member i, i itself included
-            return tuple(_and_rows(slices, self.members, 0))
+            return tuple(self._up_tables)
         up = []
         for i, a in enumerate(self.members):
             bits = (1 << m) - (2 << i)
@@ -174,13 +205,13 @@ class SetFamily:
         ANDed with the complement (within the m member bits) of the slice of
         each element that members[j] lacks. ``above`` is not built.
         """
-        every = (1 << len(self.members)) - 1
-        lacks = [every ^ s for s in self._slices]
         full = (1 << self.n) - 1
         if len(self.members) >= TABLE_MIN_MEMBERS:
             # the AND is the subsets of member j, j itself included
-            yield from _and_rows(lacks, self.members, full)
+            yield from self._down_tables
             return
+        every = (1 << len(self.members)) - 1
+        lacks = [every ^ s for s in self._slices]
         for j, a in enumerate(self.members):
             bits = (1 << j) - 1
             out = full ^ a
@@ -189,6 +220,11 @@ class SetFamily:
                 bits &= lacks[low.bit_length() - 1]
                 out ^= low
             yield bits
+
+    @cached_property
+    def _degrees(self):
+        """(ups, downs): how many members lie above, resp. below, each member; one pass per stream."""
+        return tuple(map(int.bit_count, self._up_tables)), tuple(map(int.bit_count, self._down_tables))
 
     @cached_property
     def below(self):

@@ -20,8 +20,9 @@ from posetturan.embedding import (
     is_free,
     minimal_posets,
 )
-from posetturan.constructions import middle_two_levels
+from posetturan.constructions import CONSTRUCTIONS, middle_two_levels
 from posetturan.lattice import (
+    TABLE_MIN_MEMBERS,
     SetFamily,
     cached_lattice,
     chain_count,
@@ -642,16 +643,16 @@ def per_neighbour_plan(plan):
     """``plan`` with each counted support (up, lower, upper, t) written as t
     one-neighbour supports (up, lower, upper), as ``_plan`` emitted them before
     twins were counted."""
-    order, constraints, supports, needs = plan
+    order, constraints, supports, needs, reads = plan
     supports = tuple(tuple(s[:3] for s in sup for _ in range(s[3])) for sup in supports)
-    return order, constraints, supports, needs
+    return order, constraints, supports, needs, reads
 
 
 def per_neighbour_search(family, poset, plan, pin=None, within=None, found=None):
     """Reference for _search before counted supports: one look-ahead union per
     later neighbour, so twins build the same union twice. ``plan`` is a
     ``per_neighbour_plan``. Returns the witness assignment, or None."""
-    order, constraints, supports, needs = plan
+    order, constraints, supports, needs, _ = plan
     k = len(order)
     allowed = (1 << len(family.members)) - 1 if within is None else within
     if k > allowed.bit_count():
@@ -770,6 +771,136 @@ class TestCountedSupports:
         steps = sum(stat[1] for (path, _, name), stat in pstats.Stats(profile).stats.items()
                     if name == "extend" and path.endswith("embedding.py"))
         assert w is None and steps == 925
+
+
+def stored_row_search(family, poset, plan, pin=None, within=None, found=None):
+    """Reference for _search on rows made at placement: the search as it was
+    when it read the stored ``above`` and ``below`` of every family. Returns
+    the witness, or None; ``found`` collects the supports as ``_search`` does."""
+    order, constraints, supports, needs, _ = plan
+    k = len(order)
+    allowed = (1 << len(family.members)) - 1 if within is None else within
+    if k > allowed.bit_count():
+        return None
+    above, below = family.above, family.below
+    domain = [allowed] * k
+    fits = {}
+    for i, (u, d) in enumerate(needs):
+        if (u > 1 or d > 1) and (u, d) not in fits:
+            bits = 0
+            rest = allowed
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                y = low.bit_length() - 1
+                if ((not u or (above[y] & allowed).bit_count() >= u)
+                        and (not d or (below[y] & allowed).bit_count() >= d)):
+                    bits |= low
+            fits[u, d] = bits
+        domain[i] = fits.get((u, d), allowed)
+    if pin is not None:
+        i, m = pin
+        domain[i] &= 1 << m
+    image = [0] * k
+
+    def extend(i, free):
+        if i == k:
+            if found is None:
+                return True
+            found.add(tuple(sorted(image)))
+            return len(found) > embedding.MAX_COPY_SUPPORTS
+        lower, upper = constraints[i]
+        pool = free & domain[i]
+        for j in lower:
+            pool &= above[image[j]]
+        for j in upper:
+            pool &= below[image[j]]
+        for up, p_lower, p_upper, t in supports[i]:
+            dom = free
+            for j in p_lower:
+                dom &= above[image[j]]
+            for j in p_upper:
+                dom &= below[image[j]]
+            toward = below if up else above
+            count = [0] * t
+            for y in iter_bits(dom):
+                near = toward[y]
+                for s in range(t - 1, 0, -1):
+                    count[s] |= count[s - 1] & near
+                count[0] |= near
+            pool &= count[-1]
+        while pool:
+            low = pool & -pool
+            pool ^= low
+            image[i] = low.bit_length() - 1
+            if extend(i + 1, free ^ low):
+                return True
+        return False
+
+    if not extend(0, allowed):
+        return None
+    masks = [0] * k
+    for i, e in enumerate(order):
+        masks[e] = family.members[image[i]]
+    return embedding.EmbeddingWitness(poset, family, tuple(masks))
+
+
+class TestRowsOnDemand:
+    """A family of TABLE_MIN_MEMBERS members or more is searched without its
+    stored rows: each row is made from the chunk tables where it is read."""
+
+    def test_unforced_searches_build_no_rows(self):
+        fam = middle_two_levels(12)
+        assert find_embedding(fam, BFLY) is None
+        assert find_any_embedding(fam, [kst(2, 3), BFLY, n_poset()]).poset == n_poset()
+        assert copy_supports(fam, BFLY) == set()
+        sub = fam.restrict(range(60))
+        assert len(copy_supports(sub, n_poset())) > 0
+        for f in (fam, sub):
+            assert "above" not in f.__dict__ and "below" not in f.__dict__
+
+    @pytest.mark.parametrize("construction, forbidden", [
+        ("p5", path_hasse_family(5)),
+        ("middle-two-levels", [BFLY]),
+    ], ids=["p5", "middle-two-levels"])
+    def test_a_search_peaks_in_a_few_hundred_kib(self, construction, forbidden):
+        # the stored rows of these 3,696 and 6,435 members took 1.8 and 4.1 MB
+        fam = CONSTRUCTIONS[construction](14)
+        fam._slices
+        tracemalloc.start()
+        try:
+            assert find_any_embedding(fam, forbidden) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
+
+    def test_witnesses_and_copies_match_the_stored_row_search(self, monkeypatch):
+        # both listings stop at the same support past the cap, as copy_supports's does
+        monkeypatch.setattr(embedding, "MAX_COPY_SUPPORTS", 2000)
+        rng = random.Random(41)
+        families = [SetFamily(n, rng.sample(range(1 << n), rng.randint(16, 40)))
+                    for n in (6, 7, 8) for _ in range(4)]
+        families += [level_family(6, [2, 3]), level_family(7, [3, 4]), level_family(6, [1, 3, 5])]
+        assert {len(fam) < TABLE_MIN_MEMBERS for fam in families} == {True, False}
+        for fam in families:
+            for p in catalog_posets(5):
+                plan = _plan(p)
+                within = rng.getrandbits(len(fam))
+                for w in (None, within):
+                    got, expect = _search(fam, p, plan, within=w), stored_row_search(fam, p, plan, within=w)
+                    assert (got and got.assignment) == (expect and expect.assignment), (fam.members, p, w)
+                x = rng.randrange(len(fam))
+                for i in range(p.size):
+                    for w in (None, within | 1 << x):
+                        got = _search(fam, p, plan, (i, x), w)
+                        expect = stored_row_search(fam, p, plan, (i, x), w)
+                        assert (got and got.assignment) == (expect and expect.assignment), \
+                            (fam.members, p, i, x, w)
+                listed, reference = set(), set()
+                _search(fam, p, plan, found=listed)
+                stored_row_search(fam, p, plan, found=reference)
+                assert listed == reference, (fam.members, p)
 
 
 def relabel(p, perm):

@@ -332,7 +332,7 @@ class TestTableRows:
         # up to 256 are shared)
         fam = CONSTRUCTIONS["p5"](12)
         assert len(fam) >= TABLE_MIN_MEMBERS
-        fam._slices
+        fam._up_tables, fam._down_tables  # the family keeps its chunk tables
         for name in ("above", "below"):
             tracemalloc.start()
             try:
