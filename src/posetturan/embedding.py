@@ -108,9 +108,10 @@ def _search(family: SetFamily, poset: Poset, plan, pin=None, within=None, found=
     ``found``, if given, is a set, and the search lists instead: each complete
     image adds its support (its member indices as a sorted tuple) and the
     search goes on, until the set holds more than MAX_COPY_SUPPORTS supports.
-    A family of TABLE_MIN_MEMBERS members or more builds no ``above`` or
-    ``below``: a placed image's rows are made at placement, in the directions
-    ``reads`` marks, and the other reads make their rows and keep none.
+    The rows come from ``family._ups`` and ``_downs``, stored or made when
+    read as the family decides. A placed image's rows are read once, at
+    placement, in the directions ``reads`` marks. From TABLE_MIN_MEMBERS
+    members up, the unrestricted degree domains come from the cached counts.
     """
     order, constraints, supports, needs, reads = plan
     k = len(order)
@@ -118,13 +119,12 @@ def _search(family: SetFamily, poset: Poset, plan, pin=None, within=None, found=
     allowed = (1 << m) - 1 if within is None else within
     if k > allowed.bit_count():
         return None
-    small = m < TABLE_MIN_MEMBERS
-    above, below = (family.above, family.below) if small else (family._up_tables, family._down_tables)
+    above, below = family._ups, family._downs
     domain = [allowed] * k
     fits = {}  # (u, d): the allowed members with at least u allowed members above, d below
     for i, (u, d) in enumerate(needs):
         if (u > 1 or d > 1) and (u, d) not in fits:
-            if within is None and not small:
+            if within is None and m >= TABLE_MIN_MEMBERS:
                 # from the cached counts, in time linear in m
                 ups, downs = family._degrees
                 fits[u, d] = int("".join(["01"[a >= u and b >= d] for a, b in zip(ups, downs)][::-1]), 2)
@@ -403,5 +403,5 @@ def count_copies(family: SetFamily, q: Poset) -> int:
     A chain Q counts chains; any other Q counts its ``copy_supports``.
     """
     if q.is_chain():
-        return chain_count((1 << len(family)) - 1, q.size, family._below_rows())
+        return chain_count((1 << len(family)) - 1, q.size, family._downs)
     return len(copy_supports(family, q))

@@ -24,10 +24,10 @@ MAX_LEVEL_GENERIC_N = 12  # search.la_levels with non-chain P at n = 12: paper p
 MAX_LEVEL_GENERIC_Q_N = 8  # search.la_levels with non-chain Q: a copy listing per free tuple, 104 s for (chain(5), #N) at n = 8
 
 
-# Families of at least this many members transpose their slices and AND
-# their comparability rows from chunk tables, where a search makes each row
-# it reads; smaller ones loop per element and lend the search their stored
-# rows, which is faster there (the crossover sweep is in CHANGES.md)
+# Families of at least this many members transpose their slices, and their
+# comparability rows (SetFamily._ups, _downs) come from chunk tables, each
+# made when it is read; smaller ones loop per element and store the rows,
+# which is faster there (the crossover sweep is in CHANGES.md)
 TABLE_MIN_MEMBERS = 24
 _CHUNK = 6  # widest chunk of [n] in a table: 2^6 entries
 
@@ -163,29 +163,19 @@ class SetFamily:
         return tuple(has)
 
     @cached_property
-    def _up_tables(self):
-        """above's rows from chunk tables of the slices."""
-        return _TableRows(self._slices, self.members, 0)
+    def _ups(self):
+        """The rows of ``above``: stored under TABLE_MIN_MEMBERS members, else made when read.
 
-    @cached_property
-    def _down_tables(self):
-        """below's rows from chunk tables of the slices' complements within the m member bits."""
-        every = (1 << len(self.members)) - 1
-        return _TableRows([every ^ s for s in self._slices], self.members, (1 << self.n) - 1)
-
-    @cached_property
-    def above(self):
-        """above[i]: bitset of the indices j with members[i] a proper subset of members[j].
-
-        A superset comes later in the ascending order, so above[i] is the
-        later indices that hold every element of members[i]: the bits past i,
-        ANDed with the slice of each of its elements.
+        A superset comes later in the ascending order, so row i is the later
+        indices that hold every element of members[i]: the bits past i,
+        ANDed with the slice of each of its elements. A large family makes
+        its rows from chunk tables; a smaller one stores them, and ``above``
+        is that tuple.
         """
-        slices = self._slices
-        m = len(self.members)
+        slices, m = self._slices, len(self.members)
         if m >= TABLE_MIN_MEMBERS:
             # the AND is the supersets of member i, i itself included
-            return tuple(self._up_tables)
+            return _TableRows(slices, self.members, 0)
         up = []
         for i, a in enumerate(self.members):
             bits = (1 << m) - (2 << i)
@@ -196,22 +186,21 @@ class SetFamily:
             up.append(bits)
         return tuple(up)
 
-    def _below_rows(self):
-        """below's rows in member order, each made when it is read and not kept.
+    @cached_property
+    def _downs(self):
+        """The rows of ``below``, stored or made when read as in ``_ups``.
 
-        Row j is the bitset of the indices i with members[i] a proper subset
-        of members[j]. A subset comes earlier, so row j is the earlier
-        indices that hold no element outside members[j]: the bits before j,
-        ANDed with the complement (within the m member bits) of the slice of
-        each element that members[j] lacks. ``above`` is not built.
+        A subset comes earlier, so row j is the earlier indices that hold no
+        element outside members[j]: the bits before j, ANDed with the
+        complement (within the m member bits) of the slice of each element
+        that members[j] lacks.
         """
-        full = (1 << self.n) - 1
-        if len(self.members) >= TABLE_MIN_MEMBERS:
+        full, m = (1 << self.n) - 1, len(self.members)
+        lacks = [((1 << m) - 1) ^ s for s in self._slices]
+        if m >= TABLE_MIN_MEMBERS:
             # the AND is the subsets of member j, j itself included
-            yield from self._down_tables
-            return
-        every = (1 << len(self.members)) - 1
-        lacks = [every ^ s for s in self._slices]
+            return _TableRows(lacks, self.members, full)
+        down = []
         for j, a in enumerate(self.members):
             bits = (1 << j) - 1
             out = full ^ a
@@ -219,23 +208,29 @@ class SetFamily:
                 low = out & -out
                 bits &= lacks[low.bit_length() - 1]
                 out ^= low
-            yield bits
+            down.append(bits)
+        return tuple(down)
 
     @cached_property
     def _degrees(self):
-        """(ups, downs): how many members lie above, resp. below, each member; one pass per stream."""
-        return tuple(map(int.bit_count, self._up_tables)), tuple(map(int.bit_count, self._down_tables))
+        """(ups, downs): how many members lie above, resp. below, each member; one pass per source."""
+        return tuple(map(int.bit_count, self._ups)), tuple(map(int.bit_count, self._downs))
+
+    @cached_property
+    def above(self):
+        """above[i]: bitset of the indices j with members[i] a proper subset of members[j]."""
+        ups = self._ups
+        return ups if isinstance(ups, tuple) else tuple(ups)
 
     @cached_property
     def below(self):
         """below[j]: bitset of the indices i with members[i] a proper subset of members[j]."""
-        rows = self._below_rows()
-        if len(self.members) >= TABLE_MIN_MEMBERS:
-            # an & result keeps the block of its shorter operand, and clearing bit
-            # j can shorten a row a lot, so x & x copies it into a block of its own size
-            return tuple(x & x for x in rows)
-        # a list sizes the tuple once; tuples grown from rows raised the lemma checks' peak RSS
-        return tuple(list(rows))
+        downs = self._downs
+        if isinstance(downs, tuple):
+            return downs
+        # an & result keeps the block of its shorter operand, and clearing bit
+        # j can shorten a row a lot, so x & x copies it into a block of its own size
+        return tuple(x & x for x in downs)
 
     @cached_property
     def comparable(self):
@@ -276,7 +271,7 @@ def chain_count(avail: int, k: int, rows) -> int:
     """Number of k-chains among the members whose bits are set in ``avail``.
 
     ``rows`` gives, in member order, the bitset of the members strictly
-    below each member (``SetFamily.below`` or its rows as they are made).
+    below each member (``SetFamily._downs``, stored or made as it is read).
     It is read once, in order, and not past the top member of ``avail``.
     """
     if k < 2:  # the empty chain, or one member
@@ -306,7 +301,7 @@ def count_k_chains(family: SetFamily, k: int) -> int:
     m = len(family)
     if k > m:
         return 0
-    return chain_count((1 << m) - 1, k, family._below_rows())
+    return chain_count((1 << m) - 1, k, family._downs)
 
 
 def containment_pairs(family: SetFamily):

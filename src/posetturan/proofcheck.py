@@ -58,16 +58,18 @@ def color_family(family: SetFamily, t: int) -> Coloring:
         raise ValueError(f"coloring labels all 2^n masks; n <= {MAX_COLOR_N} required")
     if t < 1:
         raise ValueError("threshold must be at least 1")
-    above = cached_lattice(n).above
+    lattice = cached_lattice(n)
+    above = lattice.above
     members = sum(1 << f for f in family.members)
     blue = frozenset(mask for mask in range(1 << n) if (above[mask] & members).bit_count() >= t)
     bits = _indicator(blue)
     # g is the bottom of a critical pair with top g | {i} iff g is blue, lacks i, and
-    # bit g + 2^i of the blue indicator is clear
+    # bit g + 2^i of the blue indicator is clear; the lattice's slice i, indexed
+    # by mask, is the indicator of the masks that hold i
     pairs = sorted(
         (g, g | 1 << i)
-        for i, lacks in enumerate(_lacking(n))
-        for g in iter_bits(bits & lacks & ~(bits >> (1 << i)))
+        for i, has in enumerate(lattice._slices)
+        for g in iter_bits(bits & ~(has | bits >> (1 << i)))
     )
     return Coloring(n, family, t, blue, tuple(pairs))
 
@@ -78,12 +80,6 @@ def _indicator(masks) -> int:
     for m in masks:
         bits |= 1 << m
     return bits
-
-
-@lru_cache(maxsize=None)
-def _lacking(n):
-    """Per element i of [n], the 2^n-bit indicator of the masks without i."""
-    return tuple(_indicator(m for m in range(1 << n) if not m >> i & 1) for i in range(n))
 
 
 def check_one_critical_pair_per_chain(coloring: Coloring) -> bool:
@@ -481,8 +477,8 @@ def verify_coloring(seed: int = 0) -> LemmaReport:
         # h marks the offending blue mask h | {i}
         bits = _indicator(col.blue)
         stray = 0
-        for i, lacks in enumerate(_lacking(n)):
-            stray |= ((bits & ~lacks) >> (1 << i) & ~bits) << (1 << i)
+        for i, has in enumerate(cached_lattice(n)._slices):
+            stray |= ((bits & has) >> (1 << i) & ~bits) << (1 << i)
         if stray:
             g = (stray & -stray).bit_length() - 1
             return f"n={n} t={t}: blue set not a downset at {g}"

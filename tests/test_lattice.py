@@ -129,7 +129,7 @@ class TestCountKChains:
 
     def test_large_sub_families_match_chain_enumeration(self):
         # member bitsets on both sides of TABLE_MIN_MEMBERS bits, against every
-        # k-subset; the rows as a tuple and as a generator, read once
+        # k-subset; the rows stored, and as they are made (32 members), read once
         fam = cached_lattice(5)
         rng = random.Random(23)
         for width in (12, TABLE_MIN_MEMBERS - 1, TABLE_MIN_MEMBERS, len(fam)) * 3:
@@ -141,7 +141,7 @@ class TestCountKChains:
                     for c in itertools.combinations(ms, k)
                 )
                 assert chain_count(avail, k, fam.below) == expect, (avail, k)
-                assert chain_count(avail, k, fam._below_rows()) == expect, (avail, k)
+                assert chain_count(avail, k, fam._downs) == expect, (avail, k)
 
 
 class TestContainmentPairs:
@@ -281,8 +281,12 @@ def loop_slices(fam):
 def check_against_pairwise(fam):
     above, below = pairwise_above(fam), pairwise_below(fam)
     assert fam._slices == loop_slices(fam)
+    assert tuple(fam._ups) == above
+    assert tuple(fam._downs) == below
     assert fam.above == above
     assert fam.below == below
+    if len(fam) < TABLE_MIN_MEMBERS:  # the rows are stored once
+        assert fam.above is fam._ups and fam.below is fam._downs
     assert fam.comparable == tuple(up | down for up, down in zip(above, below))
 
 
@@ -332,7 +336,7 @@ class TestTableRows:
         # up to 256 are shared)
         fam = CONSTRUCTIONS["p5"](12)
         assert len(fam) >= TABLE_MIN_MEMBERS
-        fam._up_tables, fam._down_tables  # the family keeps its chunk tables
+        fam._ups, fam._downs  # the family keeps its chunk tables
         for name in ("above", "below"):
             tracemalloc.start()
             try:
