@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
-from itertools import compress, repeat
-from operator import and_, lshift, rshift, xor
+from itertools import compress, islice, repeat
+from operator import and_, eq, lshift, rshift, xor
 
 MAX_SCAN_N = 24      # 2^n-set passes: whole-lattice scans, level listings, hulls
 MAX_CHAIN_N = 8      # chains_meeting: its oracles list the n! full chains; the count reads the cached 2^[n]
@@ -24,10 +24,10 @@ MAX_LEVEL_GENERIC_N = 12  # search.la_levels with non-chain P at n = 12: paper p
 MAX_LEVEL_GENERIC_Q_N = 8  # search.la_levels with non-chain Q: a copy listing per free tuple, 104 s for (chain(5), #N) at n = 8
 
 
-# Families of at least this many members transpose their slices, and their
-# comparability rows (SetFamily._ups, _downs) come from chunk tables, each
-# made when it is read; smaller ones loop per element and store the rows,
-# which is faster there (the crossover sweep is in CHANGES.md)
+# Families of at least this many members make their comparability rows
+# (SetFamily._ups, _downs) from chunk tables, each when it is read; smaller
+# ones store the rows of both directions from one pass over their pairs,
+# which is faster there (the crossover sweeps are in CHANGES.md)
 TABLE_MIN_MEMBERS = 24
 _CHUNK = 6  # widest chunk of [n] in a table: 2^6 entries
 
@@ -86,6 +86,21 @@ class _TableRows:
         return map(xor, rows, map(lshift, repeat(1), range(len(members))))
 
 
+def _pair_rows(members):
+    """(up, down): the rows of ``above`` and ``below`` of ascending distinct masks, from
+    their pairs i < j: a pair whose AND is members[i] sets bit j of up[i] and bit i of down[j]."""
+    up, down = [0] * len(members), []
+    for j, b in enumerate(members):
+        bit, row, i = 1 << j, 0, 0
+        for a in members[:j]:
+            if a & b == a:
+                up[i] |= bit
+                row |= 1 << i
+            i += 1
+        down.append(row)
+    return tuple(up), tuple(down)
+
+
 def _check_n(n: int, cap: int):
     if not 1 <= n <= cap:
         raise DimensionError(f"dimension n={n} outside supported range 1..{cap}")
@@ -100,7 +115,9 @@ class SetFamily:
 
     def __init__(self, n: int, members):
         _check_n(n, MAX_FORMULA_N)
-        masks = sorted(set(members))
+        masks = sorted(members)
+        if any(map(eq, masks, islice(masks, 1, None))):  # a repeat sits next to its twin
+            masks = sorted(set(masks))
         if masks and not 0 <= masks[0] <= masks[-1] < (1 << n):
             raise ValueError(f"mask out of range for n={n}")
         object.__setattr__(self, "n", n)
@@ -139,77 +156,53 @@ class SetFamily:
 
     @cached_property
     def _slices(self):
-        """_slices[e]: bitset of the indices of the members that hold element e."""
-        ms, n = self.members, self.n
-        if len(ms) >= TABLE_MIN_MEMBERS:
-            # a bit-matrix transpose: the members as fixed-width binary
-            # numerals, highest first, in one string; digit e of each member,
-            # read at a stride of one numeral, is slice e. struct is imported
-            # here, so import posetturan does not load it
-            import struct
+        """_slices[e]: bitset of the indices of the members that hold element e.
 
-            k = (n > 8) + (n > 16) + (n > 32)
-            width = 8 << k
-            raw = struct.pack(f"<{len(ms)}{'BHIQ'[k]}", *ms)
-            digits = format(int.from_bytes(raw, "little"), f"0{width * len(ms)}b")
-            return tuple(int(digits[width - 1 - e::width], 2) for e in range(n))
-        has = [0] * self.n
-        for j, a in enumerate(self.members):
-            bit = 1 << j
-            while a:
-                low = a & -a
-                has[low.bit_length() - 1] |= bit
-                a ^= low
-        return tuple(has)
+        A bit-matrix transpose: the members as fixed-width binary numerals,
+        highest first, in one string; digit e of each member, read at a
+        stride of one numeral, is slice e.
+        """
+        ms, n = self.members, self.n
+        if not ms:
+            return (0,) * n
+        import struct  # here, so import posetturan does not load it
+
+        k = (n > 8) + (n > 16) + (n > 32)
+        width = 8 << k
+        raw = struct.pack(f"<{len(ms)}{'BHIQ'[k]}", *ms)
+        digits = format(int.from_bytes(raw, "little"), f"0{width * len(ms)}b")
+        return tuple(int(digits[width - 1 - e::width], 2) for e in range(n))
 
     @cached_property
     def _ups(self):
         """The rows of ``above``: stored under TABLE_MIN_MEMBERS members, else made when read.
 
         A superset comes later in the ascending order, so row i is the later
-        indices that hold every element of members[i]: the bits past i,
-        ANDed with the slice of each of its elements. A large family makes
-        its rows from chunk tables; a smaller one stores them, and ``above``
-        is that tuple.
+        indices that hold every element of members[i]. A smaller family stores
+        both directions' rows from one pass over its pairs (``_pair_rows``);
+        the chunk tables AND the slices of the elements of members[i].
         """
-        slices, m = self._slices, len(self.members)
-        if m >= TABLE_MIN_MEMBERS:
-            # the AND is the supersets of member i, i itself included
-            return _TableRows(slices, self.members, 0)
-        up = []
-        for i, a in enumerate(self.members):
-            bits = (1 << m) - (2 << i)
-            while a:
-                low = a & -a
-                bits &= slices[low.bit_length() - 1]
-                a ^= low
-            up.append(bits)
-        return tuple(up)
+        if len(self.members) < TABLE_MIN_MEMBERS:
+            up, self.__dict__["_downs"] = _pair_rows(self.members)
+            return up
+        # the AND is the supersets of member i, i itself included
+        return _TableRows(self._slices, self.members, 0)
 
     @cached_property
     def _downs(self):
         """The rows of ``below``, stored or made when read as in ``_ups``.
 
         A subset comes earlier, so row j is the earlier indices that hold no
-        element outside members[j]: the bits before j, ANDed with the
-        complement (within the m member bits) of the slice of each element
-        that members[j] lacks.
+        element outside members[j]; the chunk tables AND the complements
+        (within the m member bits) of the slices of the elements it lacks.
         """
+        if len(self.members) < TABLE_MIN_MEMBERS:
+            self.__dict__["_ups"], down = _pair_rows(self.members)
+            return down
         full, m = (1 << self.n) - 1, len(self.members)
         lacks = [((1 << m) - 1) ^ s for s in self._slices]
-        if m >= TABLE_MIN_MEMBERS:
-            # the AND is the subsets of member j, j itself included
-            return _TableRows(lacks, self.members, full)
-        down = []
-        for j, a in enumerate(self.members):
-            bits = (1 << j) - 1
-            out = full ^ a
-            while out:
-                low = out & -out
-                bits &= lacks[low.bit_length() - 1]
-                out ^= low
-            down.append(bits)
-        return tuple(down)
+        # the AND is the subsets of member j, j itself included
+        return _TableRows(lacks, self.members, full)
 
     @cached_property
     def _degrees(self):
@@ -340,6 +333,12 @@ def comparability_components(family: SetFamily) -> tuple:
     return tuple(comps)
 
 
+@lru_cache(maxsize=None)
+def _chain_tables(n: int):
+    """chains_meeting's tables at n: k! for k = 0..n, 2^[n]'s ``below`` and each mask's size."""
+    return [math.factorial(k) for k in range(n + 1)], cached_lattice(n).below, [m.bit_count() for m in range(1 << n)]
+
+
 def chains_meeting(family: SetFamily) -> int:
     """Number of the n! full chains of 2^[n], n = family.n, containing at least one member.
 
@@ -349,21 +348,23 @@ def chains_meeting(family: SetFamily) -> int:
     Members come in ascending order, so every A is counted before B, and
     the result is the sum of first[B] * (n - |B|)!. The members below B are
     read off the cached 2^[n], whose member index is the mask, so the
-    family's own comparability bitsets are not built.
+    family's own comparability bitsets are not built; the factorials, that
+    ``below`` and the mask sizes are tables kept per n.
     """
     n = family.n
     if n > MAX_CHAIN_N:
         raise DimensionError(f"n={n} too large for full-chain enumeration (cap {MAX_CHAIN_N})")
-    fact = [math.factorial(k) for k in range(n + 1)]
-    below = cached_lattice(n).below
+    fact, below, size = _chain_tables(n)
     first = [0] * (1 << n)  # first[B] for the members B seen so far, indexed by mask
     seen = total = 0        # seen: bitset of those masks
     for b in family.members:
-        size = b.bit_count()
-        f = fact[size] - sum(first[a] * fact[size - a.bit_count()] for a in iter_bits(below[b] & seen))
+        s, lower = size[b], below[b] & seen
+        f = fact[s]
+        if lower:
+            f -= sum(first[a] * fact[s - size[a]] for a in iter_bits(lower))
         first[b] = f
         seen |= 1 << b
-        total += f * fact[n - size]
+        total += f * fact[n - s]
     return total
 
 

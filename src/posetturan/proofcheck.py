@@ -447,14 +447,13 @@ def verify_chaincount(seed: int = 0) -> LemmaReport:
             for _ in range(500):
                 yield n, rng.sample(range(1 << n), rng.randint(1, 6))
 
-    bounds = lru_cache(maxsize=None)(katona_nagy)  # 16 (n, t) pairs per run
+    least = lru_cache(maxsize=None)(lambda n, t: math.ceil(katona_nagy(n, t)))  # 16 (n, t) pairs per run
 
     def check(n, masks):
         fam = SetFamily(n, masks)
         got = chains_meeting(fam)
-        bound = bounds(n, len(fam))
-        if got < bound:
-            return f"n={n} F={list(masks)}: {got} < {bound}"
+        if got < least(n, len(fam)):
+            return f"n={n} F={list(masks)}: {got} < {katona_nagy(n, len(fam))}"
 
     return _run_suite("chaincount", seed, instances(), check)
 
@@ -500,8 +499,12 @@ def _draw_zigzag(rng, n, length):
     if not 1 <= length <= 1 << n:
         raise ValueError(f"no sequence of {length} distinct subsets of [{n}]")
     near = _comparable_masks(n)
+    # rng.randrange(c) draws getrandbits(c.bit_length()) until it is below c: the same draws, inline
+    bits, size = rng.getrandbits, 1 << n
     while True:
-        new = rng.randrange(1 << n)
+        new = bits(n + 1)
+        while new >= size:
+            new = bits(n + 1)
         seq, order, taken = [new], 0, []
         for _ in range(length - 1):
             # draw the k-th of near[new] minus the earlier sets, without building that list;
@@ -510,7 +513,10 @@ def _draw_zigzag(rng, n, length):
             count = len(options) - len(taken)
             if not count:
                 break
-            k = rng.randrange(count)  # the same draw rng.choice makes from a list of count
+            width = count.bit_length()
+            k = bits(width)
+            while k >= count:
+                k = bits(width)
             new = options[k]
             taken.sort()
             for s in taken:  # options ascend, so a taken set at or below new shifts it up one
@@ -548,8 +554,22 @@ def _order(seq):
     return order
 
 
-def _all_zigzags(n, length=6):
-    return _walks(cached_lattice(n).comparable, range(1 << n), length)
+def _zigzag_walks(n, length=6):
+    """(seq, order) for every sequence of ``length`` distinct, consecutively comparable subsets of [n],
+    in ``_walks``'s order; each step extends the order (see _order), so a shared prefix is tested once."""
+    near = cached_lattice(n).comparable
+    stack = [([s], 1 << s, 0) for s in range((1 << n) - 1, -1, -1)]  # seq, its sets' bitset, order
+    while stack:
+        seq, seen, order = stack.pop()
+        if len(seq) == length:
+            yield seq, order
+            continue
+        for new in reversed(list(iter_bits(near[seq[-1]] & ~seen))):  # the least is popped first
+            more = order
+            for s in seq:
+                x = s & new
+                more = more << 2 | (x == s) | (x == new) << 1
+            stack.append((seq + [new], seen | 1 << new, more))
 
 
 def verify_zigzag(seed: int = 0) -> LemmaReport:
@@ -564,8 +584,7 @@ def verify_zigzag(seed: int = 0) -> LemmaReport:
     verdicts = {}  # order -> failure text, or "" when the order passes
 
     def instances():
-        for seq in _all_zigzags(3):
-            yield 3, seq, _order(seq)
+        yield from ((3, seq, order) for seq, order in _zigzag_walks(3))
         rng = random.Random(seed)
         for n in range(4, 9):
             for _ in range(2000):

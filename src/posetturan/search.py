@@ -120,8 +120,9 @@ def la_exact(n: int, forbidden, q: Poset, budget: int = None) -> SearchReport:
       y. Only the posets that ``minimal_posets`` keeps are listed, since a
       family free of those is free of the whole list; these masks are the
       include child's gone. The root has no x: its gone is every mask that
-      hosts a forbidden poset on its own, which is every mask when a
-      one-element poset is forbidden.
+      hosts a forbidden poset on its own. One mask hosts what any other does,
+      so one search per poset at the empty set finds it: every mask when a
+      one-element poset is forbidden (an embedding is injective), else none.
     - Orbital branching (Ostrowski, Linderoth, Rossi and Smriglio, Math.
       Programming 126, 2011): the exclude child's gone is the whole H-orbit
       of x, since some element of H maps any family that meets the orbit onto
@@ -149,10 +150,9 @@ def la_exact(n: int, forbidden, q: Poset, budget: int = None) -> SearchReport:
     near = universe.comparable
     group = _symmetry_group(n, forbidden, q)
     minimal = minimal_posets(forbidden)
-    # the root has no x: it removes every mask that hosts a forbidden poset on its own
+    # the root has no x: one mask on its own hosts what any other does
     full = (1 << (1 << n)) - 1
-    alone = sum(1 << y for y in range(1 << n)
-                if any(embedding_using_member(universe, p, y, 1 << y) is not None for p in minimal))
+    alone = full if any(embedding_using_member(universe, p, 0, 1) is not None for p in minimal) else 0
     supports = copy_supports(universe, q)
     every = (1 << len(supports)) - 1
     keep = [every] * (1 << n)

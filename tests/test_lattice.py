@@ -227,6 +227,13 @@ class TestChainsMeeting:
     def test_matches_permutation_enumeration(self, fam):
         assert chains_meeting(fam) == brute_chains_meeting(fam.n, fam)
 
+    def test_matches_permutation_enumeration_on_random_families(self):
+        rng = random.Random(43)
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            fam = SetFamily(n, rng.sample(range(1 << n), rng.randint(0, 1 << n)))
+            assert chains_meeting(fam) == brute_chains_meeting(n, fam), fam.members
+
     def test_matches_the_walk_on_random_families(self):
         rng = random.Random(23)
         for _ in range(3000):
@@ -250,6 +257,18 @@ class TestSetFamily:
     def test_dedup_and_sort(self):
         fam = SetFamily(3, [5, 1, 5, 0])
         assert fam.members == (0, 1, 5)
+
+    def test_members_sorted_and_distinct_from_any_iterable(self):
+        # the sort alone serves distinct masks; a repeat sits next to its twin
+        rng = random.Random(9)
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            masks = [rng.randrange(1 << n) for _ in range(rng.randint(0, 20))]
+            expect = tuple(sorted(set(masks)))
+            assert SetFamily(n, masks).members == expect
+            assert SetFamily(n, iter(masks)).members == expect
+        assert SetFamily(4, range(15, -1, -1)).members == tuple(range(16))
+        assert SetFamily(4, [3, 3]).members == (3,)
 
     def test_mask_out_of_range(self):
         with pytest.raises(ValueError):
@@ -324,6 +343,24 @@ class TestTableRows:
                     fam = SetFamily(n, nested_masks(rng, n, m, extremes))
                     assert len(fam) == m
                     check_against_pairwise(fam)
+
+    @pytest.mark.parametrize("n", (3, 8, 20, 62))
+    def test_every_size_up_to_past_the_threshold(self, n):
+        # the pairwise pass below TABLE_MIN_MEMBERS, the chunk tables from there up;
+        # either source may be read first
+        rng = random.Random(200 + n)
+        for m in range(min(TABLE_MIN_MEMBERS + 1, 1 << n) + 1):
+            for first in ("_ups", "_downs"):
+                for masks in (nested_masks(rng, n, m), rng.sample(range(1 << n), m)):
+                    fam = SetFamily(n, masks)
+                    getattr(fam, first)
+                    check_against_pairwise(fam)
+
+    def test_a_small_family_stores_both_directions_at_once(self):
+        for first, other in (("_ups", "_downs"), ("_downs", "_ups")):
+            fam = SetFamily(6, [0, 1, 3, 7, 12, 44])
+            getattr(fam, first)
+            assert other in fam.__dict__ and "_slices" not in fam.__dict__
 
     def test_empty_family(self):
         fam = SetFamily(5, [])

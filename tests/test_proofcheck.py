@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -16,14 +17,15 @@ from posetturan.proofcheck import (
     LemmaReport,
     NotFreeError,
     ZigzagWitness,
-    _all_zigzags,
     _draw_zigzag,
     _find_graph_path,
     _hosts,
     _order,
     _run_suite,
+    _walks,
     _zigzag_ascending,
     _zigzag_dirs,
+    _zigzag_walks,
     check_one_critical_pair_per_chain,
     classify_nfree_components,
     color_family,
@@ -364,7 +366,7 @@ def recursive_zigzag_select(n, seq, dirs, start, m, direction):
 
 class TestZigzagSelection:
     def test_all_n3_sequences_match_the_recursive_selection(self):
-        for seq in _all_zigzags(3):
+        for seq, _ in _zigzag_walks(3):
             assert zigzag_find_WM(3, seq) == recursive_zigzag_select(3, seq, *_zigzag_dirs(seq))
 
     @pytest.mark.parametrize("n", range(4, 9))
@@ -395,14 +397,56 @@ def windows_reference_check(n, seq):
             return f"n={n} seq={seq}: windows do not split into W and M"
 
 
+def reference_all_zigzags(n, length=6):
+    """Every sequence of ``length`` distinct, consecutively comparable subsets of [n],
+    from the path walker, as the verifier listed them before its walk carried the order."""
+    return _walks(cached_lattice(n).comparable, range(1 << n), length)
+
+
+def reference_draw_zigzag(rng, n, length):
+    """_draw_zigzag as it was, drawing through rng.randrange: the stream the draws must keep."""
+    near = proofcheck._comparable_masks(n)
+    while True:
+        new = rng.randrange(1 << n)
+        seq, order, taken = [new], 0, []
+        for _ in range(length - 1):
+            options = near[new]
+            count = len(options) - len(taken)
+            if not count:
+                break
+            k = rng.randrange(count)
+            new = options[k]
+            taken.sort()
+            for s in taken:
+                if s > new:
+                    break
+                k += 1
+                new = options[k]
+            taken = []
+            for s in seq:
+                x = s & new
+                if x == s:
+                    order = order << 2 | 1
+                    taken.append(s)
+                elif x == new:
+                    order = order << 2 | 2
+                    taken.append(s)
+                else:
+                    order <<= 2
+            seq.append(new)
+        if len(seq) == length:
+            return seq, order
+
+
 def verifier_zigzags(seed=7):
-    """Every n = 3 sequence, then 2,000 random sequences per n = 4..8: verify_zigzag's instances."""
-    for seq in _all_zigzags(3):
+    """Every n = 3 sequence, then 2,000 random sequences per n = 4..8: verify_zigzag's
+    instances, from the reference walker and draws."""
+    for seq in reference_all_zigzags(3):
         yield 3, seq
     rng = random.Random(seed)
     for n in range(4, 9):
         for _ in range(2000):
-            yield n, _draw_zigzag(rng, n, 6)[0]
+            yield n, reference_draw_zigzag(rng, n, 6)[0]
 
 
 def matrix_order(seq):
@@ -533,7 +577,25 @@ class TestZigzagSequences:
             seq for seq in itertools.permutations(range(8), 6)
             if all(a & b in (a, b) for a, b in zip(seq, seq[1:]))
         ]
-        assert list(_all_zigzags(3)) == [list(seq) for seq in scanned]
+        assert [seq for seq, _ in _zigzag_walks(3)] == [list(seq) for seq in scanned]
+
+    def test_n3_walks_carry_their_containment_order(self):
+        expect = [(seq, _order(seq)) for seq in reference_all_zigzags(3)]
+        assert list(_zigzag_walks(3)) == expect and len(expect) == 2148
+        # and at other n and lengths, where every prefix is a walk too
+        for n, length in ((2, 3), (3, 4), (4, 4)):
+            expect = [(seq, _order(seq)) for seq in reference_all_zigzags(n, length)]
+            assert list(_zigzag_walks(n, length)) == expect
+
+    @pytest.mark.parametrize("seed", (0, 7, 1940964428))
+    def test_draws_keep_the_randrange_stream(self, seed):
+        # every seed draws the sequences and orders that rng.randrange drew,
+        # and leaves the generator in the same state
+        fast, slow = random.Random(seed), random.Random(seed)
+        for n in range(4, 9):
+            for _ in range(2000):
+                assert _draw_zigzag(fast, n, 6) == reference_draw_zigzag(slow, n, 6)
+        assert fast.getstate() == slow.getstate()
 
 
 def scan_graph_path(fam, length):
@@ -639,6 +701,16 @@ class TestVerifiers:
     def test_erdos_gallai_other_seeds(self, seed, checked):
         rep = verify_erdos_gallai(seed=seed)
         assert rep.failures == 0 and rep.instances_checked == checked
+
+    @pytest.mark.parametrize("short", (0, 1))
+    def test_chaincount_fails_just_below_the_exact_bound(self, short, monkeypatch):
+        # a count one below the bound's ceiling fails every instance, and the
+        # message prints the exact bound; a count at the ceiling passes
+        monkeypatch.setattr(proofcheck, "chains_meeting",
+                            lambda fam: math.ceil(katona_nagy(fam.n, len(fam))) - short)
+        rep = verify_chaincount(seed=0)
+        assert rep.failures == 3516 * short
+        assert rep.first_failure == ("n=4 F=[0]: 3 < 4" if short else None)
 
     def test_chaincount_forms_each_bound_once(self, monkeypatch):
         pairs = []

@@ -128,6 +128,29 @@ def reference_la_exact(n, forbidden, q):
     return best
 
 
+def reference_root_pass(n, minimal):
+    """la_exact's root pass as it was: the masks that host a poset of ``minimal``
+    on their own, by one member-forced search per mask and poset."""
+    universe = cached_lattice(n)
+    return sum(1 << y for y in range(1 << n)
+               if any(embedding_using_member(universe, p, y, 1 << y) is not None for p in minimal))
+
+
+def test_root_pass_is_the_one_element_test():
+    # an embedding is injective, so a single mask hosts a poset only when the
+    # poset has one element: la_exact's root removes every mask or none
+    posets = catalog_posets(5)
+    assert chain(1) in posets
+    for n in range(1, 6):
+        full = (1 << (1 << n)) - 1
+        for p in posets:
+            minimal = minimal_posets([p])
+            alone = full if any(m.size == 1 for m in minimal) else 0
+            assert reference_root_pass(n, minimal) == alone, (n, p)
+            # which the one search per poset at the empty set decides
+            assert (embedding_using_member(cached_lattice(n), p, 0, 1) is not None) == (p.size == 1)
+
+
 def recursive_la_exact(n, forbidden, q, budget=None):
     """la_exact as a recursive closure over a shared state dict: the reference
     for the node loop, budgeted runs included.
@@ -180,9 +203,7 @@ def recursive_la_exact(n, forbidden, q, budget=None):
         rec(chosen, *drop(avail, bound, orbit), h)
 
     full = (1 << (1 << n)) - 1
-    alone = sum(1 << y for y in range(1 << n)
-                if any(embedding_using_member(universe, p, y, 1 << y) is not None for p in minimal))
-    avail, bound = drop(full, count_copies(universe, q), alone)
+    avail, bound = drop(full, count_copies(universe, q), reference_root_pass(n, minimal))
     rec(0, avail, bound, group)
     del rec
     return SearchReport(
