@@ -108,9 +108,9 @@ def _search(family: SetFamily, poset: Poset, plan, pin=None, within=None, found=
     ``found``, if given, is a set, and the search lists instead: each complete
     image adds its support (its member indices as a sorted tuple) and the
     search goes on, until the set holds more than MAX_COPY_SUPPORTS supports.
-    The rows come from ``family._ups`` and ``_downs``, stored or made when
-    read as the family decides. A placed image's rows are read once, at
-    placement, in the directions ``reads`` marks. From TABLE_MIN_MEMBERS
+    The rows come from ``family._rows``, stored or made when read as the
+    family decides. A placed image's rows are read once, at placement, in
+    the directions ``reads`` marks. From TABLE_MIN_MEMBERS
     members up, the unrestricted degree domains come from the cached counts.
     """
     order, constraints, supports, needs, reads = plan
@@ -119,7 +119,7 @@ def _search(family: SetFamily, poset: Poset, plan, pin=None, within=None, found=
     allowed = (1 << m) - 1 if within is None else within
     if k > allowed.bit_count():
         return None
-    above, below = family._ups, family._downs
+    above, below = family._rows
     domain = [allowed] * k
     fits = {}  # (u, d): the allowed members with at least u allowed members above, d below
     for i, (u, d) in enumerate(needs):
@@ -403,5 +403,5 @@ def count_copies(family: SetFamily, q: Poset) -> int:
     A chain Q counts chains; any other Q counts its ``copy_supports``.
     """
     if q.is_chain():
-        return chain_count((1 << len(family)) - 1, q.size, family._downs)
+        return chain_count((1 << len(family)) - 1, q.size, family._rows[1])
     return len(copy_supports(family, q))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .lattice import MAX_FORMULA_N, SetFamily, format_mask, level_family
+from .lattice import MAX_FORMULA_N, SetFamily, _check_n, format_mask, level_family
 
 
 class FamilyFormatError(ValueError):
@@ -33,9 +33,10 @@ def parse_family(text: str) -> SetFamily:
         n = int(head[2:])
     except ValueError:
         raise FamilyFormatError(f"bad dimension {head[2:]!r}") from None
+    _check_n(n, MAX_FORMULA_N)  # SetFamily's refusal, before any line makes a mask
     # the plain names of the elements a family can hold; any other token
     # ("01", "+3", an element outside 1..n, junk) takes _element_bit
-    bits = {str(e): 1 << (e - 1) for e in range(1, min(n, MAX_FORMULA_N) + 1)}
+    bits = {str(e): 1 << (e - 1) for e in range(1, n + 1)}
     masks = []
     levels = set()
     for lineno, line in enumerate(lines[1:], start=2):

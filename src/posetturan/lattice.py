@@ -25,9 +25,9 @@ MAX_LEVEL_GENERIC_Q_N = 8  # search.la_levels with non-chain Q: a copy listing p
 
 
 # Families of at least this many members make their comparability rows
-# (SetFamily._ups, _downs) from chunk tables, each when it is read; smaller
-# ones store the rows of both directions from one pass over their pairs,
-# which is faster there (the crossover sweeps are in CHANGES.md)
+# (SetFamily._rows) from chunk tables, each when it is read; smaller ones
+# store the rows of both directions from one pass over their pairs, which
+# is faster there (the crossover sweeps are in CHANGES.md)
 TABLE_MIN_MEMBERS = 24
 _CHUNK = 6  # widest chunk of [n] in a table: 2^6 entries
 
@@ -174,51 +174,40 @@ class SetFamily:
         return tuple(int(digits[width - 1 - e::width], 2) for e in range(n))
 
     @cached_property
-    def _ups(self):
-        """The rows of ``above``: stored under TABLE_MIN_MEMBERS members, else made when read.
+    def _rows(self):
+        """(ups, downs): the rows of ``above`` and ``below``, stored or made when read.
 
-        A superset comes later in the ascending order, so row i is the later
-        indices that hold every element of members[i]. A smaller family stores
-        both directions' rows from one pass over its pairs (``_pair_rows``);
-        the chunk tables AND the slices of the elements of members[i].
+        Under TABLE_MIN_MEMBERS members both are stored, from one pass over
+        the pairs (``_pair_rows``); from there up, chunk tables make each row
+        when it is read. A superset comes later in the ascending order, so up
+        row i is the later indices that hold every element of members[i]: the
+        AND of the slices of its elements. A subset comes earlier, so down row
+        j is the earlier indices that hold no element outside members[j]: the
+        AND of the complements (within the m member bits) of the slices of the
+        elements it lacks. Each AND holds the member itself; its row clears it.
         """
-        if len(self.members) < TABLE_MIN_MEMBERS:
-            up, self.__dict__["_downs"] = _pair_rows(self.members)
-            return up
-        # the AND is the supersets of member i, i itself included
-        return _TableRows(self._slices, self.members, 0)
-
-    @cached_property
-    def _downs(self):
-        """The rows of ``below``, stored or made when read as in ``_ups``.
-
-        A subset comes earlier, so row j is the earlier indices that hold no
-        element outside members[j]; the chunk tables AND the complements
-        (within the m member bits) of the slices of the elements it lacks.
-        """
-        if len(self.members) < TABLE_MIN_MEMBERS:
-            self.__dict__["_ups"], down = _pair_rows(self.members)
-            return down
-        full, m = (1 << self.n) - 1, len(self.members)
-        lacks = [((1 << m) - 1) ^ s for s in self._slices]
-        # the AND is the subsets of member j, j itself included
-        return _TableRows(lacks, self.members, full)
+        ms = self.members
+        if len(ms) < TABLE_MIN_MEMBERS:
+            return _pair_rows(ms)
+        slices = self._slices
+        lacks = [((1 << len(ms)) - 1) ^ s for s in slices]
+        return _TableRows(slices, ms, 0), _TableRows(lacks, ms, (1 << self.n) - 1)
 
     @cached_property
     def _degrees(self):
         """(ups, downs): how many members lie above, resp. below, each member; one pass per source."""
-        return tuple(map(int.bit_count, self._ups)), tuple(map(int.bit_count, self._downs))
+        ups, downs = self._rows
+        return tuple(map(int.bit_count, ups)), tuple(map(int.bit_count, downs))
 
     @cached_property
     def above(self):
         """above[i]: bitset of the indices j with members[i] a proper subset of members[j]."""
-        ups = self._ups
-        return ups if isinstance(ups, tuple) else tuple(ups)
+        return tuple(self._rows[0])  # a stored tuple is its own copy
 
     @cached_property
     def below(self):
         """below[j]: bitset of the indices i with members[i] a proper subset of members[j]."""
-        downs = self._downs
+        downs = self._rows[1]
         if isinstance(downs, tuple):
             return downs
         # an & result keeps the block of its shorter operand, and clearing bit
@@ -264,7 +253,7 @@ def chain_count(avail: int, k: int, rows) -> int:
     """Number of k-chains among the members whose bits are set in ``avail``.
 
     ``rows`` gives, in member order, the bitset of the members strictly
-    below each member (``SetFamily._downs``, stored or made as it is read).
+    below each member (``SetFamily._rows[1]``, stored or made as it is read).
     It is read once, in order, and not past the top member of ``avail``.
     """
     if k < 2:  # the empty chain, or one member
@@ -294,7 +283,7 @@ def count_k_chains(family: SetFamily, k: int) -> int:
     m = len(family)
     if k > m:
         return 0
-    return chain_count((1 << m) - 1, k, family._downs)
+    return chain_count((1 << m) - 1, k, family._rows[1])
 
 
 def containment_pairs(family: SetFamily):

@@ -259,32 +259,31 @@ def erdos_gallai_check(family: SetFamily) -> bool:
 
 def _find_graph_path(family: SetFamily, length: int):
     starts = (v for comp in comparability_components(family) if len(comp) >= length for v in comp)
-    for path in _walks(family.comparable, starts, length):
+    for path, _ in _walks(family.comparable, starts, length):
         return tuple(family.members[i] for i in path)
     return None
 
 
 def _walks(near, starts, length):
-    """Every sequence of ``length`` distinct indices, consecutive ones adjacent in ``near``.
+    """(seq, order) for every sequence ``seq`` of ``length`` distinct indices, consecutive ones
+    adjacent in ``near``, and the containment order (see _order) of its indices read as masks.
 
     ``near[i]`` is the bitset of i's neighbours. Starts come in turn, least index first.
+    Each step extends the order, so a shared prefix is tested once.
     """
-
-    def extend(walk, seen):
-        # seen: bitset of the indices on the walk
-        if len(walk) == length:
-            yield list(walk)
-            return
-        for nxt in iter_bits(near[walk[-1]] & ~seen):
-            walk.append(nxt)
-            yield from extend(walk, seen | 1 << nxt)
-            walk.pop()
-
-    try:
-        for start in starts:
-            yield from extend([start], 1 << start)
-    finally:
-        del extend  # extend's closure holds extend: drop it, or each call leaves a cycle
+    for start in starts:
+        stack = [([start], 1 << start, 0)]  # seq, its indices' bitset, order
+        while stack:
+            seq, seen, order = stack.pop()
+            if len(seq) == length:
+                yield seq, order
+                continue
+            for new in reversed(list(iter_bits(near[seq[-1]] & ~seen))):  # the least is popped first
+                more = order
+                for s in seq:
+                    x = s & new
+                    more = more << 2 | (x == s) | (x == new) << 1
+                stack.append((seq + [new], seen | 1 << new, more))
 
 
 class ComponentReport(namedtuple("ComponentReport", (
@@ -554,24 +553,6 @@ def _order(seq):
     return order
 
 
-def _zigzag_walks(n, length=6):
-    """(seq, order) for every sequence of ``length`` distinct, consecutively comparable subsets of [n],
-    in ``_walks``'s order; each step extends the order (see _order), so a shared prefix is tested once."""
-    near = cached_lattice(n).comparable
-    stack = [([s], 1 << s, 0) for s in range((1 << n) - 1, -1, -1)]  # seq, its sets' bitset, order
-    while stack:
-        seq, seen, order = stack.pop()
-        if len(seq) == length:
-            yield seq, order
-            continue
-        for new in reversed(list(iter_bits(near[seq[-1]] & ~seen))):  # the least is popped first
-            more = order
-            for s in seq:
-                x = s & new
-                more = more << 2 | (x == s) | (x == new) << 1
-            stack.append((seq + [new], seen | 1 << new, more))
-
-
 def verify_zigzag(seed: int = 0) -> LemmaReport:
     """Check the W-or-M selection on every six-sequence of 2^[3] and 2,000 random ones per n = 4..8.
 
@@ -584,7 +565,7 @@ def verify_zigzag(seed: int = 0) -> LemmaReport:
     verdicts = {}  # order -> failure text, or "" when the order passes
 
     def instances():
-        yield from ((3, seq, order) for seq, order in _zigzag_walks(3))
+        yield from ((3, *walk) for walk in _walks(cached_lattice(3).comparable, range(8), 6))
         rng = random.Random(seed)
         for n in range(4, 9):
             for _ in range(2000):

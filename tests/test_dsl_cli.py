@@ -559,7 +559,8 @@ def builtin_specs(draw):
 
 
 def reference_parse_family(text):
-    """parse_family as it was before its element table: one int() per token."""
+    """parse_family as it was before its element table: one int() per token, after the
+    dimension check of SetFamily."""
     text = text.strip()
     if not text:
         raise FamilyFormatError("empty family input")
@@ -576,6 +577,7 @@ def reference_parse_family(text):
         n = int(head[2:])
     except ValueError:
         raise FamilyFormatError(f"bad dimension {head[2:]!r}") from None
+    SetFamily(n, ())  # the dimension is refused before any line is read
     masks = []
     levels = set()
     for lineno, line in enumerate(lines[1:], start=2):
@@ -660,16 +662,17 @@ class TestParserFuzz:
         assert got == parse_outcome(reference_parse_family, text)
 
     def test_a_huge_dimension_allocates_nothing(self):
-        text = "n=1000000000\n5\n"
-        tracemalloc.start()
-        try:
-            got = parse_outcome(parse_family, text)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert got == parse_outcome(reference_parse_family, text)
-        assert got[0] is DimensionError
-        assert peak < 1 << 20
+        # the second lists an element whose mask alone would take 12.5 MB
+        for text in ("n=1000000000\n5\n", "n=100000000\n99999999\n"):
+            tracemalloc.start()
+            try:
+                got = parse_outcome(parse_family, text)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got == parse_outcome(reference_parse_family, text)
+            assert got[0] is DimensionError
+            assert peak < 1 << 20, text
 
     @settings(deadline=1000)
     @given(builtin_specs())

@@ -45,7 +45,7 @@ from posetturan.posets import (
     s_poset,
     w_poset,
 )
-from posetturan.proofcheck import _find_graph_path, _max_antichain, _zigzag_walks
+from posetturan.proofcheck import _find_graph_path, _max_antichain, _walks
 from posetturan.search import la_exact
 
 BFLY = named_poset("butterfly")
@@ -463,7 +463,7 @@ def test_searches_leave_no_garbage():
         "la_exact": lambda x: la_exact(2, [BFLY], chain(2)),
         "_find_graph_path": lambda x: _find_graph_path(small, 6),
         "_max_antichain": lambda x: _max_antichain(small),
-        "_zigzag_walks": lambda x: next(_zigzag_walks(3)),
+        "_walks": lambda x: next(_walks(cached_lattice(3).comparable, range(8), 6)),
         "height": lambda x: s_poset().height(),
         "path_hasse_family": lambda x: path_hasse_family(5),
         "poset_isomorphic": lambda x: poset_isomorphic(BFLY, dual_poset(BFLY)),

@@ -141,7 +141,7 @@ class TestCountKChains:
                     for c in itertools.combinations(ms, k)
                 )
                 assert chain_count(avail, k, fam.below) == expect, (avail, k)
-                assert chain_count(avail, k, fam._downs) == expect, (avail, k)
+                assert chain_count(avail, k, fam._rows[1]) == expect, (avail, k)
 
 
 class TestContainmentPairs:
@@ -300,12 +300,15 @@ def loop_slices(fam):
 def check_against_pairwise(fam):
     above, below = pairwise_above(fam), pairwise_below(fam)
     assert fam._slices == loop_slices(fam)
-    assert tuple(fam._ups) == above
-    assert tuple(fam._downs) == below
+    ups, downs = fam._rows
+    assert tuple(ups) == above
+    assert tuple(downs) == below
     assert fam.above == above
     assert fam.below == below
     if len(fam) < TABLE_MIN_MEMBERS:  # the rows are stored once
-        assert fam.above is fam._ups and fam.below is fam._downs
+        assert fam.above is ups and fam.below is downs
+    else:  # and from there up made from the chunk tables
+        assert not isinstance(ups, tuple) and not isinstance(downs, tuple)
     assert fam.comparable == tuple(up | down for up, down in zip(above, below))
 
 
@@ -347,20 +350,22 @@ class TestTableRows:
     @pytest.mark.parametrize("n", (3, 8, 20, 62))
     def test_every_size_up_to_past_the_threshold(self, n):
         # the pairwise pass below TABLE_MIN_MEMBERS, the chunk tables from there up;
-        # either source may be read first
+        # the rows, above or below may be read first
         rng = random.Random(200 + n)
         for m in range(min(TABLE_MIN_MEMBERS + 1, 1 << n) + 1):
-            for first in ("_ups", "_downs"):
+            for first in ("_rows", "above", "below"):
                 for masks in (nested_masks(rng, n, m), rng.sample(range(1 << n), m)):
                     fam = SetFamily(n, masks)
                     getattr(fam, first)
                     check_against_pairwise(fam)
 
     def test_a_small_family_stores_both_directions_at_once(self):
-        for first, other in (("_ups", "_downs"), ("_downs", "_ups")):
+        # reading either direction stores the rows of both, without the slices
+        for first in ("above", "below"):
             fam = SetFamily(6, [0, 1, 3, 7, 12, 44])
             getattr(fam, first)
-            assert other in fam.__dict__ and "_slices" not in fam.__dict__
+            assert fam.__dict__["_rows"] == (pairwise_above(fam), pairwise_below(fam))
+            assert "_slices" not in fam.__dict__
 
     def test_empty_family(self):
         fam = SetFamily(5, [])
@@ -373,7 +378,7 @@ class TestTableRows:
         # up to 256 are shared)
         fam = CONSTRUCTIONS["p5"](12)
         assert len(fam) >= TABLE_MIN_MEMBERS
-        fam._ups, fam._downs  # the family keeps its chunk tables
+        fam._rows  # the family keeps its chunk tables
         for name in ("above", "below"):
             tracemalloc.start()
             try:

@@ -10,7 +10,7 @@ from posetturan.cli import run_command
 from posetturan.constructions import middle_two_levels, p5_construction
 from posetturan.embedding import find_embedding, is_free, minimal_posets
 from posetturan.formulas import katona_nagy
-from posetturan.lattice import SetFamily, cached_lattice, comparability_components, level_family
+from posetturan.lattice import SetFamily, cached_lattice, comparability_components, iter_bits, level_family
 from posetturan.posets import chain, m_poset, n_poset, w_poset
 from posetturan.proofcheck import (
     Coloring,
@@ -25,7 +25,6 @@ from posetturan.proofcheck import (
     _walks,
     _zigzag_ascending,
     _zigzag_dirs,
-    _zigzag_walks,
     check_one_critical_pair_per_chain,
     classify_nfree_components,
     color_family,
@@ -366,7 +365,7 @@ def recursive_zigzag_select(n, seq, dirs, start, m, direction):
 
 class TestZigzagSelection:
     def test_all_n3_sequences_match_the_recursive_selection(self):
-        for seq, _ in _zigzag_walks(3):
+        for seq, _ in lattice_walks(3):
             assert zigzag_find_WM(3, seq) == recursive_zigzag_select(3, seq, *_zigzag_dirs(seq))
 
     @pytest.mark.parametrize("n", range(4, 9))
@@ -397,9 +396,33 @@ def windows_reference_check(n, seq):
             return f"n={n} seq={seq}: windows do not split into W and M"
 
 
+def reference_walks(near, starts, length):
+    """_walks as it was, by recursion, without the order: every sequence of ``length``
+    distinct indices, consecutive ones adjacent in ``near``."""
+
+    def extend(walk, seen):
+        # seen: bitset of the indices on the walk
+        if len(walk) == length:
+            yield list(walk)
+            return
+        for nxt in iter_bits(near[walk[-1]] & ~seen):
+            walk.append(nxt)
+            yield from extend(walk, seen | 1 << nxt)
+            walk.pop()
+
+    for start in starts:
+        yield from extend([start], 1 << start)
+
+
 def reference_all_zigzags(n, length=6):
     """Every sequence of ``length`` distinct, consecutively comparable subsets of [n],
-    from the path walker, as the verifier listed them before its walk carried the order."""
+    from the recursive walker, as the verifier listed them before its walk carried the order."""
+    return reference_walks(cached_lattice(n).comparable, range(1 << n), length)
+
+
+def lattice_walks(n, length=6):
+    """_walks over 2^[n], whose member index is the mask: (seq, order) per sequence of
+    ``length`` distinct, consecutively comparable subsets of [n]."""
     return _walks(cached_lattice(n).comparable, range(1 << n), length)
 
 
@@ -577,15 +600,16 @@ class TestZigzagSequences:
             seq for seq in itertools.permutations(range(8), 6)
             if all(a & b in (a, b) for a, b in zip(seq, seq[1:]))
         ]
-        assert [seq for seq, _ in _zigzag_walks(3)] == [list(seq) for seq in scanned]
+        assert [seq for seq, _ in lattice_walks(3)] == [list(seq) for seq in scanned]
 
     def test_n3_walks_carry_their_containment_order(self):
         expect = [(seq, _order(seq)) for seq in reference_all_zigzags(3)]
-        assert list(_zigzag_walks(3)) == expect and len(expect) == 2148
-        # and at other n and lengths, where every prefix is a walk too
-        for n, length in ((2, 3), (3, 4), (4, 4)):
-            expect = [(seq, _order(seq)) for seq in reference_all_zigzags(n, length)]
-            assert list(_zigzag_walks(n, length)) == expect
+        assert list(lattice_walks(3)) == expect and len(expect) == 2148
+        # and against the recursive walker at every n and length up to 4 and 6
+        for n in range(1, 5):
+            for length in range(1, 7):
+                expect = [(seq, _order(seq)) for seq in reference_all_zigzags(n, length)]
+                assert list(lattice_walks(n, length)) == expect, (n, length)
 
     @pytest.mark.parametrize("seed", (0, 7, 1940964428))
     def test_draws_keep_the_randrange_stream(self, seed):
