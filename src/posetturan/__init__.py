@@ -19,12 +19,12 @@ _HOMES = {
     name: module
     for module, names in {
         "lattice": (
-            "lattice SetFamily chains_meeting comparability_components containment_pairs"
-            " convex_hull count_k_chains interval_family level_family"
+            "lattice SetFamily chains_meeting comparability_components convex_hull"
+            " count_k_chains interval_family level_family"
         ),
         "posets": (
             "posets Poset PosetError dual_poset named_poset path_hasse_family"
-            " poset_from_relations poset_isomorphic"
+            " poset_from_relations"
         ),
         "embedding": "embedding EmbeddingWitness count_copies find_embedding is_free",
         "constructions": (

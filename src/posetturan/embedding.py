@@ -100,7 +100,8 @@ def _search(family: SetFamily, poset: Poset, plan, pin=None, within=None, found=
     domains only drop candidates that cannot be completed, so they change
     neither the witness found nor the supports listed. A support with t
     twins keeps the candidates comparable to at least t members still open
-    to them, by t saturating counter bitsets over those members. The images
+    to them, by t saturating counter bitsets over those members (an
+    AllDifferent-style count, after Solnon 2010). The images
     of an element's up-set are distinct allowed members above its image, so a
     member with fewer allowed members above it than ``needs`` asks (or below
     it, likewise) cannot host that element. The domain of each distinct need

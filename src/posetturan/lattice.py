@@ -286,12 +286,6 @@ def count_k_chains(family: SetFamily, k: int) -> int:
     return chain_count((1 << m) - 1, k, family._rows[1])
 
 
-def containment_pairs(family: SetFamily):
-    """All ordered pairs (A, B) of members with A a proper subset of B, ascending."""
-    ms = family.members
-    return [(ms[i], ms[j]) for i, ups in enumerate(family.above) for j in iter_bits(ups)]
-
-
 def convex_hull(family: SetFamily) -> SetFamily:
     """All sets sandwiched (inclusively) between two members."""
     _check_n(family.n, MAX_SCAN_N)

@@ -57,6 +57,7 @@ class Poset(namedtuple("Poset", "size relations", defaults=(frozenset(),))):
         return _canonical_form(self.size, tuple(sorted(self.relations)))[0]
 
     def canonical_key(self) -> str:
+        """The size and the canonical relations: two posets are isomorphic iff their keys are equal."""
         rels = ";".join(f"{a}<{b}" for a, b in self.canonical_relations())
         return f"poset[{self.size}]{{{rels}}}"
 
@@ -136,11 +137,6 @@ def poset_from_relations(m: int, relations) -> Poset:
 
 def dual_poset(p: Poset) -> Poset:
     return Poset(p.size, frozenset((b, a) for a, b in p.relations))
-
-
-def poset_isomorphic(p: Poset, q: Poset) -> bool:
-    """Order isomorphism: equal sizes and equal canonical relation lists."""
-    return p.size == q.size and p.canonical_relations() == q.canonical_relations()
 
 
 def chain(k: int) -> Poset:

@@ -56,7 +56,8 @@ def _check_request(n: int, forbidden, budget):
 
 
 def _request(n: int, forbidden, q: Poset, budget) -> dict:
-    """The params of a search report, which are also its cache key."""
+    """The params of a search report, which are also its cache key; a cached
+    record with other params, such as another search tag, is a miss."""
     return {
         "n": n,
         "forbidden": [p.canonical_key() for p in forbidden],

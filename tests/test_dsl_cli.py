@@ -21,20 +21,20 @@ from posetturan.familyio import (
     parse_family,
 )
 from posetturan.lattice import MAX_SCAN_N, DimensionError, SetFamily, format_mask, level_family
-from posetturan.posets import chain, n_poset, named_poset, poset_isomorphic, s_poset
+from posetturan.posets import chain, n_poset, named_poset, s_poset
 from test_results import table_report
 
 
 class TestPosetDsl:
     def test_builtin(self):
         (p,) = parse_poset_dsl("@butterfly")
-        assert poset_isomorphic(p, named_poset("K22"))
+        assert p.canonical_key() == named_poset("K22").canonical_key()
 
     def test_builtin_args(self):
         (p,) = parse_poset_dsl("@chain(4)")
-        assert poset_isomorphic(p, chain(4))
+        assert p.canonical_key() == chain(4).canonical_key()
         (p,) = parse_poset_dsl("@Kst(2, 3)")
-        assert poset_isomorphic(p, named_poset("Kst", 2, 3))
+        assert p.canonical_key() == named_poset("Kst", 2, 3).canonical_key()
 
     def test_pathfamily_expansion(self):
         fam = parse_poset_dsl("@pathfamily(5)")
@@ -42,15 +42,15 @@ class TestPosetDsl:
 
     def test_inline_n(self):
         p = parse_single_poset("p1<q1; p2<q1; p2<q2")
-        assert poset_isomorphic(p, n_poset())
+        assert p.canonical_key() == n_poset().canonical_key()
 
     def test_inline_chain_shorthand(self):
         p = parse_single_poset("a<b<c")
-        assert poset_isomorphic(p, chain(3))
+        assert p.canonical_key() == chain(3).canonical_key()
 
     def test_inline_s(self):
         p = parse_single_poset("b1<a; b1<b2<b3; c<b3")
-        assert poset_isomorphic(p, s_poset())
+        assert p.canonical_key() == s_poset().canonical_key()
 
     def test_bare_identifier_isolated(self):
         p = parse_single_poset("a<b; z")

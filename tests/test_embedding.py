@@ -41,7 +41,6 @@ from posetturan.posets import (
     named_poset,
     path_hasse_family,
     poset_from_relations,
-    poset_isomorphic,
     s_poset,
     w_poset,
 )
@@ -466,7 +465,6 @@ def test_searches_leave_no_garbage():
         "_walks": lambda x: next(_walks(cached_lattice(3).comparable, range(8), 6)),
         "height": lambda x: s_poset().height(),
         "path_hasse_family": lambda x: path_hasse_family(5),
-        "poset_isomorphic": lambda x: poset_isomorphic(BFLY, dual_poset(BFLY)),
         # a cleared cache makes every call compute the canonical form afresh
         "orbit_representatives": lambda x: (_canonical_form.cache_clear(),
                                             fork(4).orbit_representatives()),

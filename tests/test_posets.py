@@ -18,7 +18,6 @@ from posetturan.posets import (
     named_poset,
     path_hasse_family,
     poset_from_relations,
-    poset_isomorphic,
     s_poset,
     w_poset,
 )
@@ -45,7 +44,7 @@ def orbit_count(k):
 class TestFromRelations:
     def test_n_poset_shape(self):
         p = poset_from_relations(4, [(0, 2), (1, 2), (1, 3)])
-        assert poset_isomorphic(p, n_poset())
+        assert p.canonical_key() == n_poset().canonical_key()
 
     def test_antichain(self):
         p = poset_from_relations(2, [])
@@ -54,7 +53,7 @@ class TestFromRelations:
     def test_transitivity(self):
         p = poset_from_relations(3, [(0, 1), (1, 2)])
         assert (0, 2) in p.relations
-        assert poset_isomorphic(p, chain(3))
+        assert p.canonical_key() == chain(3).canonical_key()
 
     def test_cycle_rejected(self):
         with pytest.raises(PosetError, match="not a partial order"):
@@ -63,13 +62,13 @@ class TestFromRelations:
 
 class TestDual:
     def test_w_dual_is_m(self):
-        assert poset_isomorphic(dual_poset(w_poset()), m_poset())
+        assert dual_poset(w_poset()).canonical_key() == m_poset().canonical_key()
 
     def test_chain_self_dual(self):
-        assert poset_isomorphic(dual_poset(chain(4)), chain(4))
+        assert dual_poset(chain(4)).canonical_key() == chain(4).canonical_key()
 
     def test_kst_transpose(self):
-        assert poset_isomorphic(dual_poset(kst(2, 3)), kst(3, 2))
+        assert dual_poset(kst(2, 3)).canonical_key() == kst(3, 2).canonical_key()
 
     def test_involution(self):
         for p in (n_poset(), s_poset(), kst(2, 3), crown(3)):
@@ -79,13 +78,13 @@ class TestDual:
 
 class TestIsomorphism:
     def test_n_self_dual(self):
-        assert poset_isomorphic(n_poset(), dual_poset(n_poset()))
+        assert n_poset().canonical_key() == dual_poset(n_poset()).canonical_key()
 
     def test_w_not_m(self):
-        assert not poset_isomorphic(w_poset(), m_poset())
+        assert w_poset().canonical_key() != m_poset().canonical_key()
 
     def test_different_relation_counts(self):
-        assert not poset_isomorphic(chain(3), fork(2))
+        assert chain(3).canonical_key() != fork(2).canonical_key()
 
     def test_random_pairs_match_permutation_scan(self):
         # half the pairs are relabelled copies; the rest may differ in size
@@ -94,12 +93,12 @@ class TestIsomorphism:
             p = random_poset(rng, 0, 7)
             q = relabelled(rng, p) if i % 2 else random_poset(rng, max(0, p.size - 1), p.size + 1)
             same = (p.size, brute_canonical_relations(p)) == (q.size, brute_canonical_relations(q))
-            assert poset_isomorphic(p, q) == same
+            assert (p.canonical_key() == q.canonical_key()) == same
 
     def test_antichains_differ_only_by_size(self):
         antichains = [poset_from_relations(m, []) for m in range(MAX_POSET_SIZE + 1)]
         for p, q in itertools.product(antichains, repeat=2):
-            assert poset_isomorphic(p, q) == (p.size == q.size)
+            assert (p.canonical_key() == q.canonical_key()) == (p.size == q.size)
 
 
 class TestCatalog:
@@ -108,8 +107,8 @@ class TestCatalog:
         assert p.size == 4 and len(p.relations) == 6
 
     def test_butterfly_aliases(self):
-        assert poset_isomorphic(named_poset("butterfly"), named_poset("K22"))
-        assert poset_isomorphic(named_poset("butterfly"), named_poset("Kst", 2, 2))
+        assert named_poset("butterfly").canonical_key() == named_poset("K22").canonical_key()
+        assert named_poset("butterfly").canonical_key() == named_poset("Kst", 2, 2).canonical_key()
 
     def test_s_relations(self):
         p = named_poset("S")
@@ -124,7 +123,7 @@ class TestCatalog:
         for ell in (2, 3, 4):
             p = named_poset("crown", ell)
             assert p.size == 2 * ell and len(p.relations) == 2 * ell
-        assert poset_isomorphic(named_poset("crown", 2), named_poset("butterfly"))
+        assert named_poset("crown", 2).canonical_key() == named_poset("butterfly").canonical_key()
 
     def test_diamond3(self):
         p = named_poset("diamond", 3)
@@ -150,24 +149,24 @@ class TestPathHasseFamily:
     def test_p4_contents(self):
         fam = path_hasse_family(4)
         assert len(fam) == 4
-        assert any(poset_isomorphic(p, chain(4)) for p in fam)
-        assert any(poset_isomorphic(p, n_poset()) for p in fam)
+        assert any(p.canonical_key() == chain(4).canonical_key() for p in fam)
+        assert any(p.canonical_key() == n_poset().canonical_key() for p in fam)
         # the two chain-plus-pendant posets are dual to each other
         rest = [
             p
             for p in fam
-            if not poset_isomorphic(p, chain(4)) and not poset_isomorphic(p, n_poset())
+            if p.canonical_key() not in (chain(4).canonical_key(), n_poset().canonical_key())
         ]
         assert len(rest) == 2
-        assert poset_isomorphic(dual_poset(rest[0]), rest[1])
+        assert dual_poset(rest[0]).canonical_key() == rest[1].canonical_key()
 
     def test_height2_filters(self):
         (only,) = height_two(4)
-        assert poset_isomorphic(only, n_poset())
+        assert only.canonical_key() == n_poset().canonical_key()
         h2 = height_two(5)
         assert len(h2) == 2
-        assert any(poset_isomorphic(p, w_poset()) for p in h2)
-        assert any(poset_isomorphic(p, m_poset()) for p in h2)
+        assert any(p.canonical_key() == w_poset().canonical_key() for p in h2)
+        assert any(p.canonical_key() == m_poset().canonical_key() for p in h2)
 
     @pytest.mark.parametrize("k", range(2, 8))
     def test_sizes_match_orientation_orbits(self, k):
@@ -185,20 +184,20 @@ class TestPathHasseFamily:
             assert len(p.hasse_edges()) == k - 1
 
     def test_contains_chain_and_s(self):
-        assert any(poset_isomorphic(p, chain(5)) for p in path_hasse_family(5))
-        assert any(poset_isomorphic(p, s_poset()) for p in path_hasse_family(5))
+        assert any(p.canonical_key() == chain(5).canonical_key() for p in path_hasse_family(5))
+        assert any(p.canonical_key() == s_poset().canonical_key() for p in path_hasse_family(5))
 
     @pytest.mark.parametrize("k", (3, 5, 7))
     def test_odd_k_height2_duals(self, k):
         h2 = height_two(k)
         assert len(h2) == 2
-        assert poset_isomorphic(dual_poset(h2[0]), h2[1])
+        assert dual_poset(h2[0]).canonical_key() == h2[1].canonical_key()
 
     @pytest.mark.parametrize("k", (2, 4, 6))
     def test_even_k_height2_selfdual(self, k):
         h2 = height_two(k)
         assert len(h2) == 1
-        assert poset_isomorphic(dual_poset(h2[0]), h2[0])
+        assert dual_poset(h2[0]).canonical_key() == h2[0].canonical_key()
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_keeps_the_first_orientation_of_each_class(self, k):

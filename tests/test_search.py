@@ -425,11 +425,13 @@ def test_n5_budgeted_search_pinned(spec):
     assert rep == {**row, "params": {**row["params"], "budget": 20000}}
 
 
-def test_n5_optima_are_the_paper_values():
+@pytest.mark.parametrize("n", [5, 6])
+def test_optima_are_the_paper_values(n):
+    # at n = 6 these are rows 20-23: 20, 60, 41 and 30
     paper = {"@N": formulas.n_free, "@butterfly": formulas.butterfly_p2,
              "@W @M": formulas.p6_lower, "@pathfamily(5)": formulas.p5}
     for spec, formula in paper.items():
-        assert table_report(5, forbid(spec), P2)["optimum"] == formula(5), spec
+        assert table_report(n, forbid(spec), P2)["optimum"] == formula(n), spec
 
 
 # La(4, p, #Q) for every catalog poset p, by canonical key: (Q = P2, Q = P3),
