@@ -110,9 +110,8 @@ def cmd_count(args):
     from .embedding import count_copies
     from .familyio import read_family
 
-    fam = read_family(args.family)
-    q = parse_single_poset(args.q)
-    print(count_copies(fam, q))
+    q = parse_single_poset(args.q)  # a refused spec exits before the family is read
+    print(count_copies(read_family(args.family), q))
     return 0
 
 
@@ -120,9 +119,8 @@ def cmd_free(args):
     from .embedding import find_any_embedding
     from .familyio import read_family
 
-    fam = read_family(args.family)
     forbidden = _forbidden(args.forbid)
-    witness = find_any_embedding(fam, forbidden)
+    witness = find_any_embedding(read_family(args.family), forbidden)
     if witness is None:
         out = {"free": True}
     else:

@@ -64,7 +64,7 @@ def _request(n: int, forbidden, q: Poset, budget) -> dict:
         "q": q.canonical_key(),
         "budget": budget,
         "witness_cap": DEFAULT_WITNESS_CAP,
-        "search": "orbital",
+        "search": "orbital-dive",
     }
 
 
@@ -81,6 +81,22 @@ def _permutation_tables(n: int) -> tuple:
     return tuple(tables)
 
 
+@lru_cache(maxsize=None)
+def _group_tables(n: int, complemented: bool) -> tuple:
+    """S_n, and with ``complemented`` S_n x Z2, acting on 2^[n], as mask tables."""
+    tables = _permutation_tables(n)
+    if complemented:
+        full = (1 << n) - 1
+        tables += tuple(tuple(full ^ image for image in table) for table in tables)
+    return tables
+
+
+@lru_cache(maxsize=None)
+def _least_image_table(group: tuple) -> tuple:
+    """mask -> its least image under the group."""
+    return tuple(min(images) for images in zip(*group))
+
+
 def _symmetry_group(n: int, forbidden, q: Poset) -> tuple:
     """The symmetries of 2^[n] that map the search problem to itself, as mask tables.
 
@@ -89,13 +105,9 @@ def _symmetry_group(n: int, forbidden, q: Poset) -> tuple:
     Q^d: it is a symmetry when the forbidden list is closed under duality and
     Q is self-dual.
     """
-    tables = _permutation_tables(n)
-    if (sorted(p.canonical_key() for p in forbidden)
-            == sorted(dual_poset(p).canonical_key() for p in forbidden)
-            and q.canonical_key() == dual_poset(q).canonical_key()):
-        full = (1 << n) - 1
-        tables += tuple(tuple(full ^ image for image in table) for table in tables)
-    return tables
+    return _group_tables(n, sorted(p.canonical_key() for p in forbidden)
+                         == sorted(dual_poset(p).canonical_key() for p in forbidden)
+                         and q.canonical_key() == dual_poset(q).canonical_key())
 
 
 def la_exact(n: int, forbidden, q: Poset, budget: int = None) -> SearchReport:
@@ -128,12 +140,18 @@ def la_exact(n: int, forbidden, q: Poset, budget: int = None) -> SearchReport:
       Programming 126, 2011): the exclude child's gone is the whole H-orbit
       of x, since some element of H maps any family that meets the orbit onto
       one that holds x, with the same value.
+    - Incumbent: a dive from the root's avail includes the free mask with the
+      fewest members of avail comparable to it (the least on ties) and drops
+      what that include child would, down to a free family. Its copies of Q
+      are the first best value; it is the witness if a budget stops the loop
+      before any leaf.
     - Bound: a node is cut only when its bound, the bit count of alive, is
-      below the best value found, so every optimal family keeps an image in
-      the tree. The root numbers the copies of Q in 2^[n] (``copy_supports``),
-      and keep[y] is the bitset of those without mask y: each y of gone is
-      dropped by alive &= keep[y], as in bit-parallel max-clique search (San
-      Segundo, Rodriguez-Losada and Jimenez, Comput. Oper. Res. 38, 2011).
+      below the best value, so every optimal family keeps an image in the
+      tree, and a complete report does not depend on the incumbent. The root
+      numbers the copies of Q in 2^[n] (``copy_supports``), and keep[y] is
+      the bitset of those without mask y: each y of gone is dropped by
+      alive &= keep[y], as in bit-parallel max-clique search (San Segundo,
+      Rodriguez-Losada and Jimenez, Comput. Oper. Res. 38, 2011).
 
     The witnesses are the DEFAULT_WITNESS_CAP lexicographically least optimal
     families: the images under the group of the leaves that reach the optimum,
@@ -160,8 +178,27 @@ def la_exact(n: int, forbidden, q: Poset, budget: int = None) -> SearchReport:
     for i, s in enumerate(supports):
         for y in s:
             keep[y] ^= 1 << i
+    # the incumbent: one dive from the root's avail, including and dropping as a node does
+    seed, free = 0, full ^ alone
+    while free:
+        avail = seed | free
+        x, fewest, bits = -1, 1 << n, free  # the least free mask with the fewest members of avail comparable to it
+        while bits:
+            low = bits & -bits
+            y = low.bit_length() - 1
+            degree = (avail & near[y]).bit_count()
+            if degree < fewest:
+                x, fewest = y, degree
+            bits ^= low
+        seed |= 1 << x
+        free ^= 1 << x
+        for p in minimal:
+            free &= ~completing_members(universe, p, x, seed, free)
+    alive = every
+    for y in iter_bits(full ^ seed):
+        alive &= keep[y]
     stack = [(0, full, every, group, alone)]
-    nodes, best, leaves, complete = 0, -1, [], True
+    nodes, best, leaves, complete = 0, alive.bit_count(), [], True
     while stack:
         if nodes == budget:
             complete = False
@@ -169,8 +206,10 @@ def la_exact(n: int, forbidden, q: Poset, budget: int = None) -> SearchReport:
         chosen, avail, alive, h, gone = stack.pop()
         nodes += 1
         avail &= ~gone
-        for y in iter_bits(gone):
-            alive &= keep[y]
+        while gone:
+            low = gone & -gone
+            alive &= keep[low.bit_length() - 1]
+            gone ^= low
         bound = alive.bit_count()
         if bound < best:
             continue
@@ -180,11 +219,14 @@ def la_exact(n: int, forbidden, q: Poset, budget: int = None) -> SearchReport:
                 best, leaves = bound, []
             leaves.append(chosen)
             continue
-        x, most = -1, -1  # the least free mask with the most members of avail comparable to it
-        for y in iter_bits(free):
+        x, most, bits = -1, -1, free  # the least free mask with the most members of avail comparable to it
+        while bits:
+            low = bits & -bits
+            y = low.bit_length() - 1
             degree = (avail & near[y]).bit_count()
             if degree > most:
                 x, most = y, degree
+            bits ^= low
         included = chosen | 1 << x
         dead = 0  # the undecided masks that would complete a forbidden poset with x
         for p in minimal:
@@ -197,7 +239,7 @@ def la_exact(n: int, forbidden, q: Poset, budget: int = None) -> SearchReport:
         stack.append((included, avail, alive, [g for g in h if g[x] == x], dead))
     return SearchReport(
         optimum=best,
-        witnesses=_least_images(leaves, group),
+        witnesses=_least_images(leaves or [seed], group),
         nodes_explored=nodes,
         complete=complete,
         params=_request(n, forbidden, q, budget),
@@ -215,7 +257,7 @@ def _least_images(leaves, group) -> list:
     than one distinct image.
     """
     least = []  # ascending
-    low = [min(images) for images in zip(*group)]  # mask -> its least image
+    low = _least_image_table(group)
     for leaf in leaves:
         members = tuple(iter_bits(leaf))
         full = len(least) == DEFAULT_WITNESS_CAP

@@ -510,6 +510,16 @@ class TestBadFamilyFiles:
         assert "Traceback" not in proc.stderr and proc.stderr.startswith("error:")
         assert "supports" in proc.stderr
 
+    @pytest.mark.parametrize("argv", (("count", "--q", "@chain(9)"), ("free", "--forbid", "@chain(9)")))
+    def test_a_refused_spec_exits_2_before_the_family_is_read(self, tmp_path, capsys, monkeypatch, argv):
+        fam_file = tmp_path / "fam.txt"
+        fam_file.write_text(format_family(level_family(4, [1, 2])))
+        reader = mock.Mock(side_effect=AssertionError("the family was read"))
+        monkeypatch.setattr(familyio, "read_family", reader)
+        assert run_command([argv[0], "--family", str(fam_file), *argv[1:]]) == 2
+        assert capsys.readouterr().err == "error: poset size 9 outside supported range 0..8\n"
+        reader.assert_not_called()
+
     def test_directory_exits_2(self, tmp_path):
         proc = run_cli_process("count", "--family", str(tmp_path), "--q", "@chain(2)")
         assert proc.returncode == 2 and proc.stdout == ""

@@ -6,9 +6,10 @@ line order, the search options that wrote each row. Every row must be the
 report of exactly that request, complete, and each of its witnesses must be
 free with ``optimum`` copies of Q, which proves the lower bound of the value.
 ``search --no-cache`` must print each row with n <= RERUN_MAX_N again, byte for
-byte, which rechecks the upper bounds too; the n = 6 rows take 3-200 s each,
+byte, which rechecks the upper bounds too; the n = 6 rows take 0.05-200 s each,
 so CI reruns those that take under a minute. ``test_oracle_n4.py`` checks the n = 4 rows
-against the oracle, and the other tests read a pinned report through
+against the oracle, the rows with Q a single point and a closed form are
+compared with it, and the other tests read a pinned report through
 ``table_report``.
 
 A change of search tree may move a row's ``nodes_explored`` and search tag,
@@ -19,6 +20,7 @@ writes the table again, each search of SPECS into a fresh file:
 """
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
 
@@ -38,6 +40,13 @@ PAPER_PROBLEMS = (  # the five paper problems, each with Q = P2
     ["--forbid", "@W", "--forbid", "@M"],
     ["--forbid", "@pathfamily(5)"],
 )
+CLASSICAL_PROBLEMS = (  # La(n, P) for P = chain(3), chain(4), the butterfly, {V, Λ} and N
+    ["--forbid", "@chain(3)"],
+    ["--forbid", "@chain(4)"],
+    ["--forbid", "@butterfly"],
+    ["--forbid", "@fork(2)", "--forbid", "@kst(2,1)"],
+    ["--forbid", "@N"],
+)
 SPECS = [
     *(["--n", str(n), *forbid, "--q", "@chain(2)"] for n in (4, 5) for forbid in PAPER_PROBLEMS),
     ["--n", "5", "--forbid", "@kst(2,3)", "--q", "@chain(3)"],
@@ -53,6 +62,8 @@ SPECS = [
     ["--n", "6", "--forbid", "@butterfly", "--q", "@N"],
     ["--n", "6", "--forbid", "@pathfamily(6)", "--q", "@chain(2)"],
     ["--n", "6", "--forbid", "@kst(2,3)", "--q", "@chain(3)"],
+    # Q a single point: the family's size
+    *(["--n", str(n), *forbid, "--q", "@chain(1)"] for n in (5, 6) for forbid in CLASSICAL_PROBLEMS),
 ]
 # digest(row) of each row, in line order
 DIGESTS = [
@@ -62,6 +73,8 @@ DIGESTS = [
     "11de8bc4700844cb", "66716948c9b8099c", "436e86037ddd158f", "6ca93af046de79b4",
     "5222a26f75c4b54a", "2ff821187ac6d9f0", "b25d860c3013ad51", "398afe54c15b87c1", "7bc8231c826a9f0a",
     "729f54c2eba1e69c", "8a0cae92ffd6fd1f", "c356ec5648f165a6", "c7339513c28a8f43",
+    "f799b6009f509005", "0710721880926fbe", "a164c3d05340fc08", "dae75bb69006f1fe", "a2511891e3ef34bb",
+    "2cbe427ee519772c", "d1dbf700c8a7950f", "cdf5f1c96c273a48", "eb749df31fd1ed20", "c316203291c2ecdb",
 ]
 RERUN_MAX_N = 5
 
@@ -123,6 +136,33 @@ def test_search_without_the_cache_prints_the_row(spec, line, capsys):
 def test_rows_keep_their_values():
     # a regenerated table may move only the node counts and the search tags
     assert [digest(row) for row in table_rows()] == DIGESTS
+
+
+def largest_levels(n, k):
+    """The sizes of the k largest levels of 2^[n], added."""
+    return sum(sorted((math.comb(n, i) for i in range(n + 1)), reverse=True)[:k])
+
+
+# La(n, P) in closed form, by the --forbid specs of the row
+CLASSICAL_FORMS = {
+    ("@chain(3)",): lambda n: largest_levels(n, 2),  # Erdős (1945)
+    ("@chain(4)",): lambda n: largest_levels(n, 3),
+    # De Bonis, Katona and Swanepoel (2005)
+    ("@butterfly",): lambda n: math.comb(n, n // 2) + math.comb(n, n // 2 + 1),
+    # {V, Λ}: Katona and Tarján (1983)
+    ("@fork(2)", "@kst(2,1)"): lambda n: 2 * math.comb(n - 1, (n - 1) // 2),
+}
+
+
+def test_classical_rows_equal_their_closed_forms():
+    checked = 0
+    for spec, row in zip(SPECS, table_rows()):
+        args = build_parser().parse_args(["search", *spec])
+        form = CLASSICAL_FORMS.get(tuple(args.forbid))
+        if args.q == "@chain(1)" and form is not None:
+            assert row["optimum"] == form(args.n), spec
+            checked += 1
+    assert checked == 8
 
 
 def write_table():

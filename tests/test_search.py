@@ -151,7 +151,24 @@ def test_root_pass_is_the_one_element_test():
             assert (embedding_using_member(cached_lattice(n), p, 0, 1) is not None) == (p.size == 1)
 
 
-def recursive_la_exact(n, forbidden, q, budget=None):
+def reference_dive(n, minimal, avail):
+    """The free family that la_exact's incumbent dive reaches from ``avail``:
+    each step includes the undecided mask with the fewest members of avail
+    comparable to it (the least on ties) and drops every undecided mask that
+    would then complete a minimal poset, by one member-forced search each."""
+    universe = cached_lattice(n)
+    near = universe.comparable
+    chosen = 0
+    while avail & ~chosen:
+        x = min(iter_bits(avail & ~chosen), key=lambda y: (avail & near[y]).bit_count())
+        chosen |= 1 << x
+        for y in iter_bits(avail & ~chosen):
+            if any(using_member_reference(universe, p, y, chosen | 1 << y) is not None for p in minimal):
+                avail ^= 1 << y
+    return chosen
+
+
+def recursive_la_exact(n, forbidden, q, budget=None, seeded=True):
     """la_exact as a recursive closure over a shared state dict: the reference
     for the node loop, budgeted runs included.
 
@@ -161,14 +178,21 @@ def recursive_la_exact(n, forbidden, q, budget=None):
     removed mask subtracts ``reference_count_through``. The include child
     keeps the symmetries that fix x and map its removed masks onto
     themselves; la_exact keeps those that fix x, which is the same list.
+    ``seeded`` starts the best value at the copies of Q in ``reference_dive``'s
+    family, which is the witness if no leaf is reached; without it the search
+    starts from -1 and no family, as la_exact did before its dive.
     """
     forbidden = list(forbidden)
     universe = cached_lattice(n)
     near = universe.comparable
     group = _symmetry_group(n, forbidden, q)
     minimal = minimal_posets(forbidden)
+    full = (1 << (1 << n)) - 1
+    root = full ^ reference_root_pass(n, minimal)
+    seeds = [reference_dive(n, minimal, root)] if seeded else []
+    best = reference_count_copies(universe, q, seeds[0]) if seeds else -1
 
-    state = {"nodes": 0, "complete": True, "best": -1, "leaves": []}
+    state = {"nodes": 0, "complete": True, "best": best, "leaves": []}
 
     def drop(avail, bound, masks):
         for y in iter_bits(masks):
@@ -202,13 +226,12 @@ def recursive_la_exact(n, forbidden, q, budget=None):
             orbit |= 1 << g[x]
         rec(chosen, *drop(avail, bound, orbit), h)
 
-    full = (1 << (1 << n)) - 1
-    avail, bound = drop(full, count_copies(universe, q), reference_root_pass(n, minimal))
+    avail, bound = drop(full, count_copies(universe, q), full ^ root)
     rec(0, avail, bound, group)
     del rec
     return SearchReport(
         optimum=state["best"],
-        witnesses=_least_images(state["leaves"], group),
+        witnesses=_least_images(state["leaves"] or seeds, group),
         nodes_explored=state["nodes"],
         complete=state["complete"],
         params=_request(n, forbidden, q, budget),
@@ -528,6 +551,41 @@ def test_budgeted_report_matches_the_recursive_search(n, spec, q_spec, budget):
     q = parse_single_poset(q_spec)
     got = la_exact(n, forbid(spec), q, budget).to_json()
     assert got == recursive_la_exact(n, forbid(spec), q, budget).to_json()
+
+
+def check_against_the_plain_search(n, forbidden, q):
+    # the dive only raises the starting best value to one that a free family
+    # reaches, so the complete report keeps the unseeded search's optimum and
+    # witnesses, from a tree no larger
+    rep = la_exact(n, forbidden, q)
+    plain = recursive_la_exact(n, forbidden, q, seeded=False)
+    assert rep.complete and plain.complete
+    assert (rep.optimum, rep.witnesses) == (plain.optimum, plain.witnesses)
+    assert rep.nodes_explored <= plain.nodes_explored
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_seeded_reports_match_the_plain_search_small_n(n):
+    for p in catalog_posets(5):
+        for q in (P2, chain(3)):
+            check_against_the_plain_search(n, [p], q)
+
+
+@pytest.mark.parametrize("spec", BENCH_N4)
+def test_seeded_reports_match_the_plain_search_n4(spec):
+    check_against_the_plain_search(4, forbid(spec), P2)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_a_one_node_report_holds_the_dive_family(n):
+    # one node is the root: unless the root is a leaf, the report is the
+    # dive's free family, with its copies of Q as the optimum
+    for p in catalog_posets(5):
+        for q in (P2, chain(3)):
+            rep = la_exact(n, [p], q, budget=1)
+            assert rep.nodes_explored == 1 and len(rep.witnesses) >= 1, (n, p, q)
+            for w in rep.witnesses:
+                assert verify_witness(SetFamily(n, w), [p], q) == (True, rep.optimum), (n, p, q, w)
 
 
 # la_exact keeps the copies inside avail as a bitset and branches with a plain
