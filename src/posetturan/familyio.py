@@ -78,7 +78,7 @@ def _element_bit(tok: str, n: int, lineno: int) -> int:
 def _parse_json(text: str) -> SetFamily:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise FamilyFormatError(f"bad JSON family: {exc}") from None
     if not isinstance(data, dict) or "n" not in data or "masks" not in data:
         raise FamilyFormatError('JSON family needs keys "n" and "masks"')

@@ -44,8 +44,8 @@ class Coloring(namedtuple("Coloring", "n family threshold blue critical_pairs"))
     """Blue/red labels for all of 2^[n] relative to a family and threshold t.
 
     A mask is blue iff it is strictly contained in at least t family members;
-    ``blue`` is the frozenset of blue masks. Critical pairs are the
-    blue-to-red steps of size one.
+    ``blue`` is the bitset of blue masks: bit m is set iff mask m is blue.
+    Critical pairs are the blue-to-red steps of size one.
     """
 
     __slots__ = ()
@@ -61,25 +61,18 @@ def color_family(family: SetFamily, t: int) -> Coloring:
     lattice = cached_lattice(n)
     above = lattice.above
     members = sum(1 << f for f in family.members)
-    blue = frozenset(mask for mask in range(1 << n) if (above[mask] & members).bit_count() >= t)
-    bits = _indicator(blue)
-    # g is the bottom of a critical pair with top g | {i} iff g is blue, lacks i, and
-    # bit g + 2^i of the blue indicator is clear; the lattice's slice i, indexed
-    # by mask, is the indicator of the masks that hold i
+    blue = 0
+    for mask in range(1 << n):
+        if (above[mask] & members).bit_count() >= t:
+            blue |= 1 << mask
+    # g is the bottom of a critical pair with top g | {i} iff g is blue, lacks i, and bit
+    # g + 2^i of blue is clear; the lattice's slice i has the bits of the masks with i
     pairs = sorted(
         (g, g | 1 << i)
         for i, has in enumerate(lattice._slices)
-        for g in iter_bits(bits & ~(has | bits >> (1 << i)))
+        for g in iter_bits(blue & ~(has | blue >> (1 << i)))
     )
     return Coloring(n, family, t, blue, tuple(pairs))
-
-
-def _indicator(masks) -> int:
-    """The int whose bit m is set for each mask m in ``masks``."""
-    bits = 0
-    for m in masks:
-        bits |= 1 << m
-    return bits
 
 
 def check_one_critical_pair_per_chain(coloring: Coloring) -> bool:
@@ -95,7 +88,9 @@ def check_one_critical_pair_per_chain(coloring: Coloring) -> bool:
     if n > MAX_COLOR_N:
         raise ValueError(f"critical-pair chain check requires n <= {MAX_COLOR_N}")
     above = cached_lattice(n).above
-    bottoms = _indicator(g for g, _ in coloring.critical_pairs)
+    bottoms = 0
+    for g, _ in coloring.critical_pairs:
+        bottoms |= 1 << g  # pairs share bottoms, so OR, not a sum
     return not any((above[gp] | 1 << gp) & bottoms for _, gp in coloring.critical_pairs)
 
 
@@ -473,10 +468,10 @@ def verify_coloring(seed: int = 0) -> LemmaReport:
         # down-set: removing any element i of a blue mask g leaves a blue mask. The
         # blue masks with i, shifted down by 2^i, must land on blue bits; a stray bit
         # h marks the offending blue mask h | {i}
-        bits = _indicator(col.blue)
+        blue = col.blue
         stray = 0
         for i, has in enumerate(cached_lattice(n)._slices):
-            stray |= ((bits & has) >> (1 << i) & ~bits) << (1 << i)
+            stray |= ((blue & has) >> (1 << i) & ~blue) << (1 << i)
         if stray:
             g = (stray & -stray).bit_length() - 1
             return f"n={n} t={t}: blue set not a downset at {g}"

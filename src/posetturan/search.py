@@ -363,7 +363,7 @@ def _cache_lookup(path, params):
     A candidate is a line, ended by \\n, \\r or \\r\\n or by the end of
     the file, that holds '"params": ' followed by the sorted-key JSON of
     ``params``. Candidates are tried last first, and the first that is UTF-8
-    JSON with the five report keys and equal params is the answer.
+    JSON with the five report keys, typed, and equal params is the answer.
 
     The lines are found through one index per process, of the path looked up
     last: each params text maps to the complete lines that hold it. The
@@ -444,14 +444,18 @@ def _params_lines(data, start, stop):
 
 
 def _record(line, params):
-    """The report on ``line`` if it is UTF-8 JSON with the five report keys and ``params``."""
+    """The report on ``line`` if it is UTF-8 JSON with the five report keys, typed, and ``params``."""
     try:
         rec = json.loads(line.decode("utf-8"))
-    except ValueError:  # not UTF-8, or not JSON
+    except (ValueError, RecursionError):  # not UTF-8, not JSON, or nested past the parser's depth
         return None
-    if isinstance(rec, dict) and rec.keys() == set(SearchReport._fields) and rec["params"] == params:
-        return rec
-    return None
+    if not (isinstance(rec, dict) and rec.keys() == set(SearchReport._fields) and rec["params"] == params):
+        return None
+    # type(), not isinstance: JSON true and false load as bools, which are ints
+    ws = rec["witnesses"]
+    ok = type(rec["optimum"]) is type(rec["nodes_explored"]) is int and type(rec["complete"]) is bool
+    ok = ok and type(ws) is list and all(type(w) is list and all(type(m) is int for m in w) for w in ws)
+    return rec if ok else None
 
 
 def cached_la_exact(n, forbidden, q, budget=None, path=None) -> SearchReport:

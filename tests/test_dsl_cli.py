@@ -464,19 +464,21 @@ def run_cli_process(*argv, setup=None):
 
 
 class TestBadFamilyFiles:
-    @pytest.mark.parametrize("text", (
-        '{"n": null, "masks": [1]}',
-        '{"n": 3, "masks": 5}',
-        '{"n": true, "masks": [1]}',
-        '{"n": 2, "masks": [false, true]}',
-        "# comment\n# another comment\n",
-    ), ids=("json-null-n", "json-int-masks", "json-bool-n", "json-bool-masks", "comments-only"))
-    def test_malformed_file_exits_2(self, tmp_path, text):
+    @pytest.mark.parametrize("text, error", (
+        ('{"n": null, "masks": [1]}', "error: JSON family needs an integer"),
+        ('{"n": 3, "masks": 5}', "error: JSON family needs an integer"),
+        ('{"n": true, "masks": [1]}', "error: JSON family needs an integer"),
+        ('{"n": 2, "masks": [false, true]}', "error: JSON family needs an integer"),
+        ("# comment\n# another comment\n", "error: family input has only comments"),
+        ('{"n": 3, "masks": ' + "[" * 100_000 + "]" * 100_000 + "}", "error: bad JSON family"),
+    ), ids=("json-null-n", "json-int-masks", "json-bool-n", "json-bool-masks", "comments-only",
+            "json-nested-too-deep"))
+    def test_malformed_file_exits_2(self, tmp_path, text, error):
         fam_file = tmp_path / "fam.txt"
         fam_file.write_text(text)
         proc = run_cli_process("count", "--family", str(fam_file), "--q", "@chain(2)")
         assert proc.returncode == 2 and proc.stdout == ""
-        assert "Traceback" not in proc.stderr and proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr and proc.stderr.startswith(error)
 
     def test_oversized_construction_exits_2(self):
         proc = run_cli_process("construct", "p5", "--n", "40")

@@ -861,19 +861,44 @@ class TestCache:
         assert rep.optimum == 7
 
 
-    def test_non_object_lines_ignored(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        request = {"params": _request(3, [BFLY], P2, None)}
+    @staticmethod
+    def _decoys(report):
+        """Lines that hold the params of ``report``'s request but are not a report of it."""
+        request = {"params": report["params"]}
         decoys = [
             json.dumps([request], sort_keys=True),   # the key inside a list
             json.dumps(request, sort_keys=True),     # the key without a report
             json.dumps(request, sort_keys=True)[:-1],  # cut short
+            # nested past the parser's depth
+            '{"x": ' + "[" * 100_000 + "]" * 100_000 + ", " + json.dumps(request, sort_keys=True)[1:],
+            # the five report keys, with a field of the wrong type
+            *(json.dumps({**report, field: value}, sort_keys=True) for field, value in (
+                ("witnesses", 5), ("witnesses", [5]), ("witnesses", None), ("witnesses", [[1, "x"]]),
+                ("witnesses", [[1, True]]), ("witnesses", [[1.5]]), ("witnesses", {"0": [1]}),
+                ("optimum", True), ("optimum", 7.0), ("nodes_explored", "5"), ("complete", 1),
+            )),
         ]
         assert all('"params": ' + json.dumps(request["params"], sort_keys=True) in line
                    for line in decoys)
-        path.write_text("[1, 2]\n" + "\n".join(decoys) + "\n")
+        return decoys
+
+    def test_non_object_lines_ignored(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        report = la_exact(3, [BFLY], P2).to_json()
+        path.write_text("[1, 2]\n" + "\n".join(self._decoys(report)) + "\n")
         rep = cached_la_exact(3, [BFLY], P2, path=str(path))
-        assert rep.optimum == 7
+        # every decoy is skipped: the search runs and appends its report
+        assert rep.optimum == 7 and rep.to_json() == report
+        assert path.read_text().splitlines()[-1] == json.dumps(report, sort_keys=True)
+
+    def test_a_report_before_the_decoys_answers(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        report = la_exact(3, [BFLY], P2).to_json()
+        marked = {**report, "nodes_explored": 1}
+        path.write_text("\n".join([json.dumps(marked, sort_keys=True), *self._decoys(report)]) + "\n")
+        size = path.stat().st_size
+        rep = cached_la_exact(3, [BFLY], P2, path=str(path))
+        assert rep.to_json() == marked and path.stat().st_size == size  # a hit appends nothing
 
     def test_record_is_the_report_line(self, tmp_path):
         path = tmp_path / "cache.jsonl"
