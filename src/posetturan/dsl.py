@@ -5,6 +5,7 @@ fork, crown, diamond, butterfly, N, W, M, S, pathfamily, or an inline block of
 relations: identifiers joined by "<", statements separated by ";" or
 newlines, e.g. "a<b; c<b; c<d". Identifiers number the elements 0, 1, ... in
 order of first appearance and are not kept; a bare one is an isolated element.
+A malformed spec raises DslError; one past a size cap, DimensionError.
 """
 from __future__ import annotations
 
@@ -58,10 +59,7 @@ def _parse_builtin(text: str):
     if name.lower() == "pathfamily":
         if len(args) != 1:
             raise DslError("@pathfamily takes one argument")
-        try:
-            return path_hasse_family(args[0])
-        except PosetError as exc:
-            raise DslError(str(exc)) from None
+        return path_hasse_family(args[0])
     try:
         return [named_poset(name, *args)]
     except PosetError as exc:

@@ -4,7 +4,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-from .lattice import TABLE_MIN_MEMBERS, SetFamily, chain_count, iter_bits
+from .lattice import MAX_COPY_SUPPORTS, TABLE_MIN_MEMBERS, SetFamily, _check_n, chain_count, iter_bits
 from .posets import Poset
 
 
@@ -83,10 +83,6 @@ def _plan(poset: Poset):
     reads = tuple((any(i in lower for lower, _ in constraints), any(i in upper for _, upper in constraints))
                   for i in range(k))
     return tuple(order), constraints, tuple(supports), needs, reads
-
-
-# The supports copy_supports may store: about 160 bytes each for N, whatever the family's size.
-MAX_COPY_SUPPORTS = 2_000_000
 
 
 def _search(family: SetFamily, poset: Poset, plan, pin=None, within=None, found=None):
@@ -393,8 +389,7 @@ def copy_supports(family: SetFamily, q: Poset) -> set:
     them."""
     found = set()
     _search(family, q, _plan(q), found=found)
-    if len(found) > MAX_COPY_SUPPORTS:
-        raise ValueError(f"copy counting stores at most {MAX_COPY_SUPPORTS} supports")
+    _check_n(len(found), MAX_COPY_SUPPORTS, lo=0, what="copy supports ")
     return found
 
 

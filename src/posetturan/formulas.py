@@ -4,45 +4,42 @@ from __future__ import annotations
 import itertools
 import math
 
-from .lattice import MAX_FORMULA_N
+from .lattice import MAX_FORMULA_N, _check_n
 
 
 def butterfly_p2(n: int) -> int:
     """2-chain count of the butterfly-free middle two levels; the maximum
     from n = 5 on (result (i)), and below it at n = 2..4."""
-    _check_range(n, 2)
+    _check_n(n, MAX_FORMULA_N, lo=2)
     return -(-n // 2) * math.comb(n, n // 2)
 
 
 def p5(n: int) -> int:
     """Maximum 2-chain count of a family avoiding all 5-element path posets."""
-    _check_range(n, 4)
+    _check_n(n, MAX_FORMULA_N, lo=4)
     return 5 * math.comb(n - 2, n // 2 - 1)
 
 
 def p6_lower(n: int) -> int:
     """Lower bound for the {W, M}-free 2-chain maximum."""
-    _check_range(n, 2)
+    _check_n(n, MAX_FORMULA_N, lo=2)
     return 2 * math.comb(n, n // 2) + 1
 
 
 def n_free(n: int) -> int:
     """2-chain count of the N-free empty set plus middle level; the maximum
     from n = 3 on (result (iii)), and below it at n = 2."""
-    _check_range(n, 1)
+    _check_n(n, MAX_FORMULA_N)
     return math.comb(n, n // 2)
 
 
 def sublattice(n: int, a: int, b: int) -> int:
     """Number of full chains meeting the closed interval with endpoint sizes a < b."""
-    _check_range(n, 1)
+    _check_n(n, MAX_FORMULA_N)
     if not 0 <= a < b <= n:
         raise ValueError(f"need 0 <= a < b <= n, got a={a}, b={b}, n={n}")
-    denom = math.comb(n - b + a, a)
-    num = math.factorial(n)
-    if num % denom:  # sanity tripwire; cannot happen
-        raise ArithmeticError("sublattice count is not an integer")
-    return num // denom
+    # n! / C(n - b + a, a) counts chains, so the division is exact
+    return math.factorial(n) // math.comb(n - b + a, a)
 
 
 def katona_nagy(n: int, t: int):
@@ -52,17 +49,12 @@ def katona_nagy(n: int, t: int):
     """
     from fractions import Fraction  # only this formula loads fractions
 
-    _check_range(n, 1)
+    _check_n(n, MAX_FORMULA_N)
     if not 0 <= t <= 1 << n:  # a family of 2^[n] has at most 2^n sets
         raise ValueError(f"need 0 <= t <= 2^n, got t={t}, n={n}")
     return Fraction(max(t * n - t * (t - 1), 0), n) * (
         math.factorial(n // 2) * math.factorial(-(-n // 2))
     )
-
-
-def _check_range(n, lo, hi=MAX_FORMULA_N):
-    if not lo <= n <= hi:
-        raise ValueError(f"n={n} outside supported range {lo}..{hi}")
 
 
 FORMULAS = {
@@ -92,6 +84,7 @@ def chain_count_in_levels(n: int, ell: int, levels) -> int:
     Sums, over ell-subsets of the level tuple, the multinomial counting chains
     with one set on each chosen level.
     """
+    _check_n(n, MAX_FORMULA_N)
     tup = tuple(levels)
     if list(tup) != sorted(set(tup)):
         raise ValueError("levels must be strictly increasing")

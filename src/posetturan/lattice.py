@@ -4,6 +4,11 @@ Subsets of [n] are little-endian masks: bit i-1 set iff element i is in the
 set. Families are stored sorted ascending by mask value, which is also a
 linear extension of containment (A is a proper subset of B implies A < B as
 integers).
+
+The cap block below holds every size cap of the package (each MAX_*), and
+``_check_n`` is the one range check behind them: each refusal is a
+``DimensionError`` reading "<what> outside supported range <lo>..<hi>",
+raised before the refused request allocates.
 """
 from __future__ import annotations
 
@@ -12,12 +17,16 @@ from functools import cached_property, lru_cache
 from itertools import compress, islice, repeat
 from operator import and_, eq, lshift, rshift, xor
 
-MAX_SCAN_N = 24      # 2^n-set passes: whole-lattice scans, level listings, hulls
+MAX_SCAN_N = 24      # 2^n-set passes: whole-lattice scans, level listings, intervals, hulls
 MAX_CHAIN_N = 8      # chains_meeting: its oracles list the n! full chains; the count reads the cached 2^[n]
-MAX_FORMULA_N = 62   # SetFamily mask width, which bounds the cost of each mask operation
+MAX_FORMULA_N = 62   # SetFamily mask width, which bounds the cost of each mask operation; the formulas' n
+MAX_POSET_SIZE = 8   # posets: canonical labelling backtracks over up to size! labellings
+MAX_COPY_SUPPORTS = 2_000_000  # embedding.copy_supports: about 160 bytes each for N, whatever the family's size
+MAX_COLOR_N = 12     # proofcheck: coloring, critical-pair and zigzag checks read the 2^n-member cached lattice
+MAX_COMPONENT_MEMBERS = 20  # proofcheck._max_antichain: branch and bound over up to 2^m member subsets
 
-# The search caps, kept here with the others so that the CLI's parser reads
-# MAX_EXACT_SEARCH_N without loading posetturan.search
+# The search caps; the CLI's parser reads MAX_EXACT_SEARCH_N from here
+# without loading posetturan.search
 MAX_EXACT_SEARCH_N = 6  # search.la_exact: 5-34 s per paper problem at n = 6 (2 vCPUs, Python 3.11.7); 2^128 families at n = 7
 MAX_LEVEL_SEARCH_N = 16  # search.la_levels: up to 2^(n+1) level tuples, 7.5 s at n = 16 with nothing forbidden
 MAX_LEVEL_GENERIC_N = 12  # search.la_levels with non-chain P at n = 12: paper posets 0.2-0.4 s, diamond(4) 7 s
@@ -101,9 +110,10 @@ def _pair_rows(members):
     return tuple(up), tuple(down)
 
 
-def _check_n(n: int, cap: int):
-    if not 1 <= n <= cap:
-        raise DimensionError(f"dimension n={n} outside supported range 1..{cap}")
+def _check_n(n: int, hi: int, lo: int = 1, what: str = "dimension n="):
+    """Refuse n outside lo..hi; ``what`` names n in the message, which is made only on a refusal."""
+    if not lo <= n <= hi:
+        raise DimensionError(f"{what}{n} outside supported range {lo}..{hi}")
 
 
 class SetFamily:
@@ -335,8 +345,7 @@ def chains_meeting(family: SetFamily) -> int:
     ``below`` and the mask sizes are tables kept per n.
     """
     n = family.n
-    if n > MAX_CHAIN_N:
-        raise DimensionError(f"n={n} too large for full-chain enumeration (cap {MAX_CHAIN_N})")
+    _check_n(n, MAX_CHAIN_N, what="chains_meeting n=")
     fact, below, size = _chain_tables(n)
     first = [0] * (1 << n)  # first[B] for the members B seen so far, indexed by mask
     seen = total = 0        # seen: bitset of those masks
@@ -353,6 +362,9 @@ def chains_meeting(family: SetFamily) -> int:
 
 def interval_family(n: int, lo: int, hi: int) -> SetFamily:
     """The closed interval {F : lo subseteq F subseteq hi} as a family."""
+    _check_n(n, MAX_SCAN_N)
+    if not 0 <= hi < 1 << n:  # SetFamily's refusal, before the 2^|hi - lo| sets are listed
+        raise ValueError(f"mask out of range for n={n}")
     if lo & hi != lo:
         raise ValueError("interval endpoints not nested")
     free = hi ^ lo

@@ -4,7 +4,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 
-MAX_POSET_SIZE = 8  # canonical labelling backtracks over up to size! labellings
+from .lattice import MAX_POSET_SIZE, _check_n
 
 
 class PosetError(ValueError):
@@ -44,14 +44,6 @@ class Poset(namedtuple("Poset", "size relations", defaults=(frozenset(),))):
 
     def is_chain(self) -> bool:
         return len(self.relations) == self.size * (self.size - 1) // 2
-
-    def hasse_edges(self) -> frozenset:
-        """Cover pairs (a, b): a < b with nothing strictly between."""
-        covers = set()
-        for a, b in self.relations:
-            if not any(self.less(a, c) and self.less(c, b) for c in range(self.size)):
-                covers.add((a, b))
-        return frozenset(covers)
 
     def canonical_relations(self):
         return _canonical_form(self.size, tuple(sorted(self.relations)))[0]
@@ -105,14 +97,9 @@ def _canonical_form(size, relations):
     return least, tuple(sorted({min(order[i] for order in best) for i in range(size)}))
 
 
-def _check_size(m: int):
-    if m < 0 or m > MAX_POSET_SIZE:
-        raise PosetError(f"poset size {m} outside supported range 0..{MAX_POSET_SIZE}")
-
-
 def poset_from_relations(m: int, relations) -> Poset:
     """Transitive closure of the given (lo, hi) pairs; rejects cycles."""
-    _check_size(m)
+    _check_n(m, MAX_POSET_SIZE, lo=0, what="poset size ")
     less = [[False] * m for _ in range(m)]
     for a, b in relations:
         if not (0 <= a < m and 0 <= b < m):
@@ -142,28 +129,28 @@ def dual_poset(p: Poset) -> Poset:
 def chain(k: int) -> Poset:
     if k < 1:
         raise PosetError("chain needs at least one element")
-    _check_size(k)
+    _check_n(k, MAX_POSET_SIZE, lo=0, what="poset size ")
     return poset_from_relations(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
 
 
 def kst(s: int, t: int) -> Poset:
     if s < 1 or t < 1:
         raise PosetError("Kst parameters must be positive")
-    _check_size(s + t)
+    _check_n(s + t, MAX_POSET_SIZE, lo=0, what="poset size ")
     return poset_from_relations(s + t, [(i, s + j) for i in range(s) for j in range(t)])
 
 
 def fork(r: int) -> Poset:
     if r < 1:
         raise PosetError("fork parameter must be positive")
-    _check_size(r + 1)
+    _check_n(r + 1, MAX_POSET_SIZE, lo=0, what="poset size ")
     return poset_from_relations(r + 1, [(0, i) for i in range(1, r + 1)])
 
 
 def crown(ell: int) -> Poset:
     if ell < 2:
         raise PosetError("crown parameter must be at least 2")
-    _check_size(2 * ell)
+    _check_n(2 * ell, MAX_POSET_SIZE, lo=0, what="poset size ")
     rels = []
     for i in range(ell):
         rels.append((i, ell + i))
@@ -174,7 +161,7 @@ def crown(ell: int) -> Poset:
 def diamond(r: int = 2) -> Poset:
     if r < 1:
         raise PosetError("diamond parameter must be positive")
-    _check_size(r + 2)
+    _check_n(r + 2, MAX_POSET_SIZE, lo=0, what="poset size ")
     rels = [(0, i) for i in range(1, r + 1)] + [(i, r + 1) for i in range(1, r + 1)]
     return poset_from_relations(r + 2, rels)
 
@@ -236,6 +223,7 @@ def path_hasse_family(k: int):
 
     Enumerates the up/down orientation of each path edge, closes transitively,
     and keeps the first poset of each isomorphism class, ordered by height.
+    An orientation of a tree has no cycle and its covers are the tree's edges.
     The posets are built once per k; each call returns a new list of them.
     """
     return list(_path_hasse_family(k))
@@ -243,9 +231,7 @@ def path_hasse_family(k: int):
 
 @lru_cache(maxsize=64)
 def _path_hasse_family(k):
-    if not 2 <= k <= MAX_POSET_SIZE:
-        raise PosetError(f"path family supported for 2 <= k <= {MAX_POSET_SIZE}, got {k}")
-    path_edges = {(i, i + 1) for i in range(k - 1)}
+    _check_n(k, MAX_POSET_SIZE, lo=2, what="path family size ")
     found = {}  # canonical relations -> first poset with them
     for bits in range(1 << (k - 1)):
         rels = []
@@ -255,8 +241,5 @@ def _path_hasse_family(k):
             else:
                 rels.append((i + 1, i))
         p = poset_from_relations(k, rels)
-        hasse = {tuple(sorted(e)) for e in p.hasse_edges()}
-        if hasse != path_edges:  # cannot happen for paths; asserted anyway
-            raise PosetError("orientation closure collapsed a Hasse edge")
         found.setdefault(p.canonical_relations(), p)
     return tuple(sorted(found.values(), key=lambda p: (p.height(), p.canonical_relations())))

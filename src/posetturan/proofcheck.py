@@ -16,7 +16,10 @@ from functools import lru_cache
 from .embedding import find_any_embedding, find_embedding, minimal_posets
 from .lattice import (
     MAX_CHAIN_N,
+    MAX_COLOR_N,
+    MAX_COMPONENT_MEMBERS,
     SetFamily,
+    _check_n,
     cached_lattice,
     chain_count,
     chains_meeting,
@@ -28,8 +31,6 @@ from .lattice import (
 )
 from .formulas import katona_nagy, sublattice
 from .posets import m_poset, n_poset, path_hasse_family, w_poset
-
-MAX_COLOR_N = 12  # coloring, critical-pair and zigzag checks read the 2^n-member cached lattice
 
 
 class NotFreeError(ValueError):
@@ -54,8 +55,7 @@ class Coloring(namedtuple("Coloring", "n family threshold blue critical_pairs"))
 def color_family(family: SetFamily, t: int) -> Coloring:
     """The coloring of 2^[n], n = family.n, by the family with threshold t."""
     n = family.n
-    if n > MAX_COLOR_N:
-        raise ValueError(f"coloring labels all 2^n masks; n <= {MAX_COLOR_N} required")
+    _check_n(n, MAX_COLOR_N, what="coloring n=")
     if t < 1:
         raise ValueError("threshold must be at least 1")
     lattice = cached_lattice(n)
@@ -85,8 +85,7 @@ def check_one_critical_pair_per_chain(coloring: Coloring) -> bool:
     enumeration at small n.)
     """
     n = coloring.n
-    if n > MAX_COLOR_N:
-        raise ValueError(f"critical-pair chain check requires n <= {MAX_COLOR_N}")
+    _check_n(n, MAX_COLOR_N, what="critical-pair check n=")
     above = cached_lattice(n).above
     bottoms = 0
     for g, _ in coloring.critical_pairs:
@@ -174,8 +173,9 @@ def _find_WM(n, seq):
     seq = list(seq)
     if len(seq) != 6 or len(set(seq)) != 6:
         raise ValueError("need 6 distinct sets")
-    if not 1 <= n <= MAX_COLOR_N or min(seq) < 0 or max(seq) >= 1 << n:
-        raise ValueError(f"need subsets of [n] with 1 <= n <= {MAX_COLOR_N}")
+    _check_n(n, MAX_COLOR_N, what="zigzag n=")
+    if min(seq) < 0 or max(seq) >= 1 << n:
+        raise ValueError(f"need subsets of [{n}]")
     dirs, start, m, direction = _zigzag_dirs(seq)
     return _zigzag_select(n, seq, dirs, start, m, direction), m
 
@@ -298,9 +298,6 @@ class ComponentReport(namedtuple("ComponentReport", (
     __slots__ = ()
 
 
-MAX_COMPONENT_MEMBERS = 20  # _max_antichain: branch and bound over up to 2^m member subsets
-
-
 def p5_component_report(family: SetFamily):
     """Per-component chain-coverage diagnostics for a P5-path-free family in 2^[n], n = family.n.
 
@@ -309,18 +306,17 @@ def p5_component_report(family: SetFamily):
     """
     from fractions import Fraction
 
+    n = family.n
+    _check_n(n, MAX_CHAIN_N, lo=2, what="component report n=")  # the threshold reads C(n - 2, n // 2 - 1)
     witness = find_any_embedding(family, path_hasse_family(5))
     if witness is not None:
         raise NotFreeError("family embeds a 5-element path poset", witness)
-    n = family.n
-    if n > MAX_CHAIN_N:
-        raise ValueError(f"component report needs n <= {MAX_CHAIN_N} for the chain oracle")
     denom = 5 * math.comb(n - 2, n // 2 - 1)
+    comps = comparability_components(family)
+    _check_n(max(map(len, comps), default=1), MAX_COMPONENT_MEMBERS, what="component size ")  # before any report
     reports = []
-    for comp in comparability_components(family):
+    for comp in comps:
         sub = family.restrict(comp)
-        if len(sub) > MAX_COMPONENT_MEMBERS:
-            raise ValueError("component too large for exact antichain computation")
         c = count_k_chains(sub, 2)
         hull = convex_hull(sub)
         meets = chains_meeting(hull)

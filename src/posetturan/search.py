@@ -15,6 +15,7 @@ from .lattice import (
     MAX_LEVEL_GENERIC_Q_N,
     MAX_LEVEL_SEARCH_N,
     SetFamily,
+    _check_n,
     cached_lattice,
     iter_bits,
     level_family,
@@ -43,11 +44,9 @@ class SearchReport(namedtuple("SearchReport", "optimum witnesses nodes_explored 
         return {**self._asdict(), "witnesses": [list(w) for w in self.witnesses]}
 
 
-def _check_request(n: int, forbidden, budget):
-    if not 1 <= n <= MAX_EXACT_SEARCH_N:
-        raise ValueError(
-            f"exact search supports 1 <= n <= {MAX_EXACT_SEARCH_N}, with an optional budget; got n={n}"
-        )
+def _check_request(n: int, forbidden, budget=None, cap=MAX_EXACT_SEARCH_N, what="exact search n="):
+    """Refuse a search of n outside 1..cap, a budget below 1 or an empty forbidden poset."""
+    _check_n(n, cap, what=what)
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     if any(p.size == 0 for p in forbidden):
@@ -285,16 +284,13 @@ def la_levels(n: int, forbidden, q: Poset) -> SearchReport:
     poset with no elements is refused; an empty Q has one copy.
     """
     forbidden = list(forbidden)
-    if n > MAX_LEVEL_SEARCH_N:
-        raise ValueError(f"level search supports n <= {MAX_LEVEL_SEARCH_N}")
-    if any(p.size == 0 for p in forbidden):
-        raise ValueError("a forbidden poset must have at least one element")
+    _check_request(n, forbidden, cap=MAX_LEVEL_SEARCH_N, what="level search n=")
     minimal = minimal_posets(forbidden)
     generic = [p for p in minimal if not p.is_chain()]
-    if generic and n > MAX_LEVEL_GENERIC_N:
-        raise ValueError(f"level search with non-chain forbidden posets supports n <= {MAX_LEVEL_GENERIC_N}")
-    if not q.is_chain() and n > MAX_LEVEL_GENERIC_Q_N:
-        raise ValueError(f"level search with a non-chain Q supports n <= {MAX_LEVEL_GENERIC_Q_N}")
+    if generic:
+        _check_n(n, MAX_LEVEL_GENERIC_N, what="level search with a non-chain forbidden poset n=")
+    if not q.is_chain():
+        _check_n(n, MAX_LEVEL_GENERIC_Q_N, what="level search with a non-chain Q n=")
     shortest = min((p.size for p in minimal if p.is_chain()), default=n + 2)
     best, best_levels, nodes = -1, [], 0
     layer = [()]  # the visited tuples of one size, ascending

@@ -4,8 +4,9 @@ The copies of a poset in 2^[4] come from a permutation test over the
 |P|-subsets of the 16 masks, and the families from an include/exclude walk
 over the masks 0..15. A poset is read only through its ``size`` and
 ``relations``, and ``posetturan.posets`` is the one package module this
-module imports, so a fault in the embedding engine, the lattice bitsets or
-the search cannot reach its answers.
+module imports (it reads only the size cap and its check from
+``posetturan.lattice``), so a fault in the embedding engine, the lattice
+bitsets or the search cannot reach its answers.
 
 Run as a script, it checks against ``la_exact`` the 112 cases of the 28
 catalog posets of at most 5 elements times Q in {P2, P3, K_{1,2}, N}, then

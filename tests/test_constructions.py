@@ -84,9 +84,9 @@ class TestP5Construction:
             p5_construction(3)
 
     def test_too_large_refused(self):
-        with pytest.raises(ValueError, match="supports n <= 24"):
+        with pytest.raises(DimensionError, match="^dimension n=40 outside supported range 4..24$"):
             p5_construction(40)
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionError):
             p5_construction(MAX_SCAN_N + 1)
 
     @pytest.mark.parametrize("n", range(4, 10))

@@ -86,7 +86,7 @@ def test_supports_of_small_posets():
 
 
 # Run in a fresh interpreter without site: the posetturan modules that
-# importing the oracle loads
+# importing the oracle loads; posets loads lattice for its size cap alone
 ORACLE_PROBE = """
 import json, sys
 import oracle_n4
@@ -102,4 +102,4 @@ def test_oracle_loads_no_search_code():
         env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(TESTS), str(src)])),
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == ["posetturan", "posetturan.posets"]
+    assert json.loads(proc.stdout) == ["posetturan", "posetturan.lattice", "posetturan.posets"]

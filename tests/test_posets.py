@@ -4,8 +4,8 @@ import random
 import pytest
 
 from posetturan import posets
+from posetturan.lattice import MAX_POSET_SIZE, DimensionError
 from posetturan.posets import (
-    MAX_POSET_SIZE,
     PosetError,
     chain,
     crown,
@@ -21,6 +21,12 @@ from posetturan.posets import (
     s_poset,
     w_poset,
 )
+
+
+def covers(p):
+    """The cover pairs (a, b) of p: a < b with nothing strictly between."""
+    return {(a, b) for a, b in p.relations
+            if not any(p.less(a, c) and p.less(c, b) for c in range(p.size))}
 
 
 def orbit_count(k):
@@ -181,7 +187,8 @@ class TestPathHasseFamily:
     def test_members_shape(self, k):
         for p in path_hasse_family(k):
             assert p.size == k
-            assert len(p.hasse_edges()) == k - 1
+            # an orientation of the path: its covers are the path's edges
+            assert {tuple(sorted(e)) for e in covers(p)} == {(i, i + 1) for i in range(k - 1)}
 
     def test_contains_chain_and_s(self):
         assert any(p.canonical_key() == chain(5).canonical_key() for p in path_hasse_family(5))
@@ -230,8 +237,9 @@ class TestPathHasseFamily:
         assert path_hasse_family(5) == expect
 
     def test_k_out_of_range(self):
-        with pytest.raises(PosetError):
-            path_hasse_family(9)
+        for k in (1, 9):
+            with pytest.raises(DimensionError, match=f"^path family size {k} outside supported range 2..8$"):
+                path_hasse_family(k)
 
     def test_k8_size(self):
         assert len(path_hasse_family(8)) == orbit_count(8) == 64
@@ -296,7 +304,7 @@ class TestSizeCheckedBeforeAllocation:
             raise AssertionError("relations built for an oversized poset")
 
         monkeypatch.setattr(posets, "poset_from_relations", unreachable)
-        with pytest.raises(PosetError, match="poset size"):
+        with pytest.raises(DimensionError, match="^poset size .* outside supported range 0..8$"):
             build(*args)
 
     def test_largest_sizes_still_build(self):

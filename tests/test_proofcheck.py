@@ -10,7 +10,14 @@ from posetturan.cli import run_command
 from posetturan.constructions import middle_two_levels, p5_construction
 from posetturan.embedding import find_embedding, is_free, minimal_posets
 from posetturan.formulas import katona_nagy
-from posetturan.lattice import SetFamily, cached_lattice, comparability_components, iter_bits, level_family
+from posetturan.lattice import (
+    DimensionError,
+    SetFamily,
+    cached_lattice,
+    comparability_components,
+    iter_bits,
+    level_family,
+)
 from posetturan.posets import chain, m_poset, n_poset, w_poset
 from posetturan.proofcheck import (
     Coloring,
@@ -170,7 +177,7 @@ class TestCriticalPairCheck:
         assert seen == {True, False}
 
     def test_dimension_checks(self):
-        with pytest.raises(ValueError, match="n <= 12"):
+        with pytest.raises(DimensionError, match="^critical-pair check n=13 outside supported range 1..12$"):
             check_one_critical_pair_per_chain(hand_coloring(13, [(0, 1)]))
 
 
@@ -260,7 +267,7 @@ class TestZigzag:
         # the selections are checked inside the cached 2^[n], so n and the sets must fit it
         with pytest.raises(ValueError, match="subsets of"):
             zigzag_find_WM(2, [0, 1, 3, 7, 15, 31])
-        with pytest.raises(ValueError, match="subsets of"):
+        with pytest.raises(DimensionError, match="^zigzag n=13 outside supported range 1..12$"):
             zigzag_find_WM(13, [0, 1, 3, 7, 15, 31])
 
 
@@ -687,7 +694,7 @@ class TestP5ComponentReport:
         assert len(reports) == 20
         # each hull is an interval from a 3-set to a 5-set: 8! / C(6, 3) chains meet it
         assert all(rep.containments == 5 and rep.chains_meeting_hull == 2016 for rep in reports)
-        with pytest.raises(ValueError, match="n <= 8 for the chain oracle"):
+        with pytest.raises(DimensionError, match="^component report n=9 outside supported range 2..8$"):
             p5_component_report(p5_construction(9))
 
     def test_singleton_component(self):

@@ -28,6 +28,7 @@ from posetturan.embedding import (
     minimal_posets,
 )
 from posetturan.lattice import (
+    DimensionError,
     SetFamily,
     cached_lattice,
     chain_count,
@@ -299,7 +300,7 @@ class TestLaExact:
 
     def test_n5_requires_budget(self):
         # n = 5 and 6 no longer need one; n = 7 is refused with or without
-        with pytest.raises(ValueError, match="1 <= n <= 6"):
+        with pytest.raises(DimensionError, match="^exact search n=7 outside supported range 1..6$"):
             la_exact(7, [BFLY], P2)
 
     def test_n5_without_budget_completes(self):
